@@ -182,9 +182,9 @@ fn main() {
     for &system in &opts.systems {
         perfmon::reset();
         perfmon::enable(opts.perf);
-        // The cell runs behind the same isolation boundary as a baseline
-        // sweep, so injected faults, memory-budget exhaustion and hangs
-        // report a status instead of aborting the process.
+        // The cell runs behind the `run_protected` isolation boundary,
+        // so injected faults, memory-budget exhaustion and hangs report
+        // a status instead of aborting the process.
         let problem = opts.problem;
         let do_trace = opts.trace;
         let shared = Arc::clone(&p);

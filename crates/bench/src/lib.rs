@@ -20,38 +20,97 @@ pub mod service_load;
 
 pub use graph::{Scale, StudyGraph};
 
-/// Reads the scale multiplier from `STUDY_SCALE`.
-pub fn scale_from_env() -> Scale {
-    let factor = std::env::var("STUDY_SCALE")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(0.25);
-    Scale::custom(factor)
+/// Parses a `STUDY_SCALE` value: a positive finite multiplier.
+///
+/// # Errors
+///
+/// Returns the message the env reader panics with.
+pub fn parse_scale(s: &str) -> Result<Scale, String> {
+    match s.trim().parse::<f64>() {
+        Ok(f) if f.is_finite() && f > 0.0 => Ok(Scale::custom(f)),
+        _ => Err(format!("STUDY_SCALE must be a positive number; got {s:?}")),
+    }
 }
 
-/// Reads the repetition count from `STUDY_REPEATS`.
+/// Reads the scale multiplier from `STUDY_SCALE` (default `0.25`).
+///
+/// # Panics
+///
+/// Panics when the variable is set to anything [`parse_scale`] rejects.
+pub fn scale_from_env() -> Scale {
+    match std::env::var("STUDY_SCALE") {
+        Ok(v) => parse_scale(&v).unwrap_or_else(|e| panic!("{e}")),
+        Err(_) => Scale::custom(0.25),
+    }
+}
+
+/// Parses a `STUDY_REPEATS` value: a positive repetition count.
+///
+/// # Errors
+///
+/// Returns the message the env reader panics with.
+pub fn parse_repeats(s: &str) -> Result<u32, String> {
+    match s.trim().parse::<u32>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "STUDY_REPEATS must be a positive integer; got {s:?}"
+        )),
+    }
+}
+
+/// Reads the repetition count from `STUDY_REPEATS` (default `1`).
+///
+/// # Panics
+///
+/// Panics when the variable is set to anything [`parse_repeats`] rejects.
 pub fn repeats_from_env() -> u32 {
-    std::env::var("STUDY_REPEATS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
+    match std::env::var("STUDY_REPEATS") {
+        Ok(v) => parse_repeats(&v).unwrap_or_else(|e| panic!("{e}")),
+        Err(_) => 1,
+    }
+}
+
+/// Parses a `STUDY_GRAPHS` value: a comma-separated, case-insensitive
+/// list of Table I graph names. The result is in Table I order without
+/// duplicates, whatever order the list names them in.
+///
+/// # Errors
+///
+/// Returns the message the env reader panics with: on a name that is
+/// not a study graph, and on a list that names none (either would
+/// otherwise shrink the sweep silently, down to an empty one that
+/// "passes").
+pub fn parse_graphs(s: &str) -> Result<Vec<StudyGraph>, String> {
+    let all = StudyGraph::all();
+    let mut picked = Vec::new();
+    for name in s.split(',').map(str::trim).filter(|n| !n.is_empty()) {
+        match all.iter().find(|g| g.name().eq_ignore_ascii_case(name)) {
+            Some(&g) => picked.push(g),
+            None => {
+                let known: Vec<&str> = all.iter().map(StudyGraph::name).collect();
+                return Err(format!(
+                    "STUDY_GRAPHS must list names from {}; got {name:?}",
+                    known.join(", ")
+                ));
+            }
+        }
+    }
+    if picked.is_empty() {
+        return Err(format!(
+            "STUDY_GRAPHS must name at least one graph; got {s:?}"
+        ));
+    }
+    Ok(all.into_iter().filter(|g| picked.contains(g)).collect())
 }
 
 /// The graphs selected by `STUDY_GRAPHS` (all nine by default).
+///
+/// # Panics
+///
+/// Panics when the variable is set to anything [`parse_graphs`] rejects.
 pub fn graphs_from_env() -> Vec<StudyGraph> {
     match std::env::var("STUDY_GRAPHS") {
-        Ok(list) => {
-            let wanted: Vec<String> = list
-                .split(',')
-                .map(|s| s.trim().to_lowercase())
-                .filter(|s| !s.is_empty())
-                .collect();
-            StudyGraph::all()
-                .into_iter()
-                .filter(|g| wanted.iter().any(|w| g.name().to_lowercase() == *w))
-                .collect()
-        }
+        Ok(v) => parse_graphs(&v).unwrap_or_else(|e| panic!("{e}")),
         Err(_) => StudyGraph::all().to_vec(),
     }
 }
@@ -127,7 +186,50 @@ mod tests {
         // and produce sane defaults when unset.
         let _ = scale_from_env();
         assert!(repeats_from_env() >= 1);
-        assert!(!graphs_from_env().is_empty() || std::env::var("STUDY_GRAPHS").is_ok());
+        assert!(!graphs_from_env().is_empty());
+    }
+
+    #[test]
+    fn parse_scale_accepts_positive_numbers_only() {
+        assert_eq!(parse_scale("0.03").unwrap().factor(), 0.03);
+        assert_eq!(parse_scale(" 2 ").unwrap().factor(), 2.0);
+        for bad in ["", "fast", "0", "-1", "inf", "NaN", "0.5x"] {
+            let e = parse_scale(bad).unwrap_err();
+            assert!(
+                e.starts_with("STUDY_SCALE must be") && e.contains(&format!("{bad:?}")),
+                "{e}"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_repeats_accepts_positive_integers_only() {
+        assert_eq!(parse_repeats("3"), Ok(3));
+        for bad in ["", "0", "-2", "1.5", "three"] {
+            let e = parse_repeats(bad).unwrap_err();
+            assert!(
+                e.starts_with("STUDY_REPEATS must be") && e.contains(&format!("{bad:?}")),
+                "{e}"
+            );
+        }
+    }
+
+    #[test]
+    fn parse_graphs_rejects_unknown_names_and_empty_lists() {
+        // Table I order, case-insensitive, duplicates collapsed.
+        assert_eq!(
+            parse_graphs("uk07, RMAT22,rmat22,").unwrap(),
+            vec![StudyGraph::Rmat22, StudyGraph::Uk07]
+        );
+        let e = parse_graphs("rmat22,rmat2").unwrap_err();
+        assert!(
+            e.starts_with("STUDY_GRAPHS must list") && e.ends_with("got \"rmat2\""),
+            "{e}"
+        );
+        for empty in ["", " ", ",,"] {
+            let e = parse_graphs(empty).unwrap_err();
+            assert!(e.starts_with("STUDY_GRAPHS must name at least one"), "{e}");
+        }
     }
 
     #[test]

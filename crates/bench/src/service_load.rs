@@ -2,9 +2,8 @@
 //!
 //! Drives a mix of cheap (frontier) and expensive (materialization)
 //! request threads against a running server, recording per-request
-//! dispositions and client-side latencies. Shared by the `baseline`
-//! service grid (in-process server) and the `service_bench` CI driver
-//! (external server).
+//! dispositions and client-side latencies. Used by the `service_bench`
+//! CI driver against an external server.
 
 use service::protocol::{RunRequest, Status};
 use service::{Client, RetryPolicy};

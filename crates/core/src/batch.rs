@@ -41,7 +41,7 @@ impl BatchProblem {
         [BatchProblem::Bfs, BatchProblem::Ppr, BatchProblem::Sssp]
     }
 
-    /// The cell label recorded in the bench-baseline schema.
+    /// The cell label (`bfs-batch` / `ppr-batch` / `sssp-batch`).
     pub fn name(&self) -> &'static str {
         match self {
             BatchProblem::Bfs => "bfs-batch",

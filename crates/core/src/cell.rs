@@ -1,12 +1,12 @@
 //! Cell-isolated execution for study sweeps.
 //!
-//! A baseline sweep runs hundreds of (problem, system, graph) *cells*;
+//! A study sweep runs hundreds of (problem, system, graph) *cells*;
 //! one panicking operator, exhausted memory budget or wedged loop must
 //! cost that cell, not the sweep. [`run_protected`] is the isolation
 //! boundary: it executes a cell body under `catch_unwind`, optionally
 //! bounded by the `STUDY_CELL_TIMEOUT_MS` watchdog, and reduces every
 //! way a cell can end to a [`CellStatus`] — the `ok|failed|timeout|oom`
-//! axis recorded in the `bench-baseline/v3` schema.
+//! axis.
 //!
 //! Two fault points target this layer: `cell.run` (panics the cell body;
 //! `cell.run:nth=K` selects exactly the K-th cell of a sweep as the
@@ -34,7 +34,7 @@ pub enum CellStatus {
 }
 
 impl CellStatus {
-    /// The schema string recorded in `bench-baseline/v3` cells.
+    /// The status as a lowercase string (`ok|failed|timeout|oom`).
     pub fn name(self) -> &'static str {
         match self {
             CellStatus::Ok => "ok",
@@ -93,11 +93,6 @@ impl<T> CellOutcome<T> {
             value: self.value.map(f),
         }
     }
-
-    /// Discards the value, keeping only the outcome axis.
-    pub fn discard_value(self) -> CellOutcome<()> {
-        self.map(|_| ())
-    }
 }
 
 /// The per-cell watchdog timeout from `STUDY_CELL_TIMEOUT_MS`
@@ -132,7 +127,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// per-query reduction of a batched cell, where each query of a
 /// [`crate::batch`] sweep carries its own `Result` and must get its own
 /// status (one query's oom must not poison its batch siblings).
-pub fn outcome_from_result<T>(result: Result<T, GrbError>) -> CellOutcome<T> {
+pub(crate) fn outcome_from_result<T>(result: Result<T, GrbError>) -> CellOutcome<T> {
     match result {
         Ok(value) => CellOutcome {
             status: CellStatus::Ok,
@@ -339,6 +334,6 @@ mod tests {
         })
         .map(|v| v * 2);
         assert_eq!(failed.status, CellStatus::Failed);
-        assert!(failed.discard_value().error.unwrap().contains("boom"));
+        assert!(failed.error.unwrap().contains("boom"));
     }
 }

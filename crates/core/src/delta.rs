@@ -1,4 +1,4 @@
-//! Streaming-update cells: the `STUDY_DELTA` dimension.
+//! Streaming-update cells: the incremental dimension.
 //!
 //! An incremental cell starts from a converged answer on the base graph,
 //! absorbs a stream of [`EdgeBatch`] updates through a [`DeltaGraph`],
@@ -58,7 +58,7 @@ impl IncProblem {
         [IncProblem::Bfs, IncProblem::Cc, IncProblem::Pr]
     }
 
-    /// The cell label recorded in the `bench-baseline/v6` schema.
+    /// The cell label (`bfs-inc` / `cc-inc` / `pr-inc`).
     pub fn name(&self) -> &'static str {
         match self {
             IncProblem::Bfs => "bfs-inc",
@@ -71,32 +71,6 @@ impl IncProblem {
 impl std::fmt::Display for IncProblem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// The update-batch size from `STUDY_DELTA` (edge updates per batch in
-/// the bench's streaming dimension; unset, empty or `0` means the
-/// default of 64).
-///
-/// The static study path never calls this — `STUDY_DELTA` changes
-/// nothing about the serial cells.
-///
-/// # Panics
-///
-/// Panics when the variable is set to a non-integer.
-pub fn delta_edges_from_env() -> usize {
-    match std::env::var("STUDY_DELTA") {
-        Ok(v) if !v.trim().is_empty() => {
-            let k: usize = v.trim().parse().unwrap_or_else(|e| {
-                panic!("STUDY_DELTA must be an update-batch size, got {v:?}: {e}")
-            });
-            if k == 0 {
-                64
-            } else {
-                k
-            }
-        }
-        _ => 64,
     }
 }
 
@@ -530,12 +504,6 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{system} {problem}: {e}"));
             }
         }
-    }
-
-    #[test]
-    fn delta_edges_env_defaults_to_64() {
-        // The suite does not set STUDY_DELTA; 0 normalizes up anyway.
-        assert!(delta_edges_from_env() >= 1);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Minimal JSON emission for machine-readable artifacts.
 //!
-//! The workspace is hermetic (no serde), so the benchmark baseline and
-//! trace dumps serialize through this hand-rolled value tree. Emission
-//! only — the consumer (`scripts/compare_bench.py`) parses with Python's
-//! stdlib.
+//! The workspace is hermetic (no serde), so trace dumps (and the repo
+//! benchmark's result lines) serialize through this hand-rolled value
+//! tree. Emission only.
 //!
 //! Object keys keep insertion order, so output is byte-deterministic for
 //! a fixed sequence of `push` calls.
@@ -139,9 +138,9 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 /// The cache hierarchy driving the tile planner and reported in trace
-/// and bench headers: detected from sysfs, or the paper machine's
+/// headers: detected from sysfs, or the paper machine's
 /// Skylake constants when detection fails (`source` says which).
-pub fn cache_geometry_json() -> Json {
+pub(crate) fn cache_geometry_json() -> Json {
     let g = perfmon::cache::geometry();
     let mut o = Json::obj();
     o.push("source", g.source);

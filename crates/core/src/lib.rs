@@ -22,7 +22,7 @@
 //! * [`batch`] — the `STUDY_BATCH` dimension: k-source batched query
 //!   cells (msBFS / multi-seed ppr / batched sssp) with per-query
 //!   outcomes and per-query verification;
-//! * [`delta`] — the `STUDY_DELTA` dimension: streaming-update cells
+//! * [`delta`] — the streaming dimension: incremental-update cells
 //!   that absorb edge batches through [`graph::DeltaGraph`] and repair
 //!   converged answers incrementally on both APIs, verified against a
 //!   from-scratch recompute on the compacted snapshot;
@@ -33,7 +33,7 @@
 //! * [`report`] — fixed-width table formatting for the reproduce
 //!   binaries;
 //! * [`json`] — hand-rolled JSON emission (hermetic: no serde) for
-//!   `BENCH_baseline.json` and trace dumps.
+//!   trace dumps.
 
 pub mod batch;
 pub mod cell;
@@ -50,17 +50,12 @@ pub use batch::{
     batch_sources, batch_width_from_env, run_batch_cell, try_run_batch, verify_batch_query,
     BatchProblem,
 };
-pub use cell::{
-    cell_timeout_from_env, outcome_from_result, run_cell, run_protected, CellOutcome, CellStatus,
-};
+pub use cell::{cell_timeout_from_env, run_cell, run_protected, CellOutcome, CellStatus};
 pub use delta::{
-    delta_edges_from_env, run_incremental_cell, try_run_incremental, update_batches,
-    verify_incremental, IncError, IncProblem, IncrementalRun,
+    run_incremental_cell, try_run_incremental, update_batches, verify_incremental, IncError,
+    IncProblem, IncrementalRun,
 };
-pub use json::{cache_geometry_json, Json};
+pub use json::Json;
 pub use prepared::{OrderedView, PreparedGraph};
 pub use problem::{Problem, ProblemOutput, System, Variant};
-pub use runner::{
-    run, timed_run, traced_run, traced_run_variant, try_run, try_run_variant, RunMeasurement,
-    TracedMeasurement,
-};
+pub use runner::{run, timed_run, traced_run, try_run, RunMeasurement, TracedMeasurement};

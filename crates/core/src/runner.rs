@@ -144,19 +144,6 @@ pub fn traced_run(system: System, problem: Problem, p: &PreparedGraph) -> Traced
     }
 }
 
-/// Runs one Figure-3 variant with [`perfmon::trace`] enabled.
-///
-/// Same global-state caveat as [`traced_run`].
-pub fn traced_run_variant(variant: Variant, p: &PreparedGraph) -> TracedMeasurement {
-    let start = Instant::now();
-    let (output, trace) = perfmon::trace::with_trace(|| run_variant(variant, p));
-    TracedMeasurement {
-        elapsed: start.elapsed(),
-        output,
-        trace,
-    }
-}
-
 fn try_run_lagraph<R: Runtime>(
     problem: Problem,
     p: &PreparedGraph,
@@ -209,13 +196,7 @@ fn run_lonestar(problem: Problem, p: &PreparedGraph) -> ProblemOutput {
     unpermute_output(p, out)
 }
 
-/// Runs one differential-analysis variant (Figure 3), surfacing
-/// GraphBLAS failures as [`GrbError`].
-///
-/// # Errors
-///
-/// Propagates [`GrbError`] from the matrix-API variants.
-pub fn try_run_variant(variant: Variant, p: &PreparedGraph) -> Result<ProblemOutput, GrbError> {
+fn try_run_variant(variant: Variant, p: &PreparedGraph) -> Result<ProblemOutput, GrbError> {
     use Variant::*;
     let rt = GaloisRuntime;
     let v = active_views(p);
@@ -266,8 +247,7 @@ pub fn try_run_variant(variant: Variant, p: &PreparedGraph) -> Result<ProblemOut
 ///
 /// # Panics
 ///
-/// Panics on any [`GrbError`]; use [`try_run_variant`] to handle
-/// failures.
+/// Panics on any [`GrbError`] from the matrix-API variants.
 pub fn run_variant(variant: Variant, p: &PreparedGraph) -> ProblemOutput {
     try_run_variant(variant, p)
         .unwrap_or_else(|e| panic!("variant {} failed: {e}", variant.name()))

@@ -32,10 +32,10 @@
 //! un-permuted output must be bit-identical (bfs/cc/sssp; ≤1e-9 for
 //! pagerank's float reassociation) to the natural-order reference.
 //!
-//! [`avg_column_gap`] is the locality proxy recorded in trace/v6 and
-//! bench-baseline/v9 headers: the mean distance between consecutive
-//! column indices within a row. Smaller gaps mean pull-mode column
-//! reads and delta-CSR varints both touch fewer cache lines.
+//! [`avg_column_gap`] is the locality proxy recorded in trace/v6
+//! headers: the mean distance between consecutive column indices within
+//! a row. Smaller gaps mean pull-mode column reads and delta-CSR varints
+//! both touch fewer cache lines.
 
 use crate::csr::{CsrGraph, NodeId};
 

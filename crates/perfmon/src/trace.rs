@@ -603,8 +603,8 @@ impl Trace {
     }
 }
 
-/// Aggregate quantities of one [`Trace`] (the per-cell numbers
-/// `BENCH_baseline.json` reports).
+/// Aggregate quantities of one [`Trace`] (the per-cell numbers the
+/// `study --trace` summary and the repo benchmark report).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceSummary {
     /// GraphBLAS API calls.

@@ -12,7 +12,6 @@
 //! | [`deque`] | `crossbeam::deque` | Chase–Lev work-stealing [`deque::Worker`] / [`deque::Stealer`] + [`deque::Injector`] |
 //! | [`rng`] | `rand` | seedable [`rng::Rng`] (SplitMix64-seeded xoshiro256++) |
 //! | [`prop`] | `proptest` | seeded property tests with bounded shrinking ([`prop::check`]) |
-//! | [`mod@bench`] | `criterion` | wall-clock benchmark harness with a criterion-shaped API |
 //! | [`fault`] | `fail` | deterministic named fault points driven by a seeded `STUDY_FAULTS` plan |
 //!
 //! Owning these layers is a deliberate architectural choice, not just a
@@ -27,7 +26,6 @@
 //! The whole crate uses only `std`; `cargo build --offline` from a cold
 //! registry succeeds for the entire workspace.
 
-pub mod bench;
 pub mod deque;
 pub mod fault;
 pub mod prop;

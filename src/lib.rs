@@ -21,8 +21,8 @@
 //!   concurrent jobs over a length-prefixed socket protocol.
 //! * [`study_core`] — the study harness: runners, references, verification.
 //! * [`substrate`] — the hermetic-build layer: std-only sync primitives,
-//!   work-stealing deque, PRNG, property-test and timing harnesses that
-//!   let the whole workspace build with zero external dependencies.
+//!   work-stealing deque, PRNG, property-test harness and fault injection
+//!   that let the whole workspace build with zero external dependencies.
 
 pub use galois_rt;
 pub use graph;

@@ -69,8 +69,8 @@ fn path_graph() -> Arc<PreparedGraph> {
     Arc::new(PreparedGraph::from_graph("path100".to_string(), g, 0, 3, 1 << 13))
 }
 
-/// Runs the full 18-cell sweep (6 problems x 3 systems, one graph) the
-/// way `baseline` does, returning each cell's outcome projection.
+/// Runs the full 18-cell sweep (6 problems x 3 systems, one graph)
+/// through `run_cell`, returning each cell's outcome projection.
 fn sweep(p: &Arc<PreparedGraph>) -> Vec<(CellStatus, Option<String>, Option<ProblemOutput>)> {
     let mut out = Vec::new();
     for problem in Problem::all() {

@@ -12,8 +12,9 @@
 //! 3. Traces are deterministic: two traced runs at the same seed and
 //!    thread count produce identical event streams once the
 //!    scheduling-perturbed fields (timings, steals, bucket visits) are
-//!    stripped — the invariant `scripts/compare_bench.py` relies on when
-//!    it flags counter drifts.
+//!    stripped — the invariant every gate on traced counters (the
+//!    repo benchmark's exactly-repeating per-layer counts included)
+//!    relies on.
 //! 4. The batched query engine degrades exactly to the serial engine: a
 //!    width-1 batch emits a trace whose fingerprint equals the serial
 //!    run's, and at width 8 msBFS issues strictly fewer matrix-product

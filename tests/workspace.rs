@@ -114,7 +114,7 @@ fn recycling_cuts_alloc_churn_at_least_5x_on_pr_and_tc() {
         let on = {
             let _pin = ModePin::set(WorkspaceMode::On);
             // Warm the pool so the measured run reflects steady state —
-            // the regime the bench baseline's traced pass runs in.
+            // the regime the repo benchmark's traced pass runs in.
             let _warmup = run(System::GaloisBlas, problem, &p);
             traced_run(System::GaloisBlas, problem, &p)
                 .trace
