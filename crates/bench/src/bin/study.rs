@@ -15,7 +15,7 @@
 //!   --threads N           worker threads (default: all)
 //!   --perf                print software performance counters
 //!   --trace               record op/loop spans, print a summary and dump
-//!                         the full trace to results/ (or set STUDY_TRACE=1)
+//!                         the full trace to results/
 //!   --no-verify           skip verification against the serial reference
 //! ```
 //!
@@ -64,7 +64,7 @@ fn parse_args() -> Options {
         scale: 0.25,
         threads: None,
         perf: false,
-        trace: std::env::var("STUDY_TRACE").is_ok_and(|v| v != "0" && !v.is_empty()),
+        trace: false,
         verify: true,
     };
     while let Some(flag) = args.next() {

@@ -1,12 +1,13 @@
-//! Batched multi-source query cells: the `STUDY_BATCH` dimension.
+//! Batched multi-source query cells.
 //!
 //! A batch cell answers k queries of one problem on one system in a
 //! single run — the matrix systems (SS, GB) through the multi-column
 //! frontier engine `lagraph::batch`, the graph system (LS) through k
 //! independent worklist runs (`lonestar::batch`). The serial study
-//! cells are untouched: batching is opt-in via `STUDY_BATCH=k`
-//! (default 1), and a width-1 batch executes the exact serial kernel
-//! sequence, so the paper-faithful numbers stay bit-for-bit identical.
+//! cells are untouched: the caller picks the width (the service's
+//! `BatchRequest.width`), and a width-1 batch executes the exact serial
+//! kernel sequence, so the paper-faithful numbers stay bit-for-bit
+//! identical.
 //!
 //! Every query keeps its own [`CellOutcome`]: a per-lane failure
 //! (memory budget, injected fault, bad source) costs that query only,
@@ -54,24 +55,6 @@ impl BatchProblem {
 impl std::fmt::Display for BatchProblem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// The batch width from `STUDY_BATCH` (queries per batched cell; unset,
-/// empty or `0` means 1 — the serial-identical width).
-///
-/// # Panics
-///
-/// Panics when the variable is set to a non-integer.
-pub fn batch_width_from_env() -> usize {
-    match std::env::var("STUDY_BATCH") {
-        Ok(v) if !v.trim().is_empty() => {
-            let k: usize = v.trim().parse().unwrap_or_else(|e| {
-                panic!("STUDY_BATCH must be a batch width, got {v:?}: {e}")
-            });
-            k.max(1)
-        }
-        _ => 1,
     }
 }
 
@@ -271,13 +254,6 @@ mod tests {
         assert_eq!(sources.len(), 8);
         assert_eq!(sources[0], p.source, "query 0 is the serial experiment");
         assert!(sources.iter().all(|&s| (s as usize) < p.num_nodes()));
-    }
-
-    #[test]
-    fn batch_width_defaults_to_one() {
-        // Reads the ambient env; the suite does not set STUDY_BATCH, and
-        // width 0 is normalized up in any case.
-        assert!(batch_width_from_env() >= 1);
     }
 
     #[test]

@@ -137,9 +137,9 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// The cache hierarchy driving the tile planner and reported in trace
-/// headers: detected from sysfs, or the paper machine's
-/// Skylake constants when detection fails (`source` says which).
+/// The cache hierarchy the perfmon model simulates, as reported in
+/// trace headers: detected from sysfs, or the paper machine's Skylake
+/// constants when detection fails (`source` says which).
 pub(crate) fn cache_geometry_json() -> Json {
     let g = perfmon::cache::geometry();
     let mut o = Json::obj();

@@ -19,9 +19,8 @@
 //! * [`cell`] — the resilient-sweep isolation boundary: `catch_unwind` +
 //!   `STUDY_CELL_TIMEOUT_MS` watchdog around every (problem, system,
 //!   graph) cell, reducing failures to `ok|failed|timeout|oom`;
-//! * [`batch`] — the `STUDY_BATCH` dimension: k-source batched query
-//!   cells (msBFS / multi-seed ppr / batched sssp) with per-query
-//!   outcomes and per-query verification;
+//! * [`batch`] — k-source batched query cells (msBFS / multi-seed ppr /
+//!   batched sssp) with per-query outcomes and per-query verification;
 //! * [`delta`] — the streaming dimension: incremental-update cells
 //!   that absorb edge batches through [`graph::DeltaGraph`] and repair
 //!   converged answers incrementally on both APIs, verified against a
@@ -47,8 +46,7 @@ pub mod runner;
 pub mod verify;
 
 pub use batch::{
-    batch_sources, batch_width_from_env, run_batch_cell, try_run_batch, verify_batch_query,
-    BatchProblem,
+    batch_sources, run_batch_cell, try_run_batch, verify_batch_query, BatchProblem,
 };
 pub use cell::{cell_timeout_from_env, run_cell, run_protected, CellOutcome, CellStatus};
 pub use delta::{

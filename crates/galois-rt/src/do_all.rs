@@ -188,25 +188,6 @@ pub fn do_all_ranges<F>(ranges: &[Range<usize>], f: F)
 where
     F: Fn(usize) + Sync,
 {
-    do_all_range_tasks(ranges, |r| {
-        for i in r {
-            f(i);
-        }
-    });
-}
-
-/// Runs `f(range)` once for every range of `ranges`, in parallel, with
-/// each whole range as the unit of work on the same stealing deques as
-/// [`do_all_ranges`].
-///
-/// Where `do_all_ranges` hands the body one index at a time, this hands
-/// it the whole chunk — the shape cache-blocked kernels need, since a
-/// 2-D tile carries per-row cursor state across its column bands and
-/// that state must live for the duration of the chunk, not one index.
-pub fn do_all_range_tasks<F>(ranges: &[Range<usize>], f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
     let total: usize = ranges.iter().map(|r| r.end.saturating_sub(r.start)).sum();
     if total == 0 {
         return;
@@ -215,8 +196,8 @@ where
     let nthreads = threads();
     if nthreads == 1 || ranges.len() == 1 {
         for r in ranges {
-            if !r.is_empty() {
-                f(r.clone());
+            for i in r.clone() {
+                f(i);
             }
         }
         if let Some(started) = started {
@@ -282,7 +263,9 @@ where
                     }
                 }
             };
-            f(r);
+            for i in r {
+                f(i);
+            }
         }
         if my_steals > 0 {
             steals.fetch_add(my_steals, Ordering::Relaxed);
@@ -404,18 +387,24 @@ mod tests {
     }
 
     #[test]
-    fn do_all_range_tasks_hands_each_chunk_to_one_task() {
-        let n = 2048;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        let mut ranges: Vec<Range<usize>> = (0..n).step_by(100).map(|s| s..(s + 100).min(n)).collect();
-        ranges.push(7..7); // empty chunks are dropped, not executed
-        do_all_range_tasks(&ranges, |r| {
-            assert!(!r.is_empty());
-            for i in r {
+    fn do_all_ranges_covers_uneven_ranges_once_at_one_and_two_threads() {
+        let saved = crate::threads();
+        for nthreads in [1, 2] {
+            crate::set_threads(nthreads);
+            let n = 2048;
+            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let mut ranges: Vec<Range<usize>> =
+                (0..n).step_by(100).map(|s| s..(s + 100).min(n)).collect();
+            ranges.push(7..7); // empty chunks are dropped, not executed
+            do_all_ranges(&ranges, |i| {
                 hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+            });
+            assert!(
+                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                "{nthreads} threads"
+            );
+        }
+        crate::set_threads(saved);
     }
 
     #[test]

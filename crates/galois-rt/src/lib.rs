@@ -46,7 +46,7 @@ pub mod substrate;
 pub mod watchdog;
 
 pub use bag::InsertBag;
-pub use do_all::{do_all, do_all_chunked, do_all_range_tasks, do_all_ranges, do_all_static, on_each};
+pub use do_all::{do_all, do_all_chunked, do_all_ranges, do_all_static, on_each};
 pub use for_each::{for_each, Ctx};
 pub use obim::for_each_ordered;
 pub use pool::{current_thread_id, max_threads, set_threads, threads, ThreadPool};

@@ -1,9 +1,9 @@
 //! Locality-optimizing vertex reordering (the `STUDY_ORDER` tier).
 //!
 //! Every kernel-side lever (direction-optimizing picker, workspaces,
-//! tiling, bitmap frontiers, delta CSR) runs over the graph in whatever
-//! vertex order the generator produced, so pull-mode SpMV and the
-//! tc/ktruss wedge loops pay scattered reads on power-law inputs.
+//! bitmap frontiers) runs over the graph in whatever vertex order the
+//! generator produced, so pull-mode SpMV and the tc/ktruss wedge loops
+//! pay scattered reads on power-law inputs.
 //! Reordering vertices so that frequently co-accessed ids are close
 //! buys that locality *without touching the kernels*: the CSR is
 //! remapped once at preprocessing time, every cached view (transpose,

@@ -45,7 +45,6 @@
 //! ```
 
 pub mod binops;
-pub mod delta_csr;
 pub mod descriptor;
 pub mod error;
 pub mod matrix;
@@ -57,7 +56,6 @@ pub(crate) mod util;
 pub mod vector;
 pub mod workspace;
 
-pub use delta_csr::{csr_mode, set_csr_mode, CsrMode};
 pub use descriptor::{Descriptor, KernelHint, MethodHint};
 pub use ops::KernelMode;
 pub use workspace::{set_workspace_mode, workspace_mode, WorkspaceMode};

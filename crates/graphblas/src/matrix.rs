@@ -44,114 +44,6 @@ impl<T> std::fmt::Debug for TransposeCache<T> {
     }
 }
 
-/// Lazily-built delta-encoded column stream (`STUDY_CSR=delta`), with
-/// the same derived-semantics exclusions as [`TransposeCache`]. The
-/// inner `Option` distinguishes "not yet built" (outer cell empty) from
-/// "built, but this matrix has a non-ascending row and cannot be
-/// gap-encoded" (`Some(None)` — iterate plain indices forever).
-struct DeltaCache(OnceCell<Option<Box<crate::delta_csr::DeltaCols>>>);
-
-impl DeltaCache {
-    const fn empty() -> Self {
-        DeltaCache(OnceCell::new())
-    }
-}
-
-impl Clone for DeltaCache {
-    fn clone(&self) -> Self {
-        DeltaCache::empty()
-    }
-}
-
-impl PartialEq for DeltaCache {
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-impl std::fmt::Debug for DeltaCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self.0.get() {
-            Some(Some(_)) => "DeltaCache(built)",
-            Some(None) => "DeltaCache(unencodable)",
-            None => "DeltaCache(empty)",
-        })
-    }
-}
-
-/// One row's `(column, &value)` pairs in storage order: either a plain
-/// zip over the CSR slices, or an inline decode of the delta-encoded
-/// gap stream. Both yield exactly the same sequence, so kernels built
-/// on this iterator are representation-invariant bit-for-bit.
-pub(crate) enum RowPairs<'a, T> {
-    /// Plain CSR: zipped column/value slices.
-    Plain(std::iter::Zip<std::slice::Iter<'a, u32>, std::slice::Iter<'a, T>>),
-    /// Delta CSR: LEB128 gap decode against the values slice.
-    Delta {
-        bytes: &'a [u8],
-        pos: usize,
-        prev: u32,
-        first: bool,
-        vals: std::slice::Iter<'a, T>,
-    },
-}
-
-impl<'a, T> Iterator for RowPairs<'a, T> {
-    type Item = (u32, &'a T);
-
-    #[inline]
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            RowPairs::Plain(z) => z.next().map(|(&c, v)| (c, v)),
-            RowPairs::Delta {
-                bytes,
-                pos,
-                prev,
-                first,
-                vals,
-            } => {
-                let v = vals.next()?;
-                // The cache model sees the compressed stream's byte
-                // address instead of a 4-byte index slot — the bandwidth
-                // saving the representation exists for.
-                perfmon::touch(bytes.as_ptr() as usize + *pos);
-                let (gap, next) = crate::delta_csr::read_varint(bytes, *pos);
-                *pos = next;
-                *prev = if *first { gap } else { *prev + gap };
-                *first = false;
-                Some((*prev, v))
-            }
-        }
-    }
-}
-
-/// Plain-old-data resumable counterpart of [`RowPairs`]: a cache-blocked
-/// kernel keeps one cursor per row of its tile alive across the tile's
-/// column bands, and because the cursor borrows nothing, the backing
-/// `Vec<RowCursor>` can be pooled in thread-local scratch across calls
-/// (workspace recycling would otherwise be defeated by per-task iterator
-/// allocations). [`Matrix::cursor_next`] replays exactly the
-/// [`RowPairs`] instrumentation — one stream-byte touch per element
-/// under `STUDY_CSR=delta`, nothing for plain CSR — so tiled and untiled
-/// kernels charge identical counts.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct RowCursor {
-    /// The row this cursor walks.
-    row: u32,
-    /// Next unread value slot, absolute into `vals`.
-    vpos: usize,
-    /// One past the row's last value slot.
-    vend: usize,
-    /// Delta only: next unread byte, relative to the row's stream.
-    bpos: usize,
-    /// Delta only: last decoded column.
-    prev: u32,
-    /// Delta only: the next varint is the absolute first column.
-    first: bool,
-    /// Whether the columns come from the delta stream.
-    delta: bool,
-}
-
 /// A sparse `nrows × ncols` matrix over scalar `T` in CSR form.
 ///
 /// # Example
@@ -172,7 +64,6 @@ pub struct Matrix<T> {
     col_idx: Vec<u32>,
     vals: Vec<T>,
     tcache: TransposeCache<T>,
-    dcache: DeltaCache,
 }
 
 impl<T: Scalar> Matrix<T> {
@@ -185,7 +76,6 @@ impl<T: Scalar> Matrix<T> {
             col_idx: Vec::new(),
             vals: Vec::new(),
             tcache: TransposeCache::empty(),
-            dcache: DeltaCache::empty(),
         }
     }
 
@@ -241,7 +131,6 @@ impl<T: Scalar> Matrix<T> {
             col_idx,
             vals,
             tcache: TransposeCache::empty(),
-            dcache: DeltaCache::empty(),
         })
     }
 
@@ -265,7 +154,6 @@ impl<T: Scalar> Matrix<T> {
             col_idx: g.dests().to_vec(),
             vals,
             tcache: TransposeCache::empty(),
-            dcache: DeltaCache::empty(),
         }
     }
 
@@ -335,50 +223,20 @@ impl<T: Scalar> Matrix<T> {
         })
     }
 
-    /// Drops every derived view of the CSR arrays — the cached transpose
-    /// *and* the delta-encoded column stream (requires exclusive access,
-    /// so no reader can hold a stale view). Mutating constructors start
-    /// empty; any in-place structural mutator must call this before the
-    /// next read.
+    /// Drops the cached transpose (requires exclusive access, so no
+    /// reader can hold a stale view). Mutating constructors start empty;
+    /// any in-place structural mutator must call this before the next
+    /// read.
     pub fn invalidate_transpose(&mut self) {
         self.tcache.0.take();
-        self.dcache.0.take();
     }
 
-    /// The delta-encoded column stream, built lazily on first use when
-    /// the process-wide policy is [`crate::delta_csr::CsrMode::Delta`].
-    /// `None` when the policy is plain or this matrix has a
-    /// non-ascending row (multigraph edge order) that cannot be
-    /// gap-encoded — callers fall back to the plain indices.
-    pub(crate) fn delta_cols(&self) -> Option<&crate::delta_csr::DeltaCols> {
-        if crate::delta_csr::csr_mode() != crate::delta_csr::CsrMode::Delta {
-            return None;
-        }
-        self.dcache
-            .0
-            .get_or_init(|| crate::delta_csr::encode(&self.row_ptr, &self.col_idx).map(Box::new))
-            .as_deref()
-    }
-
-    /// Iterates row `r`'s `(column, &value)` pairs in storage order,
-    /// decoding the delta stream inline under `STUDY_CSR=delta` and
-    /// zipping the plain CSR slices otherwise. Both paths yield the
-    /// identical sequence; SpMV kernel bodies iterate through this so
-    /// the representation cannot change any result.
+    /// Iterates row `r`'s `(column, &value)` pairs in storage order; the
+    /// SpMV kernel bodies iterate rows through this.
     #[inline]
-    pub(crate) fn row_pairs(&self, r: u32) -> RowPairs<'_, T> {
-        let range = self.row_ptr[r as usize]..self.row_ptr[r as usize + 1];
-        if let Some(d) = self.delta_cols() {
-            let (bytes, _) = d.row(r);
-            return RowPairs::Delta {
-                bytes,
-                pos: 0,
-                prev: 0,
-                first: true,
-                vals: self.vals[range].iter(),
-            };
-        }
-        RowPairs::Plain(self.col_idx[range.clone()].iter().zip(self.vals[range].iter()))
+    pub(crate) fn row_pairs(&self, r: u32) -> impl Iterator<Item = (u32, &T)> {
+        let (cols, vals) = self.row(r);
+        cols.iter().copied().zip(vals)
     }
 
     /// Rebuilds the CSC view from scratch (the cached
@@ -410,7 +268,6 @@ impl<T: Scalar> Matrix<T> {
             col_idx,
             vals,
             tcache: TransposeCache::empty(),
-            dcache: DeltaCache::empty(),
         }
     }
 
@@ -471,67 +328,12 @@ impl<T: Scalar> Matrix<T> {
             col_idx,
             vals,
             tcache: TransposeCache::empty(),
-            dcache: DeltaCache::empty(),
         }
     }
 
     /// Raw CSR parts (row pointers, column indices, values).
     pub fn csr_parts(&self) -> (&[usize], &[u32], &[T]) {
         (&self.row_ptr, &self.col_idx, &self.vals)
-    }
-
-    /// Opens a poolable [`RowCursor`] over row `r`, walking whichever
-    /// representation [`Self::row_pairs`] would walk.
-    pub(crate) fn row_cursor(&self, r: u32) -> RowCursor {
-        RowCursor {
-            row: r,
-            vpos: self.row_ptr[r as usize],
-            vend: self.row_ptr[r as usize + 1],
-            bpos: 0,
-            prev: 0,
-            first: true,
-            delta: self.delta_cols().is_some(),
-        }
-    }
-
-    /// The next column `c` will yield, without consuming it and without
-    /// instrumentation — the element is charged exactly once, when
-    /// [`Self::cursor_next`] consumes it, matching [`RowPairs`].
-    #[inline]
-    pub(crate) fn cursor_peek_col(&self, c: &RowCursor) -> Option<u32> {
-        if c.vpos == c.vend {
-            return None;
-        }
-        if c.delta {
-            let (bytes, _) = self.delta_cols().expect("cursor opened on delta").row(c.row);
-            let (gap, _) = crate::delta_csr::read_varint(bytes, c.bpos);
-            Some(if c.first { gap } else { c.prev + gap })
-        } else {
-            Some(self.col_idx[c.vpos])
-        }
-    }
-
-    /// Consumes and returns `c`'s next `(column, &value)` pair, touching
-    /// the same stream byte [`RowPairs`] touches under `STUDY_CSR=delta`.
-    #[inline]
-    pub(crate) fn cursor_next(&self, c: &mut RowCursor) -> Option<(u32, &T)> {
-        if c.vpos == c.vend {
-            return None;
-        }
-        let v = &self.vals[c.vpos];
-        let col = if c.delta {
-            let (bytes, _) = self.delta_cols().expect("cursor opened on delta").row(c.row);
-            perfmon::touch(bytes.as_ptr() as usize + c.bpos);
-            let (gap, next) = crate::delta_csr::read_varint(bytes, c.bpos);
-            c.bpos = next;
-            c.prev = if c.first { gap } else { c.prev + gap };
-            c.first = false;
-            c.prev
-        } else {
-            self.col_idx[c.vpos]
-        };
-        c.vpos += 1;
-        Some((col, v))
     }
 }
 
@@ -646,33 +448,34 @@ mod tests {
 
     #[test]
     fn invalidate_drops_every_derived_view() {
-        // Seed both caches directly (bypassing the global STUDY_CSR
-        // policy so this test cannot race with mode-toggling tests),
-        // mutate the CSR arrays in place, invalidate, and check that
-        // neither the transpose nor the delta stream serves the old
-        // contents.
+        // Mutate the CSR arrays in place, invalidate, and check that the
+        // transpose no longer serves the old contents.
         let mut m = small();
         let _ = m.transpose();
-        let seed = |m: &Matrix<u32>| {
-            m.dcache
-                .0
-                .get_or_init(|| crate::delta_csr::encode(&m.row_ptr, &m.col_idx).map(Box::new))
-                .as_deref()
-                .expect("ascending rows encode")
-                .decode_all()
-        };
-        assert_eq!(seed(&m), m.col_idx);
         // Redirect edge (0,1,1) to (0,0,9).
         m.col_idx[0] = 0;
         m.vals[0] = 9;
         m.invalidate_transpose();
-        assert!(
-            m.dcache.0.get().is_none(),
-            "invalidation must drop the delta stream too"
-        );
-        assert_eq!(seed(&m), vec![0, 2, 2, 0], "delta view rebuilt from current indices");
         assert_eq!(m.transpose().get(0, 0), Some(9), "transpose rebuilt from current indices");
-        assert_eq!(m.transpose().get(1, 0), None, "old edge is gone from the rebuilt views");
+        assert_eq!(m.transpose().get(1, 0), None, "old edge is gone from the rebuilt view");
+    }
+
+    #[test]
+    fn row_pairs_yields_storage_order_on_multigraph_rows() {
+        // A multigraph row may repeat a column and need not ascend; the
+        // kernels fold in exactly the order the arrays store.
+        let m = Matrix {
+            nrows: 3,
+            ncols: 4,
+            row_ptr: vec![0, 4, 4, 5],
+            col_idx: vec![3, 1, 3, 0, 2],
+            vals: vec![10u64, 20, 30, 40, 50],
+            tcache: TransposeCache::empty(),
+        };
+        let pairs = |r| m.row_pairs(r).map(|(c, &v)| (c, v)).collect::<Vec<_>>();
+        assert_eq!(pairs(0), vec![(3, 10), (1, 20), (3, 30), (0, 40)]);
+        assert_eq!(pairs(1), vec![]);
+        assert_eq!(pairs(2), vec![(2, 50)]);
     }
 
     #[test]

@@ -629,11 +629,6 @@ where
 {
     let acc: AtomicAccumulator<T> = AtomicAccumulator::new(out_dim);
     let bytes = (out_dim * std::mem::size_of::<T>()) as u64;
-    if let Some(tile) = super::tiling::plan(out_dim, std::mem::size_of::<T>()) {
-        let accumulate = |j: usize, v: T| acc.accumulate(j, v, &add);
-        super::tiling::scatter_tiled(&tile, entries, a, mask, desc, &mul, &accumulate);
-        return (acc, bytes);
-    }
     rt.parallel_for(entries.len(), |p| {
         let (i, x) = entries[p];
         perfmon::touch_ref(&entries[p]);
@@ -695,11 +690,6 @@ where
     };
     let bytes = (out_dim * std::mem::size_of::<T>()) as u64 + acc.word_bytes();
     let add = |x, y| semiring.add(x, y);
-    if let Some(tile) = super::tiling::plan(out_dim, std::mem::size_of::<T>()) {
-        let accumulate = |j: usize, v: T| acc.accumulate(j, v, add);
-        super::tiling::scatter_tiled(&tile, entries, a, mask, desc, &mul, &accumulate);
-        return (release_bitmap(acc, recycled, rt), bytes);
-    }
     rt.parallel_for(entries.len(), |p| {
         let (i, x) = entries[p];
         perfmon::touch_ref(&entries[p]);
@@ -768,14 +758,6 @@ where
     let udense = u.dense_parts();
     let absorbing = semiring.add_absorbing();
     let lanes: PerThread<Vec<(u32, T)>> = PerThread::new(Vec::new);
-    if let Some(tile) = super::tiling::plan(at.ncols(), std::mem::size_of::<T>() + 1) {
-        let emit = |j: u32, acc: T| lanes.with(|lane| lane.push((j, acc)));
-        super::tiling::pull_rows_tiled(&tile, u, at, mask, desc, semiring, &mul, true, &emit);
-        let mut out: Vec<(u32, T)> = lanes.into_inner().into_iter().flatten().collect();
-        let acc_bytes = (out.len() * std::mem::size_of::<(u32, T)>()) as u64;
-        out.sort_unstable_by_key(|&(j, _)| j);
-        return (out, acc_bytes);
-    }
     rt.parallel_for_balanced(n, |j| at.row_nvals(j as u32) as u64 + 1, |j| {
         if let Some(m) = mask {
             perfmon::instr(1);

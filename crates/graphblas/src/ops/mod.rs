@@ -129,7 +129,6 @@ mod mxm;
 mod reduce;
 mod select;
 mod spmv;
-mod tiling;
 
 pub use assign::{apply, apply_inplace, assign_scalar};
 pub use batch::{mxm_frontier, LaneOutcome};

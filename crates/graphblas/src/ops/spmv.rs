@@ -135,32 +135,23 @@ where
                     .unwrap_or_default();
                 let (_reused, fresh) = acc.begin(a.ncols());
                 crate::workspace::note_fresh(fresh);
-                if let Some(tile) =
-                    super::tiling::plan(a.ncols(), std::mem::size_of::<T>())
-                {
-                    let accumulate = |j: usize, v: T| acc.accumulate(j, v, add);
-                    super::tiling::scatter_tiled(
-                        &tile, &entries, a, mask, desc, &mul, &accumulate,
-                    );
-                } else {
-                    rt.parallel_for(entries.len(), |p| {
-                        let (i, x) = entries[p];
-                        perfmon::touch_ref(&entries[p]);
-                        for (j, &av) in a.row_pairs(i) {
-                            perfmon::instr(2);
-                            perfmon::touch_ref(&av);
-                            if let Some(m) = mask {
-                                let pass =
-                                    m.mask_at(j, desc.mask_structural) != desc.mask_complement;
-                                perfmon::instr(1);
-                                if !pass {
-                                    continue;
-                                }
+                rt.parallel_for(entries.len(), |p| {
+                    let (i, x) = entries[p];
+                    perfmon::touch_ref(&entries[p]);
+                    for (j, &av) in a.row_pairs(i) {
+                        perfmon::instr(2);
+                        perfmon::touch_ref(&av);
+                        if let Some(m) = mask {
+                            let pass =
+                                m.mask_at(j, desc.mask_structural) != desc.mask_complement;
+                            perfmon::instr(1);
+                            if !pass {
+                                continue;
                             }
-                            acc.accumulate(j as usize, semiring.mul(x, av), add);
                         }
-                    });
-                }
+                        acc.accumulate(j as usize, semiring.mul(x, av), add);
+                    }
+                });
                 let mut out = ws.take_vec(crate::workspace::Shelf::Entries, 0);
                 acc.drain_into(a.ncols(), &mut out);
                 kernels::store_entries_slice(w, &out, desc.replace);
@@ -374,21 +365,6 @@ where
             {
                 let pv = ParSlice::new(&mut vals);
                 let pp = ParSlice::new(&mut present);
-                if let Some(tile) =
-                    super::tiling::plan(a.ncols(), std::mem::size_of::<T>() + 1)
-                {
-                    let mul = |x, av| semiring.mul(av, x);
-                    // SAFETY: one writer per row — each row belongs to
-                    // exactly one tile task.
-                    let emit = |i: u32, acc: T| unsafe {
-                        perfmon::touch(pv.addr_of(i as usize));
-                        pv.write(i as usize, acc);
-                        pp.write(i as usize, true);
-                    };
-                    super::tiling::pull_rows_tiled(
-                        &tile, u, a, mask, desc, semiring, &mul, false, &emit,
-                    );
-                } else {
                 rt.parallel_for_balanced(n, |i| a.row_nvals(i as u32) as u64 + 1, |i| {
                     if let Some(m) = mask {
                         perfmon::instr(1);
@@ -424,7 +400,6 @@ where
                         }
                     }
                 });
-                }
             }
 
             if overwrite {

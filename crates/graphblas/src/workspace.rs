@@ -527,23 +527,6 @@ pub(crate) fn run_balanced<F>(n: usize, flops_of: impl Fn(usize) -> u64, f: F)
 where
     F: Fn(usize) + Sync,
 {
-    run_balanced_tasks(n, flops_of, |r| {
-        for i in r {
-            f(i);
-        }
-    });
-}
-
-/// [`run_balanced`] at chunk granularity: `f` receives each whole
-/// equal-flops range instead of one index at a time, so a cache-blocked
-/// kernel can keep per-row cursor state alive across the column bands of
-/// its 2-D tile. Flops/chunk accounting is identical to `run_balanced` —
-/// a tiled and an untiled execution of the same loop report the same
-/// work counters.
-pub(crate) fn run_balanced_tasks<F>(n: usize, flops_of: impl Fn(usize) -> u64, f: F)
-where
-    F: Fn(Range<usize>) + Sync,
-{
     if n == 0 {
         return;
     }
@@ -555,7 +538,7 @@ where
     ranges.extend(balanced_ranges(&flops, parts));
     let total: u64 = flops.iter().sum();
     note_work(total, ranges.len() as u64);
-    galois_rt::do_all_range_tasks(&ranges, f);
+    galois_rt::do_all_ranges(&ranges, f);
     ws.give_vec(Shelf::Ranges, ranges);
     ws.give_vec(Shelf::Flops, flops);
 }

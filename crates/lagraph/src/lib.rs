@@ -31,7 +31,7 @@
 //! [`kcore::kcore`] (bulk peeling), [`mis::mis`] (Luby's rounds),
 //! [`pagerank::ppr`] (personalized PageRank) and the batched multi-source
 //! engine [`batch`] (msBFS / multi-seed PPR / batched SSSP over a
-//! multi-column frontier, `STUDY_BATCH` in the study runner).
+//! multi-column frontier).
 //!
 //! Every algorithm here is agnostic to vertex numbering: it answers in
 //! whatever id space the input CSR uses. The study runner exploits

@@ -5,13 +5,12 @@
 //! 11-way L3 slice per core, all with 64-byte lines. [`geometry`]
 //! additionally probes the real machine through
 //! `/sys/devices/system/cpu/cpu0/cache/` and, when every level parses and
-//! sanitizes (64-byte lines, set counts a power of two), the model and
-//! the cache-blocking tile planner use the detected sizes instead; any
-//! anomaly falls back to the Skylake constants so hermetic environments
-//! (containers, CI runners that hide sysfs) stay deterministic. The model
-//! is per-thread (each thread sees its own slice hierarchy), which is the
-//! right granularity for the access-count *ratios* Tables IV and V
-//! analyse.
+//! sanitizes (64-byte lines, set counts a power of two), the model uses
+//! the detected sizes instead; any anomaly falls back to the Skylake
+//! constants so hermetic environments (containers, CI runners that hide
+//! sysfs) stay deterministic. The model is per-thread (each thread sees
+//! its own slice hierarchy), which is the right granularity for the
+//! access-count *ratios* Tables IV and V analyse.
 
 use std::sync::OnceLock;
 
@@ -40,7 +39,7 @@ impl LevelGeometry {
     }
 }
 
-/// The three-level geometry the simulator and the tile planner share.
+/// The three-level geometry the simulator models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
     /// L1 data cache.

@@ -466,8 +466,10 @@ pub fn collect() -> Trace {
 /// Runs `f` with tracing enabled on a fresh trace and returns its output
 /// together with the merged trace.
 ///
-/// Trace state is process-global: concurrent `with_trace` calls observe
-/// each other's spans, so callers (tests in particular) must serialize.
+/// Trace state is process-global: while `f` runs, every thread's spans
+/// are recorded — those of concurrent `with_trace` calls and of
+/// concurrent *untraced* work alike — so callers (tests in particular)
+/// must serialize against anything that runs ops or loops.
 pub fn with_trace<T>(f: impl FnOnce() -> T) -> (T, Trace) {
     reset();
     enable(true);

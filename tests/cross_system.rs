@@ -6,8 +6,8 @@
 use graph_api_study::graph::{Scale, StudyGraph};
 use graph_api_study::study_core::runner::run_variant;
 use graph_api_study::study_core::{
-    batch_sources, batch_width_from_env, run, try_run_batch, verify, verify_batch_query,
-    BatchProblem, PreparedGraph, Problem, ProblemOutput, System, Variant,
+    batch_sources, run, try_run_batch, verify, verify_batch_query, BatchProblem, PreparedGraph,
+    Problem, ProblemOutput, System, Variant,
 };
 
 fn check_all_problems(which: StudyGraph) {
@@ -89,14 +89,9 @@ fn check_batched_vs_lonestar(which: StudyGraph, width: usize) {
 
 #[test]
 fn batched_queries_agree_with_lonestar_per_query() {
-    // Honor STUDY_BATCH (the CI batch matrix pins 1 and 8); off-CI the
-    // default env width is 1, so also sweep a >1 width to keep the
-    // multi-lane path covered by a plain `cargo test`.
-    let mut widths = vec![batch_width_from_env()];
-    if !widths.contains(&5) {
-        widths.push(5);
-    }
-    for width in widths {
+    // Width 1 is the serial-identical batch; 5 and 8 exercise the
+    // multi-lane path.
+    for width in [1, 5, 8] {
         for which in [
             StudyGraph::Rmat22,
             StudyGraph::RoadUsaW,

@@ -63,7 +63,8 @@ fn every_generator_is_bit_identical_for_equal_seeds() {
     }
 }
 
-/// Tests that reconfigure the global pool must not interleave.
+/// Tests that reconfigure the global pool, record a trace, or run jobs
+/// whose spans a concurrent trace would pick up must not interleave.
 static POOL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Runs `f` once per thread configuration and asserts all results agree.
@@ -151,8 +152,7 @@ fn traces_are_deterministic_across_repeated_runs() {
 /// A width-1 batch is the serial engine, down to the trace: the same
 /// call sequence runs through the same kernels, so the fingerprints
 /// (which keep every structural span field) must be equal, not merely
-/// the outputs. The CI batch matrix leans on this when it runs the
-/// suite under `STUDY_BATCH=1`.
+/// the outputs.
 #[test]
 fn width_one_batched_traces_match_serial() {
     use graph_api_study::graph::{Scale, StudyGraph};
@@ -290,6 +290,9 @@ fn update_batch_grouping_does_not_change_results() {
         try_run_incremental, update_batches, IncProblem, PreparedGraph, ProblemOutput, System,
     };
 
+    // Untraced here, but tracing is process-global: without the lock
+    // these jobs' spans land in whichever traced test is running.
+    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 128.0));
     let coarse = update_batches(&p.graph, 1, 24, 33);
     let singles: Vec<EdgeBatch> = coarse[0]
