@@ -160,9 +160,12 @@ fn try_run_lagraph<R: Runtime>(
         Problem::Ktruss => ProblemOutput::TrussEdges(
             lagraph::ktruss::ktruss(v.symmetric, p.ktruss_k, rt)?.edges_remaining,
         ),
-        Problem::Pr => {
-            ProblemOutput::Ranks(lagraph::pagerank::pagerank(v.graph, p.pr_iters, rt)?)
-        }
+        Problem::Pr => ProblemOutput::Ranks(lagraph::pagerank::pagerank(
+            v.transpose,
+            v.out_degrees,
+            p.pr_iters,
+            rt,
+        )?),
         Problem::Sssp => ProblemOutput::Dists(
             lagraph::sssp::sssp_delta_stepping(v.graph, v.source, p.sssp_delta, rt)?.dist,
         ),
@@ -212,9 +215,17 @@ fn try_run_variant(variant: Variant, p: &PreparedGraph) -> Result<ProblemOutput,
             p.pr_iters,
         )),
         PrGbRes => ProblemOutput::Ranks(lagraph::pagerank::pagerank_residual(
-            v.graph, p.pr_iters, rt,
+            v.transpose,
+            v.out_degrees,
+            p.pr_iters,
+            rt,
         )?),
-        PrGb => ProblemOutput::Ranks(lagraph::pagerank::pagerank(v.graph, p.pr_iters, rt)?),
+        PrGb => ProblemOutput::Ranks(lagraph::pagerank::pagerank(
+            v.transpose,
+            v.out_degrees,
+            p.pr_iters,
+            rt,
+        )?),
         TcLs => ProblemOutput::Triangles(lonestar::tc::tc(v.sorted)),
         TcGbLl => ProblemOutput::Triangles(lagraph::tc::tc_listing(v.sorted, rt)?.triangles),
         TcGbSort => {

@@ -17,8 +17,8 @@
 //! | bfs | [`bfs::bfs`] | LAGraph basic (Algorithm 2) |
 //! | cc | [`cc::connected_components`] | FastSV-style bounded pointer jumping (`cc-gb`) |
 //! | ktruss | [`ktruss::ktruss`] | round-based support pruning |
-//! | pr | [`pagerank::pagerank`] | topology-driven (`pr-gb`) |
-//! | pr | [`pagerank::pagerank_residual`] | residual-based (`pr-gb-res`) |
+//! | pr | [`pagerank::pagerank`] | topology-driven (`pr-gb`), pull along in-edges over the prepared transpose |
+//! | pr | [`pagerank::pagerank_residual`] | residual-based (`pr-gb-res`), same pull product |
 //! | sssp | [`sssp::sssp_delta_stepping`] | bulk-synchronous delta-stepping (`sssp-gb`) |
 //! | sssp | [`sssp::sssp_minplus`] | bucket-free min-plus Bellman-Ford (batch serial reference) |
 //! | tc | [`tc::tc_sandia_dot`] | SandiaDot (`tc-gb` / `tc-gb-sort`) |

@@ -34,11 +34,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let soa_time = t.elapsed();
 
     let t = Instant::now();
-    let gb_res = lagraph::pagerank::pagerank_residual(&crawl, iters, GaloisRuntime)?;
+    let gb_res = lagraph::pagerank::pagerank_residual(&gt, &out_deg, iters, GaloisRuntime)?;
     let gbres_time = t.elapsed();
 
     let t = Instant::now();
-    let gb = lagraph::pagerank::pagerank(&crawl, iters, GaloisRuntime)?;
+    let gb = lagraph::pagerank::pagerank(&gt, &out_deg, iters, GaloisRuntime)?;
     let gb_time = t.elapsed();
 
     for (name, other) in [("ls-soa", &ls_soa), ("gb-res", &gb_res), ("gb", &gb)] {

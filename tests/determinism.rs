@@ -8,7 +8,9 @@
 //! 2. The study's conclusions depend on comparing systems, so algorithm
 //!    *results* must not depend on the thread count: bfs, cc and pagerank
 //!    produce identical output on 1, 2 and the default number of threads,
-//!    on both the Lonestar and the GaloisBLAS paths.
+//!    on both the Lonestar and the GaloisBLAS paths. Matrix-API pr is
+//!    held to more: bit-identical across threads × runtimes × workspace
+//!    modes, on the pull kernel a traced run pins.
 //! 3. Traces are deterministic: two traced runs at the same seed and
 //!    thread count produce identical event streams once the
 //!    scheduling-perturbed fields (timings, steals, bucket visits) are
@@ -31,7 +33,9 @@ use graph_api_study::graph::gen::{
 };
 use graph_api_study::graph::transform::{symmetrize, transpose};
 use graph_api_study::graph::CsrGraph;
-use graph_api_study::graphblas::GaloisRuntime;
+use graph_api_study::graphblas::{
+    set_workspace_mode, workspace_mode, GaloisRuntime, Runtime, StaticRuntime, WorkspaceMode,
+};
 use graph_api_study::{lagraph, lonestar};
 
 type SeededBuild = Box<dyn Fn(u64) -> CsrGraph>;
@@ -120,8 +124,93 @@ fn algorithm_results_do_not_depend_on_thread_count() {
             .component
     });
     across_thread_counts("lagraph pagerank scores", || {
-        lagraph::pagerank::pagerank(&g, 10, GaloisRuntime).unwrap()
+        lagraph::pagerank::pagerank(&gt, &deg, 10, GaloisRuntime).unwrap()
     });
+}
+
+/// Restores the process-wide workspace mode on drop, so a failed
+/// assertion cannot leave it pinned for the rest of the binary.
+struct WorkspacePin(WorkspaceMode);
+
+impl Drop for WorkspacePin {
+    fn drop(&mut self) {
+        set_workspace_mode(self.0);
+    }
+}
+
+/// Both matrix-API pr formulations on one backend: `[pr-gb, pr-gb-res]`.
+fn matrix_api_pr<R: Runtime>(gt: &CsrGraph, deg: &[u32], rt: R) -> [Vec<f64>; 2] {
+    [
+        lagraph::pagerank::pagerank(gt, deg, 10, rt).unwrap(),
+        lagraph::pagerank::pagerank_residual(gt, deg, 10, rt).unwrap(),
+    ]
+}
+
+/// Matrix-API pr pulls over the prepared transpose: one writer per row
+/// and a fixed in-row fold order, so both formulations are bit-identical
+/// (not merely close) across thread counts, runtimes and workspace modes.
+/// `ppr` is not held to this: it scatters along out-edges, its fold order
+/// follows the schedule, and its checks stay at the tolerance they state.
+#[test]
+fn matrix_api_pagerank_is_bit_identical_across_threads_runtimes_and_workspace_modes() {
+    let g = rmat(9, 8, RmatParams::default(), 7);
+    let gt = transpose(&g);
+    let deg: Vec<u32> = (0..g.num_nodes() as u32)
+        .map(|v| g.out_degree(v) as u32)
+        .collect();
+
+    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let saved_threads = galois_rt::threads();
+    let _pin = WorkspacePin(workspace_mode());
+    let mut runs = Vec::new();
+    for threads in [1usize, 2, 4] {
+        galois_rt::set_threads(threads);
+        for mode in [WorkspaceMode::Off, WorkspaceMode::On] {
+            set_workspace_mode(mode);
+            let ss = matrix_api_pr(&gt, &deg, StaticRuntime);
+            let gb = matrix_api_pr(&gt, &deg, GaloisRuntime);
+            runs.push((format!("SS {threads}t {mode:?}"), ss));
+            runs.push((format!("GB {threads}t {mode:?}"), gb));
+        }
+    }
+    galois_rt::set_threads(saved_threads);
+    let (base, expected) = &runs[0];
+    for (what, got) in &runs[1..] {
+        assert_eq!(got, expected, "[pr-gb, pr-gb-res]: {what} differs from {base}");
+    }
+}
+
+/// Pins the kernel pr runs: every round's product is an `mxv` resolved to
+/// the pull kernel over the `AT` handed in, on both backends — no `vxm`,
+/// four API calls per round, and no transpose built inside the solve.
+#[test]
+fn traced_pagerank_pulls_over_the_prepared_transpose() {
+    use graph_api_study::graph::{Scale, StudyGraph};
+    use graph_api_study::graphblas::workspace::transpose_bytes_built;
+    use graph_api_study::perfmon::trace::{KernelChoice, OpKind};
+    use graph_api_study::study_core::{traced_run, PreparedGraph, Problem, System};
+
+    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 64.0));
+    let iters = u64::from(p.pr_iters);
+    for system in [System::SuiteSparse, System::GaloisBlas] {
+        let built_before = transpose_bytes_built();
+        let t = traced_run(system, Problem::Pr, &p).trace;
+        assert_eq!(
+            transpose_bytes_built(),
+            built_before,
+            "{system}: pr must not build a transpose inside the solve"
+        );
+        assert_eq!(t.count_ops(OpKind::Vxm), 0, "{system}: pr issues no vxm");
+        assert_eq!(t.count_ops(OpKind::Mxv), iters, "{system}: one mxv per round");
+        assert!(
+            t.ops()
+                .filter(|s| s.kind == OpKind::Mxv)
+                .all(|s| s.kernel == KernelChoice::Pull),
+            "{system}: every product must resolve to the pull kernel"
+        );
+        assert_eq!(t.ops().count() as u64, 4 * iters, "{system}: four calls per round");
+    }
 }
 
 #[test]

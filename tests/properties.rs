@@ -226,7 +226,7 @@ fn pagerank_variants_agree() {
         let gt = graph_api_study::graph::transform::transpose(g);
         let deg: Vec<u32> = (0..g.num_nodes() as u32).map(|v| g.out_degree(v) as u32).collect();
         let ls = lonestar::pagerank::pagerank(&gt, &deg, 10);
-        let gb = lagraph::pagerank::pagerank(g, 10, GaloisRuntime).unwrap();
+        let gb = lagraph::pagerank::pagerank(&gt, &deg, 10, GaloisRuntime).unwrap();
         for (a, b) in ls.iter().zip(gb.iter()) {
             prop_assert!((a - b).abs() < 1e-10, "pr mismatch: {} vs {}", a, b);
         }

@@ -53,6 +53,26 @@ impl Drop for ModePin {
     }
 }
 
+/// Pins the process-wide memory budget and restores it on drop, so a
+/// panic under a tight budget cannot starve the rest of the binary.
+struct BudgetPin {
+    prev: Option<u64>,
+}
+
+impl BudgetPin {
+    fn set(budget: Option<u64>) -> BudgetPin {
+        let prev = graphblas::ops::mem_budget();
+        graphblas::ops::set_mem_budget(budget);
+        BudgetPin { prev }
+    }
+}
+
+impl Drop for BudgetPin {
+    fn drop(&mut self) {
+        graphblas::ops::set_mem_budget(self.prev);
+    }
+}
+
 #[test]
 fn off_and_on_produce_identical_verified_results() {
     let _guard = WS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -133,33 +153,35 @@ fn recycling_cuts_alloc_churn_at_least_5x_on_pr_and_tc() {
 fn pool_retention_respects_the_memory_budget() {
     let _guard = WS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _pin = ModePin::set(WorkspaceMode::On);
-    let prev = graphblas::ops::mem_budget();
     let pool = graphblas::workspace::global();
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 128.0));
 
-    // Unlimited budget: measure what a pr run leaves in the pool.
-    graphblas::ops::set_mem_budget(None);
-    pool.clear();
-    let _ = run(System::GaloisBlas, Problem::Pr, &p);
-    let unlimited = pool.retained_bytes();
-    assert!(unlimited > 0, "pr must leave recycled buffers in the pool");
+    // Unlimited budget: measure what a tc run leaves in the pool. (tc,
+    // not pr: pr's pull product writes straight into the output vector's
+    // reclaimed store and pools next to nothing.)
+    let unlimited = {
+        let _budget = BudgetPin::set(None);
+        pool.clear();
+        let _ = run(System::GaloisBlas, Problem::Tc, &p);
+        pool.retained_bytes()
+    };
+    assert!(unlimited > 0, "tc must leave recycled buffers in the pool");
 
     // Halving the budget must bound retention without changing results —
-    // give() drops over-budget buffers, the kernels fall back to
-    // allocating, and the op-level budget gate still admits the sparse
-    // paths at this scale.
+    // give() drops over-budget buffers and the kernels fall back to
+    // allocating.
     let budget = unlimited / 2;
-    graphblas::ops::set_mem_budget(Some(budget));
-    pool.clear();
-    let out = run(System::GaloisBlas, Problem::Pr, &p);
-    verify::verify(&p, Problem::Pr, &out).expect("pr must still verify");
-    assert!(
-        pool.retained_bytes() <= budget,
-        "pool retention {} exceeds STUDY_MEM_BUDGET {}",
-        pool.retained_bytes(),
-        budget
-    );
-
-    graphblas::ops::set_mem_budget(prev);
+    {
+        let _budget = BudgetPin::set(Some(budget));
+        pool.clear();
+        let out = run(System::GaloisBlas, Problem::Tc, &p);
+        verify::verify(&p, Problem::Tc, &out).expect("tc must still verify");
+        assert!(
+            pool.retained_bytes() <= budget,
+            "pool retention {} exceeds STUDY_MEM_BUDGET {}",
+            pool.retained_bytes(),
+            budget
+        );
+    }
     pool.clear();
 }
