@@ -101,26 +101,45 @@ fn parse_args() -> Options {
     opts
 }
 
-fn load_graph(opts: &Options) -> PreparedGraph {
+/// Generates the named study graph or loads the file, then prepares it;
+/// also returns how long each of the two steps took.
+fn load_graph(opts: &Options) -> (PreparedGraph, Duration, Duration) {
+    let start = Instant::now();
     // A known study-graph name wins; otherwise treat as a path.
-    if let Some(which) = graph::StudyGraph::all()
+    let (name, g, source, ktruss_k, sssp_delta) = match graph::StudyGraph::all()
         .into_iter()
         .find(|g| g.name().eq_ignore_ascii_case(&opts.graph))
     {
-        return PreparedGraph::study(which, graph::Scale::custom(opts.scale));
-    }
-    let path = std::path::Path::new(&opts.graph);
-    let g = graph::io::load(path).unwrap_or_else(|e| {
-        eprintln!("cannot load {}: {e}", path.display());
-        std::process::exit(1);
-    });
-    let g = if g.is_weighted() {
-        g
-    } else {
-        g.with_random_weights(1_000_000, 7)
+        Some(which) => {
+            let g = which.build(graph::Scale::custom(opts.scale));
+            let source = which.source(&g);
+            (
+                which.name().to_string(),
+                g,
+                source,
+                which.ktruss_k(),
+                which.sssp_delta(),
+            )
+        }
+        None => {
+            let path = std::path::Path::new(&opts.graph);
+            let g = graph::io::load(path).unwrap_or_else(|e| {
+                eprintln!("cannot load {}: {e}", path.display());
+                std::process::exit(1);
+            });
+            let g = if g.is_weighted() {
+                g
+            } else {
+                g.with_random_weights(1_000_000, 7)
+            };
+            let source = g.max_out_degree_node();
+            (opts.graph.clone(), g, source, 7, 1 << 13)
+        }
     };
-    let source = g.max_out_degree_node();
-    PreparedGraph::from_graph(opts.graph.clone(), g, source, 7, 1 << 13)
+    let loaded = start.elapsed();
+    let start = Instant::now();
+    let p = PreparedGraph::from_graph(name, g, source, ktruss_k, sssp_delta);
+    (p, loaded, start.elapsed())
 }
 
 fn summarize(out: &ProblemOutput) -> String {
@@ -161,13 +180,16 @@ fn main() {
         galois_rt::set_threads(t);
     }
     eprintln!("[study] preparing {} (scale {}) ...", opts.graph, opts.scale);
-    let p = Arc::new(load_graph(&opts));
+    let (p, loaded, prepared) = load_graph(&opts);
+    let p = Arc::new(p);
     println!(
-        "{}: {} vertices, {} edges, source {}",
+        "{}: {} vertices, {} edges, source {} (load/generate {}s, prepare {}s)",
         p.name,
         p.graph.num_nodes(),
         p.graph.num_edges(),
-        p.source
+        p.source,
+        secs(loaded),
+        secs(prepared)
     );
     if let Some(o) = &p.ordered {
         println!(

@@ -4,7 +4,10 @@
 //! preprocessing time" (§IV). `PreparedGraph` performs that untimed work
 //! once — transpose for pull-style pr, symmetrization for cc/tc/ktruss,
 //! degree sorting for the tc listing variants — and carries the per-graph
-//! experiment parameters of Section IV.
+//! experiment parameters of Section IV. Natural and ordered views follow
+//! one recipe: transpose, symmetrize from that transpose, degree-sort
+//! the symmetric view — all linear passes plus per-row sorts, no
+//! comparison sort over the edge list.
 //!
 //! When a locality order is active (`STUDY_ORDER`, see [`graph::order`])
 //! the natural-order fields stay exactly as they are — they remain the
@@ -15,7 +18,7 @@
 //! un-permute results out.
 
 use graph::order::{self, OrderMode, Permutation};
-use graph::transform::{sort_by_degree, symmetrize, transpose};
+use graph::transform::{sort_by_degree, symmetrize_from, transpose};
 use graph::{CsrGraph, NodeId, Scale, StudyGraph};
 use std::sync::Arc;
 use std::time::Instant;
@@ -91,7 +94,7 @@ impl OrderedView {
         let graph = perm.apply(natural);
         let build_ns = start.elapsed().as_nanos() as u64;
         let transpose = transpose(&graph);
-        let symmetric = symmetrize(&graph);
+        let symmetric = symmetrize_from(&graph, &transpose);
         let (sorted, _) = sort_by_degree(&symmetric);
         let out_degrees = (0..graph.num_nodes() as u32)
             .map(|v| graph.out_degree(v) as u32)
@@ -142,7 +145,7 @@ impl PreparedGraph {
         mode: OrderMode,
     ) -> Self {
         let transpose = transpose(&graph);
-        let symmetric = symmetrize(&graph);
+        let symmetric = symmetrize_from(&graph, &transpose);
         let (sorted, _) = sort_by_degree(&symmetric);
         let out_degrees = (0..graph.num_nodes() as u32)
             .map(|v| graph.out_degree(v) as u32)

@@ -9,6 +9,14 @@ use crate::csr::{CsrGraph, NodeId};
 /// (keeping the minimum weight per parallel edge, which is what shortest
 /// path semantics want).
 ///
+/// Row order: every row of the built graph ascends by destination, and
+/// parallel edges stay in insertion order. (Before `build` was a counting
+/// sort, an unstable comparison sort left the order of parallel edges
+/// unspecified, so weighted parallel edges without dedup are the one
+/// input whose bytes may differ from older builds. Only a
+/// [`crate::gen::grid_road`] shortcut that repeats a lattice edge could
+/// make one; none does in the study suite or the repo benchmark.)
+///
 /// # Example
 ///
 /// ```
@@ -115,47 +123,126 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Sorts the edge list into CSR and returns the graph.
+    /// Counting-sorts the edge list into CSR and returns the graph.
+    ///
+    /// Rows ascend by destination. Parallel edges keep their insertion
+    /// order, with the reverse edges [`GraphBuilder::symmetric`] adds
+    /// after every inserted one, unless [`GraphBuilder::dedup`] collapses
+    /// them.
     pub fn build(self) -> CsrGraph {
         let GraphBuilder {
-            num_nodes,
-            mut edges,
+            num_nodes: n,
+            edges,
             weighted,
             dedup,
             symmetric,
             drop_self_loops,
         } = self;
+        let kept = |&&(s, d, _): &&(NodeId, NodeId, u32)| !drop_self_loops || s != d;
 
-        if drop_self_loops {
-            edges.retain(|&(s, d, _)| s != d);
+        // Row lengths go into `offsets[s]` and become row starts; the
+        // scatter then uses `offsets[s]` as row `s`'s cursor, which leaves
+        // it holding the row's end, one shift away from the final array.
+        let mut offsets = vec![0usize; n + 1];
+        for &(s, d, _) in edges.iter().filter(kept) {
+            offsets[s as usize] += 1;
+            if symmetric {
+                offsets[d as usize] += 1;
+            }
+        }
+        let mut total = 0;
+        for o in &mut offsets[..n] {
+            let len = *o;
+            *o = total;
+            total += len;
+        }
+        let mut dests = vec![0 as NodeId; total];
+        let mut weights = weighted.then(|| vec![0u32; total]);
+        let mut place = |s: NodeId, d: NodeId, w: u32| {
+            let slot = &mut offsets[s as usize];
+            dests[*slot] = d;
+            if let Some(ws) = &mut weights {
+                ws[*slot] = w;
+            }
+            *slot += 1;
+        };
+        for &(s, d, w) in edges.iter().filter(kept) {
+            place(s, d, w);
         }
         if symmetric {
-            let mut rev: Vec<(NodeId, NodeId, u32)> =
-                edges.iter().map(|&(s, d, w)| (d, s, w)).collect();
-            edges.append(&mut rev);
+            for &(s, d, w) in edges.iter().filter(kept) {
+                place(d, s, w);
+            }
         }
-        edges.sort_unstable_by_key(|&(s, d, _)| (s, d));
-        if dedup {
-            edges.dedup_by(|next, prev| {
-                if next.0 == prev.0 && next.1 == prev.1 {
-                    prev.2 = prev.2.min(next.2);
-                    true
-                } else {
-                    false
-                }
-            });
-        }
+        drop(edges);
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
 
-        let mut offsets = vec![0usize; num_nodes + 1];
-        for &(s, _, _) in &edges {
-            offsets[s as usize + 1] += 1;
+        sort_rows(&offsets, &mut dests, weights.as_deref_mut());
+        if dedup {
+            dedup_rows(&mut offsets, &mut dests, weights.as_mut());
         }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        let dests: Vec<NodeId> = edges.iter().map(|&(_, d, _)| d).collect();
-        let weights = weighted.then(|| edges.iter().map(|&(_, _, w)| w).collect());
         CsrGraph::from_raw(offsets, dests, weights)
+    }
+}
+
+/// Sorts every CSR row by destination in place. A row that already
+/// ascends is left alone; unweighted rows sort unstably (equal ids are
+/// indistinguishable), weighted rows stably, so parallel edges keep
+/// their order.
+pub(crate) fn sort_rows(offsets: &[usize], dests: &mut [NodeId], mut weights: Option<&mut [u32]>) {
+    let mut pairs: Vec<(NodeId, u32)> = Vec::new();
+    for row in offsets.windows(2).map(|w| w[0]..w[1]) {
+        if dests[row.clone()].is_sorted() {
+            continue;
+        }
+        match weights.as_deref_mut() {
+            None => dests[row].sort_unstable(),
+            Some(ws) => {
+                pairs.clear();
+                pairs.extend(
+                    dests[row.clone()]
+                        .iter()
+                        .copied()
+                        .zip(ws[row.clone()].iter().copied()),
+                );
+                pairs.sort_by_key(|&(d, _)| d);
+                for (e, &(d, w)) in row.zip(&pairs) {
+                    dests[e] = d;
+                    ws[e] = w;
+                }
+            }
+        }
+    }
+}
+
+/// Collapses repeated destinations within each sorted row to one edge
+/// of minimum weight, compacting the arrays and rewriting `offsets`.
+fn dedup_rows(offsets: &mut [usize], dests: &mut Vec<NodeId>, mut weights: Option<&mut Vec<u32>>) {
+    let mut write = 0;
+    let mut start = 0;
+    for offset in &mut offsets[1..] {
+        let (row_start, end) = (write, *offset);
+        for e in start..end {
+            let d = dests[e];
+            if write > row_start && dests[write - 1] == d {
+                if let Some(ws) = weights.as_deref_mut() {
+                    ws[write - 1] = ws[write - 1].min(ws[e]);
+                }
+            } else {
+                dests[write] = d;
+                if let Some(ws) = weights.as_deref_mut() {
+                    ws[write] = ws[e];
+                }
+                write += 1;
+            }
+        }
+        *offset = write;
+        start = end;
+    }
+    dests.truncate(write);
+    if let Some(ws) = weights {
+        ws.truncate(write);
     }
 }
 

@@ -11,6 +11,13 @@ pub type NodeId = u32;
 ///
 /// Construct via [`crate::builder::GraphBuilder`], the generators in
 /// [`crate::gen`], or the loaders in [`crate::io`].
+///
+/// Row order is a property of the constructor, not of the type: rows from
+/// the builder and from the transpose, symmetrize and degree-sort
+/// transforms ascend by destination with parallel edges in insertion
+/// order, while [`CsrGraph::from_raw`] and
+/// [`crate::delta::DeltaGraph::materialize`] keep whatever order they are
+/// given (ingest appends). Every transform accepts rows in any order.
 #[derive(Clone, PartialEq, Eq)]
 pub struct CsrGraph {
     offsets: Vec<usize>,
@@ -19,7 +26,8 @@ pub struct CsrGraph {
 }
 
 impl CsrGraph {
-    /// Builds a graph directly from CSR arrays.
+    /// Builds a graph directly from CSR arrays, keeping each row in the
+    /// order given (no order is checked or promised).
     ///
     /// # Panics
     ///

@@ -481,6 +481,9 @@ impl DeltaGraph {
     /// Materializes the merged view into a fresh standalone [`CsrGraph`]
     /// without disturbing the layers. With no layers this is an exact
     /// copy of the snapshot.
+    ///
+    /// Rows keep merged-view order: an insert appends to its row, so a
+    /// row need not ascend by destination after ingest.
     pub fn materialize(&self) -> CsrGraph {
         let mut offsets = Vec::with_capacity(self.n + 1);
         offsets.push(0usize);

@@ -60,16 +60,15 @@ pub fn rmat(scale: u32, edge_factor: usize, params: RmatParams, seed: u64) -> Cs
             let a = params.a * noise;
             let b = params.b * noise;
             let c = params.c * noise;
-            if r < a {
-                // top-left: no bits set
-            } else if r < a + b {
-                dst |= 1 << level;
-            } else if r < a + b + c {
-                src |= 1 << level;
-            } else {
-                src |= 1 << level;
-                dst |= 1 << level;
-            }
+            // Quadrants by cumulative probability: top-left (no bit),
+            // top-right (dst bit), bottom-left (src bit), bottom-right
+            // (both). The thresholds are nested, so the dst bit is the
+            // parity of the three comparisons — no branch on `r`.
+            let past_a = r >= a;
+            let past_b = r >= a + b;
+            let past_c = r >= a + b + c;
+            src |= usize::from(past_b) << level;
+            dst |= usize::from(past_a ^ past_b ^ past_c) << level;
         }
         builder.push_edge(src as NodeId, dst as NodeId, 1);
     }

@@ -1,11 +1,16 @@
 //! Property-based tests of the graph substrate: CSR invariants,
-//! transform laws and serialization round trips on arbitrary graphs.
+//! transform laws and serialization round trips on arbitrary graphs, and
+//! the builder, `symmetrize` and `sort_by_degree` held byte-for-byte to
+//! the comparison-sort versions they replaced (kept here as the oracle)
+//! on graphs whose rows come in any order.
 //!
 //! Runs on the in-tree harness (`substrate::prop`); set `STUDY_PROP_SEED`
 //! to replay a reported failure.
 
 use graph::builder::GraphBuilder;
-use graph::transform::{lower_triangular, sort_by_degree, symmetrize, transpose, upper_triangular};
+use graph::transform::{
+    lower_triangular, sort_by_degree, symmetrize, symmetrize_from, transpose, upper_triangular,
+};
 use graph::CsrGraph;
 use substrate::prop::{self, Gen};
 use substrate::{prop_assert, prop_assert_eq, prop_assert_ne};
@@ -27,6 +32,183 @@ fn arb_graph(g: &mut Gen) -> CsrGraph {
         b.push_edge(s % n as u32, d % n as u32, w);
     }
     b.build()
+}
+
+/// An edge list in insertion order plus the builder switches to build
+/// it with.
+#[derive(Debug)]
+struct EdgeList {
+    n: usize,
+    edges: Vec<(u32, u32, u32)>,
+    weighted: bool,
+    dedup: bool,
+    symmetric: bool,
+    drop_self_loops: bool,
+}
+
+/// Small vertex counts against up to 160 edges: parallel edges with
+/// distinct weights, self loops and isolated vertices all turn up often.
+fn arb_edge_list(g: &mut Gen) -> EdgeList {
+    let n = g.gen_range(1usize..40);
+    let edges = g.vec(0..160, |g| {
+        (
+            g.gen_range(0..n as u32),
+            g.gen_range(0..n as u32),
+            g.gen_range(1u32..100),
+        )
+    });
+    EdgeList {
+        n,
+        edges,
+        weighted: g.gen_bool(0.5),
+        dedup: g.gen_bool(0.5),
+        symmetric: g.gen_bool(0.5),
+        drop_self_loops: g.gen_bool(0.5),
+    }
+}
+
+/// A graph whose rows are in insertion order rather than sorted (some
+/// rows, drawn at random, sorted anyway), made with
+/// [`CsrGraph::from_raw`] as ingest and the loaders may make them.
+fn arb_unordered_graph(g: &mut Gen) -> CsrGraph {
+    let list = arb_edge_list(g);
+    let mut rows = vec![Vec::new(); list.n];
+    for &(s, d, w) in &list.edges {
+        rows[s as usize].push((d, w));
+    }
+    let mut offsets = vec![0];
+    let (mut dests, mut weights) = (Vec::new(), Vec::new());
+    for row in &mut rows {
+        if g.gen_bool(0.3) {
+            row.sort_by_key(|&(d, _)| d);
+        }
+        dests.extend(row.iter().map(|&(d, _)| d));
+        weights.extend(row.iter().map(|&(_, w)| w));
+        offsets.push(dests.len());
+    }
+    CsrGraph::from_raw(offsets, dests, list.weighted.then_some(weights))
+}
+
+/// The sort-based `GraphBuilder::build` the counting sort replaced: one
+/// sort of every edge by `(src, dst)` — stable, which pins the order of
+/// parallel edges the way the counting sort does — then a dedup keeping
+/// the minimum weight, then offsets from the counts.
+fn reference_build(list: &EdgeList) -> CsrGraph {
+    let mut edges = list.edges.clone();
+    if list.drop_self_loops {
+        edges.retain(|&(s, d, _)| s != d);
+    }
+    if list.symmetric {
+        let rev: Vec<_> = edges.iter().map(|&(s, d, w)| (d, s, w)).collect();
+        edges.extend(rev);
+    }
+    edges.sort_by_key(|&(s, d, _)| (s, d));
+    if list.dedup {
+        edges.dedup_by(|next, prev| {
+            let same = (next.0, next.1) == (prev.0, prev.1);
+            if same {
+                prev.2 = prev.2.min(next.2);
+            }
+            same
+        });
+    }
+    let mut offsets = vec![0usize; list.n + 1];
+    for &(s, _, _) in &edges {
+        offsets[s as usize + 1] += 1;
+    }
+    for i in 1..offsets.len() {
+        offsets[i] += offsets[i - 1];
+    }
+    let dests = edges.iter().map(|&(_, d, _)| d).collect();
+    let weights = list
+        .weighted
+        .then(|| edges.iter().map(|&(_, _, w)| w).collect());
+    CsrGraph::from_raw(offsets, dests, weights)
+}
+
+/// Every edge of `g` in row order, as the transforms used to feed them
+/// to the builder.
+fn edge_list_of(g: &CsrGraph) -> Vec<(u32, u32, u32)> {
+    (0..g.num_nodes() as u32)
+        .flat_map(|v| g.neighbors_weighted(v).map(move |(d, w)| (v, d, w)))
+        .collect()
+}
+
+/// The builder-based `symmetrize` the row merge replaced.
+fn reference_symmetrize(g: &CsrGraph) -> CsrGraph {
+    reference_build(&EdgeList {
+        n: g.num_nodes(),
+        edges: edge_list_of(g),
+        weighted: g.is_weighted(),
+        dedup: true,
+        symmetric: true,
+        drop_self_loops: true,
+    })
+}
+
+/// The builder-based `sort_by_degree` the direct row writer replaced.
+fn reference_sort_by_degree(g: &CsrGraph) -> (CsrGraph, Vec<u32>) {
+    let n = g.num_nodes();
+    let mut order: Vec<u32> = (0..n as u32).collect();
+    order.sort_unstable_by_key(|&v| (g.out_degree(v), v));
+    let mut perm = vec![0u32; n];
+    for (new_id, &old_id) in order.iter().enumerate() {
+        perm[old_id as usize] = new_id as u32;
+    }
+    let edges = edge_list_of(g)
+        .into_iter()
+        .map(|(s, d, w)| (perm[s as usize], perm[d as usize], w))
+        .collect();
+    let sorted = reference_build(&EdgeList {
+        n,
+        edges,
+        weighted: g.is_weighted(),
+        dedup: false,
+        symmetric: false,
+        drop_self_loops: false,
+    });
+    (sorted, perm)
+}
+
+#[test]
+fn builder_matches_the_sort_reference() {
+    prop::check(
+        "builder_matches_the_sort_reference",
+        prop::cases(CASES * 4),
+        arb_edge_list,
+        |list| {
+            let mut b = GraphBuilder::new(list.n)
+                .weighted(list.weighted)
+                .dedup(list.dedup)
+                .symmetric(list.symmetric)
+                .drop_self_loops(list.drop_self_loops);
+            for &(s, d, w) in &list.edges {
+                b.push_edge(s, d, w);
+            }
+            prop_assert_eq!(b.build(), reference_build(list));
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn transforms_match_the_sort_reference_on_rows_in_any_order() {
+    prop::check(
+        "transforms_match_the_sort_reference_on_rows_in_any_order",
+        prop::cases(CASES * 4),
+        arb_unordered_graph,
+        |g| {
+            let expected = reference_symmetrize(g);
+            prop_assert_eq!(symmetrize(g), expected.clone());
+            prop_assert_eq!(symmetrize_from(g, &transpose(g)), expected.clone());
+            prop_assert_eq!(sort_by_degree(g), reference_sort_by_degree(g));
+            prop_assert_eq!(
+                sort_by_degree(&expected),
+                reference_sort_by_degree(&expected)
+            );
+            Ok(())
+        },
+    );
 }
 
 #[test]

@@ -31,7 +31,7 @@ use graph_api_study::galois_rt;
 use graph_api_study::graph::gen::{
     community, erdos_renyi, grid_road, preferential_attachment, rmat, web_crawl, RmatParams,
 };
-use graph_api_study::graph::transform::{symmetrize, transpose};
+use graph_api_study::graph::transform::{sort_by_degree, symmetrize, transpose};
 use graph_api_study::graph::CsrGraph;
 use graph_api_study::graphblas::{
     set_workspace_mode, workspace_mode, GaloisRuntime, Runtime, StaticRuntime, WorkspaceMode,
@@ -65,6 +65,76 @@ fn every_generator_is_bit_identical_for_equal_seeds() {
             "{name} must actually consume its seed"
         );
     }
+}
+
+/// 64-bit FNV-1a over a graph's CSR bytes: offsets (as `u64`), dests,
+/// then weights when present, all little-endian.
+fn csr_digest(g: &CsrGraph) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for &o in g.offsets() {
+        eat(&(o as u64).to_le_bytes());
+    }
+    for &d in g.dests() {
+        eat(&d.to_le_bytes());
+    }
+    for &w in g.weights().unwrap_or(&[]) {
+        eat(&w.to_le_bytes());
+    }
+    h
+}
+
+/// The graph each generator makes, and the symmetric and degree-sorted
+/// views prepare derives from it, are the same bytes in every version of
+/// this crate: the digests below were recorded when the views were still
+/// built by comparison sorts. A change that makes set-up faster must leave
+/// them alone; a change that means to alter a graph updates them and says
+/// why.
+#[test]
+fn generators_and_prepared_views_match_recorded_digests() {
+    // generator seed: digests of the graph, its symmetric view and the
+    // degree-sorted symmetric view
+    const EXPECTED: &str = "\
+rmat 1: 3d5d568bff68c352 88c9f2ae0b0a08c0 f35b79dffe646294
+rmat 42: 1299864da80b0b61 a69da7796c888e20 4c4002ba130109d2
+grid_road 1: 7531bdc3540ab12d 7531bdc3540ab12d cc12d25b8b5f215f
+grid_road 42: e9c5a297de3332c8 e9c5a297de3332c8 39759d5ebb9fa1f3
+preferential_attachment 1: 1a15407204d01d3a 54cc4249f84ee8cb d07d3ef2227469c3
+preferential_attachment 42: 331923f6674847a5 c197532543d49838 79ef9d3be56a1b36
+web_crawl 1: 619217b34031992f f9e02ebc0e7940dc 711c893e7723ef63
+web_crawl 42: 6511dfe4fb0350d2 98858b6dd4152567 0a8ab86698b370fa
+community 1: 4426e667ca3d6912 4426e667ca3d6912 2454d40af53c3cd3
+community 42: 7d2d649027da3264 7d2d649027da3264 71aee16d7fe14838
+erdos_renyi 1: 87950114bc644918 05c05d3bf0c66ff7 8d21a5d441946b26
+erdos_renyi 42: 6742b450cb266343 236a20de243bee81 b8c70b1e39769392
+";
+    let builds: Vec<(&str, SeededBuild)> = vec![
+        ("rmat", Box::new(|s| rmat(9, 8, RmatParams::default(), s))),
+        // 40 x 30 cells: large enough for one random shortcut.
+        ("grid_road", Box::new(|s| grid_road(40, 30, s))),
+        (
+            "preferential_attachment",
+            Box::new(|s| preferential_attachment(600, 4, true, s)),
+        ),
+        ("web_crawl", Box::new(|s| web_crawl(12, 40, s))),
+        ("community", Box::new(|s| community(400, 20, s))),
+        ("erdos_renyi", Box::new(|s| erdos_renyi(300, 2000, s))),
+    ];
+    let mut actual = String::new();
+    for (name, build) in &builds {
+        for seed in [1, 42] {
+            let g = build(seed);
+            let s = symmetrize(&g);
+            let (sorted, _) = sort_by_degree(&s);
+            let [g, s, sorted] = [g, s, sorted].map(|v| csr_digest(&v));
+            actual += &format!("{name} {seed}: {g:016x} {s:016x} {sorted:016x}\n");
+        }
+    }
+    assert_eq!(actual, EXPECTED, "CSR bytes changed");
 }
 
 /// Tests that reconfigure the global pool, record a trace, or run jobs

@@ -17,15 +17,20 @@
 //!    configurations (kernel selection and scheduling must never leak
 //!    into results);
 //! 3. under the cell isolation boundary, where a full sweep of
-//!    incremental cells completes with per-cell ok statuses.
+//!    incremental cells completes with per-cell ok statuses;
+//! 4. through the service's republish path: a compacted snapshot, whose
+//!    rows ingest left out of order, prepares to the same symmetric view
+//!    the sort-based transform built.
 
 use graph_api_study::galois_rt;
-use graph_api_study::graph::{Scale, StudyGraph};
+use graph_api_study::graph::gen::{rmat, RmatParams};
+use graph_api_study::graph::{CsrGraph, DeltaGraph, EdgeBatch, NodeId, Scale, StudyGraph};
 use graph_api_study::graphblas::ops::{kernel_mode, set_kernel_mode, KernelMode};
 use graph_api_study::graphblas::{set_workspace_mode, workspace_mode, WorkspaceMode};
+use graph_api_study::study_core::verify::verify;
 use graph_api_study::study_core::{
-    run_incremental_cell, try_run_incremental, update_batches, verify_incremental, IncProblem,
-    PreparedGraph, ProblemOutput, System,
+    run_incremental_cell, try_run, try_run_incremental, update_batches, verify_incremental,
+    IncProblem, PreparedGraph, Problem, ProblemOutput, System,
 };
 use std::sync::{Arc, Mutex};
 
@@ -132,5 +137,66 @@ fn incremental_sweep_is_all_ok_under_cell_isolation() {
             verify_incremental(&p, problem, &run)
                 .unwrap_or_else(|e| panic!("{system} {problem}: {e}"));
         }
+    }
+}
+
+/// Ingest appends to a row, so a compacted snapshot's rows need not
+/// ascend — and the service prepares exactly that graph on every
+/// compaction. The prepared symmetric view must still be the sort-based
+/// one, and tc (which reads the symmetric and degree-sorted views and
+/// counts a non-simple graph differently per system) must verify on all
+/// three systems.
+#[test]
+fn prepare_after_ingest_and_compact_matches_the_sort_based_symmetric_view() {
+    let base = rmat(9, 8, RmatParams::default(), 3).with_random_weights(1000, 3);
+    let n = base.num_nodes() as NodeId;
+    let mut delta = DeltaGraph::with_threshold(base, 0);
+    // Scattered inserts: out-of-order rows, parallel edges with new
+    // weights, and the odd self loop.
+    let mut batch = EdgeBatch::new();
+    for i in 0..800u32 {
+        let src = i.wrapping_mul(7919) % n;
+        let dst = i.wrapping_mul(104_729).wrapping_add(13) % n;
+        batch = batch.insert_weighted(src, dst, 1 + i % 97);
+    }
+    delta.apply(&batch).unwrap();
+    delta.compact().unwrap();
+    let g = delta.snapshot().clone();
+    assert!(
+        (0..n).any(|v| !g.neighbor_slice(v).is_sorted()),
+        "ingest should leave some row out of order"
+    );
+
+    // The sort-based symmetrize: both directions of every non-loop edge,
+    // sorted by (src, dst), parallel edges collapsed to the minimum weight.
+    let mut edges: Vec<(NodeId, NodeId, u32)> = Vec::new();
+    for v in 0..n {
+        for (d, w) in g.neighbors_weighted(v) {
+            if d != v {
+                edges.extend([(v, d, w), (d, v, w)]);
+            }
+        }
+    }
+    edges.sort_unstable();
+    edges.dedup_by_key(|e| (e.0, e.1));
+    let mut offsets = vec![0usize; n as usize + 1];
+    for &(s, _, _) in &edges {
+        offsets[s as usize + 1] += 1;
+    }
+    for v in 1..offsets.len() {
+        offsets[v] += offsets[v - 1];
+    }
+    let expected = CsrGraph::from_raw(
+        offsets,
+        edges.iter().map(|e| e.1).collect(),
+        Some(edges.iter().map(|e| e.2).collect()),
+    );
+
+    let source = g.max_out_degree_node();
+    let p = PreparedGraph::from_graph("ingested", g, source, 7, 1 << 13);
+    assert_eq!(p.symmetric, expected);
+    for system in System::all() {
+        let out = try_run(system, Problem::Tc, &p).unwrap_or_else(|e| panic!("{system} tc: {e}"));
+        verify(&p, Problem::Tc, &out).unwrap_or_else(|e| panic!("{system} tc: {e}"));
     }
 }
