@@ -191,15 +191,6 @@ fn main() {
         secs(loaded),
         secs(prepared)
     );
-    if let Some(o) = &p.ordered {
-        println!(
-            "order: {} ({:.2} ms build, avg col gap {:.1} vs natural {:.1})",
-            o.mode,
-            o.build_ns as f64 / 1e6,
-            o.avg_col_gap,
-            graph::order::avg_column_gap(&p.graph),
-        );
-    }
     let mut bad = false;
     for &system in &opts.systems {
         perfmon::reset();
@@ -275,7 +266,7 @@ fn main() {
                 },
             );
             let path = trace_dump_path(opts.problem, system, &p.name);
-            match dump_trace(&path, &trace, &p) {
+            match dump_trace(&path, &trace) {
                 Ok(()) => println!("    trace dumped to {path}"),
                 Err(e) => eprintln!("[study] cannot write {path}: {e}"),
             }
@@ -296,13 +287,7 @@ fn trace_dump_path(problem: Problem, system: System, graph: &str) -> String {
     format!("results/trace_{problem}_{system}_{graph}.json")
 }
 
-fn dump_trace(path: &str, trace: &perfmon::trace::Trace, p: &PreparedGraph) -> std::io::Result<()> {
+fn dump_trace(path: &str, trace: &perfmon::trace::Trace) -> std::io::Result<()> {
     std::fs::create_dir_all("results")?;
-    let doc = json::trace_json(
-        trace,
-        p.order_mode().name(),
-        p.order_build_ns(),
-        p.active_col_gap(),
-    );
-    std::fs::write(path, doc.pretty())
+    std::fs::write(path, json::trace_json(trace).pretty())
 }

@@ -83,26 +83,11 @@ pub fn try_run_batch(
     p: &PreparedGraph,
     sources: &[NodeId],
 ) -> Vec<Result<ProblemOutput, GrbError>> {
-    // Callers speak original vertex ids; under an active locality order
-    // the sources are translated into the reordered space and every
-    // per-query output is un-permuted on the way back out.
-    let translated: Vec<NodeId>;
-    let run_sources: &[NodeId] = match &p.ordered {
-        Some(o) => {
-            translated = sources.iter().map(|&s| o.perm.new_id(s)).collect();
-            &translated
-        }
-        None => sources,
-    };
-    let results = match system {
-        System::SuiteSparse => run_lagraph_batch(problem, p, run_sources, StaticRuntime),
-        System::GaloisBlas => run_lagraph_batch(problem, p, run_sources, GaloisRuntime),
-        System::Lonestar => run_lonestar_batch(problem, p, run_sources),
-    };
-    results
-        .into_iter()
-        .map(|r| r.map(|out| crate::runner::unpermute_output(p, out)))
-        .collect()
+    match system {
+        System::SuiteSparse => run_lagraph_batch(problem, p, sources, StaticRuntime),
+        System::GaloisBlas => run_lagraph_batch(problem, p, sources, GaloisRuntime),
+        System::Lonestar => run_lonestar_batch(problem, p, sources),
+    }
 }
 
 fn run_lagraph_batch<R: Runtime>(
@@ -111,17 +96,16 @@ fn run_lagraph_batch<R: Runtime>(
     sources: &[NodeId],
     rt: R,
 ) -> Vec<Result<ProblemOutput, GrbError>> {
-    let v = crate::runner::active_views(p);
     match problem {
-        BatchProblem::Bfs => lagraph::batch::batched_bfs(v.graph, sources, rt)
+        BatchProblem::Bfs => lagraph::batch::batched_bfs(&p.graph, sources, rt)
             .into_iter()
             .map(|r| r.map(|b| ProblemOutput::Levels(b.level)))
             .collect(),
-        BatchProblem::Ppr => lagraph::batch::batched_ppr(v.graph, sources, p.pr_iters, rt)
+        BatchProblem::Ppr => lagraph::batch::batched_ppr(&p.graph, sources, p.pr_iters, rt)
             .into_iter()
             .map(|r| r.map(ProblemOutput::Ranks))
             .collect(),
-        BatchProblem::Sssp => lagraph::batch::batched_sssp(v.graph, sources, rt)
+        BatchProblem::Sssp => lagraph::batch::batched_sssp(&p.graph, sources, rt)
             .into_iter()
             .map(|r| r.map(|d| ProblemOutput::Dists(d.dist)))
             .collect(),
@@ -133,20 +117,19 @@ fn run_lonestar_batch(
     p: &PreparedGraph,
     sources: &[NodeId],
 ) -> Vec<Result<ProblemOutput, GrbError>> {
-    let v = crate::runner::active_views(p);
     match problem {
-        BatchProblem::Bfs => lonestar::batch::batched_bfs(v.graph, sources)
+        BatchProblem::Bfs => lonestar::batch::batched_bfs(&p.graph, sources)
             .into_iter()
             .map(|b| Ok(ProblemOutput::Levels(b.level)))
             .collect(),
         BatchProblem::Ppr => {
-            lonestar::batch::batched_ppr(v.transpose, v.out_degrees, sources, p.pr_iters)
+            lonestar::batch::batched_ppr(&p.transpose, &p.out_degrees, sources, p.pr_iters)
                 .into_iter()
                 .map(|r| Ok(ProblemOutput::Ranks(r)))
                 .collect()
         }
         BatchProblem::Sssp => {
-            lonestar::batch::batched_sssp(v.graph, sources, p.sssp_delta, true)
+            lonestar::batch::batched_sssp(&p.graph, sources, p.sssp_delta, true)
                 .into_iter()
                 .map(|d| Ok(ProblemOutput::Dists(d.dist)))
                 .collect()
@@ -302,25 +285,6 @@ mod tests {
             verify_batch_query(&p, BatchProblem::Bfs, sources[1], first).is_err(),
             "query 0's answer must not verify against query 1's source"
         );
-    }
-
-    #[test]
-    fn ordered_batches_verify_against_natural_references() {
-        let p = Arc::new(
-            PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 128.0))
-                .with_order(graph::OrderMode::Degree),
-        );
-        let sources = batch_sources(&p, 3);
-        for problem in BatchProblem::all() {
-            let out = try_run_batch(System::GaloisBlas, problem, &p, &sources);
-            for (j, r) in out.iter().enumerate() {
-                // Sources are natural-space ids and the references run on
-                // the natural graph: a pass means translation in and
-                // un-permutation out both happened.
-                verify_batch_query(&p, problem, sources[j], r.as_ref().unwrap())
-                    .unwrap_or_else(|e| panic!("{problem} query {j} under degree order: {e}"));
-            }
-        }
     }
 
     #[test]

@@ -20,12 +20,7 @@
 //! * after the stream drains, the delta is **force-compacted** and the
 //!   resulting snapshot rides along in the [`IncrementalRun`] so
 //!   verification ([`verify_incremental`]) can replay the problem
-//!   from scratch on exactly the merged graph;
-//! * the whole dimension runs in **natural id space**: updates arrive
-//!   with original vertex ids and the delta stacks on the natural CSR,
-//!   regardless of `STUDY_ORDER`. Reordering applies to frozen
-//!   snapshots at publish time (`PreparedGraph::from_graph`, e.g. a
-//!   service-catalog compaction), never to the mutable overlay.
+//!   from scratch on exactly the merged graph.
 
 use crate::cell::{self, CellOutcome, CellStatus};
 use crate::prepared::PreparedGraph;

@@ -155,27 +155,13 @@ pub(crate) fn cache_geometry_json() -> Json {
 }
 
 /// Serializes a full trace — every op, loop and delta span in completion
-/// order — as the documented dump schema (`graph-api-study/trace/v6`).
+/// order — as the documented dump schema (`graph-api-study/trace/v7`).
 ///
-/// v6 adds the vertex-order header: `order_mode` (the active
-/// `STUDY_ORDER`), `order_build_ns` (permutation construction + CSR
-/// remap time, 0 under natural order) and `avg_col_gap` (the locality
-/// proxy of the CSR the cell actually ran on — mean gap between
-/// consecutive column indices within a row). v5 added the
-/// `cache_geometry` header — the hierarchy the machine reported through
-/// sysfs, or the Skylake fallback — on top of v4's delta events and
-/// v3's workspace-recycling and allocation-churn op fields.
-///
-/// The order fields are *headers*, not events: trace fingerprints
-/// ([`perfmon::trace::Trace::fingerprint`]) hash structural event
-/// fields only, so a natural-order trace fingerprints identically to
-/// one dumped before this tier existed.
-pub fn trace_json(
-    trace: &perfmon::trace::Trace,
-    order_mode: &str,
-    order_build_ns: u64,
-    avg_col_gap: f64,
-) -> Json {
+/// The header carries the schema string, the `cache_geometry` the perfmon
+/// model simulates (the hierarchy the machine reported through sysfs, or
+/// the Skylake fallback) and the ring's `dropped` count; `events` holds
+/// the spans. v7 is v6 without its vertex-order header fields.
+pub fn trace_json(trace: &perfmon::trace::Trace) -> Json {
     use perfmon::trace::Event;
     let mut events = Vec::new();
     for e in &trace.events {
@@ -229,11 +215,8 @@ pub fn trace_json(
         events.push(o);
     }
     let mut doc = Json::obj();
-    doc.push("schema", "graph-api-study/trace/v6");
+    doc.push("schema", "graph-api-study/trace/v7");
     doc.push("cache_geometry", cache_geometry_json());
-    doc.push("order_mode", order_mode);
-    doc.push("order_build_ns", order_build_ns);
-    doc.push("avg_col_gap", avg_col_gap);
     doc.push("dropped", trace.dropped);
     doc.push("events", events);
     doc
@@ -383,12 +366,9 @@ mod tests {
             ],
             dropped: 0,
         };
-        let s = trace_json(&trace, "hub", 1234, 5.5).pretty();
-        assert!(s.contains("\"schema\": \"graph-api-study/trace/v6\""));
+        let s = trace_json(&trace).pretty();
+        assert!(s.contains("\"schema\": \"graph-api-study/trace/v7\""));
         assert!(s.contains("\"cache_geometry\""));
-        assert!(s.contains("\"order_mode\": \"hub\""));
-        assert!(s.contains("\"order_build_ns\": 1234"));
-        assert!(s.contains("\"avg_col_gap\": 5.5"));
         assert!(s.contains("\"l1_bytes\""));
         assert!(s.contains("\"event\": \"delta\""));
         assert!(s.contains("\"kind\": \"compact\""));

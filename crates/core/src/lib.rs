@@ -9,13 +9,9 @@
 //!   algorithm variants as enums;
 //! * [`prepared`] — per-graph preprocessing (transpose, symmetrization,
 //!   degree sorting, experiment parameters), excluded from timings the
-//!   way the paper excludes loading/preprocessing; under `STUDY_ORDER`
-//!   it additionally carries the locality-reordered views and the
-//!   permutation ([`prepared::OrderedView`]);
+//!   way the paper excludes loading/preprocessing;
 //! * [`runner`] — a uniform `System × Problem → output` dispatcher with
-//!   wall-clock timing; also the reordering boundary (sources
-//!   translated in, per-vertex outputs un-permuted back to original
-//!   ids, so verification always happens in natural id space);
+//!   wall-clock timing;
 //! * [`cell`] — the resilient-sweep isolation boundary: `catch_unwind` +
 //!   `STUDY_CELL_TIMEOUT_MS` watchdog around every (problem, system,
 //!   graph) cell, reducing failures to `ok|failed|timeout|oom`;
@@ -54,6 +50,6 @@ pub use delta::{
     IncProblem, IncrementalRun,
 };
 pub use json::Json;
-pub use prepared::{OrderedView, PreparedGraph};
+pub use prepared::PreparedGraph;
 pub use problem::{Problem, ProblemOutput, System, Variant};
 pub use runner::{run, timed_run, traced_run, try_run, RunMeasurement, TracedMeasurement};

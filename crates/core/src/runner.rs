@@ -1,69 +1,9 @@
 //! Uniform dispatch: `System × Problem → ProblemOutput`, with timing.
-//!
-//! This is also the reordering boundary: when the prepared graph
-//! carries an [`OrderedView`](crate::prepared::OrderedView) (a
-//! `STUDY_ORDER` other than `natural`), every algorithm runs on the
-//! remapped views with the source translated into the reordered space,
-//! and per-vertex outputs are un-permuted back to original ids before
-//! they leave this module — callers (verification included) only ever
-//! see natural vertex ids.
 
 use crate::prepared::PreparedGraph;
 use crate::problem::{Problem, ProblemOutput, System, Variant};
-use graph::CsrGraph;
 use graphblas::{GaloisRuntime, GrbError, Runtime, StaticRuntime};
 use std::time::{Duration, Instant};
-
-/// The graph views and source one run actually executes on: the
-/// ordered view's when a locality order is active, the natural fields
-/// otherwise.
-pub(crate) struct ActiveViews<'a> {
-    pub(crate) graph: &'a CsrGraph,
-    pub(crate) transpose: &'a CsrGraph,
-    pub(crate) symmetric: &'a CsrGraph,
-    pub(crate) sorted: &'a CsrGraph,
-    pub(crate) out_degrees: &'a [u32],
-    pub(crate) source: graph::NodeId,
-}
-
-pub(crate) fn active_views(p: &PreparedGraph) -> ActiveViews<'_> {
-    match &p.ordered {
-        Some(o) => ActiveViews {
-            graph: &o.graph,
-            transpose: &o.transpose,
-            symmetric: &o.symmetric,
-            sorted: &o.sorted,
-            out_degrees: &o.out_degrees,
-            source: o.source,
-        },
-        None => ActiveViews {
-            graph: &p.graph,
-            transpose: &p.transpose,
-            symmetric: &p.symmetric,
-            sorted: &p.sorted,
-            out_degrees: &p.out_degrees,
-            source: p.source,
-        },
-    }
-}
-
-/// Translates a reordered-space output back to original vertex ids
-/// (identity when no order is active). Scalar outputs (triangle and
-/// truss-edge counts) are permutation-invariant and pass through;
-/// component labels are additionally renormalized to minimum original
-/// ids so reordered cc runs stay bit-identical to natural ones.
-pub(crate) fn unpermute_output(p: &PreparedGraph, out: ProblemOutput) -> ProblemOutput {
-    let Some(o) = &p.ordered else { return out };
-    match out {
-        ProblemOutput::Levels(v) => ProblemOutput::Levels(o.perm.unpermute(&v)),
-        ProblemOutput::Components(v) => {
-            ProblemOutput::Components(o.perm.unpermute_components(&v))
-        }
-        ProblemOutput::Ranks(v) => ProblemOutput::Ranks(o.perm.unpermute(&v)),
-        ProblemOutput::Dists(v) => ProblemOutput::Dists(o.perm.unpermute(&v)),
-        scalar @ (ProblemOutput::TrussEdges(_) | ProblemOutput::Triangles(_)) => scalar,
-    }
-}
 
 /// One timed measurement.
 #[derive(Debug, Clone)]
@@ -149,109 +89,103 @@ fn try_run_lagraph<R: Runtime>(
     p: &PreparedGraph,
     rt: R,
 ) -> Result<ProblemOutput, GrbError> {
-    let v = active_views(p);
-    let out = match problem {
+    Ok(match problem {
         Problem::Bfs => {
-            ProblemOutput::Levels(lagraph::bfs::bfs(v.graph, v.source, rt)?.level)
+            ProblemOutput::Levels(lagraph::bfs::bfs(&p.graph, p.source, rt)?.level)
         }
         Problem::Cc => ProblemOutput::Components(
-            lagraph::cc::connected_components(v.symmetric, rt)?.component,
+            lagraph::cc::connected_components(&p.symmetric, rt)?.component,
         ),
         Problem::Ktruss => ProblemOutput::TrussEdges(
-            lagraph::ktruss::ktruss(v.symmetric, p.ktruss_k, rt)?.edges_remaining,
+            lagraph::ktruss::ktruss(&p.symmetric, p.ktruss_k, rt)?.edges_remaining,
         ),
         Problem::Pr => ProblemOutput::Ranks(lagraph::pagerank::pagerank(
-            v.transpose,
-            v.out_degrees,
+            &p.transpose,
+            &p.out_degrees,
             p.pr_iters,
             rt,
         )?),
         Problem::Sssp => ProblemOutput::Dists(
-            lagraph::sssp::sssp_delta_stepping(v.graph, v.source, p.sssp_delta, rt)?.dist,
+            lagraph::sssp::sssp_delta_stepping(&p.graph, p.source, p.sssp_delta, rt)?.dist,
         ),
         Problem::Tc => {
-            ProblemOutput::Triangles(lagraph::tc::tc_sandia_dot(v.symmetric, rt)?.triangles)
+            ProblemOutput::Triangles(lagraph::tc::tc_sandia_dot(&p.symmetric, rt)?.triangles)
         }
-    };
-    Ok(unpermute_output(p, out))
+    })
 }
 
 fn run_lonestar(problem: Problem, p: &PreparedGraph) -> ProblemOutput {
-    let v = active_views(p);
-    let out = match problem {
-        Problem::Bfs => ProblemOutput::Levels(lonestar::bfs::bfs(v.graph, v.source).level),
+    match problem {
+        Problem::Bfs => ProblemOutput::Levels(lonestar::bfs::bfs(&p.graph, p.source).level),
         Problem::Cc => {
-            ProblemOutput::Components(lonestar::cc::afforest(v.symmetric, 2).component)
+            ProblemOutput::Components(lonestar::cc::afforest(&p.symmetric, 2).component)
         }
         Problem::Ktruss => ProblemOutput::TrussEdges(
-            lonestar::ktruss::ktruss(v.symmetric, p.ktruss_k).edges_remaining,
+            lonestar::ktruss::ktruss(&p.symmetric, p.ktruss_k).edges_remaining,
         ),
         Problem::Pr => ProblemOutput::Ranks(lonestar::pagerank::pagerank(
-            v.transpose,
-            v.out_degrees,
+            &p.transpose,
+            &p.out_degrees,
             p.pr_iters,
         )),
         Problem::Sssp => ProblemOutput::Dists(
-            lonestar::sssp::sssp(v.graph, v.source, p.sssp_delta, true).dist,
+            lonestar::sssp::sssp(&p.graph, p.source, p.sssp_delta, true).dist,
         ),
-        Problem::Tc => ProblemOutput::Triangles(lonestar::tc::tc(v.sorted)),
-    };
-    unpermute_output(p, out)
+        Problem::Tc => ProblemOutput::Triangles(lonestar::tc::tc(&p.sorted)),
+    }
 }
 
 fn try_run_variant(variant: Variant, p: &PreparedGraph) -> Result<ProblemOutput, GrbError> {
     use Variant::*;
     let rt = GaloisRuntime;
-    let v = active_views(p);
-    let out = match variant {
+    Ok(match variant {
         PrLs => ProblemOutput::Ranks(lonestar::pagerank::pagerank(
-            v.transpose,
-            v.out_degrees,
+            &p.transpose,
+            &p.out_degrees,
             p.pr_iters,
         )),
         PrLsSoa => ProblemOutput::Ranks(lonestar::pagerank::pagerank_soa(
-            v.transpose,
-            v.out_degrees,
+            &p.transpose,
+            &p.out_degrees,
             p.pr_iters,
         )),
         PrGbRes => ProblemOutput::Ranks(lagraph::pagerank::pagerank_residual(
-            v.transpose,
-            v.out_degrees,
+            &p.transpose,
+            &p.out_degrees,
             p.pr_iters,
             rt,
         )?),
         PrGb => ProblemOutput::Ranks(lagraph::pagerank::pagerank(
-            v.transpose,
-            v.out_degrees,
+            &p.transpose,
+            &p.out_degrees,
             p.pr_iters,
             rt,
         )?),
-        TcLs => ProblemOutput::Triangles(lonestar::tc::tc(v.sorted)),
-        TcGbLl => ProblemOutput::Triangles(lagraph::tc::tc_listing(v.sorted, rt)?.triangles),
+        TcLs => ProblemOutput::Triangles(lonestar::tc::tc(&p.sorted)),
+        TcGbLl => ProblemOutput::Triangles(lagraph::tc::tc_listing(&p.sorted, rt)?.triangles),
         TcGbSort => {
-            ProblemOutput::Triangles(lagraph::tc::tc_sandia_dot(v.sorted, rt)?.triangles)
+            ProblemOutput::Triangles(lagraph::tc::tc_sandia_dot(&p.sorted, rt)?.triangles)
         }
         TcGb => {
-            ProblemOutput::Triangles(lagraph::tc::tc_sandia_dot(v.symmetric, rt)?.triangles)
+            ProblemOutput::Triangles(lagraph::tc::tc_sandia_dot(&p.symmetric, rt)?.triangles)
         }
-        CcLs => ProblemOutput::Components(lonestar::cc::afforest(v.symmetric, 2).component),
+        CcLs => ProblemOutput::Components(lonestar::cc::afforest(&p.symmetric, 2).component),
         CcLsSv => {
-            ProblemOutput::Components(lonestar::cc::shiloach_vishkin(v.symmetric).component)
+            ProblemOutput::Components(lonestar::cc::shiloach_vishkin(&p.symmetric).component)
         }
         CcGb => ProblemOutput::Components(
-            lagraph::cc::connected_components(v.symmetric, rt)?.component,
+            lagraph::cc::connected_components(&p.symmetric, rt)?.component,
         ),
         SsspLs => ProblemOutput::Dists(
-            lonestar::sssp::sssp(v.graph, v.source, p.sssp_delta, true).dist,
+            lonestar::sssp::sssp(&p.graph, p.source, p.sssp_delta, true).dist,
         ),
         SsspLsNotile => ProblemOutput::Dists(
-            lonestar::sssp::sssp(v.graph, v.source, p.sssp_delta, false).dist,
+            lonestar::sssp::sssp(&p.graph, p.source, p.sssp_delta, false).dist,
         ),
         SsspGb => ProblemOutput::Dists(
-            lagraph::sssp::sssp_delta_stepping(v.graph, v.source, p.sssp_delta, rt)?.dist,
+            lagraph::sssp::sssp_delta_stepping(&p.graph, p.source, p.sssp_delta, rt)?.dist,
         ),
-    };
-    Ok(unpermute_output(p, out))
+    })
 }
 
 /// Runs one differential-analysis variant (Figure 3).
@@ -312,46 +246,5 @@ mod tests {
         let m = timed_run(System::Lonestar, Problem::Bfs, &p);
         assert!(m.elapsed > Duration::ZERO);
         assert!(matches!(m.output, ProblemOutput::Levels(_)));
-    }
-
-    #[test]
-    fn every_order_verifies_against_natural_references() {
-        use graph::OrderMode;
-        let natural = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 64.0));
-        for mode in [OrderMode::Degree, OrderMode::Hub, OrderMode::Bfs] {
-            let p = natural.clone().with_order(mode);
-            for problem in Problem::all() {
-                for system in System::all() {
-                    // verify() runs the serial reference on the *natural*
-                    // graph; a pass means the reordered run came back
-                    // correctly through the inverse permutation.
-                    let out = run(system, problem, &p);
-                    verify(&p, problem, &out).unwrap_or_else(|e| {
-                        panic!("{system} under {mode} order failed {problem}: {e}")
-                    });
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn ordered_outputs_are_bit_identical_to_natural() {
-        use graph::OrderMode;
-        let natural = PreparedGraph::study(StudyGraph::Indochina04, Scale::custom(1.0 / 64.0));
-        let baseline = run(System::Lonestar, Problem::Bfs, &natural);
-        let cc_baseline = run(System::Lonestar, Problem::Cc, &natural);
-        for mode in [OrderMode::Degree, OrderMode::Hub, OrderMode::Bfs] {
-            let p = natural.clone().with_order(mode);
-            assert_eq!(
-                run(System::Lonestar, Problem::Bfs, &p),
-                baseline,
-                "bfs levels under {mode} must un-permute bit-identically"
-            );
-            assert_eq!(
-                run(System::Lonestar, Problem::Cc, &p),
-                cc_baseline,
-                "cc labels under {mode} must renormalize bit-identically"
-            );
-        }
     }
 }

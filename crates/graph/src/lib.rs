@@ -35,7 +35,6 @@ pub mod csr;
 pub mod delta;
 pub mod gen;
 pub mod io;
-pub mod order;
 pub mod stats;
 pub mod suite;
 pub mod transform;
@@ -43,6 +42,15 @@ pub mod transform;
 pub use builder::GraphBuilder;
 pub use csr::{CsrGraph, NodeId};
 pub use delta::{DeltaGraph, EdgeBatch, EdgeUpdate};
-pub use order::{OrderMode, Permutation};
 pub use stats::GraphStats;
 pub use suite::{Scale, StudyGraph};
+
+/// The vertex order a graph is prepared in: always the generator's own.
+/// It exists only for `benchmark/src/cells.rs`, which passes it to
+/// `PreparedGraph::from_graph_ordered` and whose source stays fixed so
+/// that runs compare across commits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum OrderMode {
+    /// The generator's vertex order.
+    Natural,
+}

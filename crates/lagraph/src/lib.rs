@@ -32,12 +32,6 @@
 //! [`pagerank::ppr`] (personalized PageRank) and the batched multi-source
 //! engine [`batch`] (msBFS / multi-seed PPR / batched SSSP over a
 //! multi-column frontier).
-//!
-//! Every algorithm here is agnostic to vertex numbering: it answers in
-//! whatever id space the input CSR uses. The study runner exploits
-//! that for its `STUDY_ORDER` locality tier — it hands these functions
-//! a permuted graph and translated source, then un-permutes the
-//! answers, with no cooperation needed from this crate.
 
 pub mod batch;
 pub mod bc;

@@ -41,11 +41,6 @@
 //! [`pagerank::ppr`] (fused personalized PageRank) and [`batch`] (the
 //! per-query worklist counterpart of `lagraph::batch` — the graph API
 //! answers a k-source batch as k independent runs).
-//!
-//! Like `lagraph`, everything here is agnostic to vertex numbering:
-//! the study runner's `STUDY_ORDER` locality tier hands these programs
-//! a permuted CSR and translated source and un-permutes the answers
-//! afterwards, with no cooperation needed from this crate.
 
 pub mod batch;
 pub mod bc;

@@ -570,10 +570,8 @@ impl Trace {
     /// mask mode, materialized bytes); loop spans keep kind and
     /// iterations. Elapsed times, steal counts and bucket visits — the
     /// fields legitimately perturbed by scheduling — are dropped. The
-    /// trace/v6 dump headers (`order_mode`, `order_build_ns`,
-    /// `avg_col_gap`) live outside the event stream entirely, so
-    /// natural-order fingerprints are unchanged by the reordering
-    /// tier's existence.
+    /// trace/v7 dump headers (schema, cache geometry, dropped count)
+    /// live outside the event stream and are not fingerprinted.
     pub fn fingerprint(&self) -> Vec<String> {
         self.events
             .iter()

@@ -83,13 +83,8 @@ impl GraphEntry {
     }
 
     /// Folds the pending overlay into the CSR and republishes a freshly
-    /// prepared snapshot; returns the new version.
-    ///
-    /// Republishing goes through [`PreparedGraph::from_graph`], so a
-    /// long-lived service picks up the ambient `STUDY_ORDER` here: the
-    /// compacted snapshot is re-permuted for locality at publish time,
-    /// while the mutable overlay above always stays in natural id
-    /// space (updates arrive with original vertex ids).
+    /// prepared snapshot ([`PreparedGraph::from_graph`]); returns the
+    /// new version.
     ///
     /// # Errors
     ///

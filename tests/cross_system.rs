@@ -1,13 +1,17 @@
 //! Integration: every system computes verified results on every study
 //! graph shape (at test scale), every Figure 3 algorithm variant agrees
-//! with the serial reference on those same shapes, and the batched
-//! query engine agrees with the per-query Lonestar worklist runs.
+//! with the serial reference on those same shapes, the batched query
+//! engine agrees with the per-query Lonestar worklist runs, and whole
+//! algorithms give the same answer under every kernel mode and thread
+//! count.
 
+use graph_api_study::galois_rt;
 use graph_api_study::graph::{Scale, StudyGraph};
+use graph_api_study::graphblas::ops::{self, KernelMode};
 use graph_api_study::study_core::runner::run_variant;
 use graph_api_study::study_core::{
-    batch_sources, run, try_run_batch, verify, verify_batch_query, BatchProblem, PreparedGraph,
-    Problem, ProblemOutput, System, Variant,
+    batch_sources, run, try_run, try_run_batch, verify, verify_batch_query, BatchProblem,
+    PreparedGraph, Problem, ProblemOutput, System, Variant,
 };
 
 fn check_all_problems(which: StudyGraph) {
@@ -100,6 +104,67 @@ fn batched_queries_agree_with_lonestar_per_query() {
             check_batched_vs_lonestar(which, width);
         }
     }
+}
+
+/// bfs, cc and pr on one shape per topology class (scale-free, road,
+/// web) under every kernel mode × 1/2/8 threads × system: every output
+/// verifies, bfs levels and cc labels equal the Auto/1-thread run
+/// exactly, and pr ranks stay within 1e-9 of it.
+#[test]
+fn outputs_agree_across_kernel_modes_and_threads() {
+    let saved_mode = ops::kernel_mode();
+    let saved_threads = galois_rt::threads();
+    let problems = [Problem::Bfs, Problem::Cc, Problem::Pr];
+    for which in [
+        StudyGraph::Rmat22,
+        StudyGraph::RoadUsaW,
+        StudyGraph::Indochina04,
+    ] {
+        let p = PreparedGraph::study(which, Scale::custom(1.0 / 256.0));
+        ops::set_kernel_mode(KernelMode::Auto);
+        galois_rt::set_threads(1);
+        let baselines: Vec<(System, Problem, ProblemOutput)> = System::all()
+            .into_iter()
+            .flat_map(|system| problems.map(|problem| (system, problem)))
+            .map(|(system, problem)| {
+                let out = try_run(system, problem, &p)
+                    .unwrap_or_else(|e| panic!("{which:?} {system} {problem} baseline: {e}"));
+                (system, problem, out)
+            })
+            .collect();
+        for mode in [
+            KernelMode::Auto,
+            KernelMode::Push,
+            KernelMode::Pull,
+            KernelMode::Bitmap,
+        ] {
+            ops::set_kernel_mode(mode);
+            for threads in [1usize, 2, 8] {
+                galois_rt::set_threads(threads);
+                for (system, problem, baseline) in &baselines {
+                    let ctx =
+                        format!("{which:?} {system} {problem} kernel={mode:?} threads={threads}");
+                    let got =
+                        try_run(*system, *problem, &p).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    verify::verify(&p, *problem, &got).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    match (baseline, &got) {
+                        (ProblemOutput::Ranks(a), ProblemOutput::Ranks(b)) => {
+                            assert_eq!(a.len(), b.len(), "{ctx}: rank count");
+                            for (v, (x, y)) in a.iter().zip(b).enumerate() {
+                                assert!(
+                                    (x - y).abs() <= 1e-9 * x.abs().max(1e-12),
+                                    "{ctx}: vertex {v} rank {x} vs {y}"
+                                );
+                            }
+                        }
+                        (a, b) => assert_eq!(a, b, "{ctx}: output differs from Auto/1 thread"),
+                    }
+                }
+            }
+        }
+    }
+    ops::set_kernel_mode(saved_mode);
+    galois_rt::set_threads(saved_threads);
 }
 
 #[test]

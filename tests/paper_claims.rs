@@ -13,6 +13,9 @@ use graph_api_study::perfmon;
 use graph_api_study::study_core::{run, PreparedGraph, Problem, System};
 use std::sync::Mutex;
 
+/// A failing claim panics while holding this lock. It guards no data and
+/// `KernelPin` restores the policies on unwind, so every test recovers
+/// the guard from a poisoned lock instead of failing after it.
 static PERF_LOCK: Mutex<()> = Mutex::new(());
 
 /// Pins the process-wide SpMV policy to the paper's fixed strategies for
@@ -56,7 +59,7 @@ fn counters_for(system: System, problem: Problem, p: &PreparedGraph) -> perfmon:
 }
 
 fn assert_gb_exceeds_ls(problem: Problem, which: StudyGraph, min_instr_ratio: f64) {
-    let _guard = PERF_LOCK.lock().unwrap();
+    let _guard = PERF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _pin = KernelPin::paper_kernels();
     let p = PreparedGraph::study(which, Scale::custom(1.0 / 32.0));
     let gb = counters_for(System::GaloisBlas, problem, &p);
@@ -103,7 +106,7 @@ fn tc_materializes_more_memory_traffic_not_instructions() {
     // removed runtime symmetry breaking) yet MORE memory accesses. For the
     // Table II variants (SandiaDot vs listing) the signature the paper
     // reports is on memory accesses.
-    let _guard = PERF_LOCK.lock().unwrap();
+    let _guard = PERF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _pin = KernelPin::paper_kernels();
     let p = PreparedGraph::study(StudyGraph::Uk07, Scale::custom(1.0 / 32.0));
     let gb = counters_for(System::GaloisBlas, Problem::Tc, &p);
@@ -122,7 +125,7 @@ fn pr_double_traversal_of_residual_shows_in_memory_accesses() {
     // Lonestar loop.
     use graph_api_study::study_core::runner::run_variant;
     use graph_api_study::study_core::Variant;
-    let _guard = PERF_LOCK.lock().unwrap();
+    let _guard = PERF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _pin = KernelPin::paper_kernels();
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 32.0));
     let measure = |variant| {
@@ -152,7 +155,7 @@ fn traced_bfs_shows_extra_passes_and_materialization() {
     // while the graph API materializes nothing.
     use graph_api_study::perfmon::trace::OpKind;
     use graph_api_study::study_core::traced_run;
-    let _guard = PERF_LOCK.lock().unwrap();
+    let _guard = PERF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _pin = KernelPin::paper_kernels();
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 32.0));
     let gb = traced_run(System::GaloisBlas, Problem::Bfs, &p);
@@ -197,7 +200,7 @@ fn adaptive_kernels_cut_bfs_materialization() {
     // late rounds pull only the unvisited outputs — while computing the
     // exact same levels as the paper's fixed push strategy.
     use graph_api_study::study_core::traced_run;
-    let _guard = PERF_LOCK.lock().unwrap();
+    let _guard = PERF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let prev = kernel_mode();
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 32.0));
     for system in [System::SuiteSparse, System::GaloisBlas] {
@@ -222,7 +225,7 @@ fn adaptive_kernels_cut_bfs_materialization() {
 
 #[test]
 fn disabled_monitoring_keeps_counters_silent() {
-    let _guard = PERF_LOCK.lock().unwrap();
+    let _guard = PERF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     perfmon::reset();
     perfmon::enable(false);
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 128.0));
