@@ -58,7 +58,6 @@ pub mod workspace;
 
 pub use descriptor::{Descriptor, KernelHint, MethodHint};
 pub use ops::KernelMode;
-pub use workspace::{set_workspace_mode, workspace_mode, WorkspaceMode};
 pub use error::GrbError;
 pub use matrix::Matrix;
 pub use multivec::MultiVector;

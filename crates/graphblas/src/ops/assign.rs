@@ -48,15 +48,11 @@ where
     );
     let input_nnz = mask.map_or(n, Vector::nvals);
     let Some(mask) = mask else {
-        if crate::workspace::enabled() {
-            // Recycle `w`'s dense store instead of reallocating it.
-            let (mut vals, mut present) = super::kernels::take_or_alloc_dense(w, n);
-            vals.fill(value);
-            present.fill(true);
-            w.set_dense(vals, present);
-        } else {
-            *w = Vector::new_dense(n, value);
-        }
+        // Recycle `w`'s dense store instead of reallocating it.
+        let (mut vals, mut present) = super::kernels::take_or_alloc_dense(w, n);
+        vals.fill(value);
+        present.fill(true);
+        w.set_dense(vals, present);
         if let Some(span) = span {
             span.finish(input_nnz, w.nvals(), 0);
         }

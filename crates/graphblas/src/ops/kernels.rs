@@ -604,10 +604,10 @@ where
     (out, acc_bytes)
 }
 
-/// SAXPY scatter of `entries` through the rows of `a` into the dense
+/// SAXPY scatter of `entries` through the rows of `a` into a fresh dense
 /// atomic accumulator — the paper's fixed push kernel, parameterized
-/// over ⊗ argument order so `mxv` can run it against the cached
-/// transpose. Instrumentation matches the original `vxm` loop exactly.
+/// over ⊗ argument order so `vxm` runs it on `a` and `mxv` on the cached
+/// transpose.
 ///
 /// Returns the accumulator (the caller commits it) and its footprint,
 /// always `out_dim * size_of::<T>()` bytes.
@@ -675,19 +675,13 @@ where
     S: SemiringOps<T>,
     R: Runtime,
 {
-    // Workspace-on runs recycle the slot and word arrays through the
-    // pool (the bitmap is the auto pick for dense rounds, so per-call
-    // allocation here would be exactly the churn recycling exists to
-    // kill); off runs keep the paper-faithful fresh allocation.
-    let recycled = crate::workspace::enabled();
-    let acc: BitmapAccumulator<T> = if recycled {
-        let ws = rt.workspace();
-        let bits = ws.take_vec(crate::workspace::Shelf::Acc, out_dim);
-        let words = ws.take_vec(crate::workspace::Shelf::Acc, out_dim.div_ceil(64));
-        BitmapAccumulator::from_parts(bits, words, out_dim, semiring.add_identity())
-    } else {
-        BitmapAccumulator::new(out_dim, semiring.add_identity())
-    };
+    // The slot and word arrays are recycled through the pool: the bitmap
+    // is the auto pick for dense rounds, so per-call allocation here would
+    // be exactly the churn recycling exists to kill.
+    let ws = rt.workspace();
+    let bits = ws.take_vec(crate::workspace::Shelf::Acc, out_dim);
+    let words = ws.take_vec(crate::workspace::Shelf::Acc, out_dim.div_ceil(64));
+    let acc = BitmapAccumulator::from_parts(bits, words, out_dim, semiring.add_identity());
     let bytes = (out_dim * std::mem::size_of::<T>()) as u64 + acc.word_bytes();
     let add = |x, y| semiring.add(x, y);
     rt.parallel_for(entries.len(), |p| {
@@ -706,29 +700,15 @@ where
             acc.accumulate(j as usize, mul(x, av), add);
         }
     });
-    (release_bitmap(acc, recycled, rt), bytes)
-}
-
-/// Drains a bitmap accumulator and, on workspace-on runs, returns its
-/// arrays to the pool. The word array goes back first so the next
-/// checkout pairs each buffer with the role whose capacity it already
-/// has (the shelf is a LIFO).
-fn release_bitmap<T: Scalar, R: Runtime>(
-    acc: BitmapAccumulator<T>,
-    recycled: bool,
-    rt: R,
-) -> Vec<(u32, T)> {
-    if recycled {
-        let ws = rt.workspace();
-        let mut out = ws.take_vec(crate::workspace::Shelf::Entries, 0);
-        acc.drain_into(&mut out);
-        let (bits, words) = acc.into_parts();
-        ws.give_vec(crate::workspace::Shelf::Acc, words);
-        ws.give_vec(crate::workspace::Shelf::Acc, bits);
-        out
-    } else {
-        acc.drain_entries()
-    }
+    // Drain into a pooled entry buffer, then return the arrays. The word
+    // array goes back first so the next checkout pairs each buffer with
+    // the role whose capacity it already has (the shelf is a LIFO).
+    let mut out = ws.take_vec(crate::workspace::Shelf::Entries, 0);
+    acc.drain_into(&mut out);
+    let (bits, words) = acc.into_parts();
+    ws.give_vec(crate::workspace::Shelf::Acc, words);
+    ws.give_vec(crate::workspace::Shelf::Acc, bits);
+    (out, bytes)
 }
 
 /// Masked SDOT over the rows of `at` (the transpose of the scattered
@@ -834,47 +814,36 @@ pub(crate) fn store_entries_slice<T: Scalar>(w: &mut Vector<T>, entries: &[(u32,
 }
 
 /// Dense value + presence buffers over `n` outputs for a replace-mode
-/// store. With workspace recycling on, `w`'s own previous dense store is
-/// reclaimed (zero-normalized so results stay bit-identical to fresh
-/// buffers); otherwise — and whenever shapes do not match — the
-/// paper-faithful fresh allocation runs.
+/// store. `w`'s own previous dense store is reclaimed (zero-normalized so
+/// results stay bit-identical to fresh buffers); when it has none of the
+/// right shape, fresh buffers are allocated.
 pub(crate) fn take_or_alloc_dense<T: Scalar>(w: &mut Vector<T>, n: usize) -> (Vec<T>, Vec<bool>) {
     let bytes = n * (std::mem::size_of::<T>() + std::mem::size_of::<bool>());
-    if crate::workspace::enabled() {
-        if let Some((mut vals, mut present)) = w.take_dense_store() {
-            if vals.len() == n {
-                crate::workspace::note_reused(bytes);
-                vals.fill(T::ZERO);
-                present.fill(false);
-                return (vals, present);
-            }
+    if let Some((mut vals, mut present)) = w.take_dense_store() {
+        if vals.len() == n {
+            crate::workspace::note_reused(bytes);
+            vals.fill(T::ZERO);
+            present.fill(false);
+            return (vals, present);
         }
-        crate::workspace::note_fresh(bytes);
     }
+    crate::workspace::note_fresh(bytes);
     (vec![T::ZERO; n], vec![false; n])
 }
 
-/// The entry list of `u`: drawn from the workspace pool when recycling is
-/// on, freshly allocated (the paper-faithful materialization) otherwise.
+/// The entry list of `u`, drawn from the workspace pool.
 pub(crate) fn take_entries<T: Scalar, R: Runtime>(u: &Vector<T>, rt: R) -> Vec<(u32, T)> {
-    if crate::workspace::enabled() {
-        let mut buf = rt
-            .workspace()
-            .take_vec(crate::workspace::Shelf::Entries, u.nvals());
-        u.entries_into(&mut buf);
-        buf
-    } else {
-        u.entries()
-    }
+    let mut buf = rt
+        .workspace()
+        .take_vec(crate::workspace::Shelf::Entries, u.nvals());
+    u.entries_into(&mut buf);
+    buf
 }
 
-/// Returns an entry list obtained via [`take_entries`] to the pool (a
-/// no-op drop when recycling is off).
+/// Returns an entry list obtained via [`take_entries`] to the pool.
 pub(crate) fn give_entries<T: Scalar, R: Runtime>(entries: Vec<(u32, T)>, rt: R) {
-    if crate::workspace::enabled() {
-        rt.workspace()
-            .give_vec(crate::workspace::Shelf::Entries, entries);
-    }
+    rt.workspace()
+        .give_vec(crate::workspace::Shelf::Entries, entries);
 }
 
 #[cfg(test)]

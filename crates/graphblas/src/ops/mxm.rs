@@ -147,7 +147,8 @@ fn avg_row_nvals<T: Scalar>(a: &Matrix<T>) -> f64 {
 }
 
 /// Gustavson scratch: a dense accumulator with generation stamps so it is
-/// cleared in O(touched) rather than O(ncols) per row.
+/// cleared in O(touched) rather than O(ncols) per row. It is pooled across
+/// calls, so the generation counter runs on from call to call.
 struct DenseScratch<T> {
     vals: Vec<T>,
     stamp: Vec<u32>,
@@ -178,14 +179,16 @@ impl<T: Scalar> DenseScratch<T> {
             + (self.stamp.capacity() + self.touched.capacity()) * std::mem::size_of::<u32>()
     }
 
-    /// Pool-reuse guard: a recycled scratch whose generation counter is
-    /// close to wrapping gets its stamps cleared, so a stale stamp can
-    /// never collide with a re-issued generation value.
-    fn renew(&mut self) {
-        if self.generation > u32::MAX - (1 << 20) {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
+    /// Opens the next row's generation. At the top of the `u32` range
+    /// every stamp is cleared first, so neither a never-stamped slot nor a
+    /// stale one can match a re-issued generation.
+    fn next_generation(&mut self) -> u32 {
+        if self.generation == u32::MAX {
+            self.stamp.fill(0);
             self.generation = 0;
         }
+        self.generation += 1;
+        self.generation
     }
 }
 
@@ -197,17 +200,6 @@ fn saxpy_row_flops<T: Scalar>(a: &Matrix<T>, b: &Matrix<T>, i: usize) -> u64 {
     acols.iter().map(|&k| b.row_nvals(k) as u64).sum::<u64>() + 1
 }
 
-/// The per-row result buffer for an SpGEMM: pooled (with inner-row
-/// capacities retained from earlier calls) when recycling is on, the
-/// paper-faithful fresh allocation otherwise.
-fn take_result_rows<T: Scalar, R: Runtime>(nrows: usize, rt: R) -> Vec<Vec<(u32, T)>> {
-    if crate::workspace::enabled() {
-        rt.workspace().take_rows(nrows)
-    } else {
-        vec![Vec::new(); nrows]
-    }
-}
-
 /// Assembles the result CSR and returns the row buffers to the pool.
 fn finish_rows<T: Scalar, R: Runtime>(
     nrows: usize,
@@ -216,9 +208,7 @@ fn finish_rows<T: Scalar, R: Runtime>(
     rt: R,
 ) -> Matrix<T> {
     let c = Matrix::from_rows_drain(nrows, ncols, &mut rows);
-    if crate::workspace::enabled() {
-        rt.workspace().give_rows(rows);
-    }
+    rt.workspace().give_rows(rows);
     c
 }
 
@@ -230,23 +220,15 @@ where
 {
     let nrows = a.nrows();
     let ncols = b.ncols();
-    let pooled = crate::workspace::enabled();
-    let (values, scratch_reused) = if pooled {
-        match rt
-            .workspace()
-            .take::<Vec<DenseScratch<T>>>(crate::workspace::Shelf::Scratch)
-        {
-            Some(mut values) => {
-                values.iter_mut().for_each(DenseScratch::renew);
-                (values, true)
-            }
-            None => (Vec::new(), false),
-        }
-    } else {
-        (Vec::new(), false)
+    let (values, scratch_reused) = match rt
+        .workspace()
+        .take::<Vec<DenseScratch<T>>>(crate::workspace::Shelf::Scratch)
+    {
+        Some(values) => (values, true),
+        None => (Vec::new(), false),
     };
     let scratch: PerThread<DenseScratch<T>> = PerThread::from_values(values, DenseScratch::new);
-    let mut rows: Vec<Vec<(u32, T)>> = take_result_rows(nrows, rt);
+    let mut rows: Vec<Vec<(u32, T)>> = rt.workspace().take_rows(nrows);
     {
         let pr = ParSlice::new(&mut rows);
         rt.parallel_for_balanced(
@@ -255,8 +237,7 @@ where
             |i| {
                 scratch.with(|s| {
                     s.ensure(ncols);
-                    s.generation += 1;
-                    let generation = s.generation;
+                    let generation = s.next_generation();
                     s.touched.clear();
                     let (acols, avals) = a.row(i as u32);
                     for (&k, &av) in acols.iter().zip(avals.iter()) {
@@ -285,15 +266,13 @@ where
             },
         );
     }
-    if pooled {
-        let values = scratch.into_inner();
-        let bytes: usize = values.iter().map(DenseScratch::retained_bytes).sum();
-        if !scratch_reused {
-            crate::workspace::note_fresh(bytes);
-        }
-        rt.workspace()
-            .give(crate::workspace::Shelf::Scratch, values, bytes);
+    let values = scratch.into_inner();
+    let bytes: usize = values.iter().map(DenseScratch::retained_bytes).sum();
+    if !scratch_reused {
+        crate::workspace::note_fresh(bytes);
     }
+    rt.workspace()
+        .give(crate::workspace::Shelf::Scratch, values, bytes);
     finish_rows(nrows, ncols, rows, rt)
 }
 
@@ -375,21 +354,16 @@ where
 {
     let nrows = a.nrows();
     let ncols = b.ncols();
-    let pooled = crate::workspace::enabled();
-    let (values, scratch_reused) = if pooled {
-        match rt
-            .workspace()
-            .take::<Vec<HashScratch<T>>>(crate::workspace::Shelf::Scratch)
-        {
-            Some(values) => (values, true),
-            None => (Vec::new(), false),
-        }
-    } else {
-        (Vec::new(), false)
+    let (values, scratch_reused) = match rt
+        .workspace()
+        .take::<Vec<HashScratch<T>>>(crate::workspace::Shelf::Scratch)
+    {
+        Some(values) => (values, true),
+        None => (Vec::new(), false),
     };
     let scratch: PerThread<HashScratch<T>> = PerThread::from_values(values, HashScratch::new);
     let add = |x, y| semiring.add(x, y);
-    let mut rows: Vec<Vec<(u32, T)>> = take_result_rows(nrows, rt);
+    let mut rows: Vec<Vec<(u32, T)>> = rt.workspace().take_rows(nrows);
     {
         let pr = ParSlice::new(&mut rows);
         rt.parallel_for_balanced(
@@ -422,15 +396,13 @@ where
             },
         );
     }
-    if pooled {
-        let values = scratch.into_inner();
-        let bytes: usize = values.iter().map(HashScratch::retained_bytes).sum();
-        if !scratch_reused {
-            crate::workspace::note_fresh(bytes);
-        }
-        rt.workspace()
-            .give(crate::workspace::Shelf::Scratch, values, bytes);
+    let values = scratch.into_inner();
+    let bytes: usize = values.iter().map(HashScratch::retained_bytes).sum();
+    if !scratch_reused {
+        crate::workspace::note_fresh(bytes);
     }
+    rt.workspace()
+        .give(crate::workspace::Shelf::Scratch, values, bytes);
     finish_rows(nrows, ncols, rows, rt)
 }
 
@@ -452,7 +424,7 @@ where
 {
     let nrows = a.nrows();
     let ncols = bt.nrows();
-    let mut rows: Vec<Vec<(u32, T)>> = take_result_rows(nrows, rt);
+    let mut rows: Vec<Vec<(u32, T)>> = rt.workspace().take_rows(nrows);
     {
         let pr = ParSlice::new(&mut rows);
         // Dot work per row: one merge-join per admitted mask entry, each
@@ -520,7 +492,7 @@ where
     R: Runtime,
 {
     let nrows = a.nrows();
-    let mut rows: Vec<Vec<(u32, T)>> = take_result_rows(nrows, rt);
+    let mut rows: Vec<Vec<(u32, T)>> = rt.workspace().take_rows(nrows);
     {
         let pr = ParSlice::new(&mut rows);
         rt.parallel_for(nrows, |i| {
@@ -732,6 +704,35 @@ mod tests {
             GaloisRuntime
         )
         .is_err());
+    }
+
+    #[test]
+    fn pooled_gustavson_scratch_survives_generation_wrap() {
+        // Recycled scratch at 2^20 below the top of the generation range,
+        // and enough rows that some thread runs more than 2^20 of them in
+        // this one call. Row i of the product is column i + 1 (mod n), a
+        // slot its thread has never stamped, so a wrapped generation that
+        // matched unstamped slots would drop it. `u8` keeps the scratch
+        // shelf private to this test.
+        const HEADROOM: u32 = 1 << 20;
+        let n = galois_rt::threads() * HEADROOM as usize + 8;
+        let shift: Vec<_> = (0..n as u32).map(|i| (i, (i + 1) % n as u32, 1u8)).collect();
+        let a = Matrix::from_tuples(n, n, shift, Plus).unwrap();
+        let identity: Vec<_> = (0..n as u32).map(|i| (i, i, 1u8)).collect();
+        let b = Matrix::from_tuples(n, n, identity, Plus).unwrap();
+        let desc = Descriptor::new().with_method(MethodHint::Gustavson);
+        let product = || mxm(None::<&Matrix<bool>>, PlusTimes, &a, &b, &desc, GaloisRuntime);
+        let fresh = product().unwrap();
+
+        let seeded: Vec<DenseScratch<u8>> = (0..galois_rt::max_threads())
+            .map(|_| DenseScratch {
+                generation: u32::MAX - HEADROOM,
+                ..DenseScratch::new()
+            })
+            .collect();
+        crate::workspace::global().give(crate::workspace::Shelf::Scratch, seeded, 0);
+        let pooled = product().unwrap();
+        assert_eq!(pooled.to_tuples(), fresh.to_tuples());
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //!
 //! Both entry points now route through [`super::kernels`]: under
 //! [`super::kernels::KernelMode::Push`] (or a forced descriptor hint)
-//! they run exactly the paper's single-strategy kernels above, while
-//! `auto` may substitute a sparse-accumulator scatter or a masked pull
-//! over the cached transpose when operand sparsity favors it.
+//! they run the paper's single-strategy kernels above, while `auto` may
+//! substitute a sparse-accumulator scatter or a masked pull over the
+//! cached transpose when operand sparsity favors it. The push-dense
+//! accumulator is allocated per call, as the paper's is; entry lists,
+//! bitmap arrays and pull outputs come from the workspace pool
+//! ([`crate::workspace`]).
 
 use super::kernels;
 use crate::binops::SemiringOps;
@@ -78,8 +81,8 @@ where
         }
     }
 
-    // Materialize the input entries so the parallel loop can index them
-    // (from the workspace pool when recycling is on).
+    // Materialize the input entries (from the workspace pool) so the
+    // parallel loop can index them.
     let entries: Vec<(u32, T)> = kernels::take_entries(u, rt);
     let input_nnz = entries.len();
     let selection = kernels::select_vxm(u, a, mask, desc)?;
@@ -115,70 +118,16 @@ where
             let (out, bytes) =
                 kernels::scatter_bitmap(&entries, a, a.ncols(), mask, desc, semiring, mul, rt);
             kernels::store_entries_slice(w, &out, desc.replace);
-            if crate::workspace::enabled() {
-                rt.workspace().give_vec(crate::workspace::Shelf::Entries, out);
-            }
+            kernels::give_entries(out, rt);
             bytes
         }
         _ => {
             // Dense accumulator over the output dimension: the
             // intermediate the paper's fixed push strategy cannot avoid.
-            // With recycling on, the accumulator is an epoch-stamped
-            // buffer from the pool whose clear is a generation bump; off
-            // runs the paper-faithful fresh atomic accumulator.
-            let bytes = (a.ncols() * std::mem::size_of::<T>()) as u64;
             let add = |x, y| semiring.add(x, y);
-            if crate::workspace::enabled() {
-                let ws = rt.workspace();
-                let mut acc: crate::workspace::EpochAcc = ws
-                    .take(crate::workspace::Shelf::Acc)
-                    .unwrap_or_default();
-                let (_reused, fresh) = acc.begin(a.ncols());
-                crate::workspace::note_fresh(fresh);
-                rt.parallel_for(entries.len(), |p| {
-                    let (i, x) = entries[p];
-                    perfmon::touch_ref(&entries[p]);
-                    for (j, &av) in a.row_pairs(i) {
-                        perfmon::instr(2);
-                        perfmon::touch_ref(&av);
-                        if let Some(m) = mask {
-                            let pass =
-                                m.mask_at(j, desc.mask_structural) != desc.mask_complement;
-                            perfmon::instr(1);
-                            if !pass {
-                                continue;
-                            }
-                        }
-                        acc.accumulate(j as usize, semiring.mul(x, av), add);
-                    }
-                });
-                let mut out = ws.take_vec(crate::workspace::Shelf::Entries, 0);
-                acc.drain_into(a.ncols(), &mut out);
-                kernels::store_entries_slice(w, &out, desc.replace);
-                ws.give_vec(crate::workspace::Shelf::Entries, out);
-                let retained = acc.retained_bytes();
-                ws.give(crate::workspace::Shelf::Acc, acc, retained);
-            } else {
-                let acc: AtomicAccumulator<T> = AtomicAccumulator::new(a.ncols());
-                rt.parallel_for(entries.len(), |p| {
-                    let (i, x) = entries[p];
-                    perfmon::touch_ref(&entries[p]);
-                    for (j, &av) in a.row_pairs(i) {
-                        perfmon::instr(2);
-                        perfmon::touch_ref(&av);
-                        if let Some(m) = mask {
-                            let pass =
-                                m.mask_at(j, desc.mask_structural) != desc.mask_complement;
-                            perfmon::instr(1);
-                            if !pass {
-                                continue;
-                            }
-                        }
-                        acc.accumulate(j as usize, semiring.mul(x, av), add);
-                    }
-                });
-                store_accumulator(w, acc, desc.replace);
-            }
+            let (acc, bytes) =
+                kernels::scatter_dense(&entries, a, a.ncols(), mask, desc, add, mul, rt);
+            store_accumulator(w, acc, desc.replace);
             bytes
         }
     };
@@ -342,9 +291,7 @@ where
             );
             kernels::give_entries(entries, rt);
             kernels::store_entries_slice(w, &out, desc.replace || mask.is_none());
-            if crate::workspace::enabled() {
-                rt.workspace().give_vec(crate::workspace::Shelf::Entries, out);
-            }
+            kernels::give_entries(out, rt);
             bytes
         }
         _ => {

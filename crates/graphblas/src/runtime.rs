@@ -29,20 +29,15 @@ pub trait Runtime: Copy + Send + Sync + Default + 'static {
     }
 
     /// Runs `f(i)` for every `i < n` in parallel, partitioned into
-    /// equal-*cost* chunks by `cost_of(i)` when workspace mode is on
-    /// (GraphBLAST-style flop balancing); falls back to the backend's own
-    /// [`Runtime::parallel_for`] scheduling when off.
+    /// equal-*cost* chunks by `cost_of(i)` (GraphBLAST-style flop
+    /// balancing) on both backends.
     #[inline]
     fn parallel_for_balanced<F, C>(self, n: usize, cost_of: C, f: F)
     where
         F: Fn(usize) + Sync,
         C: Fn(usize) -> u64,
     {
-        if crate::workspace::enabled() {
-            crate::workspace::run_balanced(n, cost_of, f);
-        } else {
-            self.parallel_for(n, f);
-        }
+        crate::workspace::run_balanced(n, cost_of, f);
     }
 }
 

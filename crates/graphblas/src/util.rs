@@ -121,15 +121,10 @@ pub(crate) struct BitmapAccumulator<T> {
 
 impl<T: Scalar> BitmapAccumulator<T> {
     /// Creates `n` absent slots whose values are pre-filled with
-    /// `identity`'s encoding.
-    pub fn new(n: usize, identity: T) -> Self {
-        Self::from_parts(Vec::new(), Vec::new(), n, identity)
-    }
-
-    /// [`Self::new`] over recycled arrays: the workspace pool hands the
-    /// slot and word buffers back call after call, so a warm bitmap
-    /// scatter costs its O(n) identity prefill (which [`Self::new`] pays
-    /// too) but zero allocator churn. Any prior contents are discarded.
+    /// `identity`'s encoding, over recycled arrays: the workspace pool
+    /// hands the slot and word buffers back call after call, so a warm
+    /// bitmap scatter costs its O(n) identity prefill but zero allocator
+    /// churn. Any prior contents are discarded.
     pub fn from_parts(mut bits: Vec<AtomicU64>, mut words: Vec<AtomicU64>, n: usize, identity: T) -> Self {
         let id = identity.to_bits64();
         bits.clear();
@@ -144,7 +139,7 @@ impl<T: Scalar> BitmapAccumulator<T> {
     }
 
     /// Releases the slot and word arrays for pooling (drain first —
-    /// [`Self::drain_entries`]).
+    /// [`Self::drain_into`]).
     pub fn into_parts(self) -> (Vec<AtomicU64>, Vec<AtomicU64>) {
         (self.bits, self.words)
     }
@@ -173,20 +168,15 @@ impl<T: Scalar> BitmapAccumulator<T> {
         self.words[j / 64].fetch_or(1u64 << (j % 64), Ordering::Release);
     }
 
-    /// Drains the present entries in ascending index order by scanning
-    /// the presence words, leaving the arrays intact so a pooled
-    /// accumulator can be released via [`Self::into_parts`].
+    /// Drains the present entries into `out` (a pooled buffer) in
+    /// ascending index order by scanning the presence words, leaving the
+    /// arrays intact so the accumulator can be released via
+    /// [`Self::into_parts`].
     ///
     /// The compaction cost the counters see is one instruction per
-    /// *word* plus one per present entry — sublinear in `len()` when the
-    /// frontier is dense, which is the representation's whole point.
-    pub fn drain_entries(&self) -> Vec<(u32, T)> {
-        let mut out = Vec::new();
-        self.drain_into(&mut out);
-        out
-    }
-
-    /// [`Self::drain_entries`] into a caller-provided (pooled) buffer.
+    /// *word* plus one per present entry — sublinear in the slot count
+    /// when the frontier is dense, which is the representation's whole
+    /// point.
     pub fn drain_into(&self, out: &mut Vec<(u32, T)>) {
         out.clear();
         for (w, word) in self.words.iter().enumerate() {
@@ -318,40 +308,60 @@ mod tests {
         assert!((acc.get(0).unwrap() - 250.0).abs() < 1e-9);
     }
 
+    fn bitmap<T: Scalar>(n: usize, identity: T) -> BitmapAccumulator<T> {
+        BitmapAccumulator::from_parts(Vec::new(), Vec::new(), n, identity)
+    }
+
+    fn drained<T: Scalar>(acc: &BitmapAccumulator<T>) -> Vec<(u32, T)> {
+        let mut out = Vec::new();
+        acc.drain_into(&mut out);
+        out
+    }
+
     #[test]
     fn bitmap_accumulator_single_thread() {
-        let acc: BitmapAccumulator<u64> = BitmapAccumulator::new(130, 0);
+        let acc = bitmap(130, 0u64);
         acc.accumulate(1, 5, |a, b| a + b);
         acc.accumulate(1, 7, |a, b| a + b);
         acc.accumulate(129, 3, |a, b| a + b);
         assert_eq!(acc.word_bytes(), 24);
-        assert_eq!(acc.drain_entries(), vec![(1, 12), (129, 3)]);
+        assert_eq!(drained(&acc), vec![(1, 12), (129, 3)]);
     }
 
     #[test]
     fn bitmap_accumulator_parallel_sums_are_exact() {
-        let acc: BitmapAccumulator<u64> = BitmapAccumulator::new(16, 0);
+        let acc = bitmap(16, 0u64);
         galois_rt::do_all(0..100_000, |i| {
             acc.accumulate(i % 16, 1, |a, b| a + b);
         });
-        let total: u64 = acc.drain_entries().into_iter().map(|(_, v)| v).sum();
+        let total: u64 = drained(&acc).into_iter().map(|(_, v)| v).sum();
         assert_eq!(total, 100_000);
     }
 
     #[test]
     fn bitmap_accumulator_explicit_zero_is_present() {
-        let acc: BitmapAccumulator<u64> = BitmapAccumulator::new(70, 0);
+        let acc = bitmap(70, 0u64);
         acc.accumulate(64, 0, |a, b| a + b);
-        assert_eq!(acc.drain_entries(), vec![(64, 0)]);
+        assert_eq!(drained(&acc), vec![(64, 0)]);
     }
 
     #[test]
     fn bitmap_accumulator_min_fold_identity() {
-        let acc: BitmapAccumulator<u32> = BitmapAccumulator::new(2, u32::MAX);
+        let acc = bitmap(2, u32::MAX);
         galois_rt::do_all(0..1000, |i| {
             acc.accumulate(0, i as u32, |a, b| a.min(b));
         });
-        assert_eq!(acc.drain_entries(), vec![(0, 0)]);
+        assert_eq!(drained(&acc), vec![(0, 0)]);
+    }
+
+    #[test]
+    fn bitmap_accumulator_discards_recycled_contents() {
+        let acc = bitmap(70, 0u64);
+        acc.accumulate(3, 9, |a, b| a + b);
+        let (bits, words) = acc.into_parts();
+        let acc = BitmapAccumulator::from_parts(bits, words, 70, 0u64);
+        acc.accumulate(5, 1, |a, b| a + b);
+        assert_eq!(drained(&acc), vec![(5, 1)]);
     }
 
     #[test]

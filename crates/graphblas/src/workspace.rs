@@ -1,4 +1,4 @@
-//! Epoch-recycled kernel workspaces (the `STUDY_WORKSPACE` axis).
+//! Recycled kernel workspaces and flop-balanced scheduling.
 //!
 //! The paper's differential analysis charges much of the matrix API's
 //! overhead to per-call **materialization**: every GraphBLAS call in a
@@ -13,9 +13,6 @@
 //!   [`Runtime::workspace`](crate::runtime::Runtime::workspace)): kernels
 //!   check typed buffers out at op entry and return them at op exit, so a
 //!   warm round allocates near-zero fresh bytes;
-//! * an **epoch-stamped dense accumulator** (`EpochAcc`): clearing
-//!   between calls is a generation-counter bump instead of an `O(n)`
-//!   memset, with a sparse touched-list drain for very sparse frontiers;
 //! * **flop-balanced scheduling** (`run_balanced`): row loops whose
 //!   per-row cost is skewed (SpGEMM over rmat-like degree distributions,
 //!   masked pull SpMV) are partitioned into equal-*flops* ranges instead
@@ -23,11 +20,10 @@
 //!   which reuses the `substrate::deque` work-stealing layer for the
 //!   residual imbalance.
 //!
-//! `STUDY_WORKSPACE=off` pins the paper-faithful per-call-allocation
-//! behaviour bit-for-bit: every kernel takes exactly the pre-workspace
-//! code path (same allocations, same instrumentation hooks, same loop
-//! shapes), which is what `tests/paper_claims.rs` pins alongside
-//! `STUDY_KERNEL=push`. The default is `on`.
+//! Both are always on; no mode switches back to per-call allocation.
+//! What a kernel does not check out of the pool — the push-dense SpMV
+//! accumulator, the sparse-scatter and pull pair lanes — it allocates per
+//! call.
 //!
 //! Retained (idle) pool bytes are charged against the
 //! `STUDY_MEM_BUDGET` accounting from the resilience layer: a buffer
@@ -36,76 +32,11 @@
 //! is reported on the op trace span (`ws_reused_bytes`,
 //! `ws_fresh_bytes`, `flops`, `chunks`).
 
-use crate::scalar::Scalar;
-use galois_rt::substrate::PerThread;
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
-
-/// Process-wide workspace policy (the `STUDY_WORKSPACE` axis).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum WorkspaceMode {
-    /// Recycle kernel buffers through the pool and partition skewed row
-    /// loops by flops.
-    #[default]
-    On,
-    /// The paper-faithful behaviour: every call allocates its own
-    /// buffers and partitions loops by rows — bit-for-bit the
-    /// pre-workspace kernels.
-    Off,
-}
-
-/// 0 = not yet resolved from the environment.
-static MODE: AtomicU8 = AtomicU8::new(0);
-
-const MODE_ON: u8 = 1;
-const MODE_OFF: u8 = 2;
-
-/// Returns the process-wide workspace policy, resolving it from the
-/// `STUDY_WORKSPACE` environment variable (`on` | `off`) on first use.
-/// Unset defaults to [`WorkspaceMode::On`].
-///
-/// # Panics
-///
-/// Panics when `STUDY_WORKSPACE` is set to an unrecognized value.
-pub fn workspace_mode() -> WorkspaceMode {
-    match MODE.load(Ordering::Relaxed) {
-        MODE_ON => WorkspaceMode::On,
-        MODE_OFF => WorkspaceMode::Off,
-        _ => {
-            let mode = match std::env::var("STUDY_WORKSPACE") {
-                Ok(v) => match v.as_str() {
-                    "on" => WorkspaceMode::On,
-                    "off" => WorkspaceMode::Off,
-                    other => panic!("STUDY_WORKSPACE must be on or off; got {other:?}"),
-                },
-                Err(_) => WorkspaceMode::On,
-            };
-            set_workspace_mode(mode);
-            mode
-        }
-    }
-}
-
-/// Overrides the process-wide workspace policy (takes precedence over
-/// `STUDY_WORKSPACE`).
-pub fn set_workspace_mode(mode: WorkspaceMode) {
-    MODE.store(
-        match mode {
-            WorkspaceMode::On => MODE_ON,
-            WorkspaceMode::Off => MODE_OFF,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// Whether recycling/flop-balancing is active.
-#[inline]
-pub(crate) fn enabled() -> bool {
-    workspace_mode() == WorkspaceMode::On
-}
 
 // ---------------------------------------------------------------------------
 // Cumulative counters: op spans record start/finish deltas of these.
@@ -182,7 +113,7 @@ pub(crate) enum Shelf {
     Entries,
     /// Per-row SpGEMM result rows (`Vec<Vec<(u32, T)>>`).
     Rows,
-    /// Epoch-stamped dense accumulators.
+    /// Bitmap accumulator slot and presence-word arrays.
     Acc,
     /// Per-thread SpGEMM scratch extracted from a `PerThread`.
     Scratch,
@@ -327,161 +258,6 @@ impl Workspace {
 }
 
 // ---------------------------------------------------------------------------
-// Epoch-stamped dense accumulator.
-
-/// Per-slot stamp protocol: a slot is *present* in the current epoch
-/// when its stamp equals `epoch << 1 | 1`, *locked* (first write in
-/// flight) at `epoch << 1`, and *empty* at any other value — so one
-/// epoch bump invalidates every slot in O(1) instead of an O(n) memset.
-const EPOCH_MAX: u32 = (u32::MAX >> 1) - 1;
-
-/// Fraction of slots under which the drain walks the touched list
-/// instead of scanning every slot.
-const SPARSE_DRAIN_DIVISOR: usize = 8;
-
-/// A dense, lock-free, *recyclable* accumulator: the epoch-stamped
-/// counterpart of `util::AtomicAccumulator`. Any thread folds values
-/// into any slot with the semiring's ⊕; clearing between ops is a
-/// generation bump, and draining a sparsely touched epoch walks the
-/// first-writer undo list instead of all `n` slots.
-pub(crate) struct EpochAcc {
-    bits: Vec<AtomicU64>,
-    stamp: Vec<AtomicU32>,
-    epoch: u32,
-    touched: PerThread<Vec<u32>>,
-}
-
-impl EpochAcc {
-    /// An empty accumulator (grown by [`EpochAcc::begin`]).
-    pub fn new() -> Self {
-        EpochAcc {
-            bits: Vec::new(),
-            stamp: Vec::new(),
-            epoch: 0,
-            touched: PerThread::new(Vec::new),
-        }
-    }
-
-    /// Bytes retained by the slot arrays (for pool accounting).
-    pub fn retained_bytes(&self) -> usize {
-        self.bits.len() * (std::mem::size_of::<AtomicU64>() + std::mem::size_of::<AtomicU32>())
-    }
-
-    /// Opens a new epoch over `n` slots, returning the bytes that were
-    /// reused vs. freshly grown. All slots read as empty afterwards.
-    pub fn begin(&mut self, n: usize) -> (usize, usize) {
-        let have = self.bits.len();
-        let slot = std::mem::size_of::<AtomicU64>() + std::mem::size_of::<AtomicU32>();
-        let (reused, fresh) = (have.min(n) * slot, n.saturating_sub(have) * slot);
-        if n > have {
-            self.bits.extend((have..n).map(|_| AtomicU64::new(0)));
-            self.stamp.extend((have..n).map(|_| AtomicU32::new(0)));
-        }
-        if self.epoch >= EPOCH_MAX {
-            for s in &mut self.stamp {
-                *s.get_mut() = 0;
-            }
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        for lane in self.touched.iter_mut() {
-            lane.clear();
-        }
-        (reused, fresh)
-    }
-
-    #[inline]
-    fn locked_tag(&self) -> u32 {
-        self.epoch << 1
-    }
-
-    #[inline]
-    fn present_tag(&self) -> u32 {
-        (self.epoch << 1) | 1
-    }
-
-    /// Folds `v` into slot `j` with `add` (same slot state machine and
-    /// instrumentation as `AtomicAccumulator::accumulate`, with the
-    /// epoch encoded in the stamp).
-    pub fn accumulate<T: Scalar>(&self, j: usize, v: T, add: impl Fn(T, T) -> T) {
-        perfmon::touch_ref(&self.bits[j]);
-        let (locked, present) = (self.locked_tag(), self.present_tag());
-        loop {
-            let s = self.stamp[j].load(Ordering::Acquire);
-            if s == present {
-                let mut cur = self.bits[j].load(Ordering::Relaxed);
-                loop {
-                    let new = add(T::from_bits64(cur), v).to_bits64();
-                    match self.bits[j].compare_exchange_weak(
-                        cur,
-                        new,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => return,
-                        Err(actual) => cur = actual,
-                    }
-                }
-            } else if s == locked {
-                std::hint::spin_loop();
-            } else if self.stamp[j]
-                .compare_exchange(s, locked, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                self.bits[j].store(v.to_bits64(), Ordering::Relaxed);
-                self.stamp[j].store(present, Ordering::Release);
-                self.touched.with(|lane| lane.push(j as u32));
-                return;
-            }
-        }
-    }
-
-    /// Reads slot `j` (after all writers of the epoch finished).
-    pub fn get<T: Scalar>(&self, j: usize) -> Option<T> {
-        (self.stamp[j].load(Ordering::Acquire) == self.present_tag())
-            .then(|| T::from_bits64(self.bits[j].load(Ordering::Relaxed)))
-    }
-
-    /// Drains the epoch's present entries into `out` in ascending index
-    /// order. Sparse epochs (touched < n / 8) walk the sorted
-    /// first-writer list; dense epochs scan all `n` slots like
-    /// `AtomicAccumulator::into_entries`, with the same per-slot
-    /// instrumentation.
-    pub fn drain_into<T: Scalar>(&mut self, n: usize, out: &mut Vec<(u32, T)>) {
-        out.clear();
-        let touched: usize = self.touched.iter_mut().map(|l| l.len()).sum();
-        if touched * SPARSE_DRAIN_DIVISOR < n {
-            let mut idx: Vec<u32> = Vec::with_capacity(touched);
-            for lane in self.touched.iter_mut() {
-                idx.extend(lane.iter().copied());
-            }
-            idx.sort_unstable();
-            for j in idx {
-                perfmon::instr(1);
-                perfmon::touch_ref(&self.stamp[j as usize]);
-                if let Some(v) = self.get::<T>(j as usize) {
-                    out.push((j, v));
-                }
-            }
-        } else {
-            for j in 0..n {
-                perfmon::instr(1);
-                perfmon::touch_ref(&self.stamp[j]);
-                if let Some(v) = self.get::<T>(j) {
-                    out.push((j as u32, v));
-                }
-            }
-        }
-    }
-}
-
-impl Default for EpochAcc {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Flop-balanced partitioning.
 
 /// Number of chunks per active thread: enough slack for stealing to
@@ -548,18 +324,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mode_override_roundtrips() {
-        let prev = workspace_mode();
-        set_workspace_mode(WorkspaceMode::Off);
-        assert_eq!(workspace_mode(), WorkspaceMode::Off);
-        assert!(!enabled());
-        set_workspace_mode(WorkspaceMode::On);
-        assert_eq!(workspace_mode(), WorkspaceMode::On);
-        assert!(enabled());
-        set_workspace_mode(prev);
-    }
-
-    #[test]
     fn pool_roundtrips_typed_buffers_and_counts_bytes() {
         let ws = global();
         // Drain any shelf state left by other tests in this binary.
@@ -600,68 +364,6 @@ mod tests {
         assert_eq!(ws.retained_bytes(), 32, "fitting buffers are pooled");
         crate::ops::set_mem_budget(prev);
         ws.clear();
-    }
-
-    #[test]
-    fn epoch_acc_clears_by_generation_bump() {
-        let mut acc = EpochAcc::new();
-        acc.begin(8);
-        acc.accumulate(3usize, 5u64, |a, b| a + b);
-        acc.accumulate(3usize, 7u64, |a, b| a + b);
-        assert_eq!(acc.get::<u64>(3), Some(12));
-        let mut out = Vec::new();
-        acc.drain_into::<u64>(8, &mut out);
-        assert_eq!(out, vec![(3, 12)]);
-        // New epoch: the same slots read as empty without any memset.
-        let (reused, fresh) = acc.begin(8);
-        assert_eq!(fresh, 0, "no growth on the second epoch");
-        assert!(reused > 0);
-        assert_eq!(acc.get::<u64>(3), None);
-        acc.drain_into::<u64>(8, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn epoch_acc_parallel_sums_are_exact() {
-        let mut acc = EpochAcc::new();
-        for _ in 0..3 {
-            acc.begin(16);
-            galois_rt::do_all(0..100_000, |i| {
-                acc.accumulate(i % 16, 1u64, |a, b| a + b);
-            });
-            let mut out = Vec::new();
-            acc.drain_into::<u64>(16, &mut out);
-            let total: u64 = out.iter().map(|&(_, v)| v).sum();
-            assert_eq!(total, 100_000);
-        }
-    }
-
-    #[test]
-    fn epoch_acc_sparse_drain_matches_dense_scan() {
-        let mut acc = EpochAcc::new();
-        acc.begin(10_000);
-        for j in [17usize, 400, 401, 9_999] {
-            acc.accumulate(j, j as u64, |a, b| a + b);
-        }
-        let mut out = Vec::new();
-        acc.drain_into::<u64>(10_000, &mut out);
-        assert_eq!(
-            out,
-            vec![(17, 17), (400, 400), (401, 401), (9_999, 9_999)],
-            "sparse drain is sorted and complete"
-        );
-    }
-
-    #[test]
-    fn epoch_acc_survives_epoch_wraparound() {
-        let mut acc = EpochAcc::new();
-        acc.begin(4);
-        acc.epoch = EPOCH_MAX; // fast-forward to the wraparound edge
-        acc.accumulate(1usize, 9u64, |a, b| a + b);
-        let (_, _) = acc.begin(4);
-        assert_eq!(acc.get::<u64>(1), None, "wraparound resets stale stamps");
-        acc.accumulate(1usize, 2u64, |a, b| a + b);
-        assert_eq!(acc.get::<u64>(1), Some(2));
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! own pagerank they are handed `AT` and the out-degrees as cached graph
 //! properties and call `GrB_mxv`, so each product has one writer per row
 //! and a fixed in-row fold order — the result is bit-identical across
-//! thread counts, runtimes and workspace modes. ([`ppr`] still pushes
-//! along out-edges: its iterate starts as a single entry.)
+//! thread counts, runtimes and cold or warm workspace pools. ([`ppr`]
+//! still pushes along out-edges: its iterate starts as a single entry.)
 
 use graph::CsrGraph;
 use graphblas::binops::{Plus, PlusTimes, Times};

@@ -212,8 +212,7 @@ pub struct OpSpan {
     /// Heuristic input: estimated output slots the mask admits (0 when
     /// the heuristic never ran).
     pub mask_admitted: u64,
-    /// Workspace bytes this call satisfied from the recycling pool
-    /// (0 with `STUDY_WORKSPACE=off`).
+    /// Workspace bytes this call satisfied from the recycling pool.
     pub ws_reused_bytes: u64,
     /// Workspace bytes this call allocated fresh (pool misses, growth,
     /// and one-time cached-transpose builds).

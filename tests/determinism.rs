@@ -9,8 +9,8 @@
 //!    *results* must not depend on the thread count: bfs, cc and pagerank
 //!    produce identical output on 1, 2 and the default number of threads,
 //!    on both the Lonestar and the GaloisBLAS paths. Matrix-API pr is
-//!    held to more: bit-identical across threads × runtimes × workspace
-//!    modes, on the pull kernel a traced run pins.
+//!    held to more: bit-identical across threads × runtimes × cold and
+//!    warm workspace pools, on the pull kernel a traced run pins.
 //! 3. Traces are deterministic: two traced runs at the same seed and
 //!    thread count produce identical event streams once the
 //!    scheduling-perturbed fields (timings, steals, bucket visits) are
@@ -33,9 +33,7 @@ use graph_api_study::graph::gen::{
 };
 use graph_api_study::graph::transform::{sort_by_degree, symmetrize, transpose};
 use graph_api_study::graph::CsrGraph;
-use graph_api_study::graphblas::{
-    set_workspace_mode, workspace_mode, GaloisRuntime, Runtime, StaticRuntime, WorkspaceMode,
-};
+use graph_api_study::graphblas::{workspace, GaloisRuntime, Runtime, StaticRuntime};
 use graph_api_study::{lagraph, lonestar};
 
 type SeededBuild = Box<dyn Fn(u64) -> CsrGraph>;
@@ -198,16 +196,6 @@ fn algorithm_results_do_not_depend_on_thread_count() {
     });
 }
 
-/// Restores the process-wide workspace mode on drop, so a failed
-/// assertion cannot leave it pinned for the rest of the binary.
-struct WorkspacePin(WorkspaceMode);
-
-impl Drop for WorkspacePin {
-    fn drop(&mut self) {
-        set_workspace_mode(self.0);
-    }
-}
-
 /// Both matrix-API pr formulations on one backend: `[pr-gb, pr-gb-res]`.
 fn matrix_api_pr<R: Runtime>(gt: &CsrGraph, deg: &[u32], rt: R) -> [Vec<f64>; 2] {
     [
@@ -218,11 +206,12 @@ fn matrix_api_pr<R: Runtime>(gt: &CsrGraph, deg: &[u32], rt: R) -> [Vec<f64>; 2]
 
 /// Matrix-API pr pulls over the prepared transpose: one writer per row
 /// and a fixed in-row fold order, so both formulations are bit-identical
-/// (not merely close) across thread counts, runtimes and workspace modes.
-/// `ppr` is not held to this: it scatters along out-edges, its fold order
-/// follows the schedule, and its checks stay at the tolerance they state.
+/// (not merely close) across thread counts, runtimes and a cold or warm
+/// workspace pool. `ppr` is not held to this: it scatters along
+/// out-edges, its fold order follows the schedule, and its checks stay at
+/// the tolerance they state.
 #[test]
-fn matrix_api_pagerank_is_bit_identical_across_threads_runtimes_and_workspace_modes() {
+fn matrix_api_pagerank_is_bit_identical_across_threads_runtimes_and_pools() {
     let g = rmat(9, 8, RmatParams::default(), 7);
     let gt = transpose(&g);
     let deg: Vec<u32> = (0..g.num_nodes() as u32)
@@ -231,16 +220,17 @@ fn matrix_api_pagerank_is_bit_identical_across_threads_runtimes_and_workspace_mo
 
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let saved_threads = galois_rt::threads();
-    let _pin = WorkspacePin(workspace_mode());
     let mut runs = Vec::new();
     for threads in [1usize, 2, 4] {
         galois_rt::set_threads(threads);
-        for mode in [WorkspaceMode::Off, WorkspaceMode::On] {
-            set_workspace_mode(mode);
+        for pool in ["cold", "warm"] {
+            if pool == "cold" {
+                workspace::global().clear();
+            }
             let ss = matrix_api_pr(&gt, &deg, StaticRuntime);
             let gb = matrix_api_pr(&gt, &deg, GaloisRuntime);
-            runs.push((format!("SS {threads}t {mode:?}"), ss));
-            runs.push((format!("GB {threads}t {mode:?}"), gb));
+            runs.push((format!("SS {threads}t {pool}"), ss));
+            runs.push((format!("GB {threads}t {pool}"), gb));
         }
     }
     galois_rt::set_threads(saved_threads);

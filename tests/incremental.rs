@@ -11,11 +11,10 @@
 //! 1. across every study topology (all nine Table I shapes), on all
 //!    three systems, with seeded random update streams that mix inserts,
 //!    deletes of real snapshot edges and no-op deletes;
-//! 2. across the full execution-mode matrix — push/pull/auto SpMV
-//!    kernels × 1/2/8 threads × workspace recycling on/off — where the
-//!    repaired outputs must additionally be identical *across* the
-//!    configurations (kernel selection and scheduling must never leak
-//!    into results);
+//! 2. across the full execution-mode matrix — push/pull/bitmap/auto SpMV
+//!    kernels × 1/2/8 threads — where the repaired outputs must
+//!    additionally be identical *across* the configurations (kernel
+//!    selection and scheduling must never leak into results);
 //! 3. under the cell isolation boundary, where a full sweep of
 //!    incremental cells completes with per-cell ok statuses;
 //! 4. through the service's republish path: a compacted snapshot, whose
@@ -26,7 +25,6 @@ use graph_api_study::galois_rt;
 use graph_api_study::graph::gen::{rmat, RmatParams};
 use graph_api_study::graph::{CsrGraph, DeltaGraph, EdgeBatch, NodeId, Scale, StudyGraph};
 use graph_api_study::graphblas::ops::{kernel_mode, set_kernel_mode, KernelMode};
-use graph_api_study::graphblas::{set_workspace_mode, workspace_mode, WorkspaceMode};
 use graph_api_study::study_core::verify::verify;
 use graph_api_study::study_core::{
     run_incremental_cell, try_run, try_run_incremental, update_batches, verify_incremental,
@@ -69,7 +67,6 @@ fn every_study_shape_verifies_incrementally() {
 fn repairs_are_identical_across_kernels_threads_and_workspaces() {
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let saved_threads = galois_rt::threads();
-    let saved_ws = workspace_mode();
     let saved_kernel = kernel_mode();
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 128.0));
 
@@ -81,34 +78,30 @@ fn repairs_are_identical_across_kernels_threads_and_workspaces() {
         KernelMode::Bitmap,
     ] {
         for threads in [1usize, 2, 8] {
-            for ws in [WorkspaceMode::On, WorkspaceMode::Off] {
-                set_kernel_mode(kernel);
-                galois_rt::set_threads(threads);
-                set_workspace_mode(ws);
-                let got = check_all(&p, 99);
-                match &baseline {
-                    None => baseline = Some(got),
-                    Some(expect) => {
-                        for ((ep, es, eo), (_, _, go)) in expect.iter().zip(&got) {
-                            match (eo, go) {
-                                (ProblemOutput::Ranks(a), ProblemOutput::Ranks(b)) => {
-                                    // Kernel/thread choice may reorder f64
-                                    // sums on the matrix path; both sit
-                                    // within the converged band.
-                                    for (x, y) in a.iter().zip(b) {
-                                        assert!(
-                                            (x - y).abs() <= 1e-9,
-                                            "{es} {ep} drifts across \
-                                             {kernel:?}/{threads}t/{ws:?}: {x} vs {y}"
-                                        );
-                                    }
+            set_kernel_mode(kernel);
+            galois_rt::set_threads(threads);
+            let got = check_all(&p, 99);
+            match &baseline {
+                None => baseline = Some(got),
+                Some(expect) => {
+                    for ((ep, es, eo), (_, _, go)) in expect.iter().zip(&got) {
+                        match (eo, go) {
+                            (ProblemOutput::Ranks(a), ProblemOutput::Ranks(b)) => {
+                                // Kernel/thread choice may reorder f64
+                                // sums on the matrix path; both sit
+                                // within the converged band.
+                                for (x, y) in a.iter().zip(b) {
+                                    assert!(
+                                        (x - y).abs() <= 1e-9,
+                                        "{es} {ep} drifts across \
+                                         {kernel:?}/{threads}t: {x} vs {y}"
+                                    );
                                 }
-                                _ => assert_eq!(
-                                    eo, go,
-                                    "{es} {ep} must be identical across \
-                                     {kernel:?}/{threads}t/{ws:?}"
-                                ),
                             }
+                            _ => assert_eq!(
+                                eo, go,
+                                "{es} {ep} must be identical across {kernel:?}/{threads}t"
+                            ),
                         }
                     }
                 }
@@ -117,7 +110,6 @@ fn repairs_are_identical_across_kernels_threads_and_workspaces() {
     }
     set_kernel_mode(saved_kernel);
     galois_rt::set_threads(saved_threads);
-    set_workspace_mode(saved_ws);
 }
 
 #[test]

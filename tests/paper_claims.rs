@@ -1,51 +1,46 @@
 //! Integration tests that pin the paper's *quantitative* claims as
 //! invariants: the matrix API must measurably execute more instructions
 //! and memory accesses than the graph API for the workloads §V-B
-//! analyzes.
+//! analyzes. They run the paper's fixed SpMV strategies on the one
+//! allocation path there is: recycled workspaces, with the push-dense
+//! accumulator allocated and scanned per call as the paper's is.
 //!
 //! The perfmon counters are process-global, so these tests serialize on
 //! a mutex.
 
 use graph_api_study::graph::{Scale, StudyGraph};
 use graph_api_study::graphblas::ops::{kernel_mode, set_kernel_mode, KernelMode};
-use graph_api_study::graphblas::{set_workspace_mode, workspace_mode, WorkspaceMode};
 use graph_api_study::perfmon;
 use graph_api_study::study_core::{run, PreparedGraph, Problem, System};
 use std::sync::Mutex;
 
 /// A failing claim panics while holding this lock. It guards no data and
-/// `KernelPin` restores the policies on unwind, so every test recovers
-/// the guard from a poisoned lock instead of failing after it.
+/// `KernelPin` restores the policy on unwind, so every test recovers the
+/// guard from a poisoned lock instead of failing after it.
 static PERF_LOCK: Mutex<()> = Mutex::new(());
 
 /// Pins the process-wide SpMV policy to the paper's fixed strategies for
 /// the duration of a counter test (the quantitative claims below describe
-/// the *paper's* kernels, not the direction-optimizing `auto` ones), and
-/// pins workspace recycling off so every GrB call allocates per-call the
-/// way the paper's implementations do — the counter ratios quantify that
-/// allocation and traversal overhead, so the recycled fast path would
-/// understate them. Restores both policies on drop. Callers must already
-/// hold `PERF_LOCK` — kernel and workspace policy are process-global,
-/// like the counters.
+/// the *paper's* kernels, not the direction-optimizing `auto` ones): `vxm`
+/// scatters into a dense accumulator and drains all of it every round,
+/// which is the lightweight-loop and materialization cost the ratios
+/// quantify. Restores the policy on drop. Callers must already hold
+/// `PERF_LOCK` — the kernel policy is process-global, like the counters.
 struct KernelPin {
     prev: KernelMode,
-    prev_ws: WorkspaceMode,
 }
 
 impl KernelPin {
     fn paper_kernels() -> KernelPin {
         let prev = kernel_mode();
-        let prev_ws = workspace_mode();
         set_kernel_mode(KernelMode::Push);
-        set_workspace_mode(WorkspaceMode::Off);
-        KernelPin { prev, prev_ws }
+        KernelPin { prev }
     }
 }
 
 impl Drop for KernelPin {
     fn drop(&mut self) {
         set_kernel_mode(self.prev);
-        set_workspace_mode(self.prev_ws);
     }
 }
 
