@@ -7,7 +7,8 @@
 //! Workloads* (IISWC 2020): sparse [`Matrix`] and [`Vector`] types,
 //! generalized semiring operations ([`binops`]), masks and [`Descriptor`]s,
 //! and the kernels `mxm` / `vxm` / `mxv` / `eWiseAdd` / `eWiseMult` /
-//! `apply` / `assign` / `extract` / `reduce` / `select` / `transpose`.
+//! `apply` / `assign` / `extract` / `reduce` / `select` / `transpose`, with
+//! the output accumulator [`Accum`] (`w ⊙= t`) on the vector ops.
 //!
 //! Every kernel is generic over a [`Runtime`] backend:
 //!
@@ -57,7 +58,7 @@ pub mod vector;
 pub mod workspace;
 
 pub use descriptor::{Descriptor, KernelHint, MethodHint};
-pub use ops::KernelMode;
+pub use ops::{Accum, KernelMode};
 pub use error::GrbError;
 pub use matrix::Matrix;
 pub use multivec::MultiVector;

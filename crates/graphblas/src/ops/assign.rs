@@ -1,6 +1,8 @@
 //! Scalar assignment and apply: `GrB_assign` (with `GrB_ALL`) and
 //! `GrB_apply`.
 
+use super::write::{Output, WriteBack};
+use crate::binops::BinOp;
 use crate::descriptor::Descriptor;
 use crate::error::{dim_mismatch, GrbError};
 use crate::runtime::Runtime;
@@ -13,14 +15,15 @@ use crate::vector::Vector;
 ///
 /// Without a mask this densifies `w` with `value` everywhere. With a mask,
 /// entries where the (possibly complemented) mask passes are set; the rest
-/// are kept, or deleted under `desc.replace`.
+/// are kept, or deleted under `desc.replace`. `Accum(&mut w, ⊙)` folds
+/// `value` into the entries the mask admits instead.
 ///
 /// # Errors
 ///
 /// Returns [`GrbError::DimensionMismatch`] if the mask size differs from
 /// `w`.
 pub fn assign_scalar<T, M, R>(
-    w: &mut Vector<T>,
+    mut w: impl Output<Elem = T>,
     mask: Option<&Vector<M>>,
     value: T,
     desc: &Descriptor,
@@ -31,6 +34,7 @@ where
     M: Scalar,
     R: Runtime,
 {
+    let (w, accum) = w.target();
     let n = w.size();
     if let Some(m) = mask {
         if m.size() != n {
@@ -47,9 +51,16 @@ where
         desc,
     );
     let input_nnz = mask.map_or(n, Vector::nvals);
+    if let Some(op) = accum {
+        accumulate_scalar(w, op, mask, value, desc);
+        if let Some(span) = span {
+            span.finish(input_nnz, w.nvals(), 0);
+        }
+        return Ok(());
+    }
     let Some(mask) = mask else {
         // Recycle `w`'s dense store instead of reallocating it.
-        let (mut vals, mut present) = super::kernels::take_or_alloc_dense(w, n);
+        let (mut vals, mut present) = super::write::take_or_alloc_dense(w, n);
         vals.fill(value);
         present.fill(true);
         w.set_dense(vals, present);
@@ -126,15 +137,47 @@ where
     Ok(())
 }
 
+/// `w<mask> ⊙= value`: the entries the mask admits, all holding `value`,
+/// go through the accumulated write-back.
+fn accumulate_scalar<T: Scalar, M: Scalar, B: BinOp<T>>(
+    w: &mut Vector<T>,
+    op: B,
+    mask: Option<&Vector<M>>,
+    value: T,
+    desc: &Descriptor,
+) {
+    let n = w.size() as u32;
+    let admits = |m: &Vector<M>, i: u32| {
+        perfmon::instr(1);
+        m.mask_at(i, desc.mask_structural) != desc.mask_complement
+    };
+    let t: Vec<(u32, T)> = match mask {
+        None => (0..n).map(|i| (i, value)).collect(),
+        Some(m) => match m.sparse_parts() {
+            Some((idx, _)) if !desc.mask_complement => idx
+                .iter()
+                .filter(|&&i| admits(m, i))
+                .map(|&i| (i, value))
+                .collect(),
+            _ => (0..n)
+                .filter(|&i| admits(m, i))
+                .map(|i| (i, value))
+                .collect(),
+        },
+    };
+    WriteBack::masked(desc.replace, Some(op), mask, desc).entries(w, &t);
+}
+
 /// `w = f(u)` element-wise over explicit entries (`GrB_apply`).
 ///
-/// The output takes `u`'s structure.
+/// The output takes `u`'s structure; `Accum(&mut w, ⊙)` folds `f(u)`
+/// into `w` instead, in `O(nvals(u))` when `w` is dense and `u` sparse.
 ///
 /// # Errors
 ///
 /// Returns [`GrbError::DimensionMismatch`] if sizes differ.
 pub fn apply<T, R>(
-    w: &mut Vector<T>,
+    mut w: impl Output<Elem = T>,
     u: &Vector<T>,
     f: impl Fn(T) -> T + Sync,
     rt: R,
@@ -143,6 +186,7 @@ where
     T: Scalar,
     R: Runtime,
 {
+    let (w, accum) = w.target();
     if w.size() != u.size() {
         return Err(dim_mismatch(
             format!("w.size == {}", u.size()),
@@ -151,9 +195,10 @@ where
     }
     let span = super::op_start_plain(super::OpKind::Apply, R::NAME);
     let input_nnz = u.nvals();
+    let wb = WriteBack::unmasked(true, accum);
     if let Some((uvals, upresent)) = u.dense_parts() {
         let n = u.size();
-        let (mut vals, mut present) = super::kernels::take_or_alloc_dense(w, n);
+        let (mut vals, mut present) = wb.dense_scratch(w, n);
         {
             let pv = ParSlice::new(&mut vals);
             let pp = ParSlice::new(&mut present);
@@ -169,7 +214,7 @@ where
                 }
             });
         }
-        w.set_dense(vals, present);
+        wb.dense(w, vals, present, rt);
     } else {
         let (idx, uvals) = u.sparse_parts().expect("vector is sparse or dense");
         let mut vals = vec![T::ZERO; uvals.len()];
@@ -182,7 +227,7 @@ where
                 unsafe { pv.write(p, f(uvals[p])) };
             });
         }
-        w.set_sparse(idx.to_vec(), vals);
+        wb.sparse(w, idx.to_vec(), vals);
     }
     if let Some(span) = span {
         span.finish(input_nnz, w.nvals(), 0);

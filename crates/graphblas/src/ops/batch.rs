@@ -17,7 +17,7 @@
 //! lane's exact selection — a width-1 batch is bit-identical to the
 //! serial path, spans included.
 
-use super::{kernels, spmv};
+use super::{kernels, spmv, NoAccum};
 use crate::binops::SemiringOps;
 use crate::descriptor::Descriptor;
 use crate::error::{dim_mismatch, GrbError};
@@ -112,7 +112,7 @@ where
             continue;
         }
         let mask_j = masks.map(|m| m.lane(j));
-        match spmv::vxm_lane(out.lane_mut(j), mask_j, semiring, u.lane(j), a, desc, rt) {
+        match spmv::vxm_lane(out.lane_mut(j), None::<NoAccum>, mask_j, semiring, u.lane(j), a, desc, rt) {
             Ok(run) => {
                 input_nnz += run.input_nnz;
                 output_nnz += out.lane(j).nvals();

@@ -776,61 +776,6 @@ where
     (out, acc_bytes)
 }
 
-/// Commits sorted `(index, value)` entries into `w` under the same
-/// merge-or-replace semantics as the dense accumulator's store: replace
-/// installs a fresh store sized by [`crate::vector::dense_preferred`],
-/// merge folds entry-by-entry into the existing store.
-pub(crate) fn store_entries<T: Scalar>(w: &mut Vector<T>, entries: Vec<(u32, T)>, replace: bool) {
-    store_entries_slice(w, &entries, replace);
-}
-
-/// [`store_entries`] over a borrowed slice, so callers holding a pooled
-/// entry buffer can return it to the workspace afterwards.
-pub(crate) fn store_entries_slice<T: Scalar>(w: &mut Vector<T>, entries: &[(u32, T)], replace: bool) {
-    if replace {
-        let n = w.size();
-        if crate::vector::dense_preferred(entries.len(), n) {
-            let (mut vals, mut present) = take_or_alloc_dense(w, n);
-            for &(i, v) in entries {
-                vals[i as usize] = v;
-                present[i as usize] = true;
-            }
-            w.set_dense(vals, present);
-        } else {
-            let mut idx = Vec::with_capacity(entries.len());
-            let mut vals = Vec::with_capacity(entries.len());
-            for &(i, v) in entries {
-                idx.push(i);
-                vals.push(v);
-            }
-            w.set_sparse(idx, vals);
-        }
-    } else {
-        for &(i, v) in entries {
-            perfmon::instr(1);
-            w.set(i, v).expect("kernel indices in range");
-        }
-    }
-}
-
-/// Dense value + presence buffers over `n` outputs for a replace-mode
-/// store. `w`'s own previous dense store is reclaimed (zero-normalized so
-/// results stay bit-identical to fresh buffers); when it has none of the
-/// right shape, fresh buffers are allocated.
-pub(crate) fn take_or_alloc_dense<T: Scalar>(w: &mut Vector<T>, n: usize) -> (Vec<T>, Vec<bool>) {
-    let bytes = n * (std::mem::size_of::<T>() + std::mem::size_of::<bool>());
-    if let Some((mut vals, mut present)) = w.take_dense_store() {
-        if vals.len() == n {
-            crate::workspace::note_reused(bytes);
-            vals.fill(T::ZERO);
-            present.fill(false);
-            return (vals, present);
-        }
-    }
-    crate::workspace::note_fresh(bytes);
-    (vec![T::ZERO; n], vec![false; n])
-}
-
 /// The entry list of `u`, drawn from the workspace pool.
 pub(crate) fn take_entries<T: Scalar, R: Runtime>(u: &Vector<T>, rt: R) -> Vec<(u32, T)> {
     let mut buf = rt

@@ -129,6 +129,7 @@ mod mxm;
 mod reduce;
 mod select;
 mod spmv;
+mod write;
 
 pub use assign::{apply, apply_inplace, assign_scalar};
 pub use batch::{mxm_frontier, LaneOutcome};
@@ -143,3 +144,4 @@ pub use mxm::mxm;
 pub use reduce::{reduce_matrix, reduce_rows, reduce_vector};
 pub use select::{select_matrix, select_vector};
 pub use spmv::{mxv, vxm};
+pub use write::{Accum, NoAccum, Output};

@@ -16,13 +16,14 @@
 //! ([`crate::workspace`]).
 
 use super::kernels;
-use crate::binops::SemiringOps;
+use super::write::{Output, WriteBack};
+use crate::binops::{BinOp, SemiringOps};
 use crate::descriptor::Descriptor;
 use crate::error::{dim_mismatch, GrbError};
 use crate::matrix::Matrix;
 use crate::runtime::Runtime;
 use crate::scalar::Scalar;
-use crate::util::{AtomicAccumulator, ParSlice};
+use crate::util::ParSlice;
 use crate::vector::Vector;
 use perfmon::trace::KernelChoice;
 
@@ -45,8 +46,10 @@ pub(crate) struct LaneRun {
 /// identical code path as a serial call — including the
 /// `grb.alloc.accumulator` fault point, which therefore fires (and
 /// fails) per lane, never per batch.
-pub(crate) fn vxm_lane<T, M, S, R>(
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn vxm_lane<T, M, S, R, B>(
     w: &mut Vector<T>,
+    accum: Option<B>,
     mask: Option<&Vector<M>>,
     semiring: S,
     u: &Vector<T>,
@@ -59,6 +62,7 @@ where
     M: Scalar,
     S: SemiringOps<T>,
     R: Runtime,
+    B: BinOp<T>,
 {
     if u.size() != a.nrows() {
         return Err(dim_mismatch(
@@ -100,24 +104,25 @@ where
             budget: 0,
         });
     }
+    let wb = WriteBack::masked(desc.replace, accum, mask, desc);
     let mul = |x, av| semiring.mul(x, av);
     let accumulator_bytes = match selection.choice {
         KernelChoice::PushSparse => {
             let (out, bytes) =
                 kernels::scatter_sparse(&entries, a, mask, desc, semiring, mul, rt);
-            kernels::store_entries(w, out, desc.replace);
+            wb.entries(w, &out);
             bytes
         }
         KernelChoice::Pull => {
             let (out, bytes) =
                 kernels::pull_gather(u, a.transpose(), mask, desc, semiring, mul, rt);
-            kernels::store_entries(w, out, desc.replace);
+            wb.entries(w, &out);
             bytes
         }
         KernelChoice::Bitmap => {
             let (out, bytes) =
                 kernels::scatter_bitmap(&entries, a, a.ncols(), mask, desc, semiring, mul, rt);
-            kernels::store_entries_slice(w, &out, desc.replace);
+            wb.entries(w, &out);
             kernels::give_entries(out, rt);
             bytes
         }
@@ -127,7 +132,7 @@ where
             let add = |x, y| semiring.add(x, y);
             let (acc, bytes) =
                 kernels::scatter_dense(&entries, a, a.ncols(), mask, desc, add, mul, rt);
-            store_accumulator(w, acc, desc.replace);
+            wb.entries(w, &acc.into_entries());
             bytes
         }
     };
@@ -144,7 +149,9 @@ where
 /// Iterates the explicit entries of `u`; each scales its matrix row into a
 /// shared dense accumulator under the semiring's ⊕. The (optionally
 /// complemented) mask filters which outputs are kept. With `desc.replace`
-/// the previous contents of `w` are discarded, otherwise they merge.
+/// the previous contents of `w` are discarded, otherwise they merge;
+/// `Accum(&mut w, ⊙)` folds the product into `w` instead
+/// ([`super::Accum`]).
 ///
 /// # Errors
 ///
@@ -154,7 +161,7 @@ where
 /// accumulator fits the active [`super::mem_budget`] (or an injected
 /// `grb.alloc.accumulator` fault fires).
 pub fn vxm<T, M, S, R>(
-    w: &mut Vector<T>,
+    mut w: impl Output<Elem = T>,
     mask: Option<&Vector<M>>,
     semiring: S,
     u: &Vector<T>,
@@ -168,8 +175,9 @@ where
     S: SemiringOps<T>,
     R: Runtime,
 {
+    let (w, accum) = w.target();
     let span = super::op_start(super::OpKind::Vxm, R::NAME, mask.is_some(), desc);
-    let run = vxm_lane(w, mask, semiring, u, a, desc, rt)?;
+    let run = vxm_lane(w, accum, mask, semiring, u, a, desc, rt)?;
     if let Some(span) = span {
         span.finish_kernel(
             run.input_nnz,
@@ -187,7 +195,8 @@ where
 /// Parallel over the rows of `A`; row `i` folds `⊕_k A(i,k) ⊗ u(k)`.
 /// Efficient when `u` is dense (the FastSV and pagerank usage); with a
 /// sparse `u` each matrix entry costs a binary search, faithfully
-/// reproducing why pull kernels want dense operands.
+/// reproducing why pull kernels want dense operands. Without a mask the
+/// product replaces `w`; `Accum(&mut w, ⊙)` folds it in instead.
 ///
 /// # Errors
 ///
@@ -195,7 +204,7 @@ where
 /// [`GrbError::ResourceExhausted`] under an exceeded [`super::mem_budget`]
 /// or an injected `grb.alloc.accumulator` fault.
 pub fn mxv<T, M, S, R>(
-    w: &mut Vector<T>,
+    mut w: impl Output<Elem = T>,
     mask: Option<&Vector<M>>,
     semiring: S,
     a: &Matrix<T>,
@@ -209,6 +218,7 @@ where
     S: SemiringOps<T>,
     R: Runtime,
 {
+    let (w, accum) = w.target();
     if u.size() != a.ncols() {
         return Err(dim_mismatch(
             format!("u.size == a.ncols == {}", a.ncols()),
@@ -254,6 +264,7 @@ where
             budget: 0,
         });
     }
+    let wb = WriteBack::masked(desc.replace || mask.is_none(), accum, mask, desc);
     let accumulator_bytes = match selection.choice {
         KernelChoice::PushSparse => {
             // Scatter the entries of `u` through the columns of `A`
@@ -263,7 +274,7 @@ where
             let (out, bytes) =
                 kernels::scatter_sparse(&entries, a.transpose(), mask, desc, semiring, mul, rt);
             kernels::give_entries(entries, rt);
-            kernels::store_entries(w, out, desc.replace || mask.is_none());
+            wb.entries(w, &out);
             bytes
         }
         KernelChoice::PushDense => {
@@ -273,7 +284,7 @@ where
             let (acc, bytes) =
                 kernels::scatter_dense(&entries, a.transpose(), n, mask, desc, add, mul, rt);
             kernels::give_entries(entries, rt);
-            store_accumulator(w, acc, desc.replace || mask.is_none());
+            wb.entries(w, &acc.into_entries());
             bytes
         }
         KernelChoice::Bitmap => {
@@ -290,7 +301,7 @@ where
                 rt,
             );
             kernels::give_entries(entries, rt);
-            kernels::store_entries_slice(w, &out, desc.replace || mask.is_none());
+            wb.entries(w, &out);
             kernels::give_entries(out, rt);
             bytes
         }
@@ -300,15 +311,7 @@ where
             let udense = u.dense_parts();
             let bytes =
                 (n * (std::mem::size_of::<T>() + std::mem::size_of::<bool>())) as u64;
-            let overwrite = desc.replace || mask.is_none();
-            // In the overwrite case `w`'s previous contents are dead, so
-            // recycling can reclaim its dense store as the output buffer;
-            // the merge case must keep them readable below.
-            let (mut vals, mut present) = if overwrite {
-                kernels::take_or_alloc_dense(w, n)
-            } else {
-                (vec![T::ZERO; n], vec![false; n])
-            };
+            let (mut vals, mut present) = wb.dense_scratch(w, n);
             {
                 let pv = ParSlice::new(&mut vals);
                 let pp = ParSlice::new(&mut present);
@@ -348,23 +351,7 @@ where
                     }
                 });
             }
-
-            if overwrite {
-                w.set_dense(vals, present);
-            } else {
-                // Merge: keep previous entries where the mask did not pass.
-                let old = std::mem::replace(w, Vector::new(n));
-                let mut merged_vals = vals;
-                let mut merged_present = present;
-                for (i, x) in old.iter() {
-                    perfmon::instr(1);
-                    if !merged_present[i as usize] {
-                        merged_vals[i as usize] = x;
-                        merged_present[i as usize] = true;
-                    }
-                }
-                w.set_dense(merged_vals, merged_present);
-            }
+            wb.dense(w, vals, present, rt);
             bytes
         }
     };
@@ -378,12 +365,6 @@ where
         );
     }
     Ok(())
-}
-
-/// Commits an accumulator into `w` under merge-or-replace semantics
-/// (one scan of the accumulator, then the shared entry-store path).
-fn store_accumulator<T: Scalar>(w: &mut Vector<T>, acc: AtomicAccumulator<T>, replace: bool) {
-    kernels::store_entries(w, acc.into_entries(), replace);
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 
 use graph::{CsrGraph, NodeId};
 use graphblas::binops::LorLand;
-use graphblas::{ops, Descriptor, GrbError, Matrix, Runtime, Vector};
+use graphblas::{ops, Accum, Descriptor, GrbError, Matrix, Runtime, Vector};
 
 /// Levels produced by [`bfs`]: `level[src] == 1`, unreached vertices hold
 /// `0` (LAGraph's convention).
@@ -123,11 +123,10 @@ pub fn bfs_parent<R: Runtime>(g: &CsrGraph, src: NodeId, rt: R) -> Result<Vec<u3
         if next.nvals() == 0 {
             break;
         }
-        // Pass 2: merge the new parents (First keeps established ones).
-        let mut merged: Vector<u32> = Vector::new(n);
-        ops::ewise_add(&mut merged, First, &parent, &next, rt)?;
-        parent = merged;
-        parent.to_dense();
+        // Pass 2: merge the new parents into the dense parent vector
+        // (`parent first= next`; the complemented mask made every entry
+        // of `next` new, and First keeps established ones regardless).
+        ops::apply(Accum(&mut parent, First), &next, |p| p, rt)?;
         // Pass 3: rebuild the frontier carrying the frontier's own ids.
         let entries: Vec<(u32, u32)> = next.iter().map(|(j, _)| (j, j + 1)).collect();
         frontier = Vector::from_entries(n, entries)?;

@@ -11,7 +11,7 @@
 
 use graph::CsrGraph;
 use graphblas::binops::{Min, MinSecond, Ne, Plus};
-use graphblas::{ops, Descriptor, GrbError, Matrix, Runtime, Vector};
+use graphblas::{ops, Accum, Descriptor, GrbError, Matrix, Runtime, Vector};
 
 /// Result of the matrix-based connected-components run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,10 +71,12 @@ pub fn connected_components_from<R: Runtime>(
     let mut rounds = 0u32;
     loop {
         rounds += 1;
-        // Pass 1 (hooking): mngp[i] = min over in-neighbors j of f[j].
-        let mut mngp: Vector<u32> = Vector::new(n);
+        // Pass 1 (hooking): hooked = min(f, mngp), mngp[i] being the
+        // min over in-neighbors j of f[j] — one min-accumulated `mxv`
+        // into a copy of f, as LAGraph's FastSV accumulates its hooks.
+        let mut hooked = f.clone();
         ops::mxv(
-            &mut mngp,
+            Accum(&mut hooked, Min),
             None::<&Vector<u32>>,
             MinSecond,
             &a,
@@ -82,10 +84,7 @@ pub fn connected_components_from<R: Runtime>(
             &Descriptor::new(),
             rt,
         )?;
-        // Pass 2: f = min(f, mngp).
-        let mut hooked: Vector<u32> = Vector::new(n);
-        ops::ewise_add(&mut hooked, Min, &f, &mngp, rt)?;
-        // Pass 3 (one bulk pointer-jumping step): f' = hooked[hooked].
+        // Pass 2 (one bulk pointer-jumping step): f' = hooked[hooked].
         let indices: Vec<u32> = (0..n as u32)
             .map(|i| {
                 hooked.get(i).ok_or(GrbError::IndexOutOfBounds {
@@ -96,7 +95,7 @@ pub fn connected_components_from<R: Runtime>(
             .collect::<Result<_, _>>()?;
         let mut jumped: Vector<u32> = Vector::new(n);
         ops::extract(&mut jumped, &hooked, &indices, rt)?;
-        // Pass 4 (convergence): any label changed?
+        // Pass 3 (convergence): any label changed?
         let mut diff: Vector<u32> = Vector::new(n);
         ops::ewise_add(&mut diff, Ne, &f, &jumped, rt)?;
         let changed = ops::reduce_vector(&diff, Plus, rt);

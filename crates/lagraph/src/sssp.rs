@@ -11,7 +11,7 @@
 
 use graph::{CsrGraph, NodeId};
 use graphblas::binops::{Min, MinPlus};
-use graphblas::{ops, Descriptor, GrbError, Matrix, Runtime, Vector};
+use graphblas::{ops, Accum, Descriptor, GrbError, Matrix, Runtime, Vector};
 
 /// Distances produced by [`sssp_delta_stepping`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,10 +84,10 @@ pub fn sssp_delta_stepping<R: Runtime>(
             if improved.nvals() == 0 {
                 break;
             }
-            // Pass 3: fold the improvements into dist.
-            let mut next: Vector<u64> = Vector::new(n);
-            ops::ewise_add(&mut next, Min, &dist, &improved, rt)?;
-            dist = next;
+            // Pass 3: fold the improvements into dist (`dist min= improved`,
+            // LAGraph's accumulated assign): dist stays dense and the
+            // fold touches only the improved entries.
+            ops::apply(Accum(&mut dist, Min), &improved, |d| d, rt)?;
             // Pass 4: re-activate improved vertices still in this bucket.
             let mut next_active: Vector<u64> = Vector::new(n);
             ops::select_vector(&mut next_active, &improved, |_, v| v < upper, rt);
@@ -179,11 +179,9 @@ pub fn sssp_minplus<R: Runtime>(
         if improved.nvals() == 0 {
             break;
         }
-        // Pass 3: fold the improvements into dist; they are the next
-        // frontier.
-        let mut next: Vector<u64> = Vector::new(n);
-        ops::ewise_add(&mut next, Min, &dist, &improved, rt)?;
-        dist = next;
+        // Pass 3: fold the improvements into dist (`dist min= improved`);
+        // they are the next frontier.
+        ops::apply(Accum(&mut dist, Min), &improved, |d| d, rt)?;
         frontier = improved;
     }
 

@@ -219,6 +219,75 @@ fn adaptive_kernels_cut_bfs_materialization() {
 }
 
 #[test]
+fn accumulated_write_costs_its_update_not_its_output() {
+    // The fold that ends every sssp round, `dist min= improved`, is an
+    // accumulated write of a sparse update into a dense vector. It must
+    // cost O(nvals(update)) counted instructions and leave `dist` dense;
+    // folding through `ewise_add(dist, improved)` costs a pass over all
+    // 2^20 slots instead.
+    use graph_api_study::graphblas::binops::{Min, MinPlus, Plus};
+    use graph_api_study::graphblas::{
+        ops, Accum, Descriptor, GaloisRuntime, KernelHint, Matrix, StaticRuntime, Vector,
+    };
+    const N: usize = 1 << 20;
+    const K: u64 = 16;
+    const PER_ENTRY: u64 = 8;
+    let _guard = PERF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let update =
+        Vector::from_entries(N, (0..K).map(|i| ((i * 65_521) as u32, i)).collect()).unwrap();
+    // One edge out of each updated vertex, so the product's own work is
+    // O(K) as well.
+    let a: Matrix<u64> = Matrix::from_tuples(
+        N,
+        N,
+        update.iter().map(|(i, _)| (i, i + 1, 1)).collect(),
+        Plus,
+    )
+    .unwrap();
+    let mut dist = Vector::new_dense(N, u64::MAX);
+    let mut instructions = |write: &mut dyn FnMut(&mut Vector<u64>)| {
+        perfmon::reset();
+        perfmon::enable(true);
+        write(&mut dist);
+        perfmon::enable(false);
+        perfmon::snapshot().instructions
+    };
+    let apply = instructions(&mut |dist| {
+        ops::apply(Accum(dist, Min), &update, |d| d, GaloisRuntime).unwrap();
+    });
+    let sparse_push = Descriptor::new().with_kernel(KernelHint::PushSparse);
+    let vxm = instructions(&mut |dist| {
+        let no_mask = None::<&Vector<bool>>;
+        ops::vxm(
+            Accum(dist, Min),
+            no_mask,
+            MinPlus,
+            &update,
+            &a,
+            &sparse_push,
+            StaticRuntime,
+        )
+        .unwrap();
+    });
+    for (op, instr) in [("apply", apply), ("vxm", vxm)] {
+        assert!(
+            instr <= PER_ENTRY * K,
+            "{op}: accumulating {K} entries into a dense 2^20 vector recorded {instr} \
+             instructions, more than {PER_ENTRY} per entry"
+        );
+    }
+    assert!(
+        dist.is_dense_store(),
+        "the accumulated output must stay dense"
+    );
+    assert_eq!(dist.nvals(), N);
+    for (i, d) in update.iter() {
+        assert_eq!(dist.get(i), Some(d));
+        assert_eq!(dist.get(i + 1), Some(d + 1));
+    }
+}
+
+#[test]
 fn disabled_monitoring_keeps_counters_silent() {
     let _guard = PERF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     perfmon::reset();

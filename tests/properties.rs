@@ -233,3 +233,175 @@ fn pagerank_variants_agree() {
         Ok(())
     });
 }
+
+/// One accumulated-write case: operands, the output's old contents (dense
+/// or sparse), and a mask (with explicit zeros) under every descriptor
+/// flag the write-back reads.
+#[derive(Debug)]
+struct AccumCase {
+    a: graph_api_study::graphblas::Matrix<u64>,
+    u: graph_api_study::graphblas::Vector<u64>,
+    v: graph_api_study::graphblas::Vector<u64>,
+    w_old: graph_api_study::graphblas::Vector<u64>,
+    mask: Option<graph_api_study::graphblas::Vector<u64>>,
+    structural: bool,
+    complement: bool,
+    replace: bool,
+    value: u64,
+}
+
+const ACCUM_N: usize = 24;
+
+fn arb_accum_vector(g: &mut Gen, lo: u64) -> graph_api_study::graphblas::Vector<u64> {
+    let mut m = std::collections::BTreeMap::new();
+    for _ in 0..g.gen_range(0..ACCUM_N) {
+        m.insert(g.gen_range(0u32..ACCUM_N as u32), g.gen_range(lo..50));
+    }
+    let mut v = graph_api_study::graphblas::Vector::from_entries(ACCUM_N, m.into_iter().collect())
+        .expect("unique, in-range");
+    if g.gen_bool(0.5) {
+        v.to_dense();
+    }
+    v
+}
+
+fn arb_accum_case(g: &mut Gen) -> AccumCase {
+    let tuples = g.vec(0..80, |g| {
+        (
+            g.gen_range(0u32..ACCUM_N as u32),
+            g.gen_range(0u32..ACCUM_N as u32),
+            g.gen_range(1u64..50),
+        )
+    });
+    AccumCase {
+        a: graph_api_study::graphblas::Matrix::from_tuples(
+            ACCUM_N,
+            ACCUM_N,
+            tuples,
+            graph_api_study::graphblas::binops::Plus,
+        )
+        .expect("in-range tuples"),
+        u: arb_accum_vector(g, 1),
+        v: arb_accum_vector(g, 1),
+        w_old: arb_accum_vector(g, 1),
+        mask: g.gen_bool(0.7).then(|| arb_accum_vector(g, 0)),
+        structural: g.gen_bool(0.5),
+        complement: g.gen_bool(0.5),
+        replace: g.gen_bool(0.5),
+        value: g.gen_range(1u64..50),
+    }
+}
+
+/// One op writing its result into `w`, plainly (`None`) or accumulated.
+type AccumWrite<'a, B> = dyn Fn(
+        &mut graph_api_study::graphblas::Vector<u64>,
+        Option<B>,
+    ) -> Result<(), graph_api_study::graphblas::GrbError>
+    + 'a;
+
+/// Checks every accumulating op of one case under accumulator `op` and
+/// runtime `rt`: `Accum(&mut w, op)` must equal the op written into a
+/// fresh `t`, then `ewise_add(w_old, op, t)` — with `w_old` first cut to
+/// the mask under `replace` — bit for bit, and must keep `w`'s storage.
+fn check_accumulated_writes<B, R>(c: &AccumCase, op: B, rt: R) -> Result<(), String>
+where
+    B: graph_api_study::graphblas::binops::BinOp<u64> + std::fmt::Debug,
+    R: graph_api_study::graphblas::Runtime,
+{
+    use graph_api_study::graphblas::binops::{MinPlus, PlusTimes, Times};
+    use graph_api_study::graphblas::{ops, Accum, Descriptor, KernelHint, Vector};
+
+    let mask = c.mask.as_ref();
+    let admits = |i: u32| match (mask, mask.and_then(|m| m.get(i))) {
+        (None, _) => true,
+        (Some(_), Some(x)) => (c.structural || x != 0) != c.complement,
+        (Some(_), None) => c.complement,
+    };
+    // Every op writes `t` into a fresh vector and `w` into a copy of
+    // `w_old`; only masked ops see the mask and `replace`.
+    let check = |what: &str, masked: bool, run: &AccumWrite<'_, B>| -> Result<(), String> {
+        let mut t = Vector::new(ACCUM_N);
+        run(&mut t, None).map_err(|e| e.to_string())?;
+        let cut = masked && c.replace;
+        let kept: Vec<(u32, u64)> = c.w_old.iter().filter(|&(i, _)| !cut || admits(i)).collect();
+        let kept = Vector::from_entries(ACCUM_N, kept).expect("subset of w_old");
+        let mut expected = Vector::new(ACCUM_N);
+        ops::ewise_add(&mut expected, op, &kept, &t, rt).expect("conforming sizes");
+        let mut w = c.w_old.clone();
+        run(&mut w, Some(op)).map_err(|e| e.to_string())?;
+        prop_assert_eq!(
+            w.entries(),
+            expected.entries(),
+            "{} under {:?} on {}",
+            what,
+            op,
+            R::NAME
+        );
+        prop_assert_eq!(
+            w.is_dense_store(),
+            c.w_old.is_dense_store(),
+            "{} changed w's storage",
+            what
+        );
+        Ok(())
+    };
+    let desc = Descriptor::new()
+        .with_replace(c.replace)
+        .with_mask_structural(c.structural)
+        .with_mask_complement(c.complement);
+    for hint in [
+        KernelHint::Auto,
+        KernelHint::PushSparse,
+        KernelHint::PushDense,
+        KernelHint::Pull,
+        KernelHint::Bitmap,
+    ] {
+        let desc = desc.with_kernel(hint);
+        check(&format!("vxm {hint:?}"), true, &|w, accum| match accum {
+            Some(op) => ops::vxm(Accum(w, op), mask, MinPlus, &c.u, &c.a, &desc, rt),
+            None => ops::vxm(w, mask, MinPlus, &c.u, &c.a, &desc, rt),
+        })?;
+        check(&format!("mxv {hint:?}"), true, &|w, accum| match accum {
+            Some(op) => ops::mxv(Accum(w, op), mask, PlusTimes, &c.a, &c.u, &desc, rt),
+            None => ops::mxv(w, mask, PlusTimes, &c.a, &c.u, &desc, rt),
+        })?;
+    }
+    check("assign_scalar", true, &|w, accum| match accum {
+        Some(op) => ops::assign_scalar(Accum(w, op), mask, c.value, &desc, rt),
+        None => ops::assign_scalar(w, mask, c.value, &desc, rt),
+    })?;
+    let f = |x: u64| x * 3 + 1;
+    check("apply", false, &|w, accum| match accum {
+        Some(op) => ops::apply(Accum(w, op), &c.u, f, rt),
+        None => ops::apply(w, &c.u, f, rt),
+    })?;
+    check("ewise_add", false, &|w, accum| match accum {
+        Some(op) => ops::ewise_add(Accum(w, op), Times, &c.u, &c.v, rt),
+        None => ops::ewise_add(w, Times, &c.u, &c.v, rt),
+    })?;
+    check("ewise_mult", false, &|w, accum| match accum {
+        Some(op) => ops::ewise_mult(Accum(w, op), Times, &c.u, &c.v, rt),
+        None => ops::ewise_mult(w, Times, &c.u, &c.v, rt),
+    })
+}
+
+/// The output accumulator's contract, for every op that honours it
+/// (`vxm`/`mxv` under each kernel hint, `assign_scalar`, `apply`,
+/// `ewise_add`, `ewise_mult`), dense and sparse outputs, no / valued /
+/// structural / complemented masks, `replace` on and off, both runtimes,
+/// and a commutative, an idempotent and a non-commutative accumulator.
+#[test]
+fn accumulated_writes_equal_op_then_ewise_add() {
+    use graph_api_study::graphblas::binops::{Min, Plus, Second};
+    prop::check(
+        "accumulated_writes_equal_op_then_ewise_add",
+        prop::cases(CASES),
+        arb_accum_case,
+        |c| {
+            check_accumulated_writes(c, Min, GaloisRuntime)?;
+            check_accumulated_writes(c, Plus, StaticRuntime)?;
+            check_accumulated_writes(c, Second, GaloisRuntime)?;
+            check_accumulated_writes(c, Second, StaticRuntime)
+        },
+    );
+}
