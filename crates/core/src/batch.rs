@@ -23,31 +23,20 @@ use graph::NodeId;
 use graphblas::{GaloisRuntime, GrbError, Runtime, StaticRuntime};
 use std::sync::Arc;
 
-/// The problems with a batched (multi-source) formulation: the query
-/// problems, whose answer depends on a source/seed vertex. The global
-/// problems (cc, ktruss, tc) have nothing to batch.
+/// The problems with a batched (multi-source) formulation. msBFS is the
+/// only one: the service's batch request names it on the wire, and the
+/// benchmark's `service-mixed` workload measures it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BatchProblem {
     /// k breadth-first searches in one levelized sweep (msBFS).
     Bfs,
-    /// k personalized-PageRank seeds, propagation batched.
-    Ppr,
-    /// k shortest-path sources over a k-column distance matrix.
-    Sssp,
 }
 
 impl BatchProblem {
-    /// All batched problems, report order.
-    pub fn all() -> [BatchProblem; 3] {
-        [BatchProblem::Bfs, BatchProblem::Ppr, BatchProblem::Sssp]
-    }
-
-    /// The cell label (`bfs-batch` / `ppr-batch` / `sssp-batch`).
+    /// The cell label (`bfs-batch`).
     pub fn name(&self) -> &'static str {
         match self {
             BatchProblem::Bfs => "bfs-batch",
-            BatchProblem::Ppr => "ppr-batch",
-            BatchProblem::Sssp => "sssp-batch",
         }
     }
 }
@@ -101,14 +90,6 @@ fn run_lagraph_batch<R: Runtime>(
             .into_iter()
             .map(|r| r.map(|b| ProblemOutput::Levels(b.level)))
             .collect(),
-        BatchProblem::Ppr => lagraph::batch::batched_ppr(&p.graph, sources, p.pr_iters, rt)
-            .into_iter()
-            .map(|r| r.map(ProblemOutput::Ranks))
-            .collect(),
-        BatchProblem::Sssp => lagraph::batch::batched_sssp(&p.graph, sources, rt)
-            .into_iter()
-            .map(|r| r.map(|d| ProblemOutput::Dists(d.dist)))
-            .collect(),
     }
 }
 
@@ -122,18 +103,6 @@ fn run_lonestar_batch(
             .into_iter()
             .map(|b| Ok(ProblemOutput::Levels(b.level)))
             .collect(),
-        BatchProblem::Ppr => {
-            lonestar::batch::batched_ppr(&p.transpose, &p.out_degrees, sources, p.pr_iters)
-                .into_iter()
-                .map(|r| Ok(ProblemOutput::Ranks(r)))
-                .collect()
-        }
-        BatchProblem::Sssp => {
-            lonestar::batch::batched_sssp(&p.graph, sources, p.sssp_delta, true)
-                .into_iter()
-                .map(|d| Ok(ProblemOutput::Dists(d.dist)))
-                .collect()
-        }
     }
 }
 
@@ -168,9 +137,7 @@ pub fn run_batch_cell(
 }
 
 /// Verifies one query of a batched cell against the serial reference
-/// **for that query's source**: bfs levels and sssp distances must match
-/// exactly, ppr within the same floating-point tolerance the serial pr
-/// verification uses.
+/// **for that query's source**: bfs levels must match exactly.
 ///
 /// # Errors
 ///
@@ -187,28 +154,6 @@ pub fn verify_batch_query(
             let expected = reference::bfs_levels(&p.graph, source);
             if levels != &expected {
                 return fail(format!("batched bfs from {source} disagrees with serial"));
-            }
-            Ok(())
-        }
-        (BatchProblem::Ppr, ProblemOutput::Ranks(ranks)) => {
-            let expected = reference::personalized_pagerank(&p.graph, source, p.pr_iters);
-            if ranks.len() != expected.len() {
-                return fail(format!("batched ppr from {source}: length mismatch"));
-            }
-            for (v, (a, b)) in ranks.iter().zip(expected.iter()).enumerate() {
-                let tol = 1e-9 * b.abs().max(1e-12);
-                if (a - b).abs() > tol.max(1e-12) {
-                    return fail(format!(
-                        "batched ppr from {source} mismatch at vertex {v}: {a} vs {b}"
-                    ));
-                }
-            }
-            Ok(())
-        }
-        (BatchProblem::Sssp, ProblemOutput::Dists(dist)) => {
-            let expected = reference::dijkstra(&p.graph, source);
-            if dist != &expected {
-                return fail(format!("batched sssp from {source} disagrees with dijkstra"));
             }
             Ok(())
         }
@@ -243,20 +188,14 @@ mod tests {
     fn every_system_verifies_every_query() {
         let p = prepared();
         let sources = batch_sources(&p, 4);
-        for problem in BatchProblem::all() {
-            for system in System::all() {
-                let outcomes = run_batch_cell(system, problem, &p, &sources);
-                assert_eq!(outcomes.len(), sources.len());
-                for (j, outcome) in outcomes.iter().enumerate() {
-                    assert!(outcome.is_ok(), "{system} {problem} query {j}");
-                    verify_batch_query(
-                        &p,
-                        problem,
-                        sources[j],
-                        outcome.value.as_ref().unwrap(),
-                    )
+        let problem = BatchProblem::Bfs;
+        for system in System::all() {
+            let outcomes = run_batch_cell(system, problem, &p, &sources);
+            assert_eq!(outcomes.len(), sources.len());
+            for (j, outcome) in outcomes.iter().enumerate() {
+                assert!(outcome.is_ok(), "{system} {problem} query {j}");
+                verify_batch_query(&p, problem, sources[j], outcome.value.as_ref().unwrap())
                     .unwrap_or_else(|e| panic!("{system} {problem} query {j}: {e}"));
-                }
             }
         }
     }

@@ -155,12 +155,13 @@ pub(crate) fn cache_geometry_json() -> Json {
 }
 
 /// Serializes a full trace — every op, loop and delta span in completion
-/// order — as the documented dump schema (`graph-api-study/trace/v7`).
+/// order — as the documented dump schema (`graph-api-study/trace/v8`).
 ///
 /// The header carries the schema string, the `cache_geometry` the perfmon
 /// model simulates (the hierarchy the machine reported through sysfs, or
 /// the Skylake fallback) and the ring's `dropped` count; `events` holds
-/// the spans. v7 is v6 without its vertex-order header fields.
+/// the spans. v8 is v7 without the delta span's `repair_frontier`
+/// field.
 pub fn trace_json(trace: &perfmon::trace::Trace) -> Json {
     use perfmon::trace::Event;
     let mut events = Vec::new();
@@ -208,14 +209,13 @@ pub fn trace_json(trace: &perfmon::trace::Trace) -> Json {
                 o.push("delta_nnz", s.delta_nnz);
                 o.push("layers", s.layers);
                 o.push("touched", s.touched);
-                o.push("repair_frontier", s.repair_frontier);
                 o.push("elapsed_ns", s.elapsed_ns);
             }
         }
         events.push(o);
     }
     let mut doc = Json::obj();
-    doc.push("schema", "graph-api-study/trace/v7");
+    doc.push("schema", "graph-api-study/trace/v8");
     doc.push("cache_geometry", cache_geometry_json());
     doc.push("dropped", trace.dropped);
     doc.push("events", events);
@@ -360,20 +360,22 @@ mod tests {
                     delta_nnz: 7,
                     layers: 0,
                     touched: 5,
-                    repair_frontier: 0,
                     elapsed_ns: 25,
                 }),
             ],
             dropped: 0,
         };
         let s = trace_json(&trace).pretty();
-        assert!(s.contains("\"schema\": \"graph-api-study/trace/v7\""));
+        assert!(s.contains("\"schema\": \"graph-api-study/trace/v8\""));
         assert!(s.contains("\"cache_geometry\""));
         assert!(s.contains("\"l1_bytes\""));
         assert!(s.contains("\"event\": \"delta\""));
         assert!(s.contains("\"kind\": \"compact\""));
         assert!(s.contains("\"delta_nnz\": 7"));
-        assert!(s.contains("\"repair_frontier\": 0"));
+        assert!(
+            !s.contains("repair_frontier"),
+            "v8 delta spans carry no repair field"
+        );
         assert!(s.contains("\"ws_reused_bytes\": 32"));
         assert!(s.contains("\"flops\": 12"));
         assert!(s.contains("\"alloc_bytes\": 8"));

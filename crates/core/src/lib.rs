@@ -15,12 +15,8 @@
 //! * [`cell`] — the resilient-sweep isolation boundary: `catch_unwind` +
 //!   `STUDY_CELL_TIMEOUT_MS` watchdog around every (problem, system,
 //!   graph) cell, reducing failures to `ok|failed|timeout|oom`;
-//! * [`batch`] — k-source batched query cells (msBFS / multi-seed ppr /
-//!   batched sssp) with per-query outcomes and per-query verification;
-//! * [`delta`] — the streaming dimension: incremental-update cells
-//!   that absorb edge batches through [`graph::DeltaGraph`] and repair
-//!   converged answers incrementally on both APIs, verified against a
-//!   from-scratch recompute on the compacted snapshot;
+//! * [`batch`] — k-source batched query cells (msBFS) with per-query
+//!   outcomes and per-query verification;
 //! * [`mod@reference`] — serial reference implementations every parallel
 //!   result is verified against;
 //! * [`verify`] — output comparisons (exact, partition-equivalence or
@@ -32,7 +28,6 @@
 
 pub mod batch;
 pub mod cell;
-pub mod delta;
 pub mod json;
 pub mod prepared;
 pub mod problem;
@@ -45,10 +40,6 @@ pub use batch::{
     batch_sources, run_batch_cell, try_run_batch, verify_batch_query, BatchProblem,
 };
 pub use cell::{cell_timeout_from_env, run_cell, run_protected, CellOutcome, CellStatus};
-pub use delta::{
-    run_incremental_cell, try_run_incremental, update_batches, verify_incremental, IncError,
-    IncProblem, IncrementalRun,
-};
 pub use json::Json;
 pub use prepared::PreparedGraph;
 pub use problem::{Problem, ProblemOutput, System, Variant};

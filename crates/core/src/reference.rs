@@ -173,81 +173,6 @@ pub fn pagerank(g: &CsrGraph, iters: u32) -> Vec<f64> {
     pr
 }
 
-/// Serial pagerank iterated to a residual fixed point: the same power
-/// method as [`pagerank`] but run until the per-vertex residual
-/// `|base + d·scatter(pr) - pr|` drops to `eps` everywhere instead of a
-/// fixed round count. Both incremental pagerank variants converge to
-/// this same fixed point, so their outputs are comparable to it within
-/// an absolute `eps · d / (1 - d)` band regardless of warm start.
-pub fn pagerank_converged(g: &CsrGraph, eps: f64) -> Vec<f64> {
-    const D: f64 = 0.85;
-    let n = g.num_nodes();
-    if n == 0 {
-        return Vec::new();
-    }
-    let base = (1.0 - D) / n as f64;
-    let scatter = |p: &[f64]| {
-        let mut incoming = vec![0.0f64; n];
-        for v in 0..n as u32 {
-            let deg = g.out_degree(v);
-            if deg == 0 {
-                continue;
-            }
-            let share = p[v as usize] / deg as f64;
-            for u in g.neighbors(v) {
-                incoming[u as usize] += share;
-            }
-        }
-        incoming
-    };
-    let mut pr = vec![base; n];
-    for _ in 0..10_000u32 {
-        let incoming = scatter(&pr);
-        let mut max_residual = 0.0f64;
-        for v in 0..n {
-            let next = base + D * incoming[v];
-            max_residual = max_residual.max((next - pr[v]).abs());
-            pr[v] = next;
-        }
-        if max_residual <= eps {
-            break;
-        }
-    }
-    pr
-}
-
-/// Serial fixed-iteration personalized PageRank: the same power method
-/// as [`pagerank`] but with the teleport mass `(1-d)` concentrated on
-/// `seed` instead of spread uniformly. Every query of a batched ppr cell
-/// is verified against this independently.
-pub fn personalized_pagerank(g: &CsrGraph, seed: NodeId, iters: u32) -> Vec<f64> {
-    const D: f64 = 0.85;
-    let n = g.num_nodes();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut base = vec![0.0f64; n];
-    base[seed as usize] = 1.0 - D;
-    let mut pr = base.clone();
-    for _ in 0..iters {
-        let mut incoming = vec![0.0f64; n];
-        for v in 0..n as u32 {
-            let deg = g.out_degree(v);
-            if deg == 0 {
-                continue;
-            }
-            let share = pr[v as usize] / deg as f64;
-            for u in g.neighbors(v) {
-                incoming[u as usize] += share;
-            }
-        }
-        for v in 0..n {
-            pr[v] = base[v] + D * incoming[v];
-        }
-    }
-    pr
-}
-
 /// Serial Brandes betweenness centrality from the given sources
 /// (unweighted shortest paths; no endpoint counting; no normalization).
 pub fn betweenness(g: &CsrGraph, sources: &[NodeId]) -> Vec<f64> {
@@ -344,16 +269,6 @@ mod tests {
         let g = from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)]);
         let bc = betweenness(&g, &[0]);
         assert_eq!(bc, vec![0.0, 0.5, 0.5, 0.0]);
-    }
-
-    #[test]
-    fn personalized_pagerank_decays_along_a_path() {
-        let g = from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-        let pr = personalized_pagerank(&g, 0, 10);
-        for (i, &x) in pr.iter().enumerate() {
-            let expect = 0.15 * 0.85f64.powi(i as i32);
-            assert!((x - expect).abs() < 1e-12, "vertex {i}: {x} vs {expect}");
-        }
     }
 
     #[test]

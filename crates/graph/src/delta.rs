@@ -14,7 +14,7 @@
 //!   without materializing anything;
 //! * **compaction** ([`DeltaGraph::compact`]) folds all layers into a
 //!   fresh snapshot, either on demand or automatically once the layer
-//!   count reaches the `STUDY_DELTA_COMPACT` threshold.
+//!   count reaches the threshold passed to [`DeltaGraph::with_threshold`].
 //!
 //! Because every layer stores the *full* folded row for each touched
 //! vertex, the merged view is definitionally identical to the compacted
@@ -42,10 +42,6 @@ use crate::csr::{CsrGraph, NodeId};
 use perfmon::trace::{self, DeltaKind, DeltaSpan, Event};
 use std::collections::BTreeMap;
 use std::time::Instant;
-
-/// Default number of stacked layers that triggers auto-compaction when
-/// `STUDY_DELTA_COMPACT` is unset.
-pub const DEFAULT_COMPACT_THRESHOLD: usize = 8;
 
 /// One edge update.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,28 +142,6 @@ impl EdgeBatch {
         self.ops.iter().any(EdgeUpdate::is_delete)
     }
 
-    /// The batch with every non-loop update mirrored, for maintaining a
-    /// symmetrized snapshot: each `u -> v` op is followed by the same op
-    /// on `v -> u`.
-    pub fn symmetrized(&self) -> EdgeBatch {
-        let mut out = EdgeBatch::new();
-        for &op in &self.ops {
-            out.push(op);
-            let (src, dst) = op.endpoints();
-            if src != dst {
-                out.push(match op {
-                    EdgeUpdate::Insert { weight, .. } => EdgeUpdate::Insert {
-                        src: dst,
-                        dst: src,
-                        weight,
-                    },
-                    EdgeUpdate::Delete { .. } => EdgeUpdate::Delete { src: dst, dst: src },
-                });
-            }
-        }
-        out
-    }
-
     /// Parses the plain-text update format, one op per line:
     ///
     /// ```text
@@ -252,14 +226,6 @@ pub struct ApplyStats {
     pub grew_nodes: u64,
 }
 
-impl ApplyStats {
-    /// Whether the batch removed at least one stored edge — the signal
-    /// incremental algorithms use to fall back to a full recompute.
-    pub fn effective_deletes(&self) -> bool {
-        self.deleted > 0
-    }
-}
-
 /// One immutable layer: full copy-on-write adjacency rows for the
 /// vertices one batch touched.
 #[derive(Debug, Clone)]
@@ -283,24 +249,7 @@ pub struct DeltaGraph {
     compactions: u64,
 }
 
-/// Reads `STUDY_DELTA_COMPACT` (the auto-compaction layer threshold);
-/// defaults to [`DEFAULT_COMPACT_THRESHOLD`]. `0` disables
-/// auto-compaction. The static study path never constructs a
-/// [`DeltaGraph`], so it never reads this knob.
-pub fn compact_threshold_from_env() -> usize {
-    std::env::var("STUDY_DELTA_COMPACT")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .unwrap_or(DEFAULT_COMPACT_THRESHOLD)
-}
-
 impl DeltaGraph {
-    /// Wraps a snapshot with the auto-compaction threshold taken from
-    /// `STUDY_DELTA_COMPACT`.
-    pub fn new(snapshot: CsrGraph) -> Self {
-        DeltaGraph::with_threshold(snapshot, compact_threshold_from_env())
-    }
-
     /// Wraps a snapshot with an explicit auto-compaction threshold
     /// (`0` = compact only on demand).
     pub fn with_threshold(snapshot: CsrGraph, threshold: usize) -> Self {
@@ -469,7 +418,6 @@ impl DeltaGraph {
             delta_nnz: batch.len() as u64,
             layers: self.layers.len() as u64,
             touched: stats.touched,
-            repair_frontier: 0,
             elapsed_ns: start.elapsed().as_nanos() as u64,
         }));
         if self.threshold > 0 && self.layers.len() >= self.threshold {
@@ -538,7 +486,6 @@ impl DeltaGraph {
             delta_nnz: folded,
             layers: 0,
             touched,
-            repair_frontier: 0,
             elapsed_ns: start.elapsed().as_nanos() as u64,
         }));
         Ok(())
@@ -700,27 +647,6 @@ mod tests {
         ] {
             assert!(EdgeBatch::parse(bad).is_err(), "{bad:?} must be rejected");
         }
-    }
-
-    #[test]
-    fn symmetrized_mirrors_non_loops() {
-        let b = EdgeBatch::new().insert_weighted(0, 1, 3).delete(2, 2).symmetrized();
-        assert_eq!(
-            b.ops(),
-            &[
-                EdgeUpdate::Insert {
-                    src: 0,
-                    dst: 1,
-                    weight: Some(3)
-                },
-                EdgeUpdate::Insert {
-                    src: 1,
-                    dst: 0,
-                    weight: Some(3)
-                },
-                EdgeUpdate::Delete { src: 2, dst: 2 },
-            ]
-        );
     }
 
     #[test]

@@ -20,8 +20,8 @@ use crate::vector::Vector;
 
 /// An n × k multi-vector: k same-sized query columns ("lanes").
 ///
-/// Used as the frontier / distance / contribution operand of the batched
-/// algorithms (`lagraph::batch`). Lanes are independent: a batched op
+/// Used as the frontier / level operand of the batched algorithm
+/// (`lagraph::batch`). Lanes are independent: a batched op
 /// that fails on one lane (memory budget, injected fault) leaves the
 /// others untouched.
 #[derive(Debug, Clone)]

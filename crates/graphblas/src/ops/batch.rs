@@ -47,8 +47,7 @@ impl LaneOutcome {
 }
 
 /// `out[:, j]<masks[:, j]> = u[:, j] ⊗.⊕ A` for every active lane `j`
-/// (the batched msBFS / multi-seed advance, `GrB_mxm` against the shared
-/// adjacency).
+/// (the batched msBFS advance, `GrB_mxm` against the shared adjacency).
 ///
 /// `active[j]` selects which lanes participate; inactive lanes are
 /// skipped entirely (their output columns stay untouched). A lane that

@@ -1,8 +1,7 @@
-//! Batched multi-source queries on the matrix API: msBFS, multi-seed
-//! personalized PageRank and batched SSSP.
+//! Batched multi-source queries on the matrix API: msBFS.
 //!
-//! The paper's algorithms answer one source per run; these entry points
-//! answer k sources per run by generalizing the frontier vector to an
+//! The paper's algorithms answer one source per run; [`batched_bfs`]
+//! answers k sources per run by generalizing the frontier vector to an
 //! n × k [`MultiVector`] and advancing all columns through the shared
 //! adjacency with one [`ops::mxm_frontier`] call per round — the matrix
 //! API's natural amortization (one SpGEMM-shaped product instead of k
@@ -20,15 +19,12 @@
 //!   untouched.
 
 use crate::bfs::BfsResult;
-use crate::pagerank::{inv_degree, DAMPING};
-use crate::sssp::MinPlusResult;
 use graph::{CsrGraph, NodeId};
-use graphblas::binops::{LorLand, Min, MinPlus, Plus, PlusTimes, Times};
+use graphblas::binops::LorLand;
 use graphblas::ops::LaneOutcome;
 use graphblas::{ops, Descriptor, GrbError, Matrix, MultiVector, Runtime, Vector};
 
-/// Per-lane liveness and failure bookkeeping shared by the three
-/// batched drivers.
+/// Per-lane liveness and failure bookkeeping of the batched driver.
 struct Lanes {
     active: Vec<bool>,
     failed: Vec<Option<GrbError>>,
@@ -192,185 +188,11 @@ pub fn batched_bfs<R: Runtime>(
         .collect()
 }
 
-/// Multi-seed personalized PageRank: `seeds.len()` teleport vectors run
-/// `iters` rounds with the rank propagation batched.
-///
-/// Per round each live lane runs the serial scale / damp / fold passes
-/// column-locally and the `PlusTimes` propagation is one batched
-/// product. Column `j` is bit-identical to [`crate::pagerank::ppr`]
-/// from `seeds[j]`.
-pub fn batched_ppr<R: Runtime>(
-    g: &CsrGraph,
-    seeds: &[NodeId],
-    iters: u32,
-    rt: R,
-) -> Vec<Result<Vec<f64>, GrbError>> {
-    let n = g.num_nodes();
-    let k = seeds.len();
-    let a: Matrix<f64> = Matrix::from_graph(g, |_| 1.0);
-
-    let mut lanes = Lanes::new(k);
-    let inv_deg = match inv_degree(g) {
-        Ok(v) => v,
-        Err(e) => {
-            return (0..k).map(|_| Err(e.clone())).collect();
-        }
-    };
-    let mut base: Vec<Vector<f64>> = (0..k).map(|_| Vector::new(n)).collect();
-    let mut pr: Vec<Vector<f64>> = (0..k).map(|_| Vector::new(n)).collect();
-    for (j, &seed) in seeds.iter().enumerate() {
-        match base[j].set(seed, 1.0 - DAMPING) {
-            Ok(()) => pr[j] = base[j].clone(),
-            Err(e) => lanes.fail(j, e),
-        }
-    }
-
-    let mut contrib: MultiVector<f64> = MultiVector::new(n, k);
-    let mut incoming: MultiVector<f64> = MultiVector::new(n, k);
-    let mut next: Vec<Vector<f64>> = (0..k).map(|_| Vector::new(n)).collect();
-    for _ in 0..iters {
-        if !lanes.any_active() {
-            break;
-        }
-        // Pass 1 per live lane: contrib = pr .* (1/deg).
-        for (j, pr_j) in pr.iter().enumerate() {
-            if !lanes.is_active(j) {
-                continue;
-            }
-            if let Err(e) = ops::ewise_mult(contrib.lane_mut(j), Times, pr_j, &inv_deg, rt) {
-                lanes.fail(j, e);
-            }
-        }
-        // Pass 2, batched: incoming = contribᵀ · A for every live lane.
-        let advanced = lanes.absorb(ops::mxm_frontier(
-            &mut incoming,
-            None::<&MultiVector<bool>>,
-            PlusTimes,
-            &contrib,
-            &a,
-            &Descriptor::new().with_replace(true),
-            &lanes.active.clone(),
-            rt,
-        ));
-        // Passes 3-4 per advanced lane: damp, fold into the rank.
-        for j in advanced {
-            ops::apply_inplace(incoming.lane_mut(j), |x| DAMPING * x, rt);
-            match ops::ewise_add(&mut next[j], Plus, &base[j], incoming.lane(j), rt) {
-                Ok(()) => std::mem::swap(&mut pr[j], &mut next[j]),
-                Err(e) => lanes.fail(j, e),
-            }
-        }
-    }
-
-    (0..k)
-        .map(|j| match lanes.failed[j].take() {
-            Some(e) => Err(e),
-            None => Ok((0..n as u32).map(|i| pr[j].get(i).unwrap_or(0.0)).collect()),
-        })
-        .collect()
-}
-
-/// Batched SSSP: bulk-synchronous Bellman-Ford over a k-column distance
-/// matrix, the min-plus relaxation batched across sources.
-///
-/// Column `j` is bit-identical to [`crate::sssp::sssp_minplus`] from
-/// `sources[j]` (and therefore equal to delta-stepping and Dijkstra —
-/// integer min-plus distances are exact).
-pub fn batched_sssp<R: Runtime>(
-    g: &CsrGraph,
-    sources: &[NodeId],
-    rt: R,
-) -> Vec<Result<MinPlusResult, GrbError>> {
-    let n = g.num_nodes();
-    let k = sources.len();
-    let a: Matrix<u64> = Matrix::from_graph(g, u64::from);
-
-    let mut lanes = Lanes::new(k);
-    let mut rounds = vec![0u32; k];
-    let mut dist: Vec<Vector<u64>> = (0..k).map(|_| Vector::new(n)).collect();
-    let mut frontier: MultiVector<u64> = MultiVector::new(n, k);
-    for (j, &src) in sources.iter().enumerate() {
-        let init = ops::assign_scalar(
-            &mut dist[j],
-            None::<&Vector<bool>>,
-            u64::MAX,
-            &Descriptor::new(),
-            rt,
-        )
-        .and_then(|()| dist[j].set(src, 0))
-        .and_then(|()| frontier.lane_mut(j).set(src, 0));
-        if let Err(e) = init {
-            lanes.fail(j, e);
-        }
-    }
-
-    loop {
-        for j in 0..k {
-            if lanes.is_active(j) && frontier.lane(j).nvals() == 0 {
-                lanes.retire(j);
-            }
-        }
-        if !lanes.any_active() {
-            break;
-        }
-        // Pass 1, batched: relax every live frontier's out-edges at once.
-        let mut cand: MultiVector<u64> = MultiVector::new(n, k);
-        let advanced = lanes.absorb(ops::mxm_frontier(
-            &mut cand,
-            None::<&MultiVector<u64>>,
-            MinPlus,
-            &frontier,
-            &a,
-            &Descriptor::new().with_replace(true),
-            &lanes.active.clone(),
-            rt,
-        ));
-        // Passes 2-3 per advanced lane: strict-improvement filter, fold.
-        let mut next_frontier: MultiVector<u64> = MultiVector::new(n, k);
-        for j in advanced {
-            rounds[j] += 1;
-            let mut improved: Vector<u64> = Vector::new(n);
-            let dj = &dist[j];
-            ops::select_vector(
-                &mut improved,
-                cand.lane(j),
-                |i, v| v < dj.get(i).unwrap_or(u64::MAX),
-                rt,
-            );
-            if improved.nvals() == 0 {
-                lanes.retire(j);
-                continue;
-            }
-            let mut next: Vector<u64> = Vector::new(n);
-            match ops::ewise_add(&mut next, Min, &dist[j], &improved, rt) {
-                Ok(()) => {
-                    dist[j] = next;
-                    *next_frontier.lane_mut(j) = improved;
-                }
-                Err(e) => lanes.fail(j, e),
-            }
-        }
-        frontier = next_frontier;
-    }
-
-    (0..k)
-        .map(|j| match lanes.failed[j].take() {
-            Some(e) => Err(e),
-            None => Ok(MinPlusResult {
-                dist: (0..n as u32)
-                    .map(|i| dist[j].get(i).unwrap_or(u64::MAX))
-                    .collect(),
-                rounds: rounds[j],
-            }),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bfs, pagerank, sssp};
-    use graphblas::{GaloisRuntime, StaticRuntime};
+    use crate::bfs;
+    use graphblas::GaloisRuntime;
 
     fn diamond() -> CsrGraph {
         graph::builder::from_weighted_edges(
@@ -393,28 +215,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_ppr_columns_match_serial_runs() {
-        let g = graph::gen::web_crawl(2, 30, 1);
-        let seeds = [1u32, 5, 1];
-        let batched = batched_ppr(&g, &seeds, 10, StaticRuntime);
-        for (j, &seed) in seeds.iter().enumerate() {
-            let serial = pagerank::ppr(&g, seed, 10, StaticRuntime).unwrap();
-            assert_eq!(batched[j].as_ref().unwrap(), &serial, "lane {j} bitwise");
-        }
-    }
-
-    #[test]
-    fn batched_sssp_columns_match_serial_runs() {
-        let g = diamond();
-        let sources = [0u32, 1, 4];
-        let batched = batched_sssp(&g, &sources, GaloisRuntime);
-        for (j, &src) in sources.iter().enumerate() {
-            let serial = sssp::sssp_minplus(&g, src, GaloisRuntime).unwrap();
-            assert_eq!(batched[j].as_ref().unwrap(), &serial, "lane {j}");
-        }
-    }
-
-    #[test]
     fn width_one_batch_equals_serial() {
         let g = diamond();
         let b = batched_bfs(&g, &[0], GaloisRuntime);
@@ -426,8 +226,6 @@ mod tests {
     fn empty_batch_is_empty() {
         let g = diamond();
         assert!(batched_bfs(&g, &[], GaloisRuntime).is_empty());
-        assert!(batched_ppr(&g, &[], 10, GaloisRuntime).is_empty());
-        assert!(batched_sssp(&g, &[], GaloisRuntime).is_empty());
     }
 
     #[test]

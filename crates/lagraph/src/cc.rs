@@ -32,40 +32,14 @@ pub struct CcResult {
 ///
 /// Propagates [`GrbError`] from the GraphBLAS calls.
 pub fn connected_components<R: Runtime>(g: &CsrGraph, rt: R) -> Result<CcResult, GrbError> {
-    connected_components_from(g, None, rt)
-}
-
-/// [`connected_components`] with an optional warm-start labeling.
-///
-/// `init[i]` must be a vertex id in `i`'s component with
-/// `init[init[i]] == init[i]` and `init[i] <= i` — exactly what a
-/// previous converged run's labels satisfy after insert-only updates
-/// (each old component stays connected, its minimum stays a root). The
-/// hooking loop then converges to the component-wise minimum of the
-/// initial labels, which is the new per-component minimum vertex id; on
-/// an already-converged labeling it terminates after one verification
-/// round. `None` starts from the identity labeling (a full recompute).
-///
-/// # Errors
-///
-/// Propagates [`GrbError`] from the GraphBLAS calls.
-pub fn connected_components_from<R: Runtime>(
-    g: &CsrGraph,
-    init: Option<&[u32]>,
-    rt: R,
-) -> Result<CcResult, GrbError> {
     let n = g.num_nodes();
     let a: Matrix<u32> = Matrix::from_graph(g, |_| 1);
 
-    // parent f = warm labels or identity, dense.
+    // parent f = identity, dense.
     let mut f: Vector<u32> = Vector::new(n);
     ops::assign_scalar(&mut f, None::<&Vector<bool>>, 0, &Descriptor::new(), rt)?;
     for i in 0..n as u32 {
-        let l = match init {
-            Some(labels) => labels[i as usize],
-            None => i,
-        };
-        f.set(i, l)?;
+        f.set(i, i)?;
     }
 
     let mut rounds = 0u32;

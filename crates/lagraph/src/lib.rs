@@ -20,7 +20,6 @@
 //! | pr | [`pagerank::pagerank`] | topology-driven (`pr-gb`), pull along in-edges over the prepared transpose |
 //! | pr | [`pagerank::pagerank_residual`] | residual-based (`pr-gb-res`), same pull product |
 //! | sssp | [`sssp::sssp_delta_stepping`] | bulk-synchronous delta-stepping (`sssp-gb`) |
-//! | sssp | [`sssp::sssp_minplus`] | bucket-free min-plus Bellman-Ford (batch serial reference) |
 //! | tc | [`tc::tc_sandia_dot`] | SandiaDot (`tc-gb` / `tc-gb-sort`) |
 //! | tc | [`tc::tc_listing`] | triangle listing on a sorted DAG (`tc-gb-ll`) |
 //!
@@ -28,16 +27,14 @@
 //! [`bfs::bfs_push_pull`] (the GraphBLAST direction optimization of the
 //! paper's related work), [`bfs::bfs_parent`] (parent-tree output),
 //! [`bc::betweenness`] (the paper's motivating application),
-//! [`kcore::kcore`] (bulk peeling), [`mis::mis`] (Luby's rounds),
-//! [`pagerank::ppr`] (personalized PageRank) and the batched multi-source
-//! engine [`batch`] (msBFS / multi-seed PPR / batched SSSP over a
-//! multi-column frontier).
+//! [`kcore::kcore`] (bulk peeling), [`mis::mis`] (Luby's rounds) and
+//! the batched multi-source engine [`batch`] (msBFS over a multi-column
+//! frontier).
 
 pub mod batch;
 pub mod bc;
 pub mod bfs;
 pub mod cc;
-pub mod incremental;
 pub mod kcore;
 pub mod ktruss;
 pub mod mis;

@@ -13,8 +13,7 @@
 //! own pagerank they are handed `AT` and the out-degrees as cached graph
 //! properties and call `GrB_mxv`, so each product has one writer per row
 //! and a fixed in-row fold order — the result is bit-identical across
-//! thread counts, runtimes and cold or warm workspace pools. ([`ppr`]
-//! still pushes along out-edges: its iterate starts as a single entry.)
+//! thread counts, runtimes and cold or warm workspace pools.
 
 use graph::CsrGraph;
 use graphblas::binops::{Plus, PlusTimes, Times};
@@ -34,12 +33,6 @@ fn reciprocals(n: usize, degree: impl Fn(u32) -> usize) -> Result<Vector<f64>, G
         }
     }
     Ok(v)
-}
-
-/// The reciprocal-out-degree vector of a forward graph. Shared with the
-/// batched multi-seed variant (`crate::batch`) and the incremental one.
-pub(crate) fn inv_degree(g: &CsrGraph) -> Result<Vector<f64>, GrbError> {
-    reciprocals(g.num_nodes(), |i| g.out_degree(i))
 }
 
 /// What both pull formulations derive from their inputs before round 1:
@@ -122,60 +115,6 @@ pub fn pagerank<R: Runtime>(
         ops::ewise_mult(&mut contrib, Times, &pr, &inv_deg, rt)?;
         // Pass 2: incoming = AT · contrib (pull along in-edges)
         pull_product(&mut incoming, &at, &contrib, rt)?;
-        // Pass 3: damp
-        ops::apply_inplace(&mut incoming, |x| DAMPING * x, rt);
-        // Pass 4: pr = base + damped incoming
-        ops::ewise_add(&mut next, Plus, &base, &incoming, rt)?;
-        std::mem::swap(&mut pr, &mut next);
-    }
-
-    Ok((0..n as u32).map(|i| pr.get(i).unwrap_or(0.0)).collect())
-}
-
-/// Personalized PageRank seeded at one vertex: the same four bulk passes
-/// per round as [`pagerank`], but the teleport vector is
-/// `(1-d) · e_seed` instead of uniform, so rank mass radiates from the
-/// seed. After `iters` rounds the iterate is the truncated series
-/// `Σ_{t=0..iters} d^t (Mᵀ)^t b` with `b = (1-d)·e_seed` — the quantity
-/// the batched multi-seed engine (`crate::batch::batched_ppr`) computes
-/// per column.
-///
-/// # Errors
-///
-/// Propagates [`GrbError`] from the GraphBLAS calls (only possible if
-/// `seed` is out of range, or under a memory budget / fault plan).
-pub fn ppr<R: Runtime>(
-    g: &CsrGraph,
-    seed: graph::NodeId,
-    iters: u32,
-    rt: R,
-) -> Result<Vec<f64>, GrbError> {
-    let n = g.num_nodes();
-    let a: Matrix<f64> = Matrix::from_graph(g, |_| 1.0);
-    let inv_deg = inv_degree(g)?;
-    // The sparse teleport vector: all restart mass sits on the seed.
-    let mut base: Vector<f64> = Vector::new(n);
-    base.set(seed, 1.0 - DAMPING)?;
-    let mut pr = base.clone();
-
-    // Hoisted round temporaries (see `pagerank`): each pass fully
-    // overwrites its output, so warm rounds reuse their stores.
-    let mut contrib: Vector<f64> = Vector::new(n);
-    let mut incoming: Vector<f64> = Vector::new(n);
-    let mut next: Vector<f64> = Vector::new(n);
-    for _ in 0..iters {
-        // Pass 1: contrib = pr .* (1/deg)
-        ops::ewise_mult(&mut contrib, Times, &pr, &inv_deg, rt)?;
-        // Pass 2: incoming = contribᵀ · A (push along out-edges)
-        ops::vxm(
-            &mut incoming,
-            None::<&Vector<bool>>,
-            PlusTimes,
-            &contrib,
-            &a,
-            &Descriptor::new().with_replace(true),
-            rt,
-        )?;
         // Pass 3: damp
         ops::apply_inplace(&mut incoming, |x| DAMPING * x, rt);
         // Pass 4: pr = base + damped incoming
@@ -284,30 +223,6 @@ mod tests {
         let ss = pagerank(&gt, &deg, 10, StaticRuntime).unwrap();
         let gb = pagerank(&gt, &deg, 10, GaloisRuntime).unwrap();
         assert_eq!(ss, gb, "one writer per row, fixed in-row fold order");
-    }
-
-    #[test]
-    fn ppr_mass_decays_along_a_path() {
-        // One out-edge per vertex: pr[i] = (1-d) * d^i after >= i rounds.
-        let g = from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-        let pr = ppr(&g, 0, 10, GaloisRuntime).unwrap();
-        let expect: Vec<f64> = (0..4).map(|i| 0.15 * DAMPING.powi(i)).collect();
-        assert!(close(&pr, &expect, 1e-12), "{pr:?}");
-    }
-
-    #[test]
-    fn ppr_seed_zero_rounds_is_the_teleport_vector() {
-        let g = from_edges(3, [(0, 1), (1, 2)]);
-        let pr = ppr(&g, 1, 0, GaloisRuntime).unwrap();
-        assert!(close(&pr, &[0.0, 0.15, 0.0], 1e-15), "{pr:?}");
-    }
-
-    #[test]
-    fn ppr_backends_agree_bitwise() {
-        let g = graph::gen::web_crawl(2, 30, 1);
-        let ss = ppr(&g, 5, 10, StaticRuntime).unwrap();
-        let gb = ppr(&g, 5, 10, GaloisRuntime).unwrap();
-        assert_eq!(ss, gb, "per-lane execution is deterministic");
     }
 
     #[test]

@@ -114,83 +114,6 @@ pub fn sssp_delta_stepping<R: Runtime>(
     })
 }
 
-/// Distances produced by [`sssp_minplus`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MinPlusResult {
-    /// Per-vertex distance (`u64::MAX` = unreachable).
-    pub dist: Vec<u64>,
-    /// Relaxation rounds (min-plus products) executed.
-    pub rounds: u32,
-}
-
-/// Bucket-free bulk-synchronous Bellman-Ford: each round is one
-/// `vxm(min_plus)` over the improved frontier, a strict-improvement
-/// filter and a `min` fold into the distance vector.
-///
-/// This is the serial (single-column) counterpart of the batched
-/// `crate::batch::batched_sssp` engine — the batch runs the same three
-/// passes per round with the relaxation amortized across k distance
-/// columns, so column `j` of the batch is bit-identical to this
-/// function's run from source `j`. Distances are exact (integer
-/// weights), hence equal to [`sssp_delta_stepping`]'s and Dijkstra's.
-///
-/// # Errors
-///
-/// Propagates [`GrbError`] from the GraphBLAS calls.
-pub fn sssp_minplus<R: Runtime>(
-    g: &CsrGraph,
-    src: NodeId,
-    rt: R,
-) -> Result<MinPlusResult, GrbError> {
-    let n = g.num_nodes();
-    let a: Matrix<u64> = Matrix::from_graph(g, u64::from);
-
-    let mut dist: Vector<u64> = Vector::new(n);
-    ops::assign_scalar(&mut dist, None::<&Vector<bool>>, u64::MAX, &Descriptor::new(), rt)?;
-    dist.set(src, 0)?;
-    let mut frontier: Vector<u64> = Vector::new(n);
-    frontier.set(src, 0)?;
-
-    let mut rounds = 0u32;
-    loop {
-        if frontier.nvals() == 0 {
-            break;
-        }
-        rounds += 1;
-        // Pass 1: relax every out-edge of the frontier.
-        let mut cand: Vector<u64> = Vector::new(n);
-        ops::vxm(
-            &mut cand,
-            None::<&Vector<u64>>,
-            MinPlus,
-            &frontier,
-            &a,
-            &Descriptor::new().with_replace(true),
-            rt,
-        )?;
-        // Pass 2: keep candidates that strictly improve dist.
-        let mut improved: Vector<u64> = Vector::new(n);
-        ops::select_vector(
-            &mut improved,
-            &cand,
-            |i, v| v < dist.get(i).unwrap_or(u64::MAX),
-            rt,
-        );
-        if improved.nvals() == 0 {
-            break;
-        }
-        // Pass 3: fold the improvements into dist (`dist min= improved`);
-        // they are the next frontier.
-        ops::apply(Accum(&mut dist, Min), &improved, |d| d, rt)?;
-        frontier = improved;
-    }
-
-    let dist = (0..n as u32)
-        .map(|i| dist.get(i).unwrap_or(u64::MAX))
-        .collect();
-    Ok(MinPlusResult { dist, rounds })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -252,22 +175,6 @@ mod tests {
         let ss = sssp_delta_stepping(&g, 0, 1 << 13, StaticRuntime).unwrap();
         let gb = sssp_delta_stepping(&g, 0, 1 << 13, GaloisRuntime).unwrap();
         assert_eq!(ss.dist, gb.dist);
-    }
-
-    #[test]
-    fn minplus_matches_delta_stepping() {
-        let g = graph::gen::erdos_renyi(150, 600, 9).with_random_weights(50, 9);
-        let bf = sssp_minplus(&g, 0, GaloisRuntime).unwrap();
-        let ds = sssp_delta_stepping(&g, 0, 16, GaloisRuntime).unwrap();
-        assert_eq!(bf.dist, ds.dist);
-        assert!(bf.rounds > 0);
-    }
-
-    #[test]
-    fn minplus_marks_unreachable() {
-        let g = from_weighted_edges(3, [(0, 1, 5)]);
-        let r = sssp_minplus(&g, 0, GaloisRuntime).unwrap();
-        assert_eq!(r.dist, vec![0, 5, u64::MAX]);
     }
 
     #[test]

@@ -1,17 +1,15 @@
 //! Batched multi-source queries on the graph API: the worklist
-//! counterpart of `lagraph::batch`.
+//! counterpart of `lagraph::batch`'s msBFS.
 //!
 //! The graph API has no frontier object to widen — each query owns its
 //! own worklist — so a k-source batch is k independent runs back to
 //! back. That asymmetry is the point of the batched study dimension: the
 //! matrix API amortizes k queries into one mxm-shaped product per round,
-//! while the graph API repeats its (already fused, asynchronous)
-//! single-query engine k times. Results are per-query and a panic in one
+//! while the graph API repeats its (already fused) single-query
+//! engine k times. Results are per-query and a panic in one
 //! query is isolated by the study-runner cell, not here.
 
 use crate::bfs::{self, BfsResult};
-use crate::pagerank;
-use crate::sssp::{self, SsspResult};
 use graph::{CsrGraph, NodeId};
 
 /// k BFS queries, one [`bfs::bfs`] worklist run per source.
@@ -19,63 +17,18 @@ pub fn batched_bfs(g: &CsrGraph, sources: &[NodeId]) -> Vec<BfsResult> {
     sources.iter().map(|&src| bfs::bfs(g, src)).collect()
 }
 
-/// k personalized-PageRank queries, one fused [`pagerank::ppr`] run per
-/// seed. `gt` is the in-adjacency and `out_degree` the original
-/// out-degrees, shared preprocessing across the batch.
-pub fn batched_ppr(
-    gt: &CsrGraph,
-    out_degree: &[u32],
-    seeds: &[NodeId],
-    iters: u32,
-) -> Vec<Vec<f64>> {
-    seeds
-        .iter()
-        .map(|&seed| pagerank::ppr(gt, out_degree, seed, iters))
-        .collect()
-}
-
-/// k SSSP queries, one asynchronous [`sssp::sssp`] delta-stepping run
-/// per source.
-pub fn batched_sssp(
-    g: &CsrGraph,
-    sources: &[NodeId],
-    delta: u64,
-    tiling: bool,
-) -> Vec<SsspResult> {
-    sources
-        .iter()
-        .map(|&src| sssp::sssp(g, src, delta, tiling))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graph::transform::transpose;
 
     #[test]
     fn batched_runs_equal_individual_runs() {
-        let g = graph::gen::erdos_renyi(80, 320, 3).with_random_weights(20, 3);
+        let g = graph::gen::erdos_renyi(80, 320, 3);
         let sources = [0u32, 11, 42];
         let b = batched_bfs(&g, &sources);
-        let s = batched_sssp(&g, &sources, 8, true);
         for (j, &src) in sources.iter().enumerate() {
             assert_eq!(b[j], bfs::bfs(&g, src), "bfs lane {j}");
-            assert_eq!(s[j].dist, sssp::sssp(&g, src, 8, true).dist, "sssp lane {j}");
         }
-    }
-
-    #[test]
-    fn batched_ppr_lanes_are_independent() {
-        let g = graph::gen::web_crawl(2, 30, 1);
-        let gt = transpose(&g);
-        let deg: Vec<u32> = (0..g.num_nodes() as u32)
-            .map(|v| g.out_degree(v) as u32)
-            .collect();
-        let batched = batched_ppr(&gt, &deg, &[1, 5, 1], 10);
-        let serial = pagerank::ppr(&gt, &deg, 5, 10);
-        assert_eq!(batched[1], serial);
-        assert_eq!(batched[0], batched[2], "same seed, same answer");
     }
 
     #[test]

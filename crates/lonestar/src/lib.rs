@@ -37,16 +37,15 @@
 //! [`bfs::bfs_direction_optimizing`] (Beamer push/pull),
 //! [`bfs::bfs_parent`] (parent-tree output), [`bc::betweenness`] (the
 //! paper's motivating application), [`kcore::kcore`] (asynchronous
-//! work-list peeling), [`mis::mis`] (asynchronous priority-greedy),
-//! [`pagerank::ppr`] (fused personalized PageRank) and [`batch`] (the
-//! per-query worklist counterpart of `lagraph::batch` — the graph API
-//! answers a k-source batch as k independent runs).
+//! work-list peeling), [`mis::mis`] (asynchronous priority-greedy) and
+//! [`batch`] (the per-query worklist counterpart of `lagraph::batch`'s
+//! msBFS — the graph API answers a k-source batch as k independent
+//! runs).
 
 pub mod batch;
 pub mod bc;
 pub mod bfs;
 pub mod cc;
-pub mod incremental;
 pub mod kcore;
 pub mod ktruss;
 pub mod mis;

@@ -95,70 +95,6 @@ pub fn pagerank(gt: &CsrGraph, out_degree: &[u32], iters: u32) -> Vec<f64> {
     data.into_iter().map(|d| d.rank).collect()
 }
 
-/// Personalized PageRank seeded at one vertex, the same fused residual
-/// loop as [`pagerank`] with the teleport mass `(1-d)` concentrated on
-/// `seed` instead of spread uniformly. After `iters` rounds the rank is
-/// the truncated series `Σ_{t=0..iters} d^t (Mᵀ)^t b` with
-/// `b = (1-d)·e_seed` — the same quantity `lagraph::pagerank::ppr`
-/// computes in four bulk passes per round, so the two agree to rounding
-/// (the graph API fuses the per-round work into one loop; it does not
-/// change the arithmetic order within a vertex's gather).
-///
-/// # Panics
-///
-/// Panics if `out_degree.len() != gt.num_nodes()` or `seed` is out of
-/// range.
-pub fn ppr(gt: &CsrGraph, out_degree: &[u32], seed: u32, iters: u32) -> Vec<f64> {
-    let n = gt.num_nodes();
-    assert_eq!(out_degree.len(), n, "out_degree must cover every vertex");
-    assert!((seed as usize) < n, "seed must be a vertex");
-    let mut data: Vec<NodeData> = (0..n)
-        .map(|v| NodeData {
-            rank: 0.0,
-            residual: 0.0,
-            inv_deg: if out_degree[v] > 0 {
-                1.0 / f64::from(out_degree[v])
-            } else {
-                0.0
-            },
-        })
-        .collect();
-    data[seed as usize].rank = 1.0 - DAMPING;
-    data[seed as usize].residual = 1.0 - DAMPING;
-    let mut contrib_cur: Vec<f64> = data.iter().map(|d| d.residual * d.inv_deg).collect();
-    let mut contrib_next = vec![0.0f64; n];
-
-    for _ in 0..iters {
-        {
-            let pd = ParSlice::new(&mut data);
-            let pn = ParSlice::new(&mut contrib_next);
-            let cur: &[f64] = &contrib_cur;
-            galois_rt::do_all(0..n, |v| {
-                let mut acc = 0.0;
-                for e in gt.edge_range(v as u32) {
-                    let u = gt.edge_dst(e) as usize;
-                    perfmon::instr(2);
-                    perfmon::touch_ref(&cur[u]);
-                    acc += cur[u];
-                }
-                let new_res = DAMPING * acc;
-                // SAFETY: one writer per vertex index.
-                unsafe {
-                    perfmon::instr(3);
-                    perfmon::touch(pd.addr_of(v));
-                    let node = pd.get_mut(v);
-                    node.rank += new_res;
-                    node.residual = new_res;
-                    pn.write(v, new_res * node.inv_deg);
-                }
-            });
-        }
-        std::mem::swap(&mut contrib_cur, &mut contrib_next);
-    }
-
-    data.into_iter().map(|d| d.rank).collect()
-}
-
 /// Residual pagerank, structure-of-arrays layout (`pr-ls-soa`): identical
 /// fused loop, but `rank`, `residual` and `inv_deg` live in three
 /// separate arrays — three cache lines touched per vertex where the AoS
@@ -270,32 +206,6 @@ mod tests {
         let gt = transpose(&g);
         let pr = pagerank(&gt, &degrees(&g), 10);
         assert!(pr.iter().all(|x| x.is_finite()));
-    }
-
-    #[test]
-    fn ppr_matches_lagraph_values() {
-        let g = graph::gen::web_crawl(2, 30, 1);
-        let gt = transpose(&g);
-        let ls = ppr(&gt, &degrees(&g), 5, 10);
-        let gb = lagraph::pagerank::ppr(&g, 5, 10, graphblas::GaloisRuntime).unwrap();
-        assert!(close(&ls, &gb, 1e-12), "fused and bulk ppr must agree");
-    }
-
-    #[test]
-    fn ppr_mass_decays_along_a_path() {
-        let g = graph::builder::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-        let gt = transpose(&g);
-        let pr = ppr(&gt, &degrees(&g), 0, 10);
-        let expect: Vec<f64> = (0..4).map(|i| 0.15 * DAMPING.powi(i)).collect();
-        assert!(close(&pr, &expect, 1e-12), "{pr:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "seed must be a vertex")]
-    fn ppr_rejects_out_of_range_seed() {
-        let g = graph::builder::from_edges(3, [(0, 1)]);
-        let gt = transpose(&g);
-        let _ = ppr(&gt, &degrees(&g), 7, 1);
     }
 
     #[test]

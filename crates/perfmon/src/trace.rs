@@ -290,8 +290,6 @@ pub enum DeltaKind {
     Apply,
     /// Delta layers compacted into a fresh CSR snapshot.
     Compact,
-    /// An incremental algorithm repairing state from dirty vertices.
-    Repair,
 }
 
 impl DeltaKind {
@@ -300,13 +298,12 @@ impl DeltaKind {
         match self {
             DeltaKind::Apply => "apply",
             DeltaKind::Compact => "compact",
-            DeltaKind::Repair => "repair",
         }
     }
 }
 
-/// One streaming-update operation: a batch applied to a delta graph, a
-/// compaction, or an incremental recompute's repair phase (trace/v4).
+/// One streaming-update operation: a batch applied to a delta graph or a
+/// compaction (trace/v4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaSpan {
     /// Global order of completion (assigned by [`record`]).
@@ -314,14 +311,12 @@ pub struct DeltaSpan {
     /// Which delta operation.
     pub kind: DeltaKind,
     /// Update operations involved: batch size for an apply, total delta
-    /// edges folded for a compact, 0 for a repair.
+    /// edges folded for a compact.
     pub delta_nnz: u64,
     /// Delta layers stacked over the snapshot after the operation.
     pub layers: u64,
     /// Vertices whose adjacency the operation rewrote.
     pub touched: u64,
-    /// Dirty vertices seeding an incremental repair (0 otherwise).
-    pub repair_frontier: u64,
     /// Wall time of the operation.
     pub elapsed_ns: u64,
 }
@@ -554,7 +549,6 @@ impl Trace {
                 Event::Delta(d) => match d.kind {
                     DeltaKind::Apply => s.delta_nnz += d.delta_nnz,
                     DeltaKind::Compact => s.compactions += 1,
-                    DeltaKind::Repair => s.repair_frontier += d.repair_frontier,
                 },
             }
         }
@@ -569,7 +563,7 @@ impl Trace {
     /// mask mode, materialized bytes); loop spans keep kind and
     /// iterations. Elapsed times, steal counts and bucket visits — the
     /// fields legitimately perturbed by scheduling — are dropped. The
-    /// trace/v7 dump headers (schema, cache geometry, dropped count)
+    /// trace/v8 dump headers (schema, cache geometry, dropped count)
     /// live outside the event stream and are not fingerprinted.
     pub fn fingerprint(&self) -> Vec<String> {
         self.events
@@ -590,12 +584,11 @@ impl Trace {
                 ),
                 Event::Loop(s) => format!("loop {} iters={}", s.kind.name(), s.iterations),
                 Event::Delta(s) => format!(
-                    "delta {} nnz={} layers={} touched={} frontier={}",
+                    "delta {} nnz={} layers={} touched={}",
                     s.kind.name(),
                     s.delta_nnz,
                     s.layers,
                     s.touched,
-                    s.repair_frontier,
                 ),
             })
             .collect()
@@ -651,9 +644,6 @@ pub struct TraceSummary {
     pub delta_nnz: u64,
     /// Delta-layer compactions into fresh snapshots.
     pub compactions: u64,
-    /// Dirty vertices that seeded incremental repairs (summed over
-    /// repair spans).
-    pub repair_frontier: u64,
     /// Events lost to ring eviction.
     pub dropped: u64,
 }
@@ -704,14 +694,13 @@ mod tests {
         })
     }
 
-    fn dl(kind: DeltaKind, nnz: u64, frontier: u64) -> Event {
+    fn dl(kind: DeltaKind, nnz: u64) -> Event {
         Event::Delta(DeltaSpan {
             seq: 0,
             kind,
             delta_nnz: nnz,
             layers: 2,
             touched: 3,
-            repair_frontier: frontier,
             elapsed_ns: 5,
         })
     }
@@ -720,25 +709,22 @@ mod tests {
     fn delta_spans_aggregate_and_fingerprint() {
         let _g = LOCK.lock().unwrap();
         let ((), t) = with_trace(|| {
-            record(dl(DeltaKind::Apply, 64, 0));
-            record(dl(DeltaKind::Apply, 8, 0));
-            record(dl(DeltaKind::Compact, 72, 0));
-            record(dl(DeltaKind::Repair, 0, 17));
+            record(dl(DeltaKind::Apply, 64));
+            record(dl(DeltaKind::Apply, 8));
+            record(dl(DeltaKind::Compact, 72));
         });
-        assert_eq!(t.deltas().count(), 4);
+        assert_eq!(t.deltas().count(), 3);
         let s = t.summary();
         assert_eq!(s.delta_nnz, 72, "apply spans sum their batch sizes");
         assert_eq!(s.compactions, 1);
-        assert_eq!(s.repair_frontier, 17);
         // Delta spans carry no pass semantics.
         assert_eq!(s.passes, 0);
         // Fingerprints keep the structural fields, drop timing.
         let ((), b) = with_trace(|| {
             for mut e in [
-                dl(DeltaKind::Apply, 64, 0),
-                dl(DeltaKind::Apply, 8, 0),
-                dl(DeltaKind::Compact, 72, 0),
-                dl(DeltaKind::Repair, 0, 17),
+                dl(DeltaKind::Apply, 64),
+                dl(DeltaKind::Apply, 8),
+                dl(DeltaKind::Compact, 72),
             ] {
                 if let Event::Delta(s) = &mut e {
                     s.elapsed_ns = 999_999;

@@ -486,16 +486,12 @@ fn problem_from_u8(v: u8) -> Result<Problem, ProtoError> {
 fn batch_problem_to_u8(p: BatchProblem) -> u8 {
     match p {
         BatchProblem::Bfs => 0,
-        BatchProblem::Ppr => 1,
-        BatchProblem::Sssp => 2,
     }
 }
 
 fn batch_problem_from_u8(v: u8) -> Result<BatchProblem, ProtoError> {
     Ok(match v {
         0 => BatchProblem::Bfs,
-        1 => BatchProblem::Ppr,
-        2 => BatchProblem::Sssp,
         _ => return Err(ProtoError::BadValue("batch problem")),
     })
 }
@@ -839,7 +835,7 @@ mod tests {
             Request::Batch(BatchRequest {
                 graph: "kron".into(),
                 system: System::SuiteSparse,
-                problem: BatchProblem::Ppr,
+                problem: BatchProblem::Bfs,
                 width: 8,
                 deadline_ms: 0,
                 verify: false,
@@ -956,6 +952,27 @@ mod tests {
     fn unknown_tags_are_rejected() {
         assert_eq!(decode_request(&[0x7f]), Err(ProtoError::BadTag(0x7f)));
         assert_eq!(decode_response(&[0x02]), Err(ProtoError::BadTag(0x02)));
+        // msBFS is batch problem 0; every other tag is refused.
+        let bytes = encode_request(&Request::Batch(BatchRequest {
+            graph: "g".into(),
+            system: System::GaloisBlas,
+            problem: BatchProblem::Bfs,
+            width: 2,
+            deadline_ms: 0,
+            verify: true,
+        }));
+        // tag, name length (2 bytes), name, system, then the problem.
+        let at = 1 + 2 + 1 + 1;
+        assert_eq!(bytes[at], 0);
+        for bad in [1u8, 2, 3, u8::MAX] {
+            let mut b = bytes.clone();
+            b[at] = bad;
+            assert_eq!(
+                decode_request(&b),
+                Err(ProtoError::BadValue("batch problem")),
+                "batch problem tag {bad}"
+            );
+        }
     }
 
     #[test]

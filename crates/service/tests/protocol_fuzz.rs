@@ -57,7 +57,7 @@ fn arb_request(g: &mut Gen) -> Request {
         2 => Request::Batch(BatchRequest {
             graph: arb_string(g, 24),
             system: arb_system(g),
-            problem: *g.choose(&[BatchProblem::Bfs, BatchProblem::Ppr, BatchProblem::Sssp]),
+            problem: BatchProblem::Bfs,
             width: g.gen_range(1u16..=protocol::MAX_BATCH_WIDTH),
             deadline_ms: g.gen_range(0u32..100_000),
             verify: g.gen_bool(0.5),

@@ -87,23 +87,21 @@ fn every_system_and_problem_serves_verified_over_the_wire() {
 fn batched_queries_serve_and_verify_per_lane() {
     let handle = start(8);
     let mut c = client(&handle);
-    for problem in [BatchProblem::Bfs, BatchProblem::Ppr, BatchProblem::Sssp] {
-        let r = c
-            .batch(&BatchRequest {
-                graph: GRAPH.to_string(),
-                system: System::GaloisBlas,
-                problem,
-                width: 4,
-                deadline_ms: 0,
-                verify: true,
-            })
-            .expect("transport");
-        assert_eq!(r.status, Status::Ok, "{problem:?}: {}", r.error);
-        assert_eq!(r.queries.len(), 4);
-        for q in &r.queries {
-            assert_eq!(q.status, Status::Ok, "lane {} failed", q.source);
-            assert!(q.verified, "lane {} unverified", q.source);
-        }
+    let r = c
+        .batch(&BatchRequest {
+            graph: GRAPH.to_string(),
+            system: System::GaloisBlas,
+            problem: BatchProblem::Bfs,
+            width: 4,
+            deadline_ms: 0,
+            verify: true,
+        })
+        .expect("transport");
+    assert_eq!(r.status, Status::Ok, "{}", r.error);
+    assert_eq!(r.queries.len(), 4);
+    for q in &r.queries {
+        assert_eq!(q.status, Status::Ok, "lane {} failed", q.source);
+        assert!(q.verified, "lane {} unverified", q.source);
     }
     c.shutdown().expect("shutdown");
     assert!(handle.join().drained_clean);

@@ -7,14 +7,18 @@
 //! drives through `STUDY_FAULTS` / `STUDY_MEM_BUDGET` /
 //! `STUDY_CELL_TIMEOUT_MS`.
 
+mod common;
+
+use common::update_stream;
 use graph_api_study::galois_rt::ThreadPool;
 use graph_api_study::graph::{DeltaGraph, EdgeBatch};
 use graph_api_study::graphblas::ops;
-use graph_api_study::study_core::cell::{run_cell, CellStatus};
+use graph_api_study::study_core::cell::{
+    cell_timeout_from_env, run_cell, run_protected, CellOutcome, CellStatus,
+};
 use graph_api_study::study_core::{
-    batch_sources, run_batch_cell, run_incremental_cell, update_batches, verify,
-    verify_batch_query, verify_incremental, BatchProblem, IncProblem, PreparedGraph, Problem,
-    ProblemOutput, System,
+    batch_sources, run_batch_cell, try_run, verify, verify_batch_query, BatchProblem,
+    PreparedGraph, Problem, ProblemOutput, System,
 };
 use graph_api_study::substrate::fault::{self, FaultPlan};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -289,60 +293,110 @@ fn compaction_crash_leaves_the_old_snapshot_readable() {
     });
 }
 
-/// A compaction crash inside an incremental cell costs that cell —
-/// recorded `failed` with the injected message — and the next cell of
-/// the sweep completes and verifies as if nothing happened.
+/// The service's write path as one cell: absorb `updates` into a delta
+/// over `p.graph`, compact, prepare the compacted snapshot and solve
+/// `problem` on it from scratch — all inside the study's isolation
+/// boundary. The value carries the prepared snapshot to verify against.
+fn ingest_cell(
+    system: System,
+    problem: Problem,
+    p: &Arc<PreparedGraph>,
+    updates: &[EdgeBatch],
+) -> CellOutcome<(PreparedGraph, ProblemOutput)> {
+    let (p, updates) = (Arc::clone(p), updates.to_vec());
+    run_protected(cell_timeout_from_env(), move || {
+        let mut delta = DeltaGraph::with_threshold(p.graph.clone(), 0);
+        for batch in &updates {
+            delta.apply(batch).expect("a generated batch applies");
+        }
+        delta
+            .compact()
+            .unwrap_or_else(|e| panic!("compaction failed: {e}"));
+        let fresh = PreparedGraph::from_graph(
+            p.name.clone(),
+            delta.snapshot().clone(),
+            p.source,
+            p.ktruss_k,
+            p.sssp_delta,
+        );
+        let out = try_run(system, problem, &fresh)?;
+        Ok((fresh, out))
+    })
+}
+
+/// A compaction crash inside an ingest cell costs that cell — recorded
+/// `failed` with the injected message — and the next cell of the sweep
+/// completes and verifies as if nothing happened.
 #[test]
 fn compaction_crash_fails_the_cell_not_the_sweep() {
     let p = prepared();
-    let updates = update_batches(&p.graph, 2, 12, 11);
+    let updates = update_stream(&p.graph, 2, 12, 11);
     with_chaos_state(Some("delta.compact.commit:nth=1"), None, || {
-        // The victim: its final forced compaction is the first commit.
-        let victim = run_incremental_cell(System::Lonestar, IncProblem::Bfs, &p, &updates);
-        assert_eq!(victim.status, CellStatus::Failed, "crash is contained to the cell");
+        // The victim: its compaction is the first commit.
+        let victim = ingest_cell(System::Lonestar, Problem::Bfs, &p, &updates);
+        assert_eq!(
+            victim.status,
+            CellStatus::Failed,
+            "crash is contained to the cell"
+        );
         let msg = victim.error.as_deref().unwrap_or_default();
-        assert!(msg.contains("injected fault: delta.compact.commit"), "got {msg:?}");
+        assert!(
+            msg.contains("injected fault: delta.compact.commit"),
+            "got {msg:?}"
+        );
         assert!(victim.value.is_none());
 
         // The trigger is spent; the rest of the sweep is healthy.
-        let next = run_incremental_cell(System::Lonestar, IncProblem::Cc, &p, &updates);
+        let next = ingest_cell(System::Lonestar, Problem::Cc, &p, &updates);
         assert!(next.is_ok(), "sibling cell must survive: {:?}", next.error);
-        verify_incremental(&p, IncProblem::Cc, &next.value.expect("ok cell has a value"))
-            .expect("sibling cell still verifies");
+        let (fresh, out) = next.value.expect("ok cell has a value");
+        verify::verify(&fresh, Problem::Cc, &out).expect("sibling cell still verifies");
     });
 }
 
 /// Seeded probabilistic compaction faults replay bit-exactly: the same
-/// plan over the same incremental sweep fires at the same hit indices
-/// and fells the same cells.
+/// plan over the same apply/compact sequence fires at the same hit
+/// indices, fails the same compactions, and — since a failed compaction
+/// leaves its layers for the next one — ends in the same merged graph
+/// as a fault-free run.
 #[test]
 fn seeded_compaction_faults_replay_bit_exact() {
     let p = prepared();
-    let updates = update_batches(&p.graph, 3, 16, 13);
-    let plan = "seed=3;delta.compact.alloc:p=0.5";
-    let run = || {
-        with_chaos_state(Some(plan), None, || {
-            let mut statuses = Vec::new();
-            for problem in IncProblem::all() {
-                for system in System::all() {
-                    statuses.push(run_incremental_cell(system, problem, &p, &updates).status);
-                }
+    let updates = update_stream(&p.graph, 9, 16, 13);
+    let replay = |plan: Option<&str>| {
+        with_chaos_state(plan, None, || {
+            let mut delta = DeltaGraph::with_threshold(p.graph.clone(), 0);
+            let mut results = Vec::new();
+            for batch in &updates {
+                delta.apply(batch).expect("a generated batch applies");
+                results.push(delta.compact());
             }
-            (statuses, graph_api_study::substrate::fault::firing_log())
+            (results, fault::firing_log(), delta.materialize())
         })
     };
-    let (statuses_a, log_a) = run();
-    let (statuses_b, log_b) = run();
-    assert!(!log_a.is_empty(), "p=0.5 over nine compacting cells must fire");
+    let plan = Some("seed=3;delta.compact.alloc:p=0.5");
+    let (results_a, log_a, merged_a) = replay(plan);
+    let (results_b, log_b, merged_b) = replay(plan);
+    assert!(!log_a.is_empty(), "p=0.5 over nine compactions must fire");
     assert_eq!(log_a, log_b, "same seed must reproduce the firing sequence");
-    assert_eq!(statuses_a, statuses_b, "and therefore the same victims");
+    assert_eq!(
+        results_a, results_b,
+        "and therefore the same failed compactions"
+    );
+    assert_eq!(merged_a, merged_b, "and the same merged graph");
     assert!(
-        statuses_a.contains(&CellStatus::Failed),
-        "an alloc fault surfaces as a failed cell: {statuses_a:?}"
+        results_a.contains(&Err("injected fault: delta.compact.alloc".to_string())),
+        "an alloc fault surfaces as a failed compaction: {results_a:?}"
     );
     assert!(
-        statuses_a.contains(&CellStatus::Ok),
-        "the sweep survives past the victims: {statuses_a:?}"
+        results_a.contains(&Ok(())),
+        "compaction survives past the victims: {results_a:?}"
+    );
+    let (clean, _, merged_clean) = replay(None);
+    assert!(clean.iter().all(Result::is_ok));
+    assert_eq!(
+        merged_a, merged_clean,
+        "a failed compaction loses no update"
     );
 }
 

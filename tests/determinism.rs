@@ -22,17 +22,20 @@
 //!    run's, and at width 8 msBFS issues strictly fewer matrix-product
 //!    spans than eight serial runs while returning bit-identical levels.
 //! 5. Streaming ingestion is replayable: absorbing the identical update
-//!    stream twice yields fingerprint-identical traces and bit-identical
-//!    compacted snapshots, and re-grouping the same ops into different
-//!    batch partitions never changes the compacted graph or the repaired
-//!    answers.
+//!    stream twice yields fingerprint-identical apply/compact traces and
+//!    bit-identical compacted snapshots, and re-grouping the same ops into
+//!    different batch partitions never changes the compacted graph or the
+//!    answers solved on it.
 
+mod common;
+
+use common::update_stream;
 use graph_api_study::galois_rt;
 use graph_api_study::graph::gen::{
     community, erdos_renyi, grid_road, preferential_attachment, rmat, web_crawl, RmatParams,
 };
 use graph_api_study::graph::transform::{sort_by_degree, symmetrize, transpose};
-use graph_api_study::graph::CsrGraph;
+use graph_api_study::graph::{CsrGraph, EdgeBatch};
 use graph_api_study::graphblas::{workspace, GaloisRuntime, Runtime, StaticRuntime};
 use graph_api_study::{lagraph, lonestar};
 
@@ -207,9 +210,7 @@ fn matrix_api_pr<R: Runtime>(gt: &CsrGraph, deg: &[u32], rt: R) -> [Vec<f64>; 2]
 /// Matrix-API pr pulls over the prepared transpose: one writer per row
 /// and a fixed in-row fold order, so both formulations are bit-identical
 /// (not merely close) across thread counts, runtimes and a cold or warm
-/// workspace pool. `ppr` is not held to this: it scatters along
-/// out-edges, its fold order follows the schedule, and its checks stay at
-/// the tolerance they state.
+/// workspace pool.
 #[test]
 fn matrix_api_pagerank_is_bit_identical_across_threads_runtimes_and_pools() {
     let g = rmat(9, 8, RmatParams::default(), 7);
@@ -322,29 +323,6 @@ fn width_one_batched_traces_match_serial() {
         serial_trace.fingerprint(),
         "bfs: width-1 batched trace must be fingerprint-identical to serial"
     );
-
-    let (serial, serial_trace) =
-        with_trace(|| lagraph::pagerank::ppr(&p.graph, src, p.pr_iters, GaloisRuntime).unwrap());
-    let (batched, batched_trace) = with_trace(|| {
-        lagraph::batch::batched_ppr(&p.graph, &[src], p.pr_iters, GaloisRuntime)
-    });
-    assert_eq!(batched[0].as_ref().unwrap(), &serial, "ppr k=1 output");
-    assert_eq!(
-        batched_trace.fingerprint(),
-        serial_trace.fingerprint(),
-        "ppr: width-1 batched trace must be fingerprint-identical to serial"
-    );
-
-    let (serial, serial_trace) =
-        with_trace(|| lagraph::sssp::sssp_minplus(&p.graph, src, GaloisRuntime).unwrap());
-    let (batched, batched_trace) =
-        with_trace(|| lagraph::batch::batched_sssp(&p.graph, &[src], GaloisRuntime));
-    assert_eq!(batched[0].as_ref().unwrap(), &serial, "sssp k=1 output");
-    assert_eq!(
-        batched_trace.fingerprint(),
-        serial_trace.fingerprint(),
-        "sssp: width-1 batched trace must be fingerprint-identical to serial"
-    );
 }
 
 /// The point of msBFS: at width 8 the levelized sweep advances all live
@@ -396,54 +374,64 @@ fn batched_msbfs_amortizes_product_spans_at_width_eight() {
 }
 
 /// Streaming replay: absorbing the identical update stream twice yields
-/// fingerprint-identical traces (delta spans included — apply, compact
-/// and repair events carry their structural fields into the
-/// fingerprint) and bit-identical compacted snapshots.
+/// fingerprint-identical traces (apply and compact spans carry their
+/// structural fields into the fingerprint) and bit-identical compacted
+/// snapshots.
 #[test]
-fn incremental_replay_is_fingerprint_identical() {
-    use graph_api_study::graph::{Scale, StudyGraph};
-    use graph_api_study::perfmon::trace::with_trace;
-    use graph_api_study::study_core::{
-        try_run_incremental, update_batches, IncProblem, PreparedGraph, System,
-    };
+fn ingest_replay_is_fingerprint_identical() {
+    use graph_api_study::graph::{DeltaGraph, Scale, StudyGraph};
+    use graph_api_study::perfmon::trace::{with_trace, DeltaKind};
+    use graph_api_study::study_core::PreparedGraph;
 
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 128.0));
-    let updates = update_batches(&p.graph, 3, 12, 21);
-    for system in System::all() {
-        for problem in IncProblem::all() {
-            let (a, trace_a) =
-                with_trace(|| try_run_incremental(system, problem, &p, &updates).unwrap());
-            let (b, trace_b) =
-                with_trace(|| try_run_incremental(system, problem, &p, &updates).unwrap());
-            assert_eq!(a.output, b.output, "{system} {problem} output");
-            assert_eq!(a.snapshot, b.snapshot, "{system} {problem} compacted snapshot");
-            assert_eq!(a.compactions, b.compactions, "{system} {problem} compactions");
-            assert_eq!(
-                trace_a.fingerprint(),
-                trace_b.fingerprint(),
-                "{system} {problem}: streaming trace fingerprints differ between runs"
-            );
-        }
-    }
+    let updates = update_stream(&p.graph, 3, 12, 21);
+    let absorb = || {
+        with_trace(|| {
+            // Threshold 2: the third batch auto-compacts, the final
+            // compact folds what is left.
+            let mut delta = DeltaGraph::with_threshold(p.graph.clone(), 2);
+            for batch in &updates {
+                delta.apply(batch).expect("a generated batch applies");
+            }
+            delta.compact().expect("no fault plan");
+            (delta.snapshot().clone(), delta.compactions())
+        })
+    };
+    let ((snapshot_a, compactions_a), trace_a) = absorb();
+    let ((snapshot_b, compactions_b), trace_b) = absorb();
+    assert_eq!(snapshot_a, snapshot_b, "compacted snapshot");
+    assert_eq!(compactions_a, compactions_b, "compactions");
+    assert_eq!(compactions_a, 2, "one auto and one final compaction");
+    let kinds: Vec<DeltaKind> = trace_a.deltas().map(|d| d.kind).collect();
+    assert_eq!(
+        kinds.iter().filter(|&&k| k == DeltaKind::Apply).count(),
+        updates.len(),
+        "one apply span per batch: {kinds:?}"
+    );
+    assert_eq!(trace_a.summary().compactions, 2, "{kinds:?}");
+    assert_eq!(
+        trace_a.fingerprint(),
+        trace_b.fingerprint(),
+        "streaming trace fingerprints differ between runs"
+    );
 }
 
 /// Batch-partition invariance: one update stream split into different
-/// batch groupings (one 24-op batch vs 24 single-op batches) converges
-/// to the identical compacted snapshot and the same repaired answers —
-/// layering granularity must never leak into results.
+/// batch groupings (one 24-op batch vs 24 single-op batches) compacts to
+/// the identical snapshot, and every system solves bfs and cc on it to
+/// the same answer — layering granularity must never leak into results.
 #[test]
 fn update_batch_grouping_does_not_change_results() {
-    use graph_api_study::graph::{EdgeBatch, Scale, StudyGraph};
-    use graph_api_study::study_core::{
-        try_run_incremental, update_batches, IncProblem, PreparedGraph, ProblemOutput, System,
-    };
+    use graph_api_study::graph::{DeltaGraph, Scale, StudyGraph};
+    use graph_api_study::study_core::verify::verify;
+    use graph_api_study::study_core::{try_run, PreparedGraph, Problem, System};
 
     // Untraced here, but tracing is process-global: without the lock
     // these jobs' spans land in whichever traced test is running.
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 128.0));
-    let coarse = update_batches(&p.graph, 1, 24, 33);
+    let coarse = update_stream(&p.graph, 1, 24, 33);
     let singles: Vec<EdgeBatch> = coarse[0]
         .ops()
         .iter()
@@ -455,32 +443,39 @@ fn update_batch_grouping_does_not_change_results() {
         .collect();
     assert_eq!(singles.len(), 24);
 
+    let compacted = |batches: &[EdgeBatch]| {
+        let mut delta = DeltaGraph::with_threshold(p.graph.clone(), 0);
+        for batch in batches {
+            delta.apply(batch).expect("a generated batch applies");
+        }
+        delta.compact().expect("no fault plan");
+        PreparedGraph::from_graph(
+            p.name.clone(),
+            delta.snapshot().clone(),
+            p.source,
+            p.ktruss_k,
+            p.sssp_delta,
+        )
+    };
+    let one = compacted(&coarse);
+    let many = compacted(&singles);
+    assert_eq!(
+        one.graph, many.graph,
+        "groupings must compact to the same snapshot"
+    );
+    assert_ne!(one.graph, p.graph, "the stream changed the graph");
+
     for system in System::all() {
-        for problem in IncProblem::all() {
-            let one = try_run_incremental(system, problem, &p, &coarse)
+        for problem in [Problem::Bfs, Problem::Cc] {
+            let a = try_run(system, problem, &one)
                 .unwrap_or_else(|e| panic!("{system} {problem} coarse: {e}"));
-            let many = try_run_incremental(system, problem, &p, &singles)
+            let b = try_run(system, problem, &many)
                 .unwrap_or_else(|e| panic!("{system} {problem} singles: {e}"));
+            verify(&one, problem, &a).unwrap_or_else(|e| panic!("{system} {problem}: {e}"));
             assert_eq!(
-                one.snapshot, many.snapshot,
-                "{system} {problem}: groupings must compact to the same snapshot"
+                a, b,
+                "{system} {problem}: answers must be grouping-independent"
             );
-            match (&one.output, &many.output) {
-                (ProblemOutput::Ranks(a), ProblemOutput::Ranks(b)) => {
-                    // Both converged to residual 1e-12 on the same final
-                    // graph; the grouping only changes the warm starts.
-                    for (v, (x, y)) in a.iter().zip(b).enumerate() {
-                        assert!(
-                            (x - y).abs() <= 1e-9,
-                            "{system} {problem} vertex {v}: {x} vs {y}"
-                        );
-                    }
-                }
-                (a, b) => assert_eq!(
-                    a, b,
-                    "{system} {problem}: discrete answers must be grouping-independent"
-                ),
-            }
         }
     }
 }

@@ -3,11 +3,16 @@
 //! panicking, in both API styles. The streaming tests at the bottom pin
 //! the delta-layer contract on its own degenerate inputs: no-op deletes,
 //! duplicate inserts, updates naming vertices past the snapshot's max
-//! id, empty batches and malformed batch text.
+//! id, empty batches and malformed batch text — and the service's
+//! ingest → compact → prepare path on a snapshot whose rows ingest left
+//! out of order.
 
 use graph_api_study::graph::builder::{from_edges, GraphBuilder};
-use graph_api_study::graph::{CsrGraph, DeltaGraph, EdgeBatch};
+use graph_api_study::graph::gen::{rmat, RmatParams};
+use graph_api_study::graph::{CsrGraph, DeltaGraph, EdgeBatch, NodeId};
 use graph_api_study::graphblas::GaloisRuntime;
+use graph_api_study::study_core::verify::verify;
+use graph_api_study::study_core::{try_run, PreparedGraph, Problem, System};
 use graph_api_study::{lagraph, lonestar};
 
 fn single_vertex() -> CsrGraph {
@@ -189,4 +194,65 @@ fn empty_source_list_bc_is_all_zero() {
         .centrality
         .iter()
         .all(|&x| x == 0.0));
+}
+
+/// Ingest appends to a row, so a compacted snapshot's rows need not
+/// ascend — and the service prepares exactly that graph on every
+/// compaction. The prepared symmetric view must still be the sort-based
+/// one, and tc (which reads the symmetric and degree-sorted views and
+/// counts a non-simple graph differently per system) must verify on all
+/// three systems.
+#[test]
+fn prepare_after_ingest_and_compact_matches_the_sort_based_symmetric_view() {
+    let base = rmat(9, 8, RmatParams::default(), 3).with_random_weights(1000, 3);
+    let n = base.num_nodes() as NodeId;
+    let mut delta = DeltaGraph::with_threshold(base, 0);
+    // Scattered inserts: out-of-order rows, parallel edges with new
+    // weights, and the odd self loop.
+    let mut batch = EdgeBatch::new();
+    for i in 0..800u32 {
+        let src = i.wrapping_mul(7919) % n;
+        let dst = i.wrapping_mul(104_729).wrapping_add(13) % n;
+        batch = batch.insert_weighted(src, dst, 1 + i % 97);
+    }
+    delta.apply(&batch).unwrap();
+    delta.compact().unwrap();
+    let g = delta.snapshot().clone();
+    assert!(
+        (0..n).any(|v| !g.neighbor_slice(v).is_sorted()),
+        "ingest should leave some row out of order"
+    );
+
+    // The sort-based symmetrize: both directions of every non-loop edge,
+    // sorted by (src, dst), parallel edges collapsed to the minimum weight.
+    let mut edges: Vec<(NodeId, NodeId, u32)> = Vec::new();
+    for v in 0..n {
+        for (d, w) in g.neighbors_weighted(v) {
+            if d != v {
+                edges.extend([(v, d, w), (d, v, w)]);
+            }
+        }
+    }
+    edges.sort_unstable();
+    edges.dedup_by_key(|e| (e.0, e.1));
+    let mut offsets = vec![0usize; n as usize + 1];
+    for &(s, _, _) in &edges {
+        offsets[s as usize + 1] += 1;
+    }
+    for v in 1..offsets.len() {
+        offsets[v] += offsets[v - 1];
+    }
+    let expected = CsrGraph::from_raw(
+        offsets,
+        edges.iter().map(|e| e.1).collect(),
+        Some(edges.iter().map(|e| e.2).collect()),
+    );
+
+    let source = g.max_out_degree_node();
+    let p = PreparedGraph::from_graph("ingested", g, source, 7, 1 << 13);
+    assert_eq!(p.symmetric, expected);
+    for system in System::all() {
+        let out = try_run(system, Problem::Tc, &p).unwrap_or_else(|e| panic!("{system} tc: {e}"));
+        verify(&p, Problem::Tc, &out).unwrap_or_else(|e| panic!("{system} tc: {e}"));
+    }
 }
