@@ -2,9 +2,8 @@
 //! Lonestar (LS) for bfs, cc, pr and sssp on the four largest graphs.
 //!
 //! Prints one series per (problem, graph, system): runtime at each thread
-//! count. On hosts with fewer physical cores than the sweep maximum the
-//! upper points run oversubscribed; set `FIG2_MAX_THREADS` to bound the
-//! sweep (default: the host's available parallelism).
+//! count, doubling from 1 up to the `galois-rt` pool size
+//! (`GALOIS_MAX_THREADS`, default the host's available parallelism).
 //!
 //! ```text
 //! cargo run -p bench --bin fig2 --release
@@ -14,16 +13,6 @@ use study_core::report::{secs, Table};
 use study_core::{timed_run, PreparedGraph, Problem, System};
 
 fn main() {
-    // Allow the sweep to exceed the default pool size; must happen before
-    // the first parallel construct creates the global pool.
-    let max_threads: usize = std::env::var("FIG2_MAX_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        });
-    std::env::set_var("GALOIS_MAX_THREADS", max_threads.to_string());
-
     let scale = bench::scale_from_env();
     let selected = bench::graphs_from_env();
     let four: Vec<_> = graph::StudyGraph::four_largest()
@@ -38,6 +27,7 @@ fn main() {
         })
         .collect();
 
+    let max_threads = galois_rt::max_threads();
     let mut threads = Vec::new();
     let mut t = 1;
     while t <= max_threads {

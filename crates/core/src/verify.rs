@@ -103,56 +103,6 @@ fn first_diff<T: PartialEq>(a: &[T], b: &[T]) -> Option<usize> {
     a.iter().zip(b.iter()).position(|(x, y)| x != y)
 }
 
-/// Validates a bfs parent tree against the graph: the source is its own
-/// parent, every reached vertex's parent is an in-neighbor exactly one
-/// level closer to the source, and unreached vertices hold `u32::MAX`.
-///
-/// Parent trees are race-dependent (any valid parent may win), so this
-/// property check is the right verification, not exact equality.
-///
-/// # Errors
-///
-/// Returns a [`VerifyError`] describing the first violation.
-pub fn verify_bfs_parents(
-    g: &graph::CsrGraph,
-    src: graph::NodeId,
-    parents: &[u32],
-) -> Result<(), VerifyError> {
-    if parents.len() != g.num_nodes() {
-        return fail("parent array length mismatch");
-    }
-    let levels = crate::reference::bfs_levels(g, src);
-    for v in 0..g.num_nodes() as u32 {
-        let p = parents[v as usize];
-        let level = levels[v as usize];
-        if level == 0 {
-            if p != u32::MAX {
-                return fail(format!("unreached vertex {v} has parent {p}"));
-            }
-            continue;
-        }
-        if v == src {
-            if p != src {
-                return fail(format!("source parent is {p}, not itself"));
-            }
-            continue;
-        }
-        if p == u32::MAX {
-            return fail(format!("reached vertex {v} lacks a parent"));
-        }
-        if levels[p as usize] + 1 != level {
-            return fail(format!(
-                "parent {p} of {v} is at level {} but {v} is at {level}",
-                levels[p as usize]
-            ));
-        }
-        if !g.neighbors(p).any(|x| x == v) {
-            return fail(format!("claimed parent edge {p} -> {v} does not exist"));
-        }
-    }
-    Ok(())
-}
-
 /// Two labelings describe the same partition iff the label→label mapping
 /// is a bijection consistent across every vertex.
 pub fn same_partition(a: &[u32], b: &[u32]) -> bool {

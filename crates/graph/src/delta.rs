@@ -72,11 +72,6 @@ impl EdgeUpdate {
             EdgeUpdate::Insert { src, dst, .. } | EdgeUpdate::Delete { src, dst } => (src, dst),
         }
     }
-
-    /// Whether this update is a delete.
-    pub fn is_delete(&self) -> bool {
-        matches!(self, EdgeUpdate::Delete { .. })
-    }
 }
 
 /// An ordered batch of edge updates, applied atomically as one layer.
@@ -135,11 +130,6 @@ impl EdgeBatch {
     /// Whether the batch holds no updates.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
-    }
-
-    /// Whether the batch contains any delete operation.
-    pub fn has_deletes(&self) -> bool {
-        self.ops.iter().any(EdgeUpdate::is_delete)
     }
 
     /// Parses the plain-text update format, one op per line:

@@ -223,16 +223,6 @@ semiring!(
     add: |a, b| a.min_val(b), identity: T::MAX_VALUE, mul: |_a, b| b
 );
 semiring!(
-    /// `(min, first)`: pull-style value propagation.
-    MinFirst,
-    add: |a, b| a.min_val(b), identity: T::MAX_VALUE, mul: |a, _b| a
-);
-semiring!(
-    /// `(max, second)`: neighborhood maxima (Luby's MIS rounds).
-    MaxSecond,
-    add: |a, b| a.max_val(b), identity: T::ZERO, mul: |_a, b| b
-);
-semiring!(
     /// `(+, second)`: push-style contribution spreading (pagerank push).
     PlusSecond,
     add: |a, b| a.plus(b), identity: T::ZERO, mul: |_a, b| b

@@ -42,10 +42,6 @@ pub enum KernelHint {
     PushDense,
     /// Force the masked SDOT pull over the (cached) transpose.
     Pull,
-    /// Force the SAXPY scatter with the bitmap-frontier accumulator
-    /// (dense value slots plus 1-bit-per-vertex presence words, drained
-    /// by word scan).
-    Bitmap,
 }
 
 /// Modifies masks and input orientation for one operation.

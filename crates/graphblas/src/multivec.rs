@@ -14,7 +14,6 @@
 //! batched engine amortizes *API calls and span bookkeeping*, never the
 //! per-lane numerics.
 
-use crate::error::{dim_mismatch, GrbError};
 use crate::scalar::Scalar;
 use crate::vector::Vector;
 
@@ -37,25 +36,6 @@ impl<T: Scalar> MultiVector<T> {
             n,
             lanes: (0..k).map(|_| Vector::new(n)).collect(),
         }
-    }
-
-    /// Wraps existing columns; all lanes must share one size.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GrbError::DimensionMismatch`] when two lanes disagree on
-    /// their size.
-    pub fn from_lanes(lanes: Vec<Vector<T>>) -> Result<Self, GrbError> {
-        let n = lanes.first().map_or(0, Vector::size);
-        for (j, lane) in lanes.iter().enumerate() {
-            if lane.size() != n {
-                return Err(dim_mismatch(
-                    format!("lane.size == {n}"),
-                    format!("lane {j} has size {}", lane.size()),
-                ));
-            }
-        }
-        Ok(MultiVector { n, lanes })
     }
 
     /// Number of rows (the shared lane size).
@@ -90,16 +70,6 @@ impl<T: Scalar> MultiVector<T> {
     pub fn lane_mut(&mut self, j: usize) -> &mut Vector<T> {
         &mut self.lanes[j]
     }
-
-    /// All columns in order.
-    pub fn lanes(&self) -> &[Vector<T>] {
-        &self.lanes
-    }
-
-    /// Consumes the multi-vector, yielding its columns.
-    pub fn into_lanes(self) -> Vec<Vector<T>> {
-        self.lanes
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +82,7 @@ mod tests {
         assert_eq!(m.size(), 5);
         assert_eq!(m.width(), 3);
         assert_eq!(m.nvals(), 0);
-        assert!(m.lanes().iter().all(Vector::is_empty));
+        assert!((0..m.width()).all(|j| m.lane(j).is_empty()));
     }
 
     #[test]
@@ -122,20 +92,6 @@ mod tests {
         assert_eq!(m.lane(0).get(1), Some(7));
         assert_eq!(m.lane(1).get(1), None);
         assert_eq!(m.nvals(), 1);
-    }
-
-    #[test]
-    fn from_lanes_accepts_uniform_sizes() {
-        let lanes = vec![Vector::<u32>::new(3), Vector::new(3)];
-        let m = MultiVector::from_lanes(lanes).unwrap();
-        assert_eq!((m.size(), m.width()), (3, 2));
-        assert_eq!(m.into_lanes().len(), 2);
-    }
-
-    #[test]
-    fn from_lanes_rejects_ragged_sizes() {
-        let lanes = vec![Vector::<u32>::new(3), Vector::new(4)];
-        assert!(MultiVector::from_lanes(lanes).is_err());
     }
 
     #[test]

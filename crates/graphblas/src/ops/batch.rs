@@ -6,9 +6,9 @@
 //! kernel body as a serial [`super::vxm`] call ([`spmv::vxm_lane`]):
 //! per-lane kernel selection gives per-column byte guards under
 //! `STUDY_MEM_BUDGET`, the `grb.alloc.accumulator` fault point fires per
-//! lane, and lanes execute sequentially so the pooled entry lists and
-//! bitmap arrays ([`crate::workspace`]) are reused across the k columns
-//! of one advance instead of allocated k times.
+//! lane, and lanes execute sequentially so the pooled entry lists
+//! ([`crate::workspace`]) are reused across the k columns of one advance
+//! instead of allocated k times.
 //!
 //! What the batch amortizes is the *API call*: with two or more active
 //! lanes the whole advance records one [`OpKind::Mxm`] span (aggregated

@@ -14,12 +14,7 @@
 //! * [`KernelChoice::Pull`] — masked SDOT over the rows of the cached
 //!   transpose, visiting only mask-admitted outputs and exiting each dot
 //!   product early once the additive monoid's absorbing element is
-//!   reached (wins when few outputs remain unresolved);
-//! * [`KernelChoice::Bitmap`] — the same SAXPY scatter into a
-//!   [`BitmapAccumulator`]: dense value slots plus a 1-bit-per-vertex
-//!   presence word array drained by word scan (GraphBLAST's
-//!   dense-frontier representation; wins over the dense accumulator's
-//!   per-slot drain when the frontier is dense).
+//!   reached (wins when few outputs remain unresolved).
 //!
 //! Selection is resolved in precedence order: a per-call
 //! [`Descriptor::kernel`](crate::descriptor::Descriptor) hint, then the
@@ -27,11 +22,7 @@
 //! [`KernelMode::Auto`] — a Beamer-style cost model over the frontier
 //! degree sum, matrix nnz, and mask-admitted output count. Byte guards
 //! ensure the chosen kernel never materializes more accumulator bytes
-//! than the paper's dense scatter would — extended to the bitmap
-//! kernel's word array, which is counted honestly in its projection and
-//! adds at most `out_dim / 8` bytes over the dense baseline (the bitmap
-//! kernel is only picked when the frontier is already dense enough that
-//! the sparse pair lanes lost the guard).
+//! than the paper's dense scatter would.
 
 use crate::binops::SemiringOps;
 use crate::descriptor::{Descriptor, KernelHint};
@@ -39,7 +30,7 @@ use crate::error::GrbError;
 use crate::matrix::Matrix;
 use crate::runtime::Runtime;
 use crate::scalar::Scalar;
-use crate::util::{AtomicAccumulator, BitmapAccumulator};
+use crate::util::AtomicAccumulator;
 use crate::vector::Vector;
 use galois_rt::substrate::PerThread;
 use perfmon::trace::KernelChoice;
@@ -55,12 +46,6 @@ pub enum KernelMode {
     /// accumulator, `mxv` pulls row dot products — bit-for-bit the
     /// pre-selection kernels.
     Push,
-    /// Pull for every call, including `vxm` (SDOT over the cached
-    /// transpose).
-    Pull,
-    /// The bitmap-frontier scatter for every call (dense value slots +
-    /// presence word array, drained by word scan).
-    Bitmap,
 }
 
 /// 0 = not yet resolved from the environment.
@@ -68,21 +53,17 @@ static MODE: AtomicU8 = AtomicU8::new(0);
 
 const MODE_AUTO: u8 = 1;
 const MODE_PUSH: u8 = 2;
-const MODE_PULL: u8 = 3;
-const MODE_BITMAP: u8 = 4;
 
 fn encode(mode: KernelMode) -> u8 {
     match mode {
         KernelMode::Auto => MODE_AUTO,
         KernelMode::Push => MODE_PUSH,
-        KernelMode::Pull => MODE_PULL,
-        KernelMode::Bitmap => MODE_BITMAP,
     }
 }
 
 /// Returns the process-wide kernel policy, resolving it from the
-/// `STUDY_KERNEL` environment variable (`push` | `pull` | `bitmap` |
-/// `auto`) on first use. Unset defaults to [`KernelMode::Auto`].
+/// `STUDY_KERNEL` environment variable (`push` | `auto`) on first use.
+/// Unset defaults to [`KernelMode::Auto`].
 ///
 /// # Panics
 ///
@@ -91,18 +72,12 @@ pub fn kernel_mode() -> KernelMode {
     match MODE.load(Ordering::Relaxed) {
         MODE_AUTO => KernelMode::Auto,
         MODE_PUSH => KernelMode::Push,
-        MODE_PULL => KernelMode::Pull,
-        MODE_BITMAP => KernelMode::Bitmap,
         _ => {
             let mode = match std::env::var("STUDY_KERNEL") {
                 Ok(v) => match v.as_str() {
                     "auto" => KernelMode::Auto,
                     "push" => KernelMode::Push,
-                    "pull" => KernelMode::Pull,
-                    "bitmap" => KernelMode::Bitmap,
-                    other => {
-                        panic!("STUDY_KERNEL must be push, pull, bitmap or auto; got {other:?}")
-                    }
+                    other => panic!("STUDY_KERNEL must be push or auto; got {other:?}"),
                 },
                 Err(_) => KernelMode::Auto,
             };
@@ -199,15 +174,12 @@ fn forced_choice(desc: &Descriptor, is_vxm: bool) -> Option<KernelChoice> {
         KernelHint::PushSparse => Some(KernelChoice::PushSparse),
         KernelHint::PushDense => Some(KernelChoice::PushDense),
         KernelHint::Pull => Some(KernelChoice::Pull),
-        KernelHint::Bitmap => Some(KernelChoice::Bitmap),
         KernelHint::Auto => match kernel_mode() {
             KernelMode::Push => Some(if is_vxm {
                 KernelChoice::PushDense
             } else {
                 KernelChoice::Pull
             }),
-            KernelMode::Pull => Some(KernelChoice::Pull),
-            KernelMode::Bitmap => Some(KernelChoice::Bitmap),
             KernelMode::Auto => None,
         },
     }
@@ -282,13 +254,6 @@ pub(crate) fn pick_kernel(
     }
     if frontier_degree.saturating_mul(pair_bytes) < dense_bytes {
         KernelChoice::PushSparse
-    } else if out_dim >= 64 {
-        // Dense frontier: the pair lanes lost the byte guard, so the
-        // drain dominates — the bitmap's word scan (one instruction per
-        // 64 slots plus one per present entry) beats the dense
-        // accumulator's per-slot pass. Below one presence word the word
-        // array cannot pay for itself; keep the paper kernel.
-        KernelChoice::Bitmap
     } else {
         KernelChoice::PushDense
     }
@@ -311,9 +276,6 @@ pub(crate) fn projected_bytes(
     match choice {
         KernelChoice::PushDense => out_dim.saturating_mul(val_bytes),
         KernelChoice::PushSparse => frontier_degree.saturating_mul(pair_bytes),
-        KernelChoice::Bitmap => out_dim
-            .saturating_mul(val_bytes)
-            .saturating_add(out_dim.div_ceil(64).saturating_mul(8)),
         KernelChoice::Pull => {
             if paper_pull {
                 out_dim.saturating_mul(val_bytes.saturating_add(1))
@@ -648,69 +610,6 @@ where
     (acc, bytes)
 }
 
-/// SAXPY scatter of `entries` through the rows of `a` into the
-/// bitmap-frontier accumulator: dense value slots pre-filled with the
-/// ⊕-identity plus a 1-bit-per-vertex presence word array, drained by
-/// word scan. The scatter loop's instrumentation matches
-/// [`scatter_dense`] exactly; only the drain differs (one instruction
-/// per word + one per present entry instead of one per slot).
-///
-/// Returns the drained `(index, value)` entries in ascending index order
-/// plus the accumulator footprint in bytes — value slots *and* presence
-/// words, so the byte guards see the word array honestly.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scatter_bitmap<T, M, S, R>(
-    entries: &[(u32, T)],
-    a: &Matrix<T>,
-    out_dim: usize,
-    mask: Option<&Vector<M>>,
-    desc: &Descriptor,
-    semiring: S,
-    mul: impl Fn(T, T) -> T + Sync,
-    rt: R,
-) -> (Vec<(u32, T)>, u64)
-where
-    T: Scalar,
-    M: Scalar,
-    S: SemiringOps<T>,
-    R: Runtime,
-{
-    // The slot and word arrays are recycled through the pool: the bitmap
-    // is the auto pick for dense rounds, so per-call allocation here would
-    // be exactly the churn recycling exists to kill.
-    let ws = rt.workspace();
-    let bits = ws.take_vec(crate::workspace::Shelf::Acc, out_dim);
-    let words = ws.take_vec(crate::workspace::Shelf::Acc, out_dim.div_ceil(64));
-    let acc = BitmapAccumulator::from_parts(bits, words, out_dim, semiring.add_identity());
-    let bytes = (out_dim * std::mem::size_of::<T>()) as u64 + acc.word_bytes();
-    let add = |x, y| semiring.add(x, y);
-    rt.parallel_for(entries.len(), |p| {
-        let (i, x) = entries[p];
-        perfmon::touch_ref(&entries[p]);
-        for (j, &av) in a.row_pairs(i) {
-            perfmon::instr(2);
-            perfmon::touch_ref(&av);
-            if let Some(m) = mask {
-                let pass = m.mask_at(j, desc.mask_structural) != desc.mask_complement;
-                perfmon::instr(1);
-                if !pass {
-                    continue;
-                }
-            }
-            acc.accumulate(j as usize, mul(x, av), add);
-        }
-    });
-    // Drain into a pooled entry buffer, then return the arrays. The word
-    // array goes back first so the next checkout pairs each buffer with
-    // the role whose capacity it already has (the shelf is a LIFO).
-    let mut out = ws.take_vec(crate::workspace::Shelf::Entries, 0);
-    acc.drain_into(&mut out);
-    let (bits, words) = acc.into_parts();
-    ws.give_vec(crate::workspace::Shelf::Acc, words);
-    ws.give_vec(crate::workspace::Shelf::Acc, bits);
-    (out, bytes)
-}
-
 /// Masked SDOT over the rows of `at` (the transpose of the scattered
 /// matrix): output `j` folds `⊕_k mul(u(k), at(j,k))`, skipping
 /// mask-rejected outputs entirely and exiting the fold early once the
@@ -800,8 +699,8 @@ mod tests {
         let before = kernel_mode();
         set_kernel_mode(KernelMode::Push);
         assert_eq!(kernel_mode(), KernelMode::Push);
-        set_kernel_mode(KernelMode::Pull);
-        assert_eq!(kernel_mode(), KernelMode::Pull);
+        set_kernel_mode(KernelMode::Auto);
+        assert_eq!(kernel_mode(), KernelMode::Auto);
         set_kernel_mode(before);
         assert_eq!(kernel_mode(), before);
     }
@@ -822,20 +721,17 @@ mod tests {
     }
 
     #[test]
-    fn heavy_frontier_scatters_bitmap() {
+    fn heavy_frontier_scatters_dense() {
         // Frontier touching most edges with most outputs admitted: the
         // pair lanes would outweigh the dense accumulator and pull's
-        // full-matrix fold is no cheaper, so a dense scatter runs — and
-        // with 10_000 output slots the bitmap drain beats the per-slot
-        // pass.
+        // full-matrix fold is no cheaper, so the paper's dense scatter
+        // runs.
         let c = pick_kernel(40_000, 50_000, 10_000, 10_000, 16, 8, false);
-        assert_eq!(c, KernelChoice::Bitmap);
+        assert_eq!(c, KernelChoice::PushDense);
     }
 
     #[test]
     fn tiny_output_keeps_the_paper_dense_scatter() {
-        // Same dense-frontier shape but under one presence word: the
-        // word array cannot pay for itself.
         let c = pick_kernel(400, 500, 63, 63, 16, 8, false);
         assert_eq!(c, KernelChoice::PushDense);
     }
@@ -860,8 +756,8 @@ mod tests {
     #[test]
     fn dense_operand_tie_prefers_pull_for_mxv() {
         // Dense u, no mask: push_cost == pull_cost == nnz + n. mxv's
-        // tie bias keeps the paper-faithful pull; vxm's keeps push (the
-        // bitmap flavor, since the frontier is dense and n ≥ 64).
+        // tie bias keeps the paper-faithful pull; vxm's keeps the dense
+        // push scatter.
         let n = 1_000u64;
         let nnz = 8_000u64;
         assert_eq!(
@@ -870,7 +766,7 @@ mod tests {
         );
         assert_eq!(
             pick_kernel(nnz, nnz, n, n, 16, 8, false),
-            KernelChoice::Bitmap
+            KernelChoice::PushDense
         );
     }
 
@@ -905,9 +801,6 @@ mod tests {
         assert_eq!(projected_bytes(Pull, 8, 100, 50, 16, 8, false), 800);
         // mxv paper pull: dense vals + presence over out_dim.
         assert_eq!(projected_bytes(Pull, 8, 100, 50, 16, 8, true), 900);
-        // bitmap: dense vals + ceil(out_dim / 64) presence words.
-        assert_eq!(projected_bytes(Bitmap, 8, 100, 50, 16, 8, false), 816);
-        assert_eq!(projected_bytes(Bitmap, 8, 64, 50, 16, 8, false), 520);
     }
 
     #[test]

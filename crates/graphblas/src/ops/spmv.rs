@@ -11,9 +11,8 @@
 //! they run the paper's single-strategy kernels above, while `auto` may
 //! substitute a sparse-accumulator scatter or a masked pull over the
 //! cached transpose when operand sparsity favors it. The push-dense
-//! accumulator is allocated per call, as the paper's is; entry lists,
-//! bitmap arrays and pull outputs come from the workspace pool
-//! ([`crate::workspace`]).
+//! accumulator is allocated per call, as the paper's is; entry lists
+//! come from the workspace pool ([`crate::workspace`]).
 
 use super::kernels;
 use super::write::{Output, WriteBack};
@@ -117,13 +116,6 @@ where
             let (out, bytes) =
                 kernels::pull_gather(u, a.transpose(), mask, desc, semiring, mul, rt);
             wb.entries(w, &out);
-            bytes
-        }
-        KernelChoice::Bitmap => {
-            let (out, bytes) =
-                kernels::scatter_bitmap(&entries, a, a.ncols(), mask, desc, semiring, mul, rt);
-            wb.entries(w, &out);
-            kernels::give_entries(out, rt);
             bytes
         }
         _ => {
@@ -285,24 +277,6 @@ where
                 kernels::scatter_dense(&entries, a.transpose(), n, mask, desc, add, mul, rt);
             kernels::give_entries(entries, rt);
             wb.entries(w, &acc.into_entries());
-            bytes
-        }
-        KernelChoice::Bitmap => {
-            let entries = kernels::take_entries(u, rt);
-            let mul = |x, av| semiring.mul(av, x);
-            let (out, bytes) = kernels::scatter_bitmap(
-                &entries,
-                a.transpose(),
-                n,
-                mask,
-                desc,
-                semiring,
-                mul,
-                rt,
-            );
-            kernels::give_entries(entries, rt);
-            wb.entries(w, &out);
-            kernels::give_entries(out, rt);
             bytes
         }
         _ => {
@@ -528,42 +502,6 @@ mod tests {
         .unwrap();
         assert_eq!(w.get(0), Some(2), "masked row recomputed");
         assert_eq!(w.get(3), Some(42), "unmasked entry kept");
-    }
-
-    #[test]
-    fn bitmap_hint_matches_default_kernels() {
-        let a = path_matrix();
-        let u = Vector::from_entries(4, vec![(0, 1u32)]).unwrap();
-        let mut w_bitmap: Vector<u32> = Vector::new(4);
-        vxm(
-            &mut w_bitmap,
-            None::<&Vector<u32>>,
-            LorLand,
-            &u,
-            &a,
-            &Descriptor::new()
-                .with_replace(true)
-                .with_kernel(crate::descriptor::KernelHint::Bitmap),
-            GaloisRuntime,
-        )
-        .unwrap();
-        assert_eq!(w_bitmap.entries(), vec![(1, 1), (2, 1)]);
-
-        let ud = Vector::new_dense(4, 1u32);
-        let mut w: Vector<u32> = Vector::new(4);
-        mxv(
-            &mut w,
-            None::<&Vector<u32>>,
-            PlusTimes,
-            &a,
-            &ud,
-            &Descriptor::new().with_kernel(crate::descriptor::KernelHint::Bitmap),
-            GaloisRuntime,
-        )
-        .unwrap();
-        assert_eq!(w.get(0), Some(2));
-        assert_eq!(w.get(2), Some(1));
-        assert_eq!(w.get(3), None);
     }
 
     #[test]

@@ -99,100 +99,6 @@ impl<T: Scalar> AtomicAccumulator<T> {
     }
 }
 
-/// A dense, lock-free accumulator whose presence set is a 1-bit-per-slot
-/// word array — the GraphBLAST-style bitmap frontier representation.
-///
-/// Value slots are pre-filled with the ⊕-identity's 64-bit encoding, so
-/// every write (including the first) is a plain CAS ⊕-fold and presence
-/// is a single `fetch_or` into the word array; no per-slot state machine
-/// is needed. This requires `add(identity, v) == v` **bit-exactly** for
-/// every value `v` the kernel can produce, which holds for all the
-/// study's semirings (their ⊕-identities are strict no-ops on the range
-/// of their ⊗).
-///
-/// Draining scans the word array (one instruction per word, one per set
-/// bit) instead of one instruction per slot, which is what makes the
-/// bitmap representation win on dense frontiers.
-pub(crate) struct BitmapAccumulator<T> {
-    bits: Vec<AtomicU64>,
-    words: Vec<AtomicU64>,
-    _marker: PhantomData<T>,
-}
-
-impl<T: Scalar> BitmapAccumulator<T> {
-    /// Creates `n` absent slots whose values are pre-filled with
-    /// `identity`'s encoding, over recycled arrays: the workspace pool
-    /// hands the slot and word buffers back call after call, so a warm
-    /// bitmap scatter costs its O(n) identity prefill but zero allocator
-    /// churn. Any prior contents are discarded.
-    pub fn from_parts(mut bits: Vec<AtomicU64>, mut words: Vec<AtomicU64>, n: usize, identity: T) -> Self {
-        let id = identity.to_bits64();
-        bits.clear();
-        bits.resize_with(n, || AtomicU64::new(id));
-        words.clear();
-        words.resize_with(n.div_ceil(64), || AtomicU64::new(0));
-        BitmapAccumulator {
-            bits,
-            words,
-            _marker: PhantomData,
-        }
-    }
-
-    /// Releases the slot and word arrays for pooling (drain first —
-    /// [`Self::drain_into`]).
-    pub fn into_parts(self) -> (Vec<AtomicU64>, Vec<AtomicU64>) {
-        (self.bits, self.words)
-    }
-
-    /// Bytes held by the presence word array.
-    pub fn word_bytes(&self) -> u64 {
-        (self.words.len() * std::mem::size_of::<AtomicU64>()) as u64
-    }
-
-    /// Folds `v` into slot `j` with `add` and marks it present.
-    pub fn accumulate(&self, j: usize, v: T, add: impl Fn(T, T) -> T) {
-        perfmon::touch_ref(&self.bits[j]);
-        let mut cur = self.bits[j].load(Ordering::Relaxed);
-        loop {
-            let new = add(T::from_bits64(cur), v).to_bits64();
-            match self.bits[j].compare_exchange_weak(
-                cur,
-                new,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
-        }
-        self.words[j / 64].fetch_or(1u64 << (j % 64), Ordering::Release);
-    }
-
-    /// Drains the present entries into `out` (a pooled buffer) in
-    /// ascending index order by scanning the presence words, leaving the
-    /// arrays intact so the accumulator can be released via
-    /// [`Self::into_parts`].
-    ///
-    /// The compaction cost the counters see is one instruction per
-    /// *word* plus one per present entry — sublinear in the slot count
-    /// when the frontier is dense, which is the representation's whole
-    /// point.
-    pub fn drain_into(&self, out: &mut Vec<(u32, T)>) {
-        out.clear();
-        for (w, word) in self.words.iter().enumerate() {
-            perfmon::instr(1);
-            perfmon::touch_ref(word);
-            let mut live = word.load(Ordering::Acquire);
-            while live != 0 {
-                let j = w * 64 + live.trailing_zeros() as usize;
-                live &= live - 1;
-                perfmon::instr(1);
-                out.push((j as u32, T::from_bits64(self.bits[j].load(Ordering::Relaxed))));
-            }
-        }
-    }
-}
-
 /// A shared view of a mutable slice whose elements are written by at most
 /// one thread each (the caller guarantees index-disjointness).
 pub(crate) struct ParSlice<'a, T> {
@@ -306,62 +212,6 @@ mod tests {
             acc.accumulate(0, 0.25, |a, b| a + b);
         });
         assert!((acc.get(0).unwrap() - 250.0).abs() < 1e-9);
-    }
-
-    fn bitmap<T: Scalar>(n: usize, identity: T) -> BitmapAccumulator<T> {
-        BitmapAccumulator::from_parts(Vec::new(), Vec::new(), n, identity)
-    }
-
-    fn drained<T: Scalar>(acc: &BitmapAccumulator<T>) -> Vec<(u32, T)> {
-        let mut out = Vec::new();
-        acc.drain_into(&mut out);
-        out
-    }
-
-    #[test]
-    fn bitmap_accumulator_single_thread() {
-        let acc = bitmap(130, 0u64);
-        acc.accumulate(1, 5, |a, b| a + b);
-        acc.accumulate(1, 7, |a, b| a + b);
-        acc.accumulate(129, 3, |a, b| a + b);
-        assert_eq!(acc.word_bytes(), 24);
-        assert_eq!(drained(&acc), vec![(1, 12), (129, 3)]);
-    }
-
-    #[test]
-    fn bitmap_accumulator_parallel_sums_are_exact() {
-        let acc = bitmap(16, 0u64);
-        galois_rt::do_all(0..100_000, |i| {
-            acc.accumulate(i % 16, 1, |a, b| a + b);
-        });
-        let total: u64 = drained(&acc).into_iter().map(|(_, v)| v).sum();
-        assert_eq!(total, 100_000);
-    }
-
-    #[test]
-    fn bitmap_accumulator_explicit_zero_is_present() {
-        let acc = bitmap(70, 0u64);
-        acc.accumulate(64, 0, |a, b| a + b);
-        assert_eq!(drained(&acc), vec![(64, 0)]);
-    }
-
-    #[test]
-    fn bitmap_accumulator_min_fold_identity() {
-        let acc = bitmap(2, u32::MAX);
-        galois_rt::do_all(0..1000, |i| {
-            acc.accumulate(0, i as u32, |a, b| a.min(b));
-        });
-        assert_eq!(drained(&acc), vec![(0, 0)]);
-    }
-
-    #[test]
-    fn bitmap_accumulator_discards_recycled_contents() {
-        let acc = bitmap(70, 0u64);
-        acc.accumulate(3, 9, |a, b| a + b);
-        let (bits, words) = acc.into_parts();
-        let acc = BitmapAccumulator::from_parts(bits, words, 70, 0u64);
-        acc.accumulate(5, 1, |a, b| a + b);
-        assert_eq!(drained(&acc), vec![(5, 1)]);
     }
 
     #[test]

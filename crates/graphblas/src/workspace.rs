@@ -113,8 +113,6 @@ pub(crate) enum Shelf {
     Entries,
     /// Per-row SpGEMM result rows (`Vec<Vec<(u32, T)>>`).
     Rows,
-    /// Bitmap accumulator slot and presence-word arrays.
-    Acc,
     /// Per-thread SpGEMM scratch extracted from a `PerThread`.
     Scratch,
     /// `u64` per-index flop tallies for balanced partitioning.

@@ -210,7 +210,6 @@ fn hint_of(choice: KernelChoice) -> KernelHint {
         KernelChoice::PushSparse => KernelHint::PushSparse,
         KernelChoice::PushDense => KernelHint::PushDense,
         KernelChoice::Pull => KernelHint::Pull,
-        KernelChoice::Bitmap => KernelHint::Bitmap,
         KernelChoice::Unspecified => panic!("selection must name a concrete kernel"),
     }
 }
@@ -232,7 +231,7 @@ fn assert_spmv_kernels_agree<S: SemiringOps<u64>>(
         w.entries()
     };
     let base = run_vxm(KernelHint::PushDense);
-    for hint in [KernelHint::PushSparse, KernelHint::Pull, KernelHint::Bitmap] {
+    for hint in [KernelHint::PushSparse, KernelHint::Pull] {
         prop_assert_eq!(run_vxm(hint), base.clone(), "{} vxm {:?}", name, hint);
     }
     prop_assert_eq!(run_vxm(KernelHint::Auto), base.clone(), "{} vxm auto", name);
@@ -251,11 +250,7 @@ fn assert_spmv_kernels_agree<S: SemiringOps<u64>>(
         w.entries()
     };
     let base = run_mxv(KernelHint::Pull);
-    for hint in [
-        KernelHint::PushSparse,
-        KernelHint::PushDense,
-        KernelHint::Bitmap,
-    ] {
+    for hint in [KernelHint::PushSparse, KernelHint::PushDense] {
         prop_assert_eq!(run_mxv(hint), base.clone(), "{} mxv {:?}", name, hint);
     }
     prop_assert_eq!(run_mxv(KernelHint::Auto), base.clone(), "{} mxv auto", name);
@@ -328,11 +323,10 @@ fn assert_spmv_kernels_agree_with<S: SemiringOps<u64>>(
     desc: Descriptor,
     expect: &mut Option<OpExpectations>,
 ) -> Result<(), String> {
-    const HINTS: [KernelHint; 5] = [
+    const HINTS: [KernelHint; 4] = [
         KernelHint::PushDense,
         KernelHint::PushSparse,
         KernelHint::Pull,
-        KernelHint::Bitmap,
         KernelHint::Auto,
     ];
     let mut seed: Option<OpExpectations> = None;
@@ -374,7 +368,7 @@ fn assert_spmv_kernels_agree_with<S: SemiringOps<u64>>(
 #[test]
 fn kernels_agree_across_thread_counts() {
     // The kernel-equivalence invariant must also be insensitive to the
-    // worker count: bitmap-forced, push-forced, pull-forced and auto
+    // worker count: push-forced, pull-forced and auto
     // runs produce bit-identical entries at 1, 2 and 8 threads, on every
     // study semiring x descriptor combination — compared against one
     // expectation shared across the whole sweep, so the check is

@@ -24,12 +24,11 @@
 //! | tc | [`tc::tc_listing`] | triangle listing on a sorted DAG (`tc-gb-ll`) |
 //!
 //! Extensions beyond the paper's evaluation (documented in DESIGN.md §8):
-//! [`bfs::bfs_push_pull`] (the GraphBLAST direction optimization of the
-//! paper's related work), [`bfs::bfs_parent`] (parent-tree output),
 //! [`bc::betweenness`] (the paper's motivating application),
-//! [`kcore::kcore`] (bulk peeling), [`mis::mis`] (Luby's rounds) and
-//! the batched multi-source engine [`batch`] (msBFS over a multi-column
-//! frontier).
+//! [`kcore::kcore`] (bulk peeling) and the batched multi-source engine
+//! [`batch`] (msBFS over a multi-column frontier). The GraphBLAST
+//! direction optimization needs no port of its own: [`bfs::bfs`]'s `vxm`
+//! picks push or pull per round below the API.
 
 pub mod batch;
 pub mod bc;
@@ -37,7 +36,6 @@ pub mod bfs;
 pub mod cc;
 pub mod kcore;
 pub mod ktruss;
-pub mod mis;
 pub mod pagerank;
 pub mod sssp;
 pub mod tc;

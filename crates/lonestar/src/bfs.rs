@@ -76,128 +76,6 @@ pub fn bfs(g: &CsrGraph, src: NodeId) -> BfsResult {
     BfsResult { level, rounds }
 }
 
-/// Sentinel parent for unreached vertices.
-pub const NO_PARENT: u32 = u32::MAX;
-
-/// Round-based bfs producing a parent tree (the GAP-benchmark output
-/// form): `parent[src] == src`, unreached vertices hold [`NO_PARENT`].
-///
-/// The parent of a vertex is *some* in-neighbor one level closer to the
-/// source (races pick the winner, as in Lonestar); validate with
-/// level-consistency rather than exact equality.
-pub fn bfs_parent(g: &CsrGraph, src: NodeId) -> Vec<u32> {
-    let n = g.num_nodes();
-    let parent: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NO_PARENT)).collect();
-    parent[src as usize].store(src, Ordering::Relaxed);
-
-    let mut curr: Vec<NodeId> = vec![src];
-    while !curr.is_empty() {
-        let next = InsertBag::new();
-        galois_rt::do_all(0..curr.len(), |p| {
-            let node = curr[p];
-            for e in g.edge_range(node) {
-                let dst = g.edge_dst(e) as usize;
-                perfmon::instr(2);
-                perfmon::touch_ref(&parent[dst]);
-                if parent[dst].load(Ordering::Relaxed) == NO_PARENT
-                    && parent[dst]
-                        .compare_exchange(NO_PARENT, node, Ordering::Relaxed, Ordering::Relaxed)
-                        .is_ok()
-                {
-                    next.push(dst as NodeId);
-                }
-            }
-        });
-        let mut next = next;
-        next.drain_into(&mut curr);
-    }
-
-    parent.into_iter().map(AtomicU32::into_inner).collect()
-}
-
-/// Direction-optimizing bfs (Beamer et al.): push from the frontier while
-/// it is small, switch to pulling over unvisited vertices once the
-/// frontier covers a large fraction of the edges.
-///
-/// This is the optimization the paper's related work credits GraphBLAST
-/// with on the matrix side; expressed in the graph API it is a few lines
-/// inside the same fused round loop. `gt` is the transpose (in-adjacency)
-/// of `g`, preprocessing shared with pagerank.
-pub fn bfs_direction_optimizing(g: &CsrGraph, gt: &CsrGraph, src: NodeId) -> BfsResult {
-    // Heuristic thresholds from the GAP benchmark suite (alpha = 15).
-    const ALPHA: usize = 15;
-    let n = g.num_nodes();
-    assert_eq!(gt.num_nodes(), n, "transpose must match the graph");
-    let dist: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(DIST_INFINITY)).collect();
-    dist[src as usize].store(1, Ordering::Relaxed);
-
-    let mut curr: Vec<NodeId> = vec![src];
-    let mut level = 1u32;
-    let mut rounds = 0u32;
-    while !curr.is_empty() {
-        rounds += 1;
-        level += 1;
-        let frontier_edges: usize = curr.iter().map(|&v| g.out_degree(v)).sum();
-        let next = InsertBag::new();
-        if frontier_edges * ALPHA > g.num_edges() {
-            // Pull round: every unvisited vertex scans its in-edges for a
-            // frontier parent (early exit on first hit).
-            galois_rt::do_all(0..n, |v| {
-                if dist[v].load(Ordering::Relaxed) != DIST_INFINITY {
-                    return;
-                }
-                for e in gt.edge_range(v as NodeId) {
-                    let u = gt.edge_dst(e) as usize;
-                    perfmon::instr(2);
-                    perfmon::touch_ref(&dist[u]);
-                    if dist[u].load(Ordering::Relaxed) == level - 1 {
-                        dist[v].store(level, Ordering::Relaxed);
-                        next.push(v as NodeId);
-                        break;
-                    }
-                }
-            });
-        } else {
-            // Push round, identical to the fused loop of `bfs`.
-            galois_rt::do_all(0..curr.len(), |p| {
-                let node = curr[p];
-                for e in g.edge_range(node) {
-                    let dst = g.edge_dst(e);
-                    perfmon::instr(2);
-                    perfmon::touch_ref(&dist[dst as usize]);
-                    if dist[dst as usize].load(Ordering::Relaxed) == DIST_INFINITY
-                        && dist[dst as usize]
-                            .compare_exchange(
-                                DIST_INFINITY,
-                                level,
-                                Ordering::Relaxed,
-                                Ordering::Relaxed,
-                            )
-                            .is_ok()
-                    {
-                        next.push(dst);
-                    }
-                }
-            });
-        }
-        let mut next = next;
-        next.drain_into(&mut curr);
-    }
-
-    let level = dist
-        .into_iter()
-        .map(|d| {
-            let d = d.into_inner();
-            if d == DIST_INFINITY {
-                0
-            } else {
-                d
-            }
-        })
-        .collect();
-    BfsResult { level, rounds }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,52 +119,6 @@ mod tests {
             .into_iter()
             .map(|l| if l == u32::MAX { 0 } else { l + 1 })
             .collect()
-    }
-
-    #[test]
-    fn parent_tree_is_level_consistent() {
-        let g = graph::gen::rmat(9, 8, graph::gen::RmatParams::default(), 4);
-        let src = g.max_out_degree_node();
-        let parents = bfs_parent(&g, src);
-        let levels = lagraph_bfs_reference(&g, src);
-        assert_eq!(parents[src as usize], src);
-        for v in 0..g.num_nodes() as u32 {
-            if v == src {
-                continue;
-            }
-            match levels[v as usize] {
-                0 => assert_eq!(parents[v as usize], NO_PARENT, "unreached {v}"),
-                l => {
-                    let p = parents[v as usize];
-                    assert_eq!(levels[p as usize], l - 1, "parent level of {v}");
-                    assert!(g.neighbors(p).any(|x| x == v), "edge {p}->{v} exists");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn direction_optimizing_matches_plain_bfs() {
-        for seed in 0..3 {
-            let g = graph::gen::rmat(10, 16, graph::gen::RmatParams::default(), seed);
-            let gt = graph::transform::transpose(&g);
-            let src = g.max_out_degree_node();
-            let plain = bfs(&g, src);
-            let dirop = bfs_direction_optimizing(&g, &gt, src);
-            assert_eq!(plain.level, dirop.level, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn direction_optimizing_uses_pull_on_dense_frontiers() {
-        // A dense power-law graph reaches almost everything in one hop
-        // from the hub, forcing at least one pull round.
-        let g = graph::gen::preferential_attachment(2000, 10, false, 1);
-        let gt = graph::transform::transpose(&g);
-        let src = g.max_out_degree_node();
-        let dirop = bfs_direction_optimizing(&g, &gt, src);
-        let plain = bfs(&g, src);
-        assert_eq!(dirop.level, plain.level);
     }
 
     #[test]

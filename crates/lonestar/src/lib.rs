@@ -34,13 +34,10 @@
 //! | tc | [`tc::tc`] | triangle listing on a degree-sorted graph (`ls`) |
 //!
 //! Extensions beyond the paper's evaluation (documented in DESIGN.md §8):
-//! [`bfs::bfs_direction_optimizing`] (Beamer push/pull),
-//! [`bfs::bfs_parent`] (parent-tree output), [`bc::betweenness`] (the
-//! paper's motivating application), [`kcore::kcore`] (asynchronous
-//! work-list peeling), [`mis::mis`] (asynchronous priority-greedy) and
-//! [`batch`] (the per-query worklist counterpart of `lagraph::batch`'s
-//! msBFS — the graph API answers a k-source batch as k independent
-//! runs).
+//! [`bc::betweenness`] (the paper's motivating application),
+//! [`kcore::kcore`] (asynchronous work-list peeling) and [`batch`] (the
+//! per-query worklist counterpart of `lagraph::batch`'s msBFS — the
+//! graph API answers a k-source batch as k independent runs).
 
 pub mod batch;
 pub mod bc;
@@ -48,7 +45,6 @@ pub mod bfs;
 pub mod cc;
 pub mod kcore;
 pub mod ktruss;
-pub mod mis;
 pub mod pagerank;
 pub mod sssp;
 pub mod tc;

@@ -131,10 +131,6 @@ pub enum KernelChoice {
     /// SDOT over rows of the (cached) transpose, iterating only
     /// mask-admitted output indices.
     Pull,
-    /// SAXPY scatter into a dense value array paired with a 1-bit-per-
-    /// vertex presence word array, drained by word scan (the GraphBLAST
-    /// dense-frontier representation).
-    Bitmap,
 }
 
 impl KernelChoice {
@@ -145,7 +141,6 @@ impl KernelChoice {
             KernelChoice::PushSparse => "push_sparse",
             KernelChoice::PushDense => "push_dense",
             KernelChoice::Pull => "pull",
-            KernelChoice::Bitmap => "bitmap",
         }
     }
 }
@@ -536,7 +531,6 @@ impl Trace {
                         KernelChoice::PushSparse => s.kernel_push_sparse += 1,
                         KernelChoice::PushDense => s.kernel_push_dense += 1,
                         KernelChoice::Pull => s.kernel_pull += 1,
-                        KernelChoice::Bitmap => s.kernel_bitmap += 1,
                     }
                 }
                 Event::Loop(l) => {
@@ -626,7 +620,8 @@ pub struct TraceSummary {
     pub kernel_push_dense: u64,
     /// SpMV calls that selected the masked pull kernel.
     pub kernel_pull: u64,
-    /// SpMV calls that selected the bitmap-frontier kernel.
+    /// Always 0: no kernel of that name exists any more. The field stays
+    /// because the repo benchmark's published counters read it.
     pub kernel_bitmap: u64,
     /// Workspace bytes served from the recycling pool across all ops.
     pub ws_reused_bytes: u64,

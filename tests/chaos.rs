@@ -156,7 +156,6 @@ fn budget_constrained_bfs_degrades_and_still_verifies() {
     assert!(s.kernel_push_sparse > 0, "budget must leave sparse push: {s:?}");
     assert_eq!(s.kernel_push_dense, 0, "dense never fits in 64 B: {s:?}");
     assert_eq!(s.kernel_pull, 0, "pull never fits in 64 B: {s:?}");
-    assert_eq!(s.kernel_bitmap, 0, "bitmap never fits in 64 B: {s:?}");
 
     // A budget nothing fits in is an oom outcome, not an abort.
     let starved = with_chaos_state(None, Some(0), || {

@@ -117,12 +117,7 @@ fn outputs_agree_across_kernel_modes_and_threads() {
                 (system, problem, out)
             })
             .collect();
-        for mode in [
-            KernelMode::Auto,
-            KernelMode::Push,
-            KernelMode::Pull,
-            KernelMode::Bitmap,
-        ] {
+        for mode in [KernelMode::Auto, KernelMode::Push] {
             ops::set_kernel_mode(mode);
             for threads in [1usize, 2, 8] {
                 galois_rt::set_threads(threads);

@@ -142,6 +142,46 @@ fn pr_double_traversal_of_residual_shows_in_memory_accesses() {
 }
 
 #[test]
+fn bc_materializes_and_costs_instructions() {
+    // §I's motivating application: the matrix API's backward sweep needs
+    // every forward level's path counts kept as vectors plus several bulk
+    // passes per level, where the graph API keeps the same quantities in
+    // scalars inside two fused loops per level.
+    use graph_api_study::graphblas::GaloisRuntime;
+    use graph_api_study::{lagraph, lonestar};
+    let _guard = PERF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _pin = KernelPin::paper_kernels();
+    let p = PreparedGraph::study(StudyGraph::RoadUsaW, Scale::custom(1.0 / 32.0));
+    let sources = [p.source, 0, 1, 2];
+    perfmon::reset();
+    perfmon::enable(true);
+    let gb_run = lagraph::bc::betweenness(&p.graph, &sources, GaloisRuntime).unwrap();
+    perfmon::enable(false);
+    let gb = perfmon::snapshot();
+    perfmon::reset();
+    perfmon::enable(true);
+    let ls_run = lonestar::bc::betweenness(&p.graph, &sources);
+    perfmon::enable(false);
+    let ls = perfmon::snapshot();
+    std::hint::black_box((&gb_run, &ls_run));
+    let instr_ratio = gb.instructions as f64 / ls.instructions.max(1) as f64;
+    assert!(
+        instr_ratio >= 5.0,
+        "bc: GB/LS instruction ratio {instr_ratio:.2} < 5.0"
+    );
+    assert!(
+        gb.l1_accesses > ls.l1_accesses,
+        "bc: GB must make more memory accesses ({} vs {})",
+        gb.l1_accesses,
+        ls.l1_accesses
+    );
+    assert!(
+        gb_run.materialized_vectors > 0,
+        "matrix bc keeps one path-count vector per level"
+    );
+}
+
+#[test]
 fn traced_bfs_shows_extra_passes_and_materialization() {
     // §V-B bfs through the op-level trace instead of the hardware-model
     // counters: the matrix API issues at least as many passes over the

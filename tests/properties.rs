@@ -151,12 +151,7 @@ fn batched_columns_are_bit_identical_to_serial() {
         StudyGraph::Indochina04,
     ] {
         let p = PreparedGraph::study(which, Scale::custom(1.0 / 256.0));
-        for mode in [
-            KernelMode::Auto,
-            KernelMode::Push,
-            KernelMode::Pull,
-            KernelMode::Bitmap,
-        ] {
+        for mode in [KernelMode::Auto, KernelMode::Push] {
             ops::set_kernel_mode(mode);
             // Serial answers per source, computed once per (graph, mode):
             // thread count cannot change them (the determinism suite pins
@@ -327,7 +322,6 @@ where
         KernelHint::PushSparse,
         KernelHint::PushDense,
         KernelHint::Pull,
-        KernelHint::Bitmap,
     ] {
         let desc = desc.with_kernel(hint);
         check(&format!("vxm {hint:?}"), true, &|w, accum| match accum {

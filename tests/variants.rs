@@ -96,43 +96,6 @@ fn betweenness_agrees_across_apis_and_reference() {
 }
 
 #[test]
-fn direction_optimized_bfs_is_correct_on_study_shapes() {
-    for which in [StudyGraph::Twitter40, StudyGraph::RoadUsaW] {
-        let p = PreparedGraph::study(which, Scale::custom(1.0 / 128.0));
-        let expected = graph_api_study::study_core::reference::bfs_levels(&p.graph, p.source);
-        let ls = lonestar::bfs::bfs_direction_optimizing(&p.graph, &p.transpose, p.source);
-        assert_eq!(ls.level, expected, "ls dirop on {}", p.name);
-        let gb =
-            lagraph::bfs::bfs_push_pull(&p.graph, &p.transpose, p.source, GaloisRuntime).unwrap();
-        assert_eq!(gb.level, expected, "gb push-pull on {}", p.name);
-    }
-}
-
-#[test]
-fn parent_bfs_is_valid_on_both_apis() {
-    use graph_api_study::study_core::verify::verify_bfs_parents;
-    for which in [StudyGraph::Rmat22, StudyGraph::RoadUsaW, StudyGraph::Uk07] {
-        let p = PreparedGraph::study(which, Scale::custom(1.0 / 128.0));
-        let ls = lonestar::bfs::bfs_parent(&p.graph, p.source);
-        verify_bfs_parents(&p.graph, p.source, &ls)
-            .unwrap_or_else(|e| panic!("ls parents on {}: {e}", p.name));
-        let gb = lagraph::bfs::bfs_parent(&p.graph, p.source, GaloisRuntime).unwrap();
-        verify_bfs_parents(&p.graph, p.source, &gb)
-            .unwrap_or_else(|e| panic!("gb parents on {}: {e}", p.name));
-    }
-}
-
-#[test]
-fn parent_verifier_rejects_bad_trees() {
-    use graph_api_study::study_core::verify::verify_bfs_parents;
-    let g = graph_api_study::graph::builder::from_edges(3, [(0, 1), (1, 2)]);
-    assert!(verify_bfs_parents(&g, 0, &[0, 0, 1]).is_ok());
-    assert!(verify_bfs_parents(&g, 0, &[0, 0, 0]).is_err(), "0 is not 2's parent");
-    assert!(verify_bfs_parents(&g, 0, &[1, 0, 1]).is_err(), "bad source parent");
-    assert!(verify_bfs_parents(&g, 0, &[0, 0]).is_err(), "length mismatch");
-}
-
-#[test]
 fn afforest_beats_sv_on_work() {
     // Afforest's sampling processes far fewer edges; at minimum the
     // results agree, which is what this integration check pins down.
