@@ -1,4 +1,13 @@
 //! Serial reference implementations used to verify every parallel system.
+//!
+//! Each function is serial and self-contained: it reads only the graph it
+//! is given and shares no code with the systems it checks (no `galois_rt`,
+//! `graphblas`, `lagraph` or `lonestar`, and no degree-sorted relabeling
+//! from `graph::transform::sort_by_degree`), so a bug in their
+//! preprocessing cannot also hide in the checker. The references are also
+//! the benchmark's native serial yardstick, so they are work-efficient:
+//! tc is the "forward" algorithm and ktruss is support-decrement peeling,
+//! both over a private degree orientation.
 
 use graph::{CsrGraph, NodeId};
 
@@ -62,27 +71,59 @@ pub fn components(g: &CsrGraph) -> Vec<u32> {
     label
 }
 
-/// Serial triangle count of a symmetric loop-free graph.
-pub fn triangles(g: &CsrGraph) -> u64 {
-    let mut count = 0u64;
-    for v in 0..g.num_nodes() as u32 {
-        let vn = g.neighbor_slice(v);
+/// Each undirected edge of a symmetric loop-free graph, kept once at its
+/// lower-ranked endpoint, where vertices rank by `(degree, id)`.
+///
+/// Edge ids are positions in `dests`; row `v` (`offsets[v]..offsets[v + 1]`)
+/// holds the higher-ranked neighbours of `v` in the id order of `g`'s row.
+/// The rank bounds every row by O(√m), so hubs never rescan their lists.
+struct Oriented {
+    offsets: Vec<usize>,
+    dests: Vec<NodeId>,
+}
+
+impl Oriented {
+    fn row(&self, v: NodeId) -> &[NodeId] {
+        &self.dests[self.offsets[v as usize]..self.offsets[v as usize + 1]]
+    }
+}
+
+fn ranks_below(g: &CsrGraph, u: NodeId, v: NodeId) -> bool {
+    (g.out_degree(u), u) < (g.out_degree(v), v)
+}
+
+/// O(V + E) degree orientation of `g`; reads nothing but `g` itself.
+fn orient(g: &CsrGraph) -> Oriented {
+    let n = g.num_nodes();
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    let mut dests = Vec::with_capacity(g.num_edges() / 2);
+    for v in 0..n as NodeId {
+        let higher = g
+            .neighbor_slice(v)
+            .iter()
+            .filter(|&&u| ranks_below(g, v, u));
+        dests.extend(higher);
+        offsets.push(dests.len());
+    }
+    Oriented { offsets, dests }
+}
+
+/// Calls `found(vu, vw, uw)` with the three edge ids of every triangle of
+/// `o`, once each: at its lowest-ranked vertex `v`, by merging the rows of
+/// `v` and of its middle-ranked vertex `u`.
+fn each_triangle(o: &Oriented, mut found: impl FnMut(usize, usize, usize)) {
+    for v in 0..o.offsets.len() as NodeId - 1 {
+        let (vs, vn) = (o.offsets[v as usize], o.row(v));
         for (i, &u) in vn.iter().enumerate() {
-            if u <= v {
-                continue;
-            }
-            let un = g.neighbor_slice(u);
-            let (mut p, mut q) = (i + 1, 0usize);
+            let (us, un) = (o.offsets[u as usize], o.row(u));
+            let (mut p, mut q) = (0, 0);
             while p < vn.len() && q < un.len() {
-                if un[q] <= u {
-                    q += 1;
-                    continue;
-                }
                 match vn[p].cmp(&un[q]) {
                     std::cmp::Ordering::Less => p += 1,
                     std::cmp::Ordering::Greater => q += 1,
                     std::cmp::Ordering::Equal => {
-                        count += 1;
+                        found(vs + i, vs + p, us + q);
                         p += 1;
                         q += 1;
                     }
@@ -90,59 +131,87 @@ pub fn triangles(g: &CsrGraph) -> u64 {
             }
         }
     }
+}
+
+/// Serial triangle count of a symmetric loop-free graph with sorted rows:
+/// the "forward" algorithm, which intersects the two degree-oriented rows
+/// of every oriented edge (see `orient`).
+pub fn triangles(g: &CsrGraph) -> u64 {
+    let mut count = 0u64;
+    each_triangle(&orient(g), |_, _, _| count += 1);
     count
 }
 
-/// Serial k-truss peeling of a symmetric loop-free graph; returns the
-/// number of surviving directed edges.
+/// Serial k-truss of a symmetric loop-free graph with sorted rows; returns
+/// the number of surviving directed edges.
+///
+/// Support-decrement peeling (Wang & Cheng): each undirected edge's
+/// support is counted once over the degree orientation (see `orient`).
+/// A scan over the edges peels every edge below `k - 2` through a stack:
+/// removing an edge decrements the two other edges of each triangle it
+/// still closes, and an edge that falls below `k - 2` is stacked in turn.
 pub fn ktruss_edges(g: &CsrGraph, k: u32) -> usize {
     assert!(k >= 3, "k-truss requires k >= 3");
-    let needed = (k - 2) as usize;
-    let mut alive = vec![true; g.num_edges()];
-    let edge_slot = |u: NodeId, v: NodeId| -> Option<usize> {
-        g.neighbor_slice(u)
-            .binary_search(&v)
-            .ok()
-            .map(|p| g.edge_range(u).start + p)
+    const REMOVED: u32 = u32::MAX;
+    let needed = k - 2;
+    let o = orient(g);
+    let m = o.dests.len();
+    let mut support = vec![0u32; m];
+    each_triangle(&o, |vu, vw, uw| {
+        support[vu] += 1;
+        support[vw] += 1;
+        support[uw] += 1;
+    });
+    let edge_id = |x: NodeId, y: NodeId| {
+        let (a, b) = if ranks_below(g, x, y) { (x, y) } else { (y, x) };
+        let pos = o
+            .row(a)
+            .binary_search(&b)
+            .expect("edge of a symmetric graph");
+        o.offsets[a as usize] + pos
     };
-    loop {
-        let mut removed = false;
-        for v in 0..g.num_nodes() as u32 {
-            for e in g.edge_range(v) {
-                let u = g.edge_dst(e);
-                if u <= v || !alive[e] {
+    let mut removed = 0usize;
+    let mut stack: Vec<u32> = Vec::new();
+    for first in 0..m {
+        // `REMOVED` is never below `needed`, so peeled edges are skipped.
+        if support[first] >= needed {
+            continue;
+        }
+        stack.push(first as u32);
+        while let Some(e) = stack.pop() {
+            let e = e as usize;
+            let intact = std::mem::replace(&mut support[e], REMOVED);
+            removed += 1;
+            // On a sparse social graph most edges close no triangle at all.
+            if intact == 0 {
+                continue;
+            }
+            let a = (o.offsets.partition_point(|&x| x <= e) - 1) as NodeId;
+            let b = o.dests[e];
+            let (short, long) = if g.out_degree(a) <= g.out_degree(b) {
+                (a, b)
+            } else {
+                (b, a)
+            };
+            let long_row = g.neighbor_slice(long);
+            for &w in g.neighbor_slice(short) {
+                if long_row.binary_search(&w).is_err() {
                     continue;
                 }
-                let mut support = 0usize;
-                let (mut p, mut q) = (g.edge_range(v).start, g.edge_range(u).start);
-                let (pe, qe) = (g.edge_range(v).end, g.edge_range(u).end);
-                while p < pe && q < qe {
-                    match g.edge_dst(p).cmp(&g.edge_dst(q)) {
-                        std::cmp::Ordering::Less => p += 1,
-                        std::cmp::Ordering::Greater => q += 1,
-                        std::cmp::Ordering::Equal => {
-                            if alive[p] && alive[q] {
-                                support += 1;
-                            }
-                            p += 1;
-                            q += 1;
-                        }
-                    }
+                let (sw, lw) = (edge_id(short, w), edge_id(long, w));
+                if support[sw] == REMOVED || support[lw] == REMOVED {
+                    continue;
                 }
-                if support < needed {
-                    alive[e] = false;
-                    if let Some(rev) = edge_slot(u, v) {
-                        alive[rev] = false;
+                for f in [sw, lw] {
+                    if support[f] == needed {
+                        stack.push(f as u32);
                     }
-                    removed = true;
+                    support[f] -= 1;
                 }
             }
         }
-        if !removed {
-            break;
-        }
     }
-    alive.iter().filter(|&&a| a).count()
+    2 * (m - removed)
 }
 
 /// Serial fixed-iteration pagerank matching the study's formulation.

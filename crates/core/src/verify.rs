@@ -151,6 +151,23 @@ mod tests {
     }
 
     #[test]
+    fn rejects_near_miss_tc_and_ktruss_counts() {
+        let g = graph::gen::preferential_attachment(400, 6, true, 7);
+        let p = PreparedGraph::from_graph("pa", g, 0, 4, 1);
+        let triangles = crate::reference::triangles(&p.symmetric);
+        let edges = crate::reference::ktruss_edges(&p.symmetric, p.ktruss_k);
+        assert!(
+            triangles > 0 && edges > 2,
+            "the mutants need a nonempty answer"
+        );
+        let tc = |count| verify(&p, Problem::Tc, &ProblemOutput::Triangles(count));
+        let ktruss = |edges| verify(&p, Problem::Ktruss, &ProblemOutput::TrussEdges(edges));
+        assert!(tc(triangles).is_ok() && ktruss(edges).is_ok());
+        assert!(tc(triangles + 1).is_err() && tc(triangles - 1).is_err());
+        assert!(ktruss(edges + 2).is_err() && ktruss(edges - 2).is_err());
+    }
+
+    #[test]
     fn detects_wrong_levels() {
         let p = PreparedGraph::study(StudyGraph::RoadUsaW, Scale::custom(1.0 / 256.0));
         let mut levels = crate::reference::bfs_levels(&p.graph, p.source);

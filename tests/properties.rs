@@ -129,6 +129,96 @@ fn ktruss_systems_match_reference() {
     );
 }
 
+/// Dense brute-force oracle for the serial references on a symmetric
+/// graph: triangles by a triple loop over the adjacency matrix, and the
+/// k-truss's directed edge count by recomputing every edge's support
+/// until a sweep removes nothing.
+fn dense_tc_and_truss(s: &CsrGraph, k: u32) -> (u64, usize) {
+    let n = s.num_nodes();
+    let mut adj = vec![vec![false; n]; n];
+    for v in 0..n as u32 {
+        for u in s.neighbors(v) {
+            adj[v as usize][u as usize] = true;
+        }
+    }
+    let mut tc = 0u64;
+    for a in 0..n {
+        for b in a + 1..n {
+            for c in b + 1..n {
+                tc += u64::from(adj[a][b] && adj[a][c] && adj[b][c]);
+            }
+        }
+    }
+    loop {
+        let support = |a: usize, b: usize| (0..n).filter(|&c| adj[a][c] && adj[b][c]).count();
+        let doomed: Vec<(usize, usize)> = (0..n)
+            .flat_map(|a| (0..n).map(move |b| (a, b)))
+            .filter(|&(a, b)| adj[a][b] && support(a, b) < (k - 2) as usize)
+            .collect();
+        if doomed.is_empty() {
+            break;
+        }
+        for (a, b) in doomed {
+            adj[a][b] = false;
+        }
+    }
+    (tc, adj.iter().flatten().filter(|&&e| e).count())
+}
+
+fn check_references_against_oracle(s: &CsrGraph, k: u32) -> Result<(), String> {
+    let (tc, truss) = dense_tc_and_truss(s, k);
+    prop_assert_eq!(reference::triangles(s), tc);
+    prop_assert_eq!(reference::ktruss_edges(s, k), truss);
+    Ok(())
+}
+
+#[test]
+fn references_match_dense_oracle() {
+    prop::check(
+        "references_match_dense_oracle",
+        prop::cases(4 * CASES),
+        |g| (arb_graph(g), g.gen_range(3u32..9)),
+        |(g, k)| check_references_against_oracle(&symmetrize(g), *k),
+    );
+}
+
+#[test]
+fn references_match_dense_oracle_on_fixed_shapes() {
+    use graph_api_study::graph::builder::from_edges;
+    let clique = |lo: u32, hi: u32| (lo..hi).flat_map(move |a| (a + 1..hi).map(move |b| (a, b)));
+    // A strip of triangles (i, i+1, i+2): at k = 4 only its two ends
+    // lack support, so peeling advances one triangle per wave.
+    let strip = (0..40u32)
+        .flat_map(|i| [(i, i + 1), (i, i + 2)])
+        .filter(|&(_, b)| b < 40);
+    let shapes: Vec<(&str, CsrGraph)> = vec![
+        ("empty", from_edges(0, [])),
+        ("isolated vertices", from_edges(7, [])),
+        ("star", from_edges(12, (1..12).map(|leaf| (0, leaf)))),
+        (
+            "two cliques sharing an edge",
+            from_edges(8, clique(0, 5).chain(clique(3, 8))),
+        ),
+        ("triangle strip", from_edges(40, strip)),
+    ];
+    for (name, g) in &shapes {
+        let s = symmetrize(g);
+        for k in 3..=8 {
+            check_references_against_oracle(&s, k).unwrap_or_else(|e| panic!("{name}, k={k}: {e}"));
+        }
+    }
+    for k in 3..=8u32 {
+        // K_k survives its own k-truss; the pendant edge does not.
+        let s = symmetrize(&from_edges(k as usize + 1, clique(0, k).chain([(0, k)])));
+        check_references_against_oracle(&s, k).unwrap_or_else(|e| panic!("K_{k} + pendant: {e}"));
+        assert_eq!(
+            reference::ktruss_edges(&s, k),
+            (k * (k - 1)) as usize,
+            "K_{k} + pendant"
+        );
+    }
+}
+
 /// Tentpole invariant of the batched query engine: for every batch width
 /// k in {1, 4, 17}, on every study-graph shape, column j of msBFS is
 /// **bit-identical** to the serial single-source run from source j —
