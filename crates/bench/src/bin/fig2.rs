@@ -9,8 +9,9 @@
 //! cargo run -p bench --bin fig2 --release
 //! ```
 
+use std::sync::Arc;
 use study_core::report::{secs, Table};
-use study_core::{timed_run, PreparedGraph, Problem, System};
+use study_core::{execute, Job, PreparedGraph, Problem, System, Work};
 
 fn main() {
     let scale = bench::scale_from_env();
@@ -19,11 +20,11 @@ fn main() {
         .into_iter()
         .filter(|g| selected.contains(g))
         .collect();
-    let prepared: Vec<PreparedGraph> = four
+    let prepared: Vec<Arc<PreparedGraph>> = four
         .into_iter()
         .map(|g| {
             eprintln!("[prepare] {} ...", g.name());
-            PreparedGraph::study(g, scale)
+            Arc::new(PreparedGraph::study(g, scale))
         })
         .collect();
 
@@ -49,8 +50,9 @@ fn main() {
                 let mut cells = vec![format!("{} {} {}", problem, p.name, system)];
                 for &t in &threads {
                     galois_rt::set_threads(t);
-                    let m = timed_run(system, problem, p);
-                    cells.push(secs(m.elapsed));
+                    let out = execute(&Job::new(Work::Cell(system, problem)), p);
+                    assert!(out.is_ok(), "{problem} on {system}: {:?}", out.lanes);
+                    cells.push(secs(out.solve));
                 }
                 table.row(cells);
             }

@@ -1,16 +1,17 @@
 //! Regenerates **Figure 3**: speedups of the differential-analysis
 //! variants over the baseline `gb` variant, for cc, sssp, pr and tc on
-//! all nine graphs.
+//! all nine graphs. Each variant's first run per graph is verified
+//! against the serial reference; a wrong variant prints `WRONG` and the
+//! binary exits 1 after the report.
 //!
 //! ```text
 //! cargo run -p bench --bin fig3 --release            # all four panels
 //! cargo run -p bench --bin fig3 --release -- pr tc   # selected panels
 //! ```
 
-use study_core::report::{ratio, Table};
-use study_core::runner::timed_run_variant;
-use study_core::{Problem, Variant};
 use std::time::Duration;
+use study_core::report::{ratio, Table};
+use study_core::{Problem, Variant, Work};
 
 fn main() {
     let scale = bench::scale_from_env();
@@ -36,6 +37,7 @@ fn main() {
     let prepared = bench::prepare_graphs(scale);
 
     println!("Figure 3: variant speedups over the gb baseline (higher is faster)\n");
+    let mut bad = false;
     for problem in panels {
         let variants = Variant::panel(problem);
         let mut table = Table::new(
@@ -44,31 +46,36 @@ fn main() {
         );
         // Baseline: the gb variant. A panel without one has nothing to
         // normalize against; skip it instead of dying mid-report.
-        let Some(baseline) = variants.iter().find(|v| v.name() == "gb") else {
+        let Some(baseline) = variants.iter().position(|v| v.name() == "gb") else {
             eprintln!("[fig3] panel {problem} has no gb baseline; skipped");
             continue;
         };
         for p in &prepared {
-            let (base_time, _) = bench::timed_avg(repeats, || {
-                let m = timed_run_variant(*baseline, p);
-                (m.elapsed, ())
-            });
+            let runs: Vec<_> = variants
+                .iter()
+                .map(|&v| bench::timed_verified(Work::Variant(v), p, repeats))
+                .collect();
             let mut cells = vec![p.name.clone()];
-            for &variant in variants {
-                let elapsed = if variant == *baseline {
-                    base_time
-                } else {
-                    let (e, ()) = bench::timed_avg(repeats, || {
-                        let m = timed_run_variant(variant, p);
-                        (m.elapsed, ())
-                    });
-                    e
-                };
-                cells.push(speedup(base_time, elapsed));
+            for (variant, (elapsed, first)) in variants.iter().zip(&runs) {
+                let lane = &first.lanes[0];
+                cells.push(match &lane.error {
+                    None => speedup(runs[baseline].0, *elapsed),
+                    Some(e) => {
+                        eprintln!("[verify] {problem} {} {}: {e}", variant.name(), p.name);
+                        bad = true;
+                        match lane.value {
+                            Some(_) => "WRONG".to_string(),
+                            None => lane.status.to_string(),
+                        }
+                    }
+                });
             }
             table.row(cells);
         }
         println!("fig 3 ({problem}):\n{table}");
+    }
+    if bad {
+        std::process::exit(1);
     }
 }
 

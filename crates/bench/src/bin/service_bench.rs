@@ -38,7 +38,7 @@ fn serve() -> i32 {
     let catalog = Catalog::new();
     for p in bench::prepare_graphs(scale) {
         eprintln!("[serve] cataloged {} ({} nodes)", p.name, p.graph.num_nodes());
-        catalog.insert(p);
+        catalog.insert(std::sync::Arc::unwrap_or_clone(p));
     }
     let handle = match Service::start(ServiceConfig::from_env(), catalog) {
         Ok(h) => h,

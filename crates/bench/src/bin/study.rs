@@ -23,9 +23,9 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use study_core::cell::{cell_timeout_from_env, run_protected};
+use study_core::cell::cell_timeout_from_env;
 use study_core::report::secs;
-use study_core::{json, try_run, verify, PreparedGraph, Problem, ProblemOutput, System};
+use study_core::{execute, json, Job, PreparedGraph, Problem, ProblemOutput, System, Work};
 
 struct Options {
     problem: Problem,
@@ -191,60 +191,50 @@ fn main() {
         secs(loaded),
         secs(prepared)
     );
+    let timeout = cell_timeout_from_env();
     let mut bad = false;
     for &system in &opts.systems {
         perfmon::reset();
         perfmon::enable(opts.perf);
-        // The cell runs behind the `run_protected` isolation boundary,
-        // so injected faults, memory-budget exhaustion and hangs report
-        // a status instead of aborting the process.
-        let problem = opts.problem;
-        let do_trace = opts.trace;
-        let shared = Arc::clone(&p);
-        let outcome = run_protected(
-            cell_timeout_from_env(),
-            move || -> Result<(Duration, ProblemOutput, _), graphblas::GrbError> {
-                let start = Instant::now();
-                if do_trace {
-                    let (out, trace) =
-                        perfmon::trace::with_trace(|| try_run(system, problem, &shared));
-                    Ok((start.elapsed(), out?, Some(trace)))
-                } else {
-                    let out = try_run(system, problem, &shared)?;
-                    Ok((start.elapsed(), out, None))
-                }
-            },
-        );
+        // The executor's isolation boundary turns injected faults,
+        // memory-budget exhaustion, hangs and wrong answers into a
+        // status instead of aborting the process.
+        let job = Job {
+            verify: opts.verify,
+            trace: opts.trace,
+            timeout,
+            ..Job::new(Work::Cell(system, opts.problem))
+        };
+        let outcome = execute(&job, &p);
         perfmon::enable(false);
-        let Some((elapsed, output, trace)) = outcome.value else {
+        let lane = &outcome.lanes[0];
+        let Some(output) = &lane.value else {
             println!(
                 "{system:>2}  [{}] {}",
-                outcome.status,
-                outcome.error.unwrap_or_default()
+                lane.status,
+                lane.error.as_deref().unwrap_or_default()
             );
             bad = true;
             continue;
         };
-        let status = if opts.verify {
-            match verify::verify(&p, opts.problem, &output) {
-                Ok(()) => "verified",
-                Err(e) => {
-                    eprintln!("[study] {system}: VERIFICATION FAILED: {e}");
-                    "WRONG"
-                }
+        let status = match (&lane.error, opts.verify) {
+            (Some(e), _) => {
+                eprintln!("[study] {system}: {e}");
+                bad = true;
+                "WRONG"
             }
-        } else {
-            "unverified"
+            (None, true) => "verified",
+            (None, false) => "unverified",
         };
         println!(
             "{system:>2}  {}s  {}  [{status}]",
-            secs(elapsed),
-            summarize(&output)
+            secs(outcome.solve),
+            summarize(output)
         );
         if opts.perf {
             println!("    {}", perfmon::PerfReport::new("counters", perfmon::snapshot()));
         }
-        if let Some(trace) = trace {
+        if let Some(trace) = &outcome.trace {
             let s = trace.summary();
             println!(
                 "    trace: {} ops, {} loops, {} passes, {} product rounds, \
@@ -266,7 +256,7 @@ fn main() {
                 },
             );
             let path = trace_dump_path(opts.problem, system, &p.name);
-            match dump_trace(&path, &trace) {
+            match dump_trace(&path, trace) {
                 Ok(()) => println!("    trace dumped to {path}"),
                 Err(e) => eprintln!("[study] cannot write {path}: {e}"),
             }

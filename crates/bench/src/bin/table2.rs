@@ -2,15 +2,17 @@
 //! nine graphs × three systems (SS = LAGraph/SuiteSparse-like backend,
 //! GB = LAGraph/GaloisBLAS, LS = Lonestar/Galois).
 //!
-//! Every cell is verified against the serial reference; a failed
-//! verification prints `C` (the paper's "correctness bug" marker).
+//! Every cell's first run is verified against the serial reference; a
+//! failed verification prints `C` (the paper's "correctness bug"
+//! marker), a cell that did not finish prints its status, and either
+//! makes the binary exit 1 after the table.
 //!
 //! ```text
 //! STUDY_SCALE=0.25 cargo run -p bench --bin table2 --release
 //! ```
 
 use study_core::report::{secs, Table};
-use study_core::{timed_run, verify, Problem, System};
+use study_core::{Problem, System, Work};
 
 fn main() {
     let scale = bench::scale_from_env();
@@ -27,21 +29,24 @@ fn main() {
     let mut speedup_num = 0.0f64;
     let mut speedup_count = 0u32;
     let mut ss_times = std::collections::HashMap::new();
+    let mut bad = false;
 
     for problem in Problem::all() {
         for system in System::all() {
             let mut cells = vec![format!("{problem} {system}")];
             for p in &prepared {
-                let (elapsed, m) =
-                    bench::timed_avg(repeats, || {
-                        let m = timed_run(system, problem, p);
-                        (m.elapsed, m)
-                    });
-                let cell = match verify::verify(p, problem, &m.output) {
-                    Ok(()) => secs(elapsed),
-                    Err(e) => {
+                let (elapsed, first) =
+                    bench::timed_verified(Work::Cell(system, problem), p, repeats);
+                let lane = &first.lanes[0];
+                let cell = match &lane.error {
+                    None => secs(elapsed),
+                    Some(e) => {
                         eprintln!("[verify] {system} {problem} {}: {e}", p.name);
-                        "C".to_string()
+                        bad = true;
+                        match lane.value {
+                            Some(_) => "C".to_string(),
+                            None => lane.status.to_string(),
+                        }
                     }
                 };
                 match system {
@@ -69,5 +74,8 @@ fn main() {
             "mean LS speedup over SS across all cells: {:.2}x (paper: ~5x on 56 cores)",
             speedup_num / f64::from(speedup_count)
         );
+    }
+    if bad {
+        std::process::exit(1);
     }
 }

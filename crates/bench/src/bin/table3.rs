@@ -13,7 +13,7 @@
 
 use perfmon::alloc::{peak_bytes, reset_peak, TrackingAllocator};
 use study_core::report::{mib, Table};
-use study_core::{run, Problem, System};
+use study_core::{try_run, Problem, System};
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
@@ -32,7 +32,8 @@ fn main() {
             let mut cells = vec![format!("{problem} {system}")];
             for p in &prepared {
                 reset_peak();
-                let out = run(system, problem, p);
+                let out = try_run(system, problem, p)
+                    .unwrap_or_else(|e| panic!("{problem} on {system} failed: {e}"));
                 let peak = peak_bytes();
                 // Keep the output alive until after the measurement.
                 std::hint::black_box(&out);

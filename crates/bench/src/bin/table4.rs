@@ -9,7 +9,7 @@
 
 use perfmon::PerfReport;
 use study_core::report::Table;
-use study_core::{run, Problem, System};
+use study_core::{try_run, Problem, System};
 
 /// The (problem, graph) pairs §V-B discusses against Table IV.
 fn rows() -> Vec<(Problem, &'static str)> {
@@ -63,7 +63,8 @@ fn main() {
 fn measure(system: System, problem: Problem, p: &study_core::PreparedGraph) -> PerfReport {
     perfmon::reset();
     perfmon::enable(true);
-    let out = run(system, problem, p);
+    let out = try_run(system, problem, p)
+        .unwrap_or_else(|e| panic!("{problem} on {system} failed: {e}"));
     perfmon::enable(false);
     std::hint::black_box(&out);
     PerfReport::new(

@@ -7,9 +7,9 @@
 //! ```
 
 use perfmon::PerfReport;
+use std::sync::Arc;
 use study_core::report::Table;
-use study_core::runner::run_variant;
-use study_core::{PreparedGraph, Variant};
+use study_core::{execute, Job, PreparedGraph, Variant, Work};
 
 /// The matched variant pairs the paper's Table V analyses, with the graph
 /// each comparison is discussed on.
@@ -62,11 +62,16 @@ fn main() {
     println!("\n{table}");
 }
 
-fn measure(variant: Variant, p: &PreparedGraph) -> PerfReport {
+fn measure(variant: Variant, p: &Arc<PreparedGraph>) -> PerfReport {
     perfmon::reset();
     perfmon::enable(true);
-    let out = run_variant(variant, p);
+    let out = execute(&Job::new(Work::Variant(variant)), p);
     perfmon::enable(false);
-    std::hint::black_box(&out);
+    assert!(
+        out.is_ok(),
+        "variant {} failed: {:?}",
+        variant.name(),
+        out.lanes[0].error
+    );
     PerfReport::new(format!("{} {}", variant.name(), p.name), perfmon::snapshot())
 }

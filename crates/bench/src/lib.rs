@@ -13,8 +13,9 @@
 //!   as the paper does (default `1`; the paper used 3).
 //! * `STUDY_GRAPHS` — comma-separated subset of graph names to run.
 
+use std::sync::Arc;
 use std::time::Duration;
-use study_core::PreparedGraph;
+use study_core::{execute, Job, JobOutcome, PreparedGraph, Work};
 
 pub mod service_load;
 
@@ -122,10 +123,12 @@ pub fn prepare_graph_names() -> Vec<String> {
 }
 
 /// Builds and prepares the selected graphs, echoing progress to stderr.
+/// Each is shared behind an [`Arc`], the form `study_core::execute`
+/// takes.
 ///
 /// With `STUDY_CACHE_DIR` set, generated graphs are cached as binary CSR
 /// files keyed by name and scale, so repeated runs skip regeneration.
-pub fn prepare_graphs(scale: Scale) -> Vec<PreparedGraph> {
+pub fn prepare_graphs(scale: Scale) -> Vec<Arc<PreparedGraph>> {
     let cache_dir = std::env::var("STUDY_CACHE_DIR").ok();
     graphs_from_env()
         .into_iter()
@@ -136,13 +139,13 @@ pub fn prepare_graphs(scale: Scale) -> Vec<PreparedGraph> {
                 None => which.build(scale),
             };
             let source = which.source(&graph);
-            PreparedGraph::from_graph(
+            Arc::new(PreparedGraph::from_graph(
                 which.name(),
                 graph,
                 source,
                 which.ktruss_k(),
                 which.sssp_delta(),
-            )
+            ))
         })
         .collect()
 }
@@ -166,14 +169,17 @@ fn load_or_generate(dir: &str, which: StudyGraph, scale: Scale) -> graph::CsrGra
     g
 }
 
-/// Averages `repeats` timed executions of `f` (discarding outputs after
-/// the first, which is returned for verification).
-pub fn timed_avg<T>(repeats: u32, mut f: impl FnMut() -> (Duration, T)) -> (Duration, T) {
-    let (mut total, first) = f();
-    for _ in 1..repeats {
-        total += f().0;
-    }
-    (total / repeats, first)
+/// Averages the run stage of `repeats` executions of `work` on `p`.
+/// Only the first execution is verified; its outcome is returned.
+pub fn timed_verified(work: Work, p: &Arc<PreparedGraph>, repeats: u32) -> (Duration, JobOutcome) {
+    let mut job = Job {
+        verify: true,
+        ..Job::new(work)
+    };
+    let first = execute(&job, p);
+    job.verify = false;
+    let rest: Duration = (1..repeats).map(|_| execute(&job, p).solve).sum();
+    ((first.solve + rest) / repeats, first)
 }
 
 #[cfg(test)]
@@ -244,14 +250,10 @@ mod tests {
     }
 
     #[test]
-    fn timed_avg_averages() {
-        let mut calls = 0u32;
-        let (avg, out) = timed_avg(4, || {
-            calls += 1;
-            (Duration::from_millis(10), calls)
-        });
-        assert_eq!(calls, 4);
-        assert_eq!(out, 1, "first output is kept");
-        assert_eq!(avg, Duration::from_millis(10));
+    fn timed_verified_keeps_the_verified_first_outcome() {
+        let p = Arc::new(PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 256.0)));
+        let cell = Work::Cell(study_core::System::Lonestar, study_core::Problem::Bfs);
+        let (avg, first) = timed_verified(cell, &p, 3);
+        assert!(first.is_ok() && first.verify > Duration::ZERO && avg > Duration::ZERO);
     }
 }

@@ -9,19 +9,18 @@
 //! kernel sequence, so the paper-faithful numbers stay bit-for-bit
 //! identical.
 //!
-//! Every query keeps its own [`CellOutcome`]: a per-lane failure
-//! (memory budget, injected fault, bad source) costs that query only,
-//! and every ok query is verified independently against the serial
-//! reference for **its** source ([`verify_batch_query`]).
+//! A batch runs as [`crate::exec::Work::Batch`]: every query is one
+//! lane of the job, so a per-lane failure (memory budget, injected
+//! fault, bad source) costs that query only, and every ok query is
+//! verified independently against the serial reference for **its**
+//! source ([`verify_batch_query`]).
 
-use crate::cell::{self, CellOutcome};
 use crate::prepared::PreparedGraph;
 use crate::problem::{ProblemOutput, System};
 use crate::reference;
 use crate::verify::VerifyError;
 use graph::NodeId;
 use graphblas::{GaloisRuntime, GrbError, Runtime, StaticRuntime};
-use std::sync::Arc;
 
 /// The problems with a batched (multi-source) formulation. msBFS is the
 /// only one: the service's batch request names it on the wire, and the
@@ -59,81 +58,35 @@ pub fn batch_sources(p: &PreparedGraph, k: usize) -> Vec<NodeId> {
     (0..k as u32).map(|i| (p.source + i * stride) % n).collect()
 }
 
-/// Runs one batched (problem, system) cell: k queries, k per-query
-/// results.
-///
-/// # Errors
-///
-/// Per query: the matrix systems propagate per-lane [`GrbError`]s; the
-/// Lonestar runs are infallible.
-pub fn try_run_batch(
+/// The run stage of a batch job: k queries, k per-query results. The
+/// matrix systems return per-lane [`GrbError`]s; the Lonestar runs are
+/// infallible.
+pub(crate) fn solve(
     system: System,
     problem: BatchProblem,
     p: &PreparedGraph,
     sources: &[NodeId],
 ) -> Vec<Result<ProblemOutput, GrbError>> {
+    let BatchProblem::Bfs = problem;
     match system {
-        System::SuiteSparse => run_lagraph_batch(problem, p, sources, StaticRuntime),
-        System::GaloisBlas => run_lagraph_batch(problem, p, sources, GaloisRuntime),
-        System::Lonestar => run_lonestar_batch(problem, p, sources),
-    }
-}
-
-fn run_lagraph_batch<R: Runtime>(
-    problem: BatchProblem,
-    p: &PreparedGraph,
-    sources: &[NodeId],
-    rt: R,
-) -> Vec<Result<ProblemOutput, GrbError>> {
-    match problem {
-        BatchProblem::Bfs => lagraph::batch::batched_bfs(&p.graph, sources, rt)
-            .into_iter()
-            .map(|r| r.map(|b| ProblemOutput::Levels(b.level)))
-            .collect(),
-    }
-}
-
-fn run_lonestar_batch(
-    problem: BatchProblem,
-    p: &PreparedGraph,
-    sources: &[NodeId],
-) -> Vec<Result<ProblemOutput, GrbError>> {
-    match problem {
-        BatchProblem::Bfs => lonestar::batch::batched_bfs(&p.graph, sources)
+        System::SuiteSparse => lagraph_bfs(p, sources, StaticRuntime),
+        System::GaloisBlas => lagraph_bfs(p, sources, GaloisRuntime),
+        System::Lonestar => lonestar::batch::batched_bfs(&p.graph, sources)
             .into_iter()
             .map(|b| Ok(ProblemOutput::Levels(b.level)))
             .collect(),
     }
 }
 
-/// Runs one batched cell under the study's isolation boundary and fans
-/// the result out per query.
-///
-/// The whole batch shares one `catch_unwind` + watchdog boundary (a
-/// panic or timeout is a batch-level event and costs every query); a
-/// per-lane [`GrbError`] costs only its own query's [`CellOutcome`].
-pub fn run_batch_cell(
-    system: System,
-    problem: BatchProblem,
-    p: &Arc<PreparedGraph>,
+fn lagraph_bfs<R: Runtime>(
+    p: &PreparedGraph,
     sources: &[NodeId],
-) -> Vec<CellOutcome<ProblemOutput>> {
-    let p2 = Arc::clone(p);
-    let srcs = sources.to_vec();
-    let out = cell::run_protected(cell::cell_timeout_from_env(), move || {
-        Ok(try_run_batch(system, problem, &p2, &srcs))
-    });
-    match out.value {
-        Some(results) => results.into_iter().map(cell::outcome_from_result).collect(),
-        None => sources
-            .iter()
-            .map(|_| CellOutcome {
-                status: out.status,
-                error: out.error.clone(),
-                value: None,
-            })
-            .collect(),
-    }
+    rt: R,
+) -> Vec<Result<ProblemOutput, GrbError>> {
+    lagraph::batch::batched_bfs(&p.graph, sources, rt)
+        .into_iter()
+        .map(|r| r.map(|b| ProblemOutput::Levels(b.level)))
+        .collect()
 }
 
 /// Verifies one query of a batched cell against the serial reference
@@ -168,11 +121,8 @@ mod tests {
     use super::*;
     use graph::{Scale, StudyGraph};
 
-    fn prepared() -> Arc<PreparedGraph> {
-        Arc::new(PreparedGraph::study(
-            StudyGraph::Rmat22,
-            Scale::custom(1.0 / 128.0),
-        ))
+    fn prepared() -> PreparedGraph {
+        PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 128.0))
     }
 
     #[test]
@@ -185,39 +135,11 @@ mod tests {
     }
 
     #[test]
-    fn every_system_verifies_every_query() {
-        let p = prepared();
-        let sources = batch_sources(&p, 4);
-        let problem = BatchProblem::Bfs;
-        for system in System::all() {
-            let outcomes = run_batch_cell(system, problem, &p, &sources);
-            assert_eq!(outcomes.len(), sources.len());
-            for (j, outcome) in outcomes.iter().enumerate() {
-                assert!(outcome.is_ok(), "{system} {problem} query {j}");
-                verify_batch_query(&p, problem, sources[j], outcome.value.as_ref().unwrap())
-                    .unwrap_or_else(|e| panic!("{system} {problem} query {j}: {e}"));
-            }
-        }
-    }
-
-    #[test]
-    fn width_one_batch_matches_the_serial_cell() {
-        let p = prepared();
-        let sources = batch_sources(&p, 1);
-        let serial = crate::runner::try_run(System::GaloisBlas, crate::Problem::Bfs, &p).unwrap();
-        let batched = try_run_batch(System::GaloisBlas, BatchProblem::Bfs, &p, &sources)
-            .pop()
-            .unwrap()
-            .unwrap();
-        assert_eq!(batched, serial, "width-1 batch is the serial experiment");
-    }
-
-    #[test]
     fn verification_rejects_wrong_query_source() {
         let p = prepared();
         let sources = batch_sources(&p, 2);
         assert_ne!(sources[0], sources[1]);
-        let out = try_run_batch(System::Lonestar, BatchProblem::Bfs, &p, &sources);
+        let out = solve(System::Lonestar, BatchProblem::Bfs, &p, &sources);
         let first = out[0].as_ref().unwrap();
         verify_batch_query(&p, BatchProblem::Bfs, sources[0], first).unwrap();
         assert!(

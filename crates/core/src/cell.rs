@@ -1,23 +1,20 @@
-//! Cell-isolated execution for study sweeps.
+//! The isolation boundary.
 //!
 //! A study sweep runs hundreds of (problem, system, graph) *cells*;
 //! one panicking operator, exhausted memory budget or wedged loop must
-//! cost that cell, not the sweep. [`run_protected`] is the isolation
-//! boundary: it executes a cell body under `catch_unwind`, optionally
-//! bounded by the `STUDY_CELL_TIMEOUT_MS` watchdog, and reduces every
-//! way a cell can end to a [`CellStatus`] — the `ok|failed|timeout|oom`
-//! axis.
+//! cost that cell, not the sweep. [`run_protected`] is the boundary
+//! [`crate::exec::execute`] runs every job inside: it executes a body
+//! under `catch_unwind`, optionally bounded by a deadline, and reduces
+//! every way a body can end to a [`CellStatus`] — the
+//! `ok|failed|timeout|oom` axis. It stays public for bodies that are
+//! not a solve (a test's ingest → compact → solve cell).
 //!
-//! Two fault points target this layer: `cell.run` (panics the cell body;
-//! `cell.run:nth=K` selects exactly the K-th cell of a sweep as the
-//! victim) and `cell.hang` (sleeps the body so a configured timeout
-//! trips).
+//! Two fault points target this layer: `cell.run` (panics the body;
+//! `cell.run:nth=K` selects exactly the K-th job of a sweep, or the
+//! K-th request a service runs, as the victim) and `cell.hang` (sleeps
+//! the body so a configured timeout trips).
 
-use crate::prepared::PreparedGraph;
-use crate::problem::{Problem, ProblemOutput, System};
-use crate::runner;
 use graphblas::GrbError;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// How a cell ended.
@@ -45,35 +42,21 @@ impl CellStatus {
     }
 }
 
-impl CellStatus {
-    /// Parses the schema string back into a status — the inverse of
-    /// [`CellStatus::name`], used by service clients decoding wire
-    /// responses.
-    pub fn from_name(name: &str) -> Option<CellStatus> {
-        match name {
-            "ok" => Some(CellStatus::Ok),
-            "failed" => Some(CellStatus::Failed),
-            "timeout" => Some(CellStatus::Timeout),
-            "oom" => Some(CellStatus::Oom),
-            _ => None,
-        }
-    }
-}
-
 impl std::fmt::Display for CellStatus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
     }
 }
 
-/// The recorded end of one protected cell.
+/// The recorded end of one protected body, or of one lane of a job.
 #[derive(Debug)]
 pub struct CellOutcome<T> {
-    /// How the cell ended.
+    /// How the body ended.
     pub status: CellStatus,
     /// Human-readable failure message (`None` iff the status is ok).
     pub error: Option<String>,
-    /// The body's value (`Some` iff the status is ok).
+    /// The body's value: `Some` when the status is ok, and also for a
+    /// job lane whose answer failed verification.
     pub value: Option<T>,
 }
 
@@ -82,21 +65,11 @@ impl<T> CellOutcome<T> {
     pub fn is_ok(&self) -> bool {
         self.status == CellStatus::Ok
     }
-
-    /// Maps the carried value, preserving status and error — the shape
-    /// a service layer needs to turn a raw cell result into a wire
-    /// response without re-deriving the outcome axis.
-    pub fn map<U>(self, f: impl FnOnce(T) -> U) -> CellOutcome<U> {
-        CellOutcome {
-            status: self.status,
-            error: self.error,
-            value: self.value.map(f),
-        }
-    }
 }
 
-/// The per-cell watchdog timeout from `STUDY_CELL_TIMEOUT_MS`
-/// (milliseconds; unset, empty or `0` disables).
+/// The per-job watchdog timeout from `STUDY_CELL_TIMEOUT_MS`
+/// (milliseconds; unset, empty or `0` disables). Read once where a
+/// process starts, and passed on in [`crate::exec::Job::timeout`].
 ///
 /// # Panics
 ///
@@ -124,9 +97,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Maps one fallible result onto the `ok|failed|oom` axis — the
-/// per-query reduction of a batched cell, where each query of a
-/// [`crate::batch`] sweep carries its own `Result` and must get its own
-/// status (one query's oom must not poison its batch siblings).
+/// per-lane reduction of a job, where each query carries its own
+/// `Result` and must get its own status (one query's oom must not
+/// poison its batch siblings).
 pub(crate) fn outcome_from_result<T>(result: Result<T, GrbError>) -> CellOutcome<T> {
     match result {
         Ok(value) => CellOutcome {
@@ -218,22 +191,6 @@ pub fn run_protected<T: Send + 'static>(
     }
 }
 
-/// Runs one (problem, system) cell over a prepared graph under the
-/// isolation boundary, with the timeout from [`cell_timeout_from_env`].
-///
-/// The graph is shared via [`Arc`] because a timed-out cell's thread is
-/// abandoned and must keep its operands alive on its own.
-pub fn run_cell(
-    system: System,
-    problem: Problem,
-    p: &Arc<PreparedGraph>,
-) -> CellOutcome<ProblemOutput> {
-    let p = Arc::clone(p);
-    run_protected(cell_timeout_from_env(), move || {
-        runner::try_run(system, problem, &p)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,31 +266,5 @@ mod tests {
         assert_eq!(CellStatus::Failed.name(), "failed");
         assert_eq!(CellStatus::Timeout.name(), "timeout");
         assert_eq!(CellStatus::Oom.name(), "oom");
-    }
-
-    #[test]
-    fn status_names_round_trip_through_from_name() {
-        for status in [
-            CellStatus::Ok,
-            CellStatus::Failed,
-            CellStatus::Timeout,
-            CellStatus::Oom,
-        ] {
-            assert_eq!(CellStatus::from_name(status.name()), Some(status));
-        }
-        assert_eq!(CellStatus::from_name("rejected"), None);
-    }
-
-    #[test]
-    fn map_preserves_status_and_error() {
-        let out = run_protected(None, || Ok::<_, GrbError>(21)).map(|v| v * 2);
-        assert!(out.is_ok());
-        assert_eq!(out.value, Some(42));
-        let failed = run_protected(None, || -> Result<u32, GrbError> {
-            panic!("boom")
-        })
-        .map(|v| v * 2);
-        assert_eq!(failed.status, CellStatus::Failed);
-        assert!(failed.error.unwrap().contains("boom"));
     }
 }

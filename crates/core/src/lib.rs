@@ -10,13 +10,16 @@
 //! * [`prepared`] — per-graph preprocessing (transpose, symmetrization,
 //!   degree sorting, experiment parameters), excluded from timings the
 //!   way the paper excludes loading/preprocessing;
-//! * [`runner`] — a uniform `System × Problem → output` dispatcher with
-//!   wall-clock timing;
-//! * [`cell`] — the resilient-sweep isolation boundary: `catch_unwind` +
-//!   `STUDY_CELL_TIMEOUT_MS` watchdog around every (problem, system,
-//!   graph) cell, reducing failures to `ok|failed|timeout|oom`;
-//! * [`batch`] — k-source batched query cells (msBFS) with per-query
-//!   outcomes and per-query verification;
+//! * [`exec`] — the one way to execute a job: a [`Job`] (a cell, a
+//!   Figure 3 variant or a batch, plus verify / trace / timeout options)
+//!   goes through [`execute`], which runs fault points → isolation →
+//!   run → verify in a fixed order and returns one outcome per query;
+//! * [`runner`] — the `System × Problem → output` dispatch the run
+//!   stage calls;
+//! * [`cell`] — the isolation boundary: `catch_unwind` + deadline
+//!   watchdog, reducing failures to `ok|failed|timeout|oom`;
+//! * [`batch`] — k-source batched queries (msBFS) and their per-query
+//!   verification;
 //! * [`mod@reference`] — serial reference implementations every parallel
 //!   result is verified against;
 //! * [`verify`] — output comparisons (exact, partition-equivalence or
@@ -28,6 +31,7 @@
 
 pub mod batch;
 pub mod cell;
+pub mod exec;
 pub mod json;
 pub mod prepared;
 pub mod problem;
@@ -36,11 +40,10 @@ pub mod report;
 pub mod runner;
 pub mod verify;
 
-pub use batch::{
-    batch_sources, run_batch_cell, try_run_batch, verify_batch_query, BatchProblem,
-};
-pub use cell::{cell_timeout_from_env, run_cell, run_protected, CellOutcome, CellStatus};
+pub use batch::{batch_sources, verify_batch_query, BatchProblem};
+pub use cell::{cell_timeout_from_env, run_protected, CellOutcome, CellStatus};
+pub use exec::{execute, Job, JobOutcome, Work};
 pub use json::Json;
 pub use prepared::PreparedGraph;
 pub use problem::{Problem, ProblemOutput, System, Variant};
-pub use runner::{run, timed_run, traced_run, try_run, RunMeasurement, TracedMeasurement};
+pub use runner::{traced_run, try_run, TracedMeasurement};

@@ -147,6 +147,17 @@ impl Variant {
         }
     }
 
+    /// The Table II cell this variant is: `Some` for the `ls` and `gb`
+    /// baseline of each panel, `None` for the six real alternatives.
+    pub fn cell(&self) -> Option<(System, Problem)> {
+        let system = match self {
+            Variant::PrLs | Variant::TcLs | Variant::CcLs | Variant::SsspLs => System::Lonestar,
+            Variant::PrGb | Variant::TcGb | Variant::CcGb | Variant::SsspGb => System::GaloisBlas,
+            _ => return None,
+        };
+        Some((system, self.problem()))
+    }
+
     /// Figure 3 label.
     pub fn name(&self) -> &'static str {
         match self {

@@ -1,23 +1,17 @@
-//! Uniform dispatch: `System × Problem → ProblemOutput`, with timing.
+//! Uniform dispatch: `System × Problem → ProblemOutput`, and the six
+//! Figure 3 variants that are not cells. [`crate::exec`] is the one
+//! caller in this crate; [`try_run`] and [`traced_run`] stay public
+//! because the repo benchmark calls them directly.
 
 use crate::prepared::PreparedGraph;
 use crate::problem::{Problem, ProblemOutput, System, Variant};
 use graphblas::{GaloisRuntime, GrbError, Runtime, StaticRuntime};
 use std::time::{Duration, Instant};
 
-/// One timed measurement.
-#[derive(Debug, Clone)]
-pub struct RunMeasurement {
-    /// Wall-clock time of the algorithm proper (preprocessing excluded).
-    pub elapsed: Duration,
-    /// The algorithm's output, for verification.
-    pub output: ProblemOutput,
-}
-
 /// Runs `problem` on `system` over the prepared graph, surfacing
 /// GraphBLAS failures (memory-budget exhaustion, injected faults) as
-/// [`GrbError`] instead of panicking — what the resilient study runner
-/// ([`crate::cell`]) calls.
+/// [`GrbError`] instead of panicking — the run stage of every
+/// [`crate::exec::Work::Cell`] job.
 ///
 /// # Errors
 ///
@@ -35,33 +29,11 @@ pub fn try_run(
     }
 }
 
-/// Runs `problem` on `system` over the prepared graph.
-///
-/// # Panics
-///
-/// Panics on any [`GrbError`] (which cannot occur on a well-formed
-/// [`PreparedGraph`] without a memory budget or fault plan active); use
-/// [`try_run`] to handle failures.
-pub fn run(system: System, problem: Problem, p: &PreparedGraph) -> ProblemOutput {
-    try_run(system, problem, p)
-        .unwrap_or_else(|e| panic!("{problem} on {system} failed: {e}"))
-}
-
-/// Runs and times `problem` on `system`.
-pub fn timed_run(system: System, problem: Problem, p: &PreparedGraph) -> RunMeasurement {
-    let start = Instant::now();
-    let output = run(system, problem, p);
-    RunMeasurement {
-        elapsed: start.elapsed(),
-        output,
-    }
-}
-
 /// One traced measurement: timing, output, and the merged op/loop trace.
 #[derive(Debug, Clone)]
 pub struct TracedMeasurement {
     /// Wall-clock time of the algorithm proper (tracing enabled, so
-    /// slightly above [`RunMeasurement::elapsed`] for the same cell).
+    /// slightly above an untraced run of the same cell).
     pub elapsed: Duration,
     /// The algorithm's output, for verification.
     pub output: ProblemOutput,
@@ -76,7 +48,9 @@ pub struct TracedMeasurement {
 /// concurrently (tests in particular) must serialize.
 pub fn traced_run(system: System, problem: Problem, p: &PreparedGraph) -> TracedMeasurement {
     let start = Instant::now();
-    let (output, trace) = perfmon::trace::with_trace(|| run(system, problem, p));
+    let (output, trace) = perfmon::trace::with_trace(|| {
+        try_run(system, problem, p).unwrap_or_else(|e| panic!("{problem} on {system} failed: {e}"))
+    });
     TracedMeasurement {
         elapsed: start.elapsed(),
         output,
@@ -135,15 +109,16 @@ fn run_lonestar(problem: Problem, p: &PreparedGraph) -> ProblemOutput {
     }
 }
 
-fn try_run_variant(variant: Variant, p: &PreparedGraph) -> Result<ProblemOutput, GrbError> {
+/// Runs one Figure 3 variant: the six real alternatives here, the eight
+/// baselines through [`try_run`] as the Table II cells they are
+/// ([`Variant::cell`]).
+pub(crate) fn try_run_variant(
+    variant: Variant,
+    p: &PreparedGraph,
+) -> Result<ProblemOutput, GrbError> {
     use Variant::*;
     let rt = GaloisRuntime;
     Ok(match variant {
-        PrLs => ProblemOutput::Ranks(lonestar::pagerank::pagerank(
-            &p.transpose,
-            &p.out_degrees,
-            p.pr_iters,
-        )),
         PrLsSoa => ProblemOutput::Ranks(lonestar::pagerank::pagerank_soa(
             &p.transpose,
             &p.out_degrees,
@@ -155,96 +130,21 @@ fn try_run_variant(variant: Variant, p: &PreparedGraph) -> Result<ProblemOutput,
             p.pr_iters,
             rt,
         )?),
-        PrGb => ProblemOutput::Ranks(lagraph::pagerank::pagerank(
-            &p.transpose,
-            &p.out_degrees,
-            p.pr_iters,
-            rt,
-        )?),
-        TcLs => ProblemOutput::Triangles(lonestar::tc::tc(&p.sorted)),
         TcGbLl => ProblemOutput::Triangles(lagraph::tc::tc_listing(&p.sorted, rt)?.triangles),
         TcGbSort => {
             ProblemOutput::Triangles(lagraph::tc::tc_sandia_dot(&p.sorted, rt)?.triangles)
         }
-        TcGb => {
-            ProblemOutput::Triangles(lagraph::tc::tc_sandia_dot(&p.symmetric, rt)?.triangles)
-        }
-        CcLs => ProblemOutput::Components(lonestar::cc::afforest(&p.symmetric, 2).component),
         CcLsSv => {
             ProblemOutput::Components(lonestar::cc::shiloach_vishkin(&p.symmetric).component)
         }
-        CcGb => ProblemOutput::Components(
-            lagraph::cc::connected_components(&p.symmetric, rt)?.component,
-        ),
-        SsspLs => ProblemOutput::Dists(
-            lonestar::sssp::sssp(&p.graph, p.source, p.sssp_delta, true).dist,
-        ),
         SsspLsNotile => ProblemOutput::Dists(
             lonestar::sssp::sssp(&p.graph, p.source, p.sssp_delta, false).dist,
         ),
-        SsspGb => ProblemOutput::Dists(
-            lagraph::sssp::sssp_delta_stepping(&p.graph, p.source, p.sssp_delta, rt)?.dist,
-        ),
+        _ => {
+            let (system, problem) = variant
+                .cell()
+                .expect("every other variant is a Table II cell");
+            return try_run(system, problem, p);
+        }
     })
-}
-
-/// Runs one differential-analysis variant (Figure 3).
-///
-/// # Panics
-///
-/// Panics on any [`GrbError`] from the matrix-API variants.
-pub fn run_variant(variant: Variant, p: &PreparedGraph) -> ProblemOutput {
-    try_run_variant(variant, p)
-        .unwrap_or_else(|e| panic!("variant {} failed: {e}", variant.name()))
-}
-
-/// Runs and times one variant.
-pub fn timed_run_variant(variant: Variant, p: &PreparedGraph) -> RunMeasurement {
-    let start = Instant::now();
-    let output = run_variant(variant, p);
-    RunMeasurement {
-        elapsed: start.elapsed(),
-        output,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::verify::verify;
-    use graph::{Scale, StudyGraph};
-
-    #[test]
-    fn all_systems_verify_on_a_small_study_graph() {
-        let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 64.0));
-        for problem in Problem::all() {
-            for system in System::all() {
-                let out = run(system, problem, &p);
-                verify(&p, problem, &out).unwrap_or_else(|e| {
-                    panic!("{system} failed verification on {problem}: {e}")
-                });
-            }
-        }
-    }
-
-    #[test]
-    fn all_variants_verify_on_a_small_study_graph() {
-        let p = PreparedGraph::study(StudyGraph::Indochina04, Scale::custom(1.0 / 64.0));
-        for problem in [Problem::Pr, Problem::Tc, Problem::Cc, Problem::Sssp] {
-            for &variant in Variant::panel(problem) {
-                let out = run_variant(variant, &p);
-                verify(&p, problem, &out).unwrap_or_else(|e| {
-                    panic!("variant {} failed on {problem}: {e}", variant.name())
-                });
-            }
-        }
-    }
-
-    #[test]
-    fn timed_run_reports_nonzero_time() {
-        let p = PreparedGraph::study(StudyGraph::RoadUsaW, Scale::custom(1.0 / 64.0));
-        let m = timed_run(System::Lonestar, Problem::Bfs, &p);
-        assert!(m.elapsed > Duration::ZERO);
-        assert!(matches!(m.output, ProblemOutput::Levels(_)));
-    }
 }

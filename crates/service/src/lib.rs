@@ -15,9 +15,10 @@
 //!   load shedding, and a reserve that keeps cheap work admissible (no
 //!   head-of-line blocking behind tc/ktruss).
 //! * [`server`] — concurrent jobs on the shared galois-rt pool, each
-//!   inside `study_core::cell::run_protected` (catch_unwind + deadline
-//!   watchdog), so a panicking/OOMing/wedged job is one failed response,
-//!   never a dead process; graceful drain on shutdown.
+//!   run through `study_core::execute` (catch_unwind + deadline
+//!   watchdog around run and verify), so a panicking/OOMing/wedged job
+//!   is one failed response, never a dead process; graceful drain on
+//!   shutdown.
 //! * [`protocol`] — a hermetic length-prefixed wire format whose reader
 //!   is hardened against truncated/oversized/garbage frames.
 //! * [`client`] — a blocking client with seeded-jitter retry/backoff,
@@ -25,7 +26,8 @@
 //!
 //! Knobs: `STUDY_SVC_ADDR`, `STUDY_SVC_MAX_INFLIGHT`,
 //! `STUDY_SVC_DEADLINE_MS`, `STUDY_SVC_RETRIES`. Fault points:
-//! `svc.admit`, `svc.job.panic`, `svc.job.hang` (see `substrate::fault`).
+//! `svc.admit`, plus the executor's `cell.run` / `cell.hang`, which
+//! every run and batch job crosses once (see `substrate::fault`).
 
 pub mod admission;
 pub mod catalog;

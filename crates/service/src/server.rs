@@ -3,15 +3,17 @@
 //! One listener thread accepts connections; each connection gets a
 //! handler thread that reads length-prefixed requests and serves them
 //! against the shared [`Catalog`] under the [`Admission`] controller.
-//! Every job body runs inside `study_core::cell::run_protected` —
-//! `catch_unwind` plus the per-request deadline watchdog — so a
-//! panicking, OOMing or wedged job costs exactly one response while the
-//! process, the catalog and every sibling in-flight job keep serving.
+//! Every run and batch request becomes one `study_core::exec::Job`
+//! (verified iff the request asks, its remaining deadline as the
+//! timeout) and goes through `study_core::execute` — `catch_unwind`
+//! plus the deadline watchdog around run and verify — so a panicking,
+//! OOMing or wedged job costs exactly one response while the process,
+//! the catalog and every sibling in-flight job keep serving.
 //!
-//! Three fault points target this layer: `svc.admit` (transient
-//! admission rejection), `svc.job.panic` (panics the job body inside
-//! the containment boundary) and `svc.job.hang` (sleeps the body so a
-//! short deadline trips).
+//! One fault point is the service's own: `svc.admit` (transient
+//! admission rejection). A job's body crosses the executor's
+//! `cell.run` (panic) and `cell.hang` (sleep, so a short deadline
+//! trips) once per request, so `nth=K` picks the K-th job.
 
 use crate::admission::{Admission, AdmissionConfig, AdmitError, CostClass};
 use crate::catalog::Catalog;
@@ -25,10 +27,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use study_core::batch::{batch_sources, try_run_batch, verify_batch_query};
-use study_core::cell::{run_protected, CellStatus};
+use study_core::batch::batch_sources;
+use study_core::cell::CellStatus;
 use study_core::problem::ProblemOutput;
-use study_core::{runner, verify};
+use study_core::{execute, Job, JobOutcome, PreparedGraph, Work};
 use substrate::sync::Mutex;
 
 /// Server configuration. [`ServiceConfig::from_env`] reads the
@@ -290,126 +292,77 @@ fn dispatch(request: Request, shared: &Shared) -> Response {
     }
 }
 
-/// Resolves a request's deadline: its own `deadline_ms`, else the
-/// server default, else none.
-fn deadline_of(request_ms: u32, shared: &Shared) -> Option<Instant> {
-    deadline_of_ms(request_ms, shared.default_deadline_ms)
-}
+/// Why a request's job never ran: its `(status, retryable, error)`.
+type NotRun = (Status, bool, String);
 
-/// Remaining run budget under `deadline`, if any time is left.
-fn remaining(deadline: Option<Instant>) -> Result<Option<Duration>, ()> {
-    match deadline {
-        None => Ok(None),
-        Some(d) => {
-            let left = d.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                Err(())
-            } else {
-                Ok(Some(left))
-            }
-        }
-    }
-}
-
-fn rejected_run(reason: String, retryable: bool, shared: &Shared) -> RunResponse {
-    shared.rejected.fetch_add(1, Ordering::Relaxed);
-    RunResponse {
-        status: Status::Rejected,
-        retryable,
-        verified: false,
-        error: reason,
-        wall_ns: 0,
-        digest: 0,
-    }
-}
-
-fn timeout_run(detail: &str) -> RunResponse {
-    RunResponse {
-        status: Status::Timeout,
-        retryable: false,
-        verified: false,
-        error: detail.to_string(),
-        wall_ns: 0,
-        digest: 0,
-    }
-}
-
-/// Body of the job fault points, shared by run and batch paths. Runs
-/// *inside* the containment boundary.
-fn job_fault_points() {
-    if substrate::fault::point("svc.job.panic") {
-        panic!("injected fault: svc.job.panic");
-    }
-    if substrate::fault::point("svc.job.hang") {
-        std::thread::sleep(Duration::from_secs(2));
-    }
-}
-
-fn run_job(req: &RunRequest, shared: &Shared) -> RunResponse {
-    let Some(entry) = shared.catalog.get(&req.graph) else {
-        return RunResponse {
-            status: Status::Failed,
-            retryable: false,
-            verified: false,
-            error: format!("unknown graph {:?}", req.graph),
-            wall_ns: 0,
-            digest: 0,
-        };
+/// The path every run and batch request takes: catalog lookup,
+/// admission under the request's deadline, then one [`execute`] with
+/// the remaining budget as the job's timeout. Returns the outcome and
+/// its wall time in nanoseconds.
+fn admit_and_execute(
+    graph: &str,
+    deadline_ms: u32,
+    class: CostClass,
+    verify: bool,
+    work: impl FnOnce(&PreparedGraph) -> Work,
+    shared: &Shared,
+) -> Result<(JobOutcome, u64), NotRun> {
+    let Some(entry) = shared.catalog.get(graph) else {
+        return Err((Status::Failed, false, format!("unknown graph {graph:?}")));
     };
-    let deadline = deadline_of(req.deadline_ms, shared);
-    let class = CostClass::of_problem(req.problem);
+    let deadline = deadline_of(deadline_ms, shared.default_deadline_ms);
     let ticket = match shared.admission.acquire(class, deadline) {
         Ok(t) => t,
         Err(AdmitError::Rejected { reason, retryable }) => {
-            return rejected_run(reason, retryable, shared)
+            shared.rejected.fetch_add(1, Ordering::Relaxed);
+            return Err((Status::Rejected, retryable, reason));
         }
         Err(AdmitError::DeadlineExpired) => {
-            return timeout_run("deadline expired while queued")
+            return Err((Status::Timeout, false, "deadline expired while queued".into()))
         }
     };
-    let Ok(budget) = remaining(deadline) else {
-        return timeout_run("deadline expired at admission");
-    };
+    let timeout = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+    if timeout == Some(Duration::ZERO) {
+        return Err((Status::Timeout, false, "deadline expired at admission".into()));
+    }
     let p = entry.snapshot();
-    let (system, problem, want_verify) = (req.system, req.problem, req.verify);
+    let job = Job {
+        verify,
+        timeout,
+        ..Job::new(work(&p))
+    };
     let started = Instant::now();
-    let outcome = run_protected(budget, move || {
-        job_fault_points();
-        let output = runner::try_run(system, problem, &p)?;
-        let verified = if want_verify {
-            verify::verify(&p, problem, &output).map_err(|e| e.message)
-        } else {
-            Ok(())
-        };
-        Ok((output_digest(&output), verified))
-    });
+    let outcome = execute(&job, &p);
     let wall_ns = started.elapsed().as_nanos() as u64;
     drop(ticket);
-    let response = match (outcome.status, outcome.value) {
-        (CellStatus::Ok, Some((digest, Ok(())))) => RunResponse {
-            status: Status::Ok,
-            retryable: false,
-            verified: want_verify,
-            error: String::new(),
-            wall_ns,
-            digest,
-        },
-        (CellStatus::Ok, Some((digest, Err(msg)))) => RunResponse {
-            status: Status::Failed,
-            retryable: false,
-            verified: false,
-            error: format!("verification failed: {msg}"),
-            wall_ns,
-            digest,
-        },
-        (status, _) => RunResponse {
-            status: Status::from_cell(status),
-            retryable: false,
-            verified: false,
-            error: outcome.error.unwrap_or_default(),
-            wall_ns,
-            digest: 0,
-        },
+    Ok((outcome, wall_ns))
+}
+
+fn run_job(req: &RunRequest, shared: &Shared) -> RunResponse {
+    let work = |_: &PreparedGraph| Work::Cell(req.system, req.problem);
+    let class = CostClass::of_problem(req.problem);
+    let (outcome, wall_ns) =
+        match admit_and_execute(&req.graph, req.deadline_ms, class, req.verify, work, shared) {
+            Ok(done) => done,
+            Err((status, retryable, error)) => {
+                return RunResponse {
+                    status,
+                    retryable,
+                    verified: false,
+                    error,
+                    wall_ns: 0,
+                    digest: 0,
+                }
+            }
+        };
+    let lane = &outcome.lanes[0];
+    let response = RunResponse {
+        status: Status::from_cell(lane.status),
+        retryable: false,
+        verified: req.verify && lane.is_ok(),
+        error: lane.error.clone().unwrap_or_default(),
+        wall_ns,
+        digest: lane.value.as_ref().map_or(0, output_digest),
     };
     if !response.status.is_ok() {
         shared.contained_failures.fetch_add(1, Ordering::Relaxed);
@@ -417,118 +370,49 @@ fn run_job(req: &RunRequest, shared: &Shared) -> RunResponse {
     response
 }
 
-fn rejected_batch(reason: String, retryable: bool, shared: &Shared) -> BatchResponse {
-    shared.rejected.fetch_add(1, Ordering::Relaxed);
-    BatchResponse {
-        status: Status::Rejected,
-        retryable,
-        error: reason,
-        wall_ns: 0,
-        queries: Vec::new(),
-    }
-}
-
 fn batch_job(req: &BatchRequest, shared: &Shared) -> BatchResponse {
-    let Some(entry) = shared.catalog.get(&req.graph) else {
-        return BatchResponse {
-            status: Status::Failed,
-            retryable: false,
-            error: format!("unknown graph {:?}", req.graph),
-            wall_ns: 0,
-            queries: Vec::new(),
-        };
+    let mut sources = Vec::new();
+    let work = |p: &PreparedGraph| {
+        sources = batch_sources(p, usize::from(req.width));
+        Work::Batch(req.system, req.problem, sources.clone())
     };
-    let deadline = deadline_of(req.deadline_ms, shared);
-    let ticket = match shared
-        .admission
-        .acquire(CostClass::of_batch(req.problem), deadline)
-    {
-        Ok(t) => t,
-        Err(AdmitError::Rejected { reason, retryable }) => {
-            return rejected_batch(reason, retryable, shared)
-        }
-        Err(AdmitError::DeadlineExpired) => {
-            return BatchResponse {
-                status: Status::Timeout,
-                retryable: false,
-                error: "deadline expired while queued".into(),
-                wall_ns: 0,
-                queries: Vec::new(),
-            }
-        }
-    };
-    let Ok(budget) = remaining(deadline) else {
-        return BatchResponse {
-            status: Status::Timeout,
-            retryable: false,
-            error: "deadline expired at admission".into(),
-            wall_ns: 0,
-            queries: Vec::new(),
-        };
-    };
-    let p = entry.snapshot();
-    let sources = batch_sources(&p, usize::from(req.width));
-    let (system, problem, want_verify) = (req.system, req.problem, req.verify);
-    let srcs = sources.clone();
-    let started = Instant::now();
-    let outcome = run_protected(budget, move || {
-        job_fault_points();
-        let lanes = try_run_batch(system, problem, &p, &srcs);
-        let mut queries = Vec::with_capacity(lanes.len());
-        for (source, lane) in srcs.iter().zip(lanes) {
-            queries.push(match lane {
-                Ok(output) => {
-                    let verified = if want_verify {
-                        verify_batch_query(&p, problem, *source, &output).is_ok()
-                    } else {
-                        false
-                    };
-                    QueryResult {
-                        source: *source,
-                        status: if want_verify && !verified {
-                            Status::Failed
-                        } else {
-                            Status::Ok
-                        },
-                        verified,
-                        digest: output_digest(&output),
-                    }
+    let class = CostClass::of_batch(req.problem);
+    let (outcome, wall_ns) =
+        match admit_and_execute(&req.graph, req.deadline_ms, class, req.verify, work, shared) {
+            Ok(done) => done,
+            Err((status, retryable, error)) => {
+                return BatchResponse {
+                    status,
+                    retryable,
+                    error,
+                    wall_ns: 0,
+                    queries: Vec::new(),
                 }
-                Err(e) => QueryResult {
-                    source: *source,
-                    status: match e {
-                        graphblas::GrbError::ResourceExhausted { .. } => Status::Oom,
-                        _ => Status::Failed,
-                    },
-                    verified: false,
-                    digest: 0,
-                },
-            });
-        }
-        Ok(queries)
-    });
-    let wall_ns = started.elapsed().as_nanos() as u64;
-    drop(ticket);
-    let response = match (outcome.status, outcome.value) {
-        (CellStatus::Ok, Some(queries)) => BatchResponse {
-            status: Status::Ok,
-            retryable: false,
-            error: String::new(),
-            wall_ns,
-            queries,
-        },
-        (status, _) => BatchResponse {
-            status: Status::from_cell(status),
-            retryable: false,
-            error: outcome.error.unwrap_or_default(),
-            wall_ns,
-            queries: Vec::new(),
-        },
+            }
+        };
+    let queries: Vec<QueryResult> = match outcome.status {
+        CellStatus::Ok => sources
+            .iter()
+            .zip(&outcome.lanes)
+            .map(|(&source, lane)| QueryResult {
+                source,
+                status: Status::from_cell(lane.status),
+                verified: req.verify && lane.is_ok(),
+                digest: lane.value.as_ref().map_or(0, output_digest),
+            })
+            .collect(),
+        _ => Vec::new(),
     };
-    if !response.status.is_ok() || response.queries.iter().any(|q| !q.status.is_ok()) {
+    if !outcome.is_ok() {
         shared.contained_failures.fetch_add(1, Ordering::Relaxed);
     }
-    response
+    BatchResponse {
+        status: Status::from_cell(outcome.status),
+        retryable: false,
+        error: outcome.error.unwrap_or_default(),
+        wall_ns,
+        queries,
+    }
 }
 
 fn ingest(req: &IngestRequest, shared: &Shared) -> IngestResponse {
@@ -643,8 +527,9 @@ pub fn output_digest(output: &ProblemOutput) -> u64 {
     hash
 }
 
-/// Testable core of [`deadline_of`].
-fn deadline_of_ms(request_ms: u32, default_ms: u32) -> Option<Instant> {
+/// Resolves a request's deadline: its own `deadline_ms`, else the
+/// server default, else none.
+fn deadline_of(request_ms: u32, default_ms: u32) -> Option<Instant> {
     let ms = if request_ms > 0 { request_ms } else { default_ms };
     (ms > 0).then(|| Instant::now() + Duration::from_millis(u64::from(ms)))
 }
@@ -668,10 +553,10 @@ mod tests {
         let shared_default = 100u32;
         // Request deadline wins over the default; zero falls back.
         let now = Instant::now();
-        let d1 = super::deadline_of_ms(500, shared_default).unwrap();
+        let d1 = super::deadline_of(500, shared_default).unwrap();
         assert!(d1 >= now + Duration::from_millis(400));
-        let d2 = super::deadline_of_ms(0, shared_default).unwrap();
+        let d2 = super::deadline_of(0, shared_default).unwrap();
         assert!(d2 <= now + Duration::from_millis(200));
-        assert!(super::deadline_of_ms(0, 0).is_none());
+        assert!(super::deadline_of(0, 0).is_none());
     }
 }

@@ -8,7 +8,8 @@
 
 use graph_api_study::graph::{Scale, StudyGraph};
 use graph_api_study::study_core::report::{secs, Table};
-use graph_api_study::study_core::{timed_run, verify, PreparedGraph, Problem, System};
+use graph_api_study::study_core::{execute, Job, PreparedGraph, Problem, System, Work};
+use std::sync::Arc;
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "rmat22".into());
@@ -18,7 +19,7 @@ fn main() {
         .unwrap_or(StudyGraph::Rmat22);
 
     println!("preparing {} (scale 1/8) ...", which.name());
-    let p = PreparedGraph::study(which, Scale::custom(1.0 / 8.0));
+    let p = Arc::new(PreparedGraph::study(which, Scale::custom(1.0 / 8.0)));
     println!(
         "{}: {} vertices, {} edges, source {}\n",
         p.name,
@@ -31,10 +32,13 @@ fn main() {
     for problem in Problem::all() {
         let mut times = Vec::new();
         for system in System::all() {
-            let m = timed_run(system, problem, &p);
-            verify::verify(&p, problem, &m.output)
-                .unwrap_or_else(|e| panic!("{system} {problem}: {e}"));
-            times.push(m.elapsed);
+            let job = Job {
+                verify: true,
+                ..Job::new(Work::Cell(system, problem))
+            };
+            let out = execute(&job, &p);
+            assert!(out.is_ok(), "{system} {problem}: {:?}", out.lanes[0].error);
+            times.push(out.solve);
         }
         let speedup = times[0].as_secs_f64() / times[2].as_secs_f64().max(1e-9);
         table.row([

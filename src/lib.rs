@@ -19,7 +19,7 @@
 //! * [`service`] — the long-lived analytics service: snapshot catalog,
 //!   admission control, deadlines, retry/backoff and fault-contained
 //!   concurrent jobs over a length-prefixed socket protocol.
-//! * [`study_core`] — the study harness: runners, references, verification.
+//! * [`study_core`] — the study harness: the job executor, references, verification.
 //! * [`substrate`] — the hermetic-build layer: std-only sync primitives,
 //!   work-stealing deque, PRNG, property-test harness and fault injection
 //!   that let the whole workspace build with zero external dependencies.

@@ -14,11 +14,11 @@ use graph_api_study::galois_rt::ThreadPool;
 use graph_api_study::graph::{DeltaGraph, EdgeBatch};
 use graph_api_study::graphblas::ops;
 use graph_api_study::study_core::cell::{
-    cell_timeout_from_env, run_cell, run_protected, CellOutcome, CellStatus,
+    cell_timeout_from_env, run_protected, CellOutcome, CellStatus,
 };
 use graph_api_study::study_core::{
-    batch_sources, run_batch_cell, try_run, verify, verify_batch_query, BatchProblem,
-    PreparedGraph, Problem, ProblemOutput, System,
+    batch_sources, execute, try_run, verify, verify_batch_query, BatchProblem, Job, PreparedGraph,
+    Problem, ProblemOutput, System, Work,
 };
 use graph_api_study::substrate::fault::{self, FaultPlan};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -73,13 +73,23 @@ fn path_graph() -> Arc<PreparedGraph> {
     Arc::new(PreparedGraph::from_graph("path100".to_string(), g, 0, 3, 1 << 13))
 }
 
+/// Executes `work` unverified, with the `STUDY_CELL_TIMEOUT_MS`
+/// deadline, and returns its lanes.
+fn run_lanes(work: Work, p: &Arc<PreparedGraph>) -> Vec<CellOutcome<ProblemOutput>> {
+    let job = Job {
+        timeout: cell_timeout_from_env(),
+        ..Job::new(work)
+    };
+    execute(&job, p).lanes
+}
+
 /// Runs the full 18-cell sweep (6 problems x 3 systems, one graph)
-/// through `run_cell`, returning each cell's outcome projection.
+/// through the executor, returning each cell's outcome projection.
 fn sweep(p: &Arc<PreparedGraph>) -> Vec<(CellStatus, Option<String>, Option<ProblemOutput>)> {
     let mut out = Vec::new();
     for problem in Problem::all() {
         for system in System::all() {
-            let o = run_cell(system, problem, p);
+            let o = run_lanes(Work::Cell(system, problem), p).remove(0);
             out.push((o.status, o.error, o.value));
         }
     }
@@ -142,31 +152,56 @@ fn budget_constrained_bfs_degrades_and_still_verifies() {
     let p = path_graph();
     // 64 bytes: room for the one-vertex sparse-push accumulator every
     // round, none for the dense (400 B) or pull (500 B) alternatives.
-    let outcome = with_chaos_state(None, Some(64), || {
-        let shared = Arc::clone(&p);
-        graph_api_study::perfmon::trace::with_trace(move || {
-            run_cell(System::GaloisBlas, Problem::Bfs, &shared)
-        })
-    });
-    let (outcome, trace) = outcome;
-    assert_eq!(outcome.status, CellStatus::Ok, "error: {:?}", outcome.error);
-    let output = outcome.value.expect("ok cell has a value");
-    verify::verify(&p, Problem::Bfs, &output).expect("degraded run still verifies");
-    let s = trace.summary();
+    let bfs = Work::Cell(System::GaloisBlas, Problem::Bfs);
+    let job = Job {
+        verify: true,
+        trace: true,
+        ..Job::new(bfs.clone())
+    };
+    let outcome = with_chaos_state(None, Some(64), || execute(&job, &p));
+    assert!(outcome.is_ok(), "degraded run still verifies: {:?}", outcome.lanes);
+    let s = outcome.trace.expect("a traced job returns its trace").summary();
     assert!(s.kernel_push_sparse > 0, "budget must leave sparse push: {s:?}");
     assert_eq!(s.kernel_push_dense, 0, "dense never fits in 64 B: {s:?}");
     assert_eq!(s.kernel_pull, 0, "pull never fits in 64 B: {s:?}");
 
     // A budget nothing fits in is an oom outcome, not an abort.
-    let starved = with_chaos_state(None, Some(0), || {
-        run_cell(System::GaloisBlas, Problem::Bfs, &p)
-    });
+    let starved = with_chaos_state(None, Some(0), || run_lanes(bfs, &p).remove(0));
     assert_eq!(starved.status, CellStatus::Oom);
     assert!(
         starved.error.as_deref().unwrap_or_default().contains("out of memory"),
         "got {:?}",
         starved.error
     );
+}
+
+/// A job whose body sleeps past its timeout (`cell.hang` sleeps 2 s
+/// against a 50 ms deadline) reports `timeout` at the job level and in
+/// its lane, with no output; the next job runs and verifies normally.
+#[test]
+fn job_outliving_its_timeout_reports_timeout() {
+    let p = prepared();
+    with_chaos_state(Some("cell.hang:nth=1"), None, || {
+        let job = Job {
+            verify: true,
+            timeout: Some(std::time::Duration::from_millis(50)),
+            ..Job::new(Work::Cell(System::Lonestar, Problem::Bfs))
+        };
+        let victim = execute(&job, &p);
+        assert_eq!(victim.status, CellStatus::Timeout);
+        let msg = victim.error.as_deref().unwrap_or_default();
+        assert!(msg.contains("50 ms"), "got {msg:?}");
+        assert_eq!(victim.lanes.len(), 1);
+        assert_eq!(victim.lanes[0].status, CellStatus::Timeout);
+        assert!(victim.lanes[0].value.is_none() && victim.trace.is_none());
+
+        let next = execute(&job, &p);
+        assert!(
+            next.is_ok(),
+            "the trigger is spent: {:?}",
+            next.lanes[0].error
+        );
+    });
 }
 
 /// Per-query isolation under an injected allocation fault: one lane of a
@@ -176,9 +211,8 @@ fn budget_constrained_bfs_degrades_and_still_verifies() {
 fn batched_lane_fault_never_poisons_siblings() {
     let p = prepared();
     let sources = batch_sources(&p, 6);
-    let clean = with_chaos_state(None, None, || {
-        run_batch_cell(System::GaloisBlas, BatchProblem::Bfs, &p, &sources)
-    });
+    let batch = Work::Batch(System::GaloisBlas, BatchProblem::Bfs, sources.clone());
+    let clean = with_chaos_state(None, None, || run_lanes(batch.clone(), &p));
     assert!(
         clean.iter().all(|o| o.status == CellStatus::Ok),
         "fault-free batch must be all ok"
@@ -187,7 +221,7 @@ fn batched_lane_fault_never_poisons_siblings() {
     // The accumulator fault point fires once per lane advance, so nth=7
     // victimizes exactly one deterministic lane mid-sweep.
     let faulted = with_chaos_state(Some("grb.alloc.accumulator:nth=7"), None, || {
-        run_batch_cell(System::GaloisBlas, BatchProblem::Bfs, &p, &sources)
+        run_lanes(batch, &p)
     });
     assert_eq!(faulted.len(), sources.len());
     let victims: Vec<usize> = (0..sources.len())
@@ -231,7 +265,7 @@ fn batched_budget_oom_isolates_per_query() {
     let sources = [0u32, 1];
 
     let outcomes = with_chaos_state(None, Some(64), || {
-        run_batch_cell(System::GaloisBlas, BatchProblem::Bfs, &p, &sources)
+        run_lanes(Work::Batch(System::GaloisBlas, BatchProblem::Bfs, sources.to_vec()), &p)
     });
     assert_eq!(outcomes[0].status, CellStatus::Ok, "error: {:?}", outcomes[0].error);
     verify_batch_query(
@@ -461,7 +495,7 @@ fn bfs_request() -> RunRequest {
     }
 }
 
-/// An injected job panic (`svc.job.panic`) costs exactly the victim
+/// An injected job panic (`cell.run`) costs exactly the victim
 /// request: it reports `failed` with the injected message, every sibling
 /// request completes ok and verified with the clean run's digest, the
 /// process survives, and the drain is clean.
@@ -477,7 +511,7 @@ fn service_contains_an_injected_job_panic() {
         r.digest
     });
 
-    with_chaos_state(Some("svc.job.panic:nth=2"), None, || {
+    with_chaos_state(Some("cell.run:nth=2"), None, || {
         let handle = start_service(4, 0);
         let mut c = Client::connect(handle.addr(), RetryPolicy::none(), 5).unwrap();
         let mut statuses = Vec::new();
@@ -487,7 +521,7 @@ fn service_contains_an_injected_job_panic() {
             if i == 1 {
                 assert_eq!(r.status, Status::Failed, "victim is the second job");
                 assert!(
-                    r.error.contains("injected fault: svc.job.panic"),
+                    r.error.contains("injected fault: cell.run"),
                     "got {:?}",
                     r.error
                 );
@@ -505,12 +539,12 @@ fn service_contains_an_injected_job_panic() {
     });
 }
 
-/// An injected hang (`svc.job.hang`) under a short server deadline is a
+/// An injected hang (`cell.hang`) under a short server deadline is a
 /// client-visible `timeout`, not a wedged server: the next request on
 /// the same connection completes normally.
 #[test]
 fn service_deadline_trips_on_an_injected_hang() {
-    with_chaos_state(Some("svc.job.hang:nth=1"), None, || {
+    with_chaos_state(Some("cell.hang:nth=1"), None, || {
         let handle = start_service(4, 250);
         let mut c = Client::connect(handle.addr(), RetryPolicy::none(), 6).unwrap();
         let victim = c.run(&bfs_request()).expect("transport");

@@ -8,20 +8,29 @@
 use graph_api_study::galois_rt;
 use graph_api_study::graph::{Scale, StudyGraph};
 use graph_api_study::graphblas::ops::{self, KernelMode};
-use graph_api_study::study_core::runner::run_variant;
 use graph_api_study::study_core::{
-    batch_sources, run, try_run, try_run_batch, verify, verify_batch_query, BatchProblem,
-    PreparedGraph, Problem, ProblemOutput, System, Variant,
+    batch_sources, execute, try_run, verify, verify_batch_query, BatchProblem, Job, JobOutcome,
+    PreparedGraph, Problem, ProblemOutput, System, Variant, Work,
 };
+use std::sync::Arc;
+use std::time::Duration;
+
+/// `work` through the executor, verified against the serial reference.
+fn verified(work: Work, p: &Arc<PreparedGraph>) -> JobOutcome {
+    execute(&Job { verify: true, ..Job::new(work) }, p)
+}
 
 fn check_all_problems(which: StudyGraph) {
-    let p = PreparedGraph::study(which, Scale::custom(1.0 / 128.0));
+    let p = Arc::new(PreparedGraph::study(which, Scale::custom(1.0 / 128.0)));
     for problem in Problem::all() {
         for system in System::all() {
-            let out = run(system, problem, &p);
-            verify::verify(&p, problem, &out).unwrap_or_else(|e| {
-                panic!("{system} {problem} on {}: {e}", p.name);
-            });
+            let out = verified(Work::Cell(system, problem), &p);
+            assert!(
+                out.is_ok() && out.solve > Duration::ZERO,
+                "{system} {problem} on {}: {:?}",
+                p.name,
+                out.lanes[0].error
+            );
         }
     }
 }
@@ -29,16 +38,20 @@ fn check_all_problems(which: StudyGraph) {
 /// Every Figure 3 panel variant (pr, tc, cc, sssp) verified against the
 /// serial reference on one shape.
 fn check_variant_panels(which: StudyGraph) {
-    let p = PreparedGraph::study(which, Scale::custom(1.0 / 128.0));
+    let p = Arc::new(PreparedGraph::study(which, Scale::custom(1.0 / 128.0)));
     for problem in [Problem::Pr, Problem::Tc, Problem::Cc, Problem::Sssp] {
         let panel = Variant::panel(problem);
         assert!(!panel.is_empty(), "{problem} has no Figure 3 panel");
         for &variant in panel {
             assert_eq!(variant.problem(), problem);
-            let out = run_variant(variant, &p);
-            verify::verify(&p, problem, &out).unwrap_or_else(|e| {
-                panic!("{} {problem} on {}: {e}", variant.name(), p.name);
-            });
+            let out = verified(Work::Variant(variant), &p);
+            assert!(
+                out.is_ok(),
+                "{} {problem} on {}: {:?}",
+                variant.name(),
+                p.name,
+                out.lanes[0].error
+            );
         }
     }
 }
@@ -53,20 +66,21 @@ fn check_shape(which: StudyGraph) {
 /// Lonestar (LS) levels for source j, and every query must also verify
 /// against its own serial reference.
 fn check_batched_vs_lonestar(which: StudyGraph, width: usize) {
-    let p = PreparedGraph::study(which, Scale::custom(1.0 / 128.0));
+    let p = Arc::new(PreparedGraph::study(which, Scale::custom(1.0 / 128.0)));
     let sources = batch_sources(&p, width);
     let problem = BatchProblem::Bfs;
-    let ls = try_run_batch(System::Lonestar, problem, &p, &sources);
+    let batch = |system| execute(&Job::new(Work::Batch(system, problem, sources.clone())), &p);
+    let ls = batch(System::Lonestar);
     for system in [System::SuiteSparse, System::GaloisBlas] {
-        let batched = try_run_batch(system, problem, &p, &sources);
-        assert_eq!(batched.len(), sources.len());
-        for (j, result) in batched.iter().enumerate() {
-            let out = result
-                .as_ref()
-                .unwrap_or_else(|e| panic!("{system} {problem} on {} query {j}: {e}", p.name));
+        let batched = batch(system);
+        assert_eq!(batched.lanes.len(), sources.len());
+        for (j, lane) in batched.lanes.iter().enumerate() {
+            let out = lane.value.as_ref().unwrap_or_else(|| {
+                panic!("{system} {problem} on {} query {j}: {:?}", p.name, lane.error)
+            });
             assert_eq!(
                 out,
-                ls[j].as_ref().unwrap(),
+                ls.lanes[j].value.as_ref().unwrap(),
                 "{system} {problem} on {} query {j} disagrees with LS",
                 p.name
             );

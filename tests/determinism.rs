@@ -277,6 +277,28 @@ fn traced_pagerank_pulls_over_the_prepared_transpose() {
     }
 }
 
+/// The executor's trace option records what `traced_run` records: no
+/// trace unless asked for, then the same op count and output.
+#[test]
+fn executor_trace_matches_traced_run() {
+    use graph_api_study::graph::{Scale, StudyGraph};
+    use graph_api_study::study_core::{
+        execute, traced_run, Job, PreparedGraph, Problem, System, Work,
+    };
+
+    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 128.0));
+    let p = std::sync::Arc::new(p);
+    let work = Work::Cell(System::GaloisBlas, Problem::Bfs);
+    assert!(execute(&Job::new(work.clone()), &p).trace.is_none());
+    let traced = execute(&Job { trace: true, ..Job::new(work) }, &p);
+    let expected = traced_run(System::GaloisBlas, Problem::Bfs, &p);
+    let ops = traced.trace.as_ref().map(|t| t.summary().ops);
+    assert!(ops > Some(0));
+    assert_eq!(ops, Some(expected.trace.summary().ops));
+    assert_eq!(traced.lanes[0].value.as_ref(), Some(&expected.output));
+}
+
 #[test]
 fn traces_are_deterministic_across_repeated_runs() {
     use graph_api_study::graph::{Scale, StudyGraph};
@@ -288,6 +310,10 @@ fn traces_are_deterministic_across_repeated_runs() {
     // kind repeats; bulk-synchronous loops and GraphBLAS calls repeat in
     // full at any thread count.
     let is_async = |kind: LoopKind| matches!(kind, LoopKind::ForEach | LoopKind::ForEachOrdered);
+    // Tracing state is process-global, so serialize against the other
+    // pool-reconfiguring tests. Read the thread count under the lock:
+    // outside it, a neighbour's `set_threads(1)` can be in force.
+    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let multi_threaded = galois_rt::threads() > 1;
     let repeatable = |t: &Trace| -> Vec<String> {
         t.fingerprint()
@@ -315,10 +341,7 @@ fn traces_are_deterministic_across_repeated_runs() {
             .reduce(|a, b| a + b)
     };
 
-    // Tracing state is process-global, so serialize against the other
-    // pool-reconfiguring tests. Graph preparation happens outside the
-    // traced region.
-    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // Graph preparation happens outside the traced region.
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 64.0));
     for system in System::all() {
         for problem in [Problem::Bfs, Problem::Cc, Problem::Sssp] {

@@ -11,7 +11,7 @@
 use graph_api_study::graph::{Scale, StudyGraph};
 use graph_api_study::graphblas::ops::{kernel_mode, set_kernel_mode, KernelMode};
 use graph_api_study::perfmon;
-use graph_api_study::study_core::{run, PreparedGraph, Problem, System};
+use graph_api_study::study_core::{try_run, PreparedGraph, Problem, System};
 use std::sync::Mutex;
 
 /// A failing claim panics while holding this lock. It guards no data and
@@ -47,7 +47,7 @@ impl Drop for KernelPin {
 fn counters_for(system: System, problem: Problem, p: &PreparedGraph) -> perfmon::Counters {
     perfmon::reset();
     perfmon::enable(true);
-    let out = run(system, problem, p);
+    let out = try_run(system, problem, p).unwrap();
     perfmon::enable(false);
     std::hint::black_box(&out);
     perfmon::snapshot()
@@ -118,15 +118,16 @@ fn tc_materializes_more_memory_traffic_not_instructions() {
 fn pr_double_traversal_of_residual_shows_in_memory_accesses() {
     // Table V: gb-res makes roughly twice the L1 accesses of the fused
     // Lonestar loop.
-    use graph_api_study::study_core::runner::run_variant;
-    use graph_api_study::study_core::Variant;
+    use graph_api_study::study_core::{execute, Job, Variant, Work};
     let _guard = PERF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _pin = KernelPin::paper_kernels();
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 32.0));
+    let p = std::sync::Arc::new(p);
     let measure = |variant| {
         perfmon::reset();
         perfmon::enable(true);
-        let out = run_variant(variant, &p);
+        let out = execute(&Job::new(Work::Variant(variant)), &p);
+        assert!(out.is_ok(), "{:?}", out.lanes[0].error);
         perfmon::enable(false);
         std::hint::black_box(&out);
         perfmon::snapshot()
@@ -333,7 +334,7 @@ fn disabled_monitoring_keeps_counters_silent() {
     perfmon::reset();
     perfmon::enable(false);
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 128.0));
-    let _ = run(System::Lonestar, Problem::Bfs, &p);
+    let _ = try_run(System::Lonestar, Problem::Bfs, &p).unwrap();
     let c = perfmon::snapshot();
     assert_eq!(c.instructions, 0);
     assert_eq!(c.l1_accesses, 0);

@@ -4,20 +4,21 @@
 use graph_api_study::graph::transform::{sort_by_degree, symmetrize};
 use graph_api_study::graph::{Scale, StudyGraph};
 use graph_api_study::graphblas::GaloisRuntime;
-use graph_api_study::study_core::runner::run_variant;
-use graph_api_study::study_core::{verify, PreparedGraph, Problem, Variant};
+use graph_api_study::study_core::{execute, Job, PreparedGraph, Problem, Variant, Work};
 use graph_api_study::{lagraph, lonestar};
 
 #[test]
 fn every_variant_verifies_on_two_shapes() {
     for which in [StudyGraph::RoadUsa, StudyGraph::Indochina04] {
-        let p = PreparedGraph::study(which, Scale::custom(1.0 / 128.0));
+        let p = std::sync::Arc::new(PreparedGraph::study(which, Scale::custom(1.0 / 128.0)));
         for problem in [Problem::Pr, Problem::Tc, Problem::Cc, Problem::Sssp] {
             for &variant in Variant::panel(problem) {
-                let out = run_variant(variant, &p);
-                verify::verify(&p, problem, &out).unwrap_or_else(|e| {
-                    panic!("{} {problem} on {}: {e}", variant.name(), p.name)
-                });
+                let job = Job {
+                    verify: true,
+                    ..Job::new(Work::Variant(variant))
+                };
+                let out = execute(&job, &p);
+                assert!(out.is_ok(), "{problem} {} on {}: {:?}", variant.name(), p.name, out.lanes);
             }
         }
     }

@@ -16,7 +16,7 @@
 use graph_api_study::graph::{Scale, StudyGraph};
 use graph_api_study::graphblas;
 use graph_api_study::perfmon;
-use graph_api_study::study_core::{run, traced_run, verify, PreparedGraph, Problem, System};
+use graph_api_study::study_core::{traced_run, try_run, verify, PreparedGraph, Problem, System};
 use std::sync::Mutex;
 
 /// Track allocations so each op span's `alloc_bytes` (transient churn:
@@ -75,7 +75,7 @@ fn recycling_cuts_alloc_churn_at_least_5x_on_pr_and_tc() {
     for problem in [Problem::Pr, Problem::Tc] {
         // Warm the pool so the measured run reflects steady state — the
         // regime the repo benchmark's traced pass runs in.
-        let _warmup = run(System::GaloisBlas, problem, &p);
+        let _warmup = try_run(System::GaloisBlas, problem, &p).unwrap();
         let s = traced_run(System::GaloisBlas, problem, &p).trace.summary();
         let demand = s.ws_fresh_bytes + s.ws_reused_bytes;
         assert!(
@@ -99,7 +99,7 @@ fn pool_retention_respects_the_memory_budget() {
     let unlimited = {
         let _budget = BudgetPin::set(None);
         pool.clear();
-        let _ = run(System::GaloisBlas, Problem::Tc, &p);
+        let _ = try_run(System::GaloisBlas, Problem::Tc, &p).unwrap();
         pool.retained_bytes()
     };
     assert!(unlimited > 0, "tc must leave recycled buffers in the pool");
@@ -111,7 +111,7 @@ fn pool_retention_respects_the_memory_budget() {
     {
         let _budget = BudgetPin::set(Some(budget));
         pool.clear();
-        let out = run(System::GaloisBlas, Problem::Tc, &p);
+        let out = try_run(System::GaloisBlas, Problem::Tc, &p).unwrap();
         verify::verify(&p, Problem::Tc, &out).expect("tc must still verify");
         assert!(
             pool.retained_bytes() <= budget,
