@@ -27,7 +27,6 @@ fn main() {
         "ls work items",
         "ls items/vertex",
     ]);
-    let mut kc = Table::new(["graph", "k", "gb peel rounds", "ls cascade items"]);
 
     for p in &prepared {
         // ktruss rounds (skip the giant ones at high scale by bounding on
@@ -65,23 +64,8 @@ fn main() {
             }
             Err(e) => eprintln!("[rounds] sssp on {} failed: {e}", p.name),
         }
-
-        match lagraph::kcore::kcore(&p.symmetric, 4, GaloisRuntime) {
-            Ok(gbk) => {
-                let lsk = lonestar::kcore::kcore(&p.symmetric, 4);
-                assert_eq!(gbk.in_core, lsk.in_core);
-                kc.row([
-                    p.name.clone(),
-                    "4".to_string(),
-                    gbk.rounds.to_string(),
-                    lsk.work_items.to_string(),
-                ]);
-            }
-            Err(e) => eprintln!("[rounds] kcore on {} failed: {e}", p.name),
-        }
     }
 
     println!("ktruss (paper: gb executes ~1.6x more rounds than ls):\n{kt}");
     println!("sssp (bulk rounds grow with diameter; async has no rounds at all):\n{ss}");
-    println!("k-core extension (bulk peel depth vs one asynchronous cascade):\n{kc}");
 }

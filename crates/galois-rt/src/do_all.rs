@@ -284,18 +284,6 @@ where
     }
 }
 
-/// Runs `f(tid, nthreads)` exactly once on each active thread.
-///
-/// This is Galois' `on_each`; it is the escape hatch used to initialise
-/// per-thread state (e.g. scratch accumulators for Gustavson SpGEMM).
-pub fn on_each<F>(f: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    let nthreads = threads();
-    global_pool().region(nthreads, |tid| f(tid, nthreads));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -405,16 +393,5 @@ mod tests {
             );
         }
         crate::set_threads(saved);
-    }
-
-    #[test]
-    fn on_each_runs_once_per_thread() {
-        crate::set_threads(crate::max_threads());
-        let count = AtomicUsize::new(0);
-        on_each(|tid, n| {
-            assert!(tid < n);
-            count.fetch_add(1, Ordering::Relaxed);
-        });
-        assert_eq!(count.into_inner(), crate::threads());
     }
 }

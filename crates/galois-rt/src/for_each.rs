@@ -9,6 +9,7 @@
 
 use crate::do_all::record_loop;
 use crate::pool::{global_pool, threads};
+use crate::substrate::CachePadded;
 use perfmon::trace::{self, LoopKind};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -80,7 +81,7 @@ where
     if count == 0 {
         return;
     }
-    let pending = AtomicUsize::new(count);
+    let pending = CachePadded(AtomicUsize::new(count));
     let nthreads = threads();
 
     // Trace tallies, touched only when tracing is on: each thread keeps

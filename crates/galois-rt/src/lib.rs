@@ -23,6 +23,10 @@
 //! [`set_threads`]; this mirrors Galois' `setActiveThreads` and is what the
 //! strong-scaling experiment (Figure 2 of the paper) sweeps.
 //!
+//! The runtime has no timeout of its own: a region runs until every
+//! participant returns. A caller that needs a deadline (the study
+//! executor's `Job::timeout`) enforces it from its own thread.
+//!
 //! ## Example
 //!
 //! ```
@@ -43,10 +47,9 @@ pub mod obim;
 pub mod pool;
 pub mod reduce;
 pub mod substrate;
-pub mod watchdog;
 
 pub use bag::InsertBag;
-pub use do_all::{do_all, do_all_chunked, do_all_ranges, do_all_static, on_each};
+pub use do_all::{do_all, do_all_chunked, do_all_ranges, do_all_static};
 pub use for_each::{for_each, Ctx};
 pub use obim::for_each_ordered;
 pub use pool::{current_thread_id, max_threads, set_threads, threads, ThreadPool};

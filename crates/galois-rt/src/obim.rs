@@ -10,6 +10,7 @@
 
 use crate::do_all::record_loop;
 use crate::pool::{global_pool, threads};
+use crate::substrate::CachePadded;
 use perfmon::trace::{self, LoopKind};
 use std::cell::UnsafeCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -115,9 +116,9 @@ where
 {
     let traced = trace::enabled();
     let started = traced.then(Instant::now);
-    let buckets = Buckets {
+    let buckets = CachePadded(Buckets {
         map: Mutex::new(BTreeMap::new()),
-    };
+    });
     let mut count = 0usize;
     {
         let mut map = buckets.map.lock();
@@ -130,7 +131,7 @@ where
     if count == 0 {
         return;
     }
-    let pending = AtomicUsize::new(count);
+    let pending = CachePadded(AtomicUsize::new(count));
     let nthreads = threads();
 
     // Trace tallies, touched only when tracing is on: each thread keeps

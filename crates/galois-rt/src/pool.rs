@@ -225,7 +225,6 @@ impl ThreadPool {
             self.shared.work_cv.notify_all();
         }
 
-        let _watchdog = crate::watchdog::region_watchdog();
         THREAD_ID.with(|t| t.set(0));
         IN_REGION.with(|r| r.set(true));
         // The caller's share runs under catch_unwind so a panicking

@@ -178,6 +178,25 @@ impl<T> std::fmt::Debug for ParSlice<'_, T> {
     }
 }
 
+/// A value alone on its cache line.
+///
+/// The shared state a data-driven loop keeps on its caller's stack (the
+/// pending-work count, the bucket lock) is written by every thread on
+/// every item. Padded, it cannot share a line with the neighbours the
+/// workers only read, such as the loop's captured references, wherever
+/// the compiler happens to lay out the frame.
+#[repr(align(64))]
+pub(crate) struct CachePadded<T>(pub(crate) T);
+
+impl<T> std::ops::Deref for CachePadded<T> {
+    type Target = T;
+
+    #[inline]
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,10 +20,10 @@ use crate::csr::{CsrGraph, NodeId};
 /// # Example
 ///
 /// ```
-/// let g = graph::GraphBuilder::new(3)
-///     .add_weighted_edge(0, 1, 5)
-///     .add_weighted_edge(1, 2, 7)
-///     .build();
+/// let mut b = graph::GraphBuilder::new(3).weighted(true);
+/// b.push_edge(0, 1, 5);
+/// b.push_edge(1, 2, 7);
+/// let g = b.build();
 /// assert_eq!(g.num_edges(), 2);
 /// assert_eq!(g.edge_weight(0), 5);
 /// ```
@@ -67,17 +67,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Adds a weighted directed edge, marking the graph as weighted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint is out of range.
-    pub fn add_weighted_edge(mut self, src: NodeId, dst: NodeId, w: u32) -> Self {
-        self.weighted = true;
-        self.push_edge(src, dst, w);
-        self
-    }
-
     /// Non-consuming edge insertion for loops over large edge lists.
     ///
     /// # Panics
@@ -116,11 +105,6 @@ impl GraphBuilder {
     pub fn drop_self_loops(mut self, yes: bool) -> Self {
         self.drop_self_loops = yes;
         self
-    }
-
-    /// Number of edges inserted so far (before symmetrization/dedup).
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
     }
 
     /// Counting-sorts the edge list into CSR and returns the graph.
@@ -289,12 +273,11 @@ mod tests {
 
     #[test]
     fn dedup_keeps_min_weight() {
-        let g = GraphBuilder::new(2)
-            .add_weighted_edge(0, 1, 9)
-            .add_weighted_edge(0, 1, 3)
-            .add_weighted_edge(0, 1, 7)
-            .dedup(true)
-            .build();
+        let mut b = GraphBuilder::new(2).weighted(true).dedup(true);
+        for w in [9, 3, 7] {
+            b.push_edge(0, 1, w);
+        }
+        let g = b.build();
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.edge_weight(0), 3);
     }

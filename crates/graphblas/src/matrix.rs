@@ -8,17 +8,17 @@ use crate::binops::BinOp;
 use crate::error::GrbError;
 use crate::scalar::{Scalar, ScalarNum};
 use graph::CsrGraph;
-use substrate::sync::OnceCell;
+use std::sync::OnceLock;
 
 /// Lazily-built cached transpose, excluded from the matrix's derived
 /// `Clone` / `PartialEq` / `Debug` semantics: clones start with an empty
 /// cache (they own their CSR arrays, so sharing would alias lifetimes),
 /// and equality compares only the CSR contents.
-struct TransposeCache<T>(OnceCell<Box<Matrix<T>>>);
+struct TransposeCache<T>(OnceLock<Box<Matrix<T>>>);
 
 impl<T> TransposeCache<T> {
     const fn empty() -> Self {
-        TransposeCache(OnceCell::new())
+        TransposeCache(OnceLock::new())
     }
 }
 
@@ -206,9 +206,8 @@ impl<T: Scalar> Matrix<T> {
     /// return the same allocation, so pull kernels can take the CSC view
     /// per invocation for free.
     ///
-    /// Nothing mutates a built matrix today, so the cache can never go
-    /// stale; any future `&mut self` structural mutator must call
-    /// [`invalidate_transpose`](Matrix::invalidate_transpose) first.
+    /// `Matrix` has no `&mut self` structural mutator, so the cache can
+    /// never go stale.
     pub fn transpose(&self) -> &Matrix<T> {
         self.tcache.0.get_or_init(|| {
             let t = self.build_transpose();
@@ -221,14 +220,6 @@ impl<T: Scalar> Matrix<T> {
             );
             Box::new(t)
         })
-    }
-
-    /// Drops the cached transpose (requires exclusive access, so no
-    /// reader can hold a stale view). Mutating constructors start empty;
-    /// any in-place structural mutator must call this before the next
-    /// read.
-    pub fn invalidate_transpose(&mut self) {
-        self.tcache.0.take();
     }
 
     /// Iterates row `r`'s `(column, &value)` pairs in storage order; the
@@ -330,19 +321,9 @@ impl<T: Scalar> Matrix<T> {
             tcache: TransposeCache::empty(),
         }
     }
-
-    /// Raw CSR parts (row pointers, column indices, values).
-    pub fn csr_parts(&self) -> (&[usize], &[u32], &[T]) {
-        (&self.row_ptr, &self.col_idx, &self.vals)
-    }
 }
 
 impl<T: ScalarNum> Matrix<T> {
-    /// Identity-valued adjacency view (`A(i,j) = 1` on edges).
-    pub fn from_graph_pattern(g: &CsrGraph) -> Self {
-        Matrix::from_graph(g, |_| T::ONE)
-    }
-
     /// A diagonal matrix with `diag[i]` at `(i, i)` (entries with absent
     /// positions in `diag` are omitted).
     pub fn diagonal(diag: &crate::Vector<T>) -> Self {
@@ -430,37 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_transpose_rebuilds() {
-        let mut m = small();
-        let first: *const Matrix<u32> = m.transpose();
-        assert!(
-            std::ptr::eq(first, m.transpose()),
-            "repeated calls reuse the cache"
-        );
-        // Invalidation on a fresh or already-built cache is idempotent;
-        // the next call rebuilds an equal transpose. (The rebuilt Box may
-        // legitimately reuse the freed allocation's address, so equality
-        // of contents — not pointer inequality — is what is guaranteed.)
-        m.invalidate_transpose();
-        m.invalidate_transpose();
-        assert_eq!(m.transpose(), &small().build_transpose());
-    }
-
-    #[test]
-    fn invalidate_drops_every_derived_view() {
-        // Mutate the CSR arrays in place, invalidate, and check that the
-        // transpose no longer serves the old contents.
-        let mut m = small();
-        let _ = m.transpose();
-        // Redirect edge (0,1,1) to (0,0,9).
-        m.col_idx[0] = 0;
-        m.vals[0] = 9;
-        m.invalidate_transpose();
-        assert_eq!(m.transpose().get(0, 0), Some(9), "transpose rebuilt from current indices");
-        assert_eq!(m.transpose().get(1, 0), None, "old edge is gone from the rebuilt view");
-    }
-
-    #[test]
     fn row_pairs_yields_storage_order_on_multigraph_rows() {
         // A multigraph row may repeat a column and need not ascend; the
         // kernels fold in exactly the order the arrays store.
@@ -484,8 +434,6 @@ mod tests {
         let m = Matrix::from_graph(&g, |w| u64::from(w) * 2);
         assert_eq!(m.get(0, 1), Some(14));
         assert_eq!(m.get(1, 2), Some(18));
-        let p: Matrix<bool> = Matrix::from_graph_pattern(&g);
-        assert_eq!(p.get(0, 1), Some(true));
     }
 
     #[test]

@@ -343,30 +343,43 @@ fn fit_to_budget(
     }
 }
 
-/// Selects the kernel for `w<mask> = uᵀA` and reports the heuristic
-/// inputs it used.
+/// Selects the kernel for `w<mask> = uᵀA` (`is_vxm`) or `w<mask> = A·u`
+/// and reports the heuristic inputs it used. The two products differ in
+/// the output dimension, in the frontier degree sum — exact row degrees
+/// for `vxm`, estimated as `u.nvals() * avg_degree` for `mxv` (exact
+/// per-column degrees would require the transpose the push kernels are
+/// trying to avoid building) — and in whether pull is the paper's
+/// baseline (`mxv`).
 ///
 /// # Errors
 ///
 /// Returns [`GrbError::ResourceExhausted`] when a [`mem_budget`] is
 /// active and no viable kernel's projected accumulator fits it.
-pub(crate) fn select_vxm<T: Scalar, M: Scalar>(
+pub(crate) fn select<T: Scalar, M: Scalar>(
     u: &Vector<T>,
     a: &Matrix<T>,
     mask: Option<&Vector<M>>,
     desc: &Descriptor,
+    is_vxm: bool,
 ) -> Result<Selection, GrbError> {
     let budget = mem_budget();
-    let forced = forced_choice(desc, true);
+    let forced = forced_choice(desc, is_vxm);
     if budget.is_none() {
         // Zero-overhead path: forced choices skip the operand scans.
         if let Some(choice) = forced {
             return Ok(Selection::forced(choice));
         }
     }
-    let out_dim = a.ncols();
-    let frontier_degree: u64 = u.iter().map(|(i, _)| a.row_nvals(i) as u64).sum();
     let matrix_nnz = a.nvals() as u64;
+    let (out_dim, frontier_degree) = if is_vxm {
+        let degree: u64 = u.iter().map(|(i, _)| a.row_nvals(i) as u64).sum();
+        (a.ncols(), degree)
+    } else if a.ncols() == 0 {
+        (a.nrows(), 0)
+    } else {
+        let degree = (u.nvals() as u64).saturating_mul(matrix_nnz) / a.ncols() as u64;
+        (a.nrows(), degree)
+    };
     let mask_admitted = admitted_outputs(mask, desc, out_dim);
     let pair_bytes = std::mem::size_of::<(u32, T)>() as u64;
     let val_bytes = std::mem::size_of::<T>() as u64;
@@ -378,7 +391,7 @@ pub(crate) fn select_vxm<T: Scalar, M: Scalar>(
             mask_admitted,
             pair_bytes,
             val_bytes,
-            false,
+            !is_vxm,
         )
     });
     let choice = match budget {
@@ -391,80 +404,13 @@ pub(crate) fn select_vxm<T: Scalar, M: Scalar>(
             mask_admitted,
             pair_bytes,
             val_bytes,
-            false,
+            !is_vxm,
             forced.is_some(),
         )?,
     };
     if forced.is_some() {
         // Forced selections keep their zero-input trace shape even when
         // the budget made us scan the operands to project bytes.
-        return Ok(Selection::forced(choice));
-    }
-    Ok(Selection {
-        choice,
-        frontier_degree,
-        matrix_nnz,
-        mask_admitted,
-    })
-}
-
-/// Selects the kernel for `w<mask> = A·u`. The frontier degree sum is
-/// estimated as `u.nvals() * avg_degree` (exact per-column degrees would
-/// require the transpose the push kernels are trying to avoid building).
-///
-/// # Errors
-///
-/// Returns [`GrbError::ResourceExhausted`] when a [`mem_budget`] is
-/// active and no viable kernel's projected accumulator fits it.
-pub(crate) fn select_mxv<T: Scalar, M: Scalar>(
-    u: &Vector<T>,
-    a: &Matrix<T>,
-    mask: Option<&Vector<M>>,
-    desc: &Descriptor,
-) -> Result<Selection, GrbError> {
-    let budget = mem_budget();
-    let forced = forced_choice(desc, false);
-    if budget.is_none() {
-        if let Some(choice) = forced {
-            return Ok(Selection::forced(choice));
-        }
-    }
-    let out_dim = a.nrows();
-    let matrix_nnz = a.nvals() as u64;
-    let frontier_degree = if a.ncols() == 0 {
-        0
-    } else {
-        (u.nvals() as u64).saturating_mul(matrix_nnz) / a.ncols() as u64
-    };
-    let mask_admitted = admitted_outputs(mask, desc, out_dim);
-    let pair_bytes = std::mem::size_of::<(u32, T)>() as u64;
-    let val_bytes = std::mem::size_of::<T>() as u64;
-    let preferred = forced.unwrap_or_else(|| {
-        pick_kernel(
-            frontier_degree,
-            matrix_nnz,
-            out_dim as u64,
-            mask_admitted,
-            pair_bytes,
-            val_bytes,
-            true,
-        )
-    });
-    let choice = match budget {
-        None => preferred,
-        Some(limit) => fit_to_budget(
-            preferred,
-            limit,
-            frontier_degree,
-            out_dim as u64,
-            mask_admitted,
-            pair_bytes,
-            val_bytes,
-            true,
-            forced.is_some(),
-        )?,
-    };
-    if forced.is_some() {
         return Ok(Selection::forced(choice));
     }
     Ok(Selection {
@@ -489,7 +435,7 @@ pub fn vxm_kernel_choice<T: Scalar, M: Scalar>(
     mask: Option<&Vector<M>>,
     desc: &Descriptor,
 ) -> Result<KernelChoice, GrbError> {
-    Ok(select_vxm(u, a, mask, desc)?.choice)
+    Ok(select(u, a, mask, desc, true)?.choice)
 }
 
 /// The kernel `mxv` would run for these operands (hint > mode > budget >
@@ -505,7 +451,7 @@ pub fn mxv_kernel_choice<T: Scalar, M: Scalar>(
     mask: Option<&Vector<M>>,
     desc: &Descriptor,
 ) -> Result<KernelChoice, GrbError> {
-    Ok(select_mxv(u, a, mask, desc)?.choice)
+    Ok(select(u, a, mask, desc, false)?.choice)
 }
 
 /// SAXPY scatter of `entries` through the rows of `a` into per-thread

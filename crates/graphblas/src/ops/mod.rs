@@ -5,6 +5,11 @@
 //! execution structure whose cost the paper analyzes (every call is a
 //! separate pass over its operands — the *lightweight loops* limitation).
 //!
+//! The surface is what the study's algorithms compose. Element-wise ops
+//! and `apply` take vectors; the only matrix-to-vector reduction is the
+//! product itself. A matrix element-wise op or a row reduction joins when
+//! an algorithm calls one.
+//!
 //! All kernels are instrumented with [`perfmon`] hooks at element
 //! granularity so Tables IV and V can be regenerated, and with
 //! [`perfmon::trace`] spans at call granularity so the paper's pass /
@@ -124,7 +129,6 @@ mod batch;
 mod ewise;
 mod extract;
 mod kernels;
-mod matrix_ewise;
 mod mxm;
 mod reduce;
 mod select;
@@ -139,9 +143,8 @@ pub use kernels::{
     kernel_mode, mem_budget, mxv_kernel_choice, set_kernel_mode, set_mem_budget,
     vxm_kernel_choice, KernelMode,
 };
-pub use matrix_ewise::{apply_matrix, ewise_add_matrix, ewise_mult_matrix};
 pub use mxm::mxm;
-pub use reduce::{reduce_matrix, reduce_rows, reduce_vector};
+pub use reduce::{reduce_matrix, reduce_vector};
 pub use select::{select_matrix, select_vector};
 pub use spmv::{mxv, vxm};
 pub use write::{Accum, NoAccum, Output};

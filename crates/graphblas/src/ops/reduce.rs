@@ -48,52 +48,6 @@ where
     out
 }
 
-/// Row-wise reduction of a matrix to a vector (`GrB_Matrix_reduce` with a
-/// monoid): `w[i] = ⊕_j A(i, j)`.
-///
-/// LAGraph uses this to compute degree vectors (`plus` over the pattern).
-/// Rows with no explicit entries produce no output entry.
-pub fn reduce_rows<T, M, R>(a: &Matrix<T>, monoid: M, rt: R) -> crate::Vector<T>
-where
-    T: Scalar,
-    M: MonoidOp<T>,
-    R: Runtime,
-{
-    let span = crate::ops::op_start_plain(crate::ops::OpKind::ReduceRows, R::NAME);
-    let n = a.nrows();
-    // Dense per-row result buffers.
-    let materialized = n * (std::mem::size_of::<T>() + std::mem::size_of::<bool>());
-    let mut vals = vec![T::ZERO; n];
-    let mut present = vec![false; n];
-    {
-        let pv = crate::util::ParSlice::new(&mut vals);
-        let pp = crate::util::ParSlice::new(&mut present);
-        rt.parallel_for_balanced(n, |i| a.row_nvals(i as u32) as u64 + 1, |i| {
-            let (_, row_vals) = a.row(i as u32);
-            if row_vals.is_empty() {
-                return;
-            }
-            let mut acc = monoid.identity();
-            for v in row_vals {
-                perfmon::instr(1);
-                perfmon::touch_ref(v);
-                acc = monoid.apply(acc, *v);
-            }
-            // SAFETY: one writer per row.
-            unsafe {
-                pv.write(i, acc);
-                pp.write(i, true);
-            }
-        });
-    }
-    let mut out = crate::Vector::new(n);
-    out.set_dense(vals, present);
-    if let Some(span) = span {
-        span.finish(a.nvals(), out.nvals(), materialized);
-    }
-    out
-}
-
 /// Folds every explicit entry of `a` with `monoid` (used to total the
 /// per-edge triangle counts in tc).
 pub fn reduce_matrix<T, M, R>(a: &Matrix<T>, monoid: M, rt: R) -> T
@@ -164,29 +118,6 @@ mod tests {
         let m = Matrix::from_tuples(3, 3, vec![(0, 1, 1u64), (1, 2, 2), (2, 0, 3)], Plus)
             .unwrap();
         assert_eq!(reduce_matrix(&m, Plus, GaloisRuntime), 6);
-    }
-
-    #[test]
-    fn reduce_rows_computes_degrees() {
-        let m = Matrix::from_tuples(
-            3,
-            3,
-            vec![(0, 1, 1u64), (0, 2, 1), (2, 0, 1)],
-            Plus,
-        )
-        .unwrap();
-        let deg = reduce_rows(&m, Plus, GaloisRuntime);
-        assert_eq!(deg.get(0), Some(2));
-        assert_eq!(deg.get(1), None, "empty row has no entry");
-        assert_eq!(deg.get(2), Some(1));
-    }
-
-    #[test]
-    fn reduce_rows_with_min_monoid() {
-        let m = Matrix::from_tuples(2, 3, vec![(0, 0, 5u64), (0, 2, 3)], Plus).unwrap();
-        let mins = reduce_rows(&m, Min, GaloisRuntime);
-        assert_eq!(mins.get(0), Some(3));
-        assert_eq!(mins.nvals(), 1);
     }
 
     #[test]

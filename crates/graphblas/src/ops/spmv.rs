@@ -88,7 +88,7 @@ where
     // parallel loop can index them.
     let entries: Vec<(u32, T)> = kernels::take_entries(u, rt);
     let input_nnz = entries.len();
-    let selection = kernels::select_vxm(u, a, mask, desc)?;
+    let selection = kernels::select(u, a, mask, desc, true)?;
     if substrate::fault::point("grb.alloc.accumulator") {
         return Err(GrbError::ResourceExhausted {
             required: kernels::projected_bytes(
@@ -241,7 +241,7 @@ where
     let input_nnz = u.nvals();
 
     let n = a.nrows();
-    let selection = kernels::select_mxv(u, a, mask, desc)?;
+    let selection = kernels::select(u, a, mask, desc, false)?;
     if substrate::fault::point("grb.alloc.accumulator") {
         return Err(GrbError::ResourceExhausted {
             required: kernels::projected_bytes(

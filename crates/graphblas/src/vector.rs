@@ -14,11 +14,10 @@ use crate::scalar::Scalar;
 pub const DENSE_THRESHOLD: f64 = 0.10;
 
 /// Whether `nvals` explicit entries out of dimension `n` are better held
-/// densely — the single sparse↔dense crossover shared by
-/// [`Vector::optimize_store`], the SpMV result stores, and the kernel
-/// picker (see [`DENSE_THRESHOLD`]). Centralized so the storage decision
-/// and the kernel heuristic can never disagree about where "dense"
-/// begins.
+/// densely — the single sparse↔dense crossover shared by the SpMV result
+/// stores and the kernel picker (see [`DENSE_THRESHOLD`]). Centralized so
+/// the storage decision and the kernel heuristic can never disagree about
+/// where "dense" begins.
 #[inline]
 pub fn dense_preferred(nvals: usize, n: usize) -> bool {
     n > 0 && nvals as f64 / n as f64 >= DENSE_THRESHOLD
@@ -243,16 +242,6 @@ impl<T: Scalar> Vector<T> {
                 }
             }
             self.store = Store::Sparse { idx, vals: svals };
-        }
-    }
-
-    /// Picks the storage the entry density suggests (see
-    /// [`dense_preferred`]).
-    pub fn optimize_store(&mut self) {
-        if dense_preferred(self.nvals(), self.n) {
-            self.to_dense();
-        } else {
-            self.to_sparse();
         }
     }
 
@@ -523,32 +512,15 @@ mod tests {
     }
 
     #[test]
-    fn optimize_store_uses_density() {
-        let mut v = Vector::from_entries(100, vec![(1, 1u32)]).unwrap();
-        v.optimize_store();
-        assert!(!v.is_dense_store());
-        let mut w = Vector::from_entries(4, vec![(0, 1u32), (1, 1), (2, 1)]).unwrap();
-        w.optimize_store();
-        assert!(w.is_dense_store());
-    }
-
-    #[test]
     fn dense_preferred_boundary_is_exact() {
         // Exactly DENSE_THRESHOLD (10%) flips to dense; one entry short
-        // of it stays sparse. optimize_store must agree bit-for-bit.
+        // of it stays sparse.
         assert!(dense_preferred(1, 10));
         assert!(!dense_preferred(1, 11));
         assert!(dense_preferred(10, 100));
         assert!(!dense_preferred(9, 100));
         assert!(!dense_preferred(0, 10));
         assert!(!dense_preferred(0, 0), "empty dimension is never dense");
-        let mut at = Vector::from_entries(10, vec![(3, 1u32)]).unwrap();
-        at.optimize_store();
-        assert!(at.is_dense_store(), "1/10 is exactly the threshold");
-        let mut below = Vector::from_entries(11, vec![(3, 1u32)]).unwrap();
-        below.to_dense();
-        below.optimize_store();
-        assert!(!below.is_dense_store(), "1/11 is under the threshold");
     }
 
     #[test]

@@ -86,7 +86,7 @@ pub(crate) fn note_work(flops: u64, chunks: u64) {
 
 /// Records a `Matrix::transpose()` cache build of `bytes` bytes.
 ///
-/// Called once from inside the `OnceCell` initializer, so the bytes land
+/// Called once from inside the `OnceLock` initializer, so the bytes land
 /// on the op that triggered the build and are *not* re-reported on every
 /// cache reuse. They count as fresh workspace bytes and as retained
 /// bytes against the `STUDY_MEM_BUDGET` pool accounting (the cached

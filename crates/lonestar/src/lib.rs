@@ -34,16 +34,14 @@
 //! | tc | [`tc::tc`] | triangle listing on a degree-sorted graph (`ls`) |
 //!
 //! Extensions beyond the paper's evaluation (documented in DESIGN.md §8):
-//! [`bc::betweenness`] (the paper's motivating application),
-//! [`kcore::kcore`] (asynchronous work-list peeling) and [`batch`] (the
-//! per-query worklist counterpart of `lagraph::batch`'s msBFS — the
+//! [`bc::betweenness`] (the paper's motivating application) and [`batch`]
+//! (the per-query worklist counterpart of `lagraph::batch`'s msBFS — the
 //! graph API answers a k-source batch as k independent runs).
 
 pub mod batch;
 pub mod bc;
 pub mod bfs;
 pub mod cc;
-pub mod kcore;
 pub mod ktruss;
 pub mod pagerank;
 pub mod sssp;

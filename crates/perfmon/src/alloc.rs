@@ -94,11 +94,17 @@ pub fn total_bytes() -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use substrate::sync::Mutex;
+
+    /// The counters are process-wide and the test harness runs tests on
+    /// parallel threads, so every test that moves them holds this lock.
+    static COUNTERS: Mutex<()> = Mutex::new(());
 
     // The test binary does not install the allocator globally, so exercise
     // the bookkeeping hooks directly.
     #[test]
     fn live_and_peak_track_alloc_dealloc() {
+        let _serial = COUNTERS.lock();
         let before_live = live_bytes();
         let before_total = total_bytes();
         TrackingAllocator::on_alloc(1000);
@@ -115,6 +121,7 @@ mod tests {
 
     #[test]
     fn peak_is_monotone_until_reset() {
+        let _serial = COUNTERS.lock();
         TrackingAllocator::on_alloc(5000);
         let high = peak_bytes();
         TrackingAllocator::on_dealloc(5000);
@@ -125,6 +132,7 @@ mod tests {
 
     #[test]
     fn allocator_round_trips_real_memory() {
+        let _serial = COUNTERS.lock();
         let a = TrackingAllocator;
         let layout = Layout::from_size_align(256, 8).unwrap();
         unsafe {

@@ -58,15 +58,18 @@ pub enum OpKind {
     EwiseAdd,
     /// `GrB_eWiseMult` on vectors (structure intersection).
     EwiseMult,
-    /// `GrB_eWiseAdd` on matrices.
+    /// `GrB_eWiseAdd` on matrices. No op records it any more; the variant stays
+    /// because the repo benchmark's op-kind buckets match on it.
     EwiseAddMatrix,
-    /// `GrB_eWiseMult` on matrices.
+    /// `GrB_eWiseMult` on matrices. No op records it any more; the variant stays
+    /// because the repo benchmark's op-kind buckets match on it.
     EwiseMultMatrix,
     /// `GrB_apply` on a vector.
     Apply,
     /// `GrB_apply` with output aliasing input.
     ApplyInplace,
-    /// `GrB_apply` on a matrix.
+    /// `GrB_apply` on a matrix. No op records it any more; the variant stays
+    /// because the repo benchmark's op-kind buckets match on it.
     ApplyMatrix,
     /// `GrB_assign` with a scalar and `GrB_ALL`.
     AssignScalar,
@@ -76,7 +79,9 @@ pub enum OpKind {
     ReduceVector,
     /// `GrB_reduce` of a matrix to a scalar.
     ReduceMatrix,
-    /// Row-wise `GrB_Matrix_reduce` to a vector.
+    /// Row-wise `GrB_Matrix_reduce` to a vector. No op records it any
+    /// more; the variant stays because the repo benchmark's op-kind
+    /// buckets match on it.
     ReduceRows,
     /// `GxB_select` on a vector.
     SelectVector,

@@ -8,7 +8,7 @@
 //!
 //! | module | replaces | what it provides |
 //! |---|---|---|
-//! | [`sync`] | `parking_lot` | non-poisoning [`sync::Mutex`] / [`sync::Condvar`] / [`sync::RwLock`] |
+//! | [`sync`] | `parking_lot` | non-poisoning [`sync::Mutex`] / [`sync::Condvar`] / [`sync::RwLock`]; lazy cells use `std::sync::OnceLock` directly |
 //! | [`deque`] | `crossbeam::deque` | Chase–Lev work-stealing [`deque::Worker`] / [`deque::Stealer`] + [`deque::Injector`] |
 //! | [`rng`] | `rand` | seedable [`rng::Rng`] (SplitMix64-seeded xoshiro256++) |
 //! | [`prop`] | `proptest` | seeded property tests with bounded shrinking ([`prop::check`]) |

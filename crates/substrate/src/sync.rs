@@ -12,8 +12,6 @@
 //! the lock for a few instructions or protects state that is re-validated
 //! after reacquisition.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 /// A mutual-exclusion lock whose [`lock`](Mutex::lock) never fails.
 pub struct Mutex<T: ?Sized> {
     inner: std::sync::Mutex<T>,
@@ -199,111 +197,6 @@ impl<T: ?Sized> RwLock<T> {
     }
 }
 
-/// A thread-safe write-once cell over [`std::sync::OnceLock`].
-///
-/// Mirrors the subset of `once_cell::sync::OnceCell` the workspace uses:
-/// a `const` constructor (so it can live inside `static`s and plain
-/// structs without an `Option` dance), [`get_or_init`](OnceCell::get_or_init)
-/// for lazy caches, and [`take`](OnceCell::take) so an exclusive owner can
-/// invalidate the cached value.
-pub struct OnceCell<T> {
-    inner: std::sync::OnceLock<T>,
-}
-
-impl<T> OnceCell<T> {
-    /// Creates an empty cell (usable in `static` initializers).
-    #[inline]
-    pub const fn new() -> Self {
-        OnceCell {
-            inner: std::sync::OnceLock::new(),
-        }
-    }
-
-    /// The stored value, or `None` while uninitialized.
-    #[inline]
-    pub fn get(&self) -> Option<&T> {
-        self.inner.get()
-    }
-
-    /// Returns the stored value, initializing it with `init` first if the
-    /// cell is empty. Concurrent callers race; exactly one `init` runs and
-    /// every caller observes its result.
-    #[inline]
-    pub fn get_or_init(&self, init: impl FnOnce() -> T) -> &T {
-        self.inner.get_or_init(init)
-    }
-
-    /// Stores `value` if the cell is empty, or returns it back.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(value)` when the cell was already initialized.
-    #[inline]
-    pub fn set(&self, value: T) -> Result<(), T> {
-        self.inner.set(value)
-    }
-
-    /// Removes and returns the value, leaving the cell empty (requires
-    /// exclusive ownership, so no reader can hold a stale reference).
-    #[inline]
-    pub fn take(&mut self) -> Option<T> {
-        self.inner.take()
-    }
-}
-
-impl<T> Default for OnceCell<T> {
-    fn default() -> Self {
-        OnceCell::new()
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for OnceCell<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.get() {
-            Some(v) => f.debug_tuple("OnceCell").field(v).finish(),
-            None => f.write_str("OnceCell(<uninit>)"),
-        }
-    }
-}
-
-/// A tiny spin-then-yield backoff for lock-free retry loops.
-///
-/// Shared by the deque's steal loops and the runtime's termination
-/// detection so the policy (4 spins, then yield) lives in one place.
-#[derive(Debug, Default)]
-pub struct Backoff {
-    step: AtomicUsize,
-}
-
-impl Backoff {
-    /// Fresh backoff with zero accumulated steps.
-    #[inline]
-    pub const fn new() -> Self {
-        Backoff {
-            step: AtomicUsize::new(0),
-        }
-    }
-
-    /// Spins briefly the first few calls, then yields the CPU.
-    #[inline]
-    pub fn snooze(&self) {
-        let step = self.step.fetch_add(1, Ordering::Relaxed);
-        if step < 4 {
-            for _ in 0..1 << step {
-                std::hint::spin_loop();
-            }
-        } else {
-            std::thread::yield_now();
-        }
-    }
-
-    /// Resets the policy after useful work was found.
-    #[inline]
-    pub fn reset(&self) {
-        self.step.store(0, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,35 +255,6 @@ mod tests {
         let a = l.read();
         let b = l.read();
         assert_eq!(*a + *b, 10);
-    }
-
-    #[test]
-    fn once_cell_initializes_exactly_once() {
-        let cell: OnceCell<u32> = OnceCell::new();
-        assert_eq!(cell.get(), None);
-        let mut runs = 0;
-        let a = *cell.get_or_init(|| {
-            runs += 1;
-            7
-        });
-        let b = *cell.get_or_init(|| unreachable!("already initialized"));
-        assert_eq!((a, b, runs), (7, 7, 1));
-        assert_eq!(cell.set(9), Err(9), "set after init returns the value");
-    }
-
-    #[test]
-    fn once_cell_take_empties_the_cell() {
-        let mut cell: OnceCell<String> = OnceCell::new();
-        assert_eq!(cell.set("x".into()), Ok(()));
-        assert_eq!(cell.take().as_deref(), Some("x"));
-        assert_eq!(cell.get(), None);
-        assert_eq!(cell.get_or_init(|| "y".into()), "y");
-    }
-
-    #[test]
-    fn once_cell_is_const_constructible() {
-        static CELL: OnceCell<u32> = OnceCell::new();
-        assert_eq!(*CELL.get_or_init(|| 3), 3);
     }
 
     #[test]

@@ -95,15 +95,6 @@ fn self_loops_do_not_break_traversals() {
 }
 
 #[test]
-fn kcore_on_self_loop_free_requirement_is_met_by_symmetrize() {
-    let g = graph_api_study::graph::transform::symmetrize(&from_edges(3, [(0, 0), (0, 1)]));
-    let ls = lonestar::kcore::kcore(&g, 1);
-    let gb = lagraph::kcore::kcore(&g, 1, GaloisRuntime).unwrap();
-    assert_eq!(ls.in_core, gb.in_core);
-    assert_eq!(ls.in_core, vec![true, true, false]);
-}
-
-#[test]
 fn betweenness_of_single_vertex_is_zero() {
     let g = single_vertex();
     assert_eq!(lonestar::bc::betweenness(&g, &[0]), vec![0.0]);

@@ -8,6 +8,7 @@
 //! The perfmon counters are process-global, so these tests serialize on
 //! a mutex.
 
+use graph_api_study::galois_rt;
 use graph_api_study::graph::{Scale, StudyGraph};
 use graph_api_study::graphblas::ops::{kernel_mode, set_kernel_mode, KernelMode};
 use graph_api_study::perfmon;
@@ -44,6 +45,28 @@ impl Drop for KernelPin {
     }
 }
 
+/// Pins the pool to one thread for a claim stated at one thread, and
+/// restores the previous count on drop, also when the claim fails.
+/// Callers must already hold `PERF_LOCK`, which every test here takes
+/// before it runs anything on the pool.
+struct OneThread {
+    prev: usize,
+}
+
+impl OneThread {
+    fn pin() -> OneThread {
+        let prev = galois_rt::threads();
+        galois_rt::set_threads(1);
+        OneThread { prev }
+    }
+}
+
+impl Drop for OneThread {
+    fn drop(&mut self) {
+        galois_rt::set_threads(self.prev);
+    }
+}
+
 fn counters_for(system: System, problem: Problem, p: &PreparedGraph) -> perfmon::Counters {
     perfmon::reset();
     perfmon::enable(true);
@@ -53,9 +76,17 @@ fn counters_for(system: System, problem: Problem, p: &PreparedGraph) -> perfmon:
     perfmon::snapshot()
 }
 
-fn assert_gb_exceeds_ls(problem: Problem, which: StudyGraph, min_instr_ratio: f64) {
+/// `one_thread` measures both systems at one pool thread (see
+/// [`OneThread`]); otherwise they run at the ambient thread count.
+fn assert_gb_exceeds_ls(
+    problem: Problem,
+    which: StudyGraph,
+    min_instr_ratio: f64,
+    one_thread: bool,
+) {
     let _guard = PERF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let _pin = KernelPin::paper_kernels();
+    let _threads = one_thread.then(OneThread::pin);
     let p = PreparedGraph::study(which, Scale::custom(1.0 / 32.0));
     let gb = counters_for(System::GaloisBlas, problem, &p);
     let ls = counters_for(System::Lonestar, problem, &p);
@@ -75,24 +106,27 @@ fn assert_gb_exceeds_ls(problem: Problem, which: StudyGraph, min_instr_ratio: f6
 #[test]
 fn bfs_lightweight_loops_cost_instructions() {
     // §V-B bfs: three passes per round vs one fused loop.
-    assert_gb_exceeds_ls(Problem::Bfs, StudyGraph::RoadUsa, 2.0);
+    assert_gb_exceeds_ls(Problem::Bfs, StudyGraph::RoadUsa, 2.0, false);
 }
 
 #[test]
 fn cc_bulk_jumping_costs_instructions() {
     // §V-B cc: bounded bulk pointer jumping vs Afforest sampling.
-    assert_gb_exceeds_ls(Problem::Cc, StudyGraph::Twitter40, 5.0);
+    assert_gb_exceeds_ls(Problem::Cc, StudyGraph::Twitter40, 5.0, false);
 }
 
 #[test]
 fn sssp_round_based_execution_costs_instructions() {
     // §V-B sssp: bulk-synchronous rounds vs one asynchronous work-list.
-    assert_gb_exceeds_ls(Problem::Sssp, StudyGraph::RoadUsa, 2.0);
+    // Stated at one thread: LS's async OBIM re-relaxes more as the
+    // schedule changes with the thread count, and at 4 threads the ratio
+    // fell to 1.7–1.98, so the claim would depend on the host.
+    assert_gb_exceeds_ls(Problem::Sssp, StudyGraph::RoadUsa, 2.0, true);
 }
 
 #[test]
 fn ktruss_materialization_costs_instructions() {
-    assert_gb_exceeds_ls(Problem::Ktruss, StudyGraph::Rmat22, 2.0);
+    assert_gb_exceeds_ls(Problem::Ktruss, StudyGraph::Rmat22, 2.0, false);
 }
 
 #[test]
