@@ -12,6 +12,7 @@
 //!   OpenMP's `schedule(static)` used by SuiteSparse.
 
 use crate::pool::{global_pool, threads};
+use crate::substrate::CachePadded;
 use perfmon::trace::{self, Event, LoopKind, LoopSpan};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -95,7 +96,9 @@ where
     }
     let chunk = chunk.max(1);
     let base = range.start;
-    let next = AtomicUsize::new(0);
+    // Padded: every worker hammers the cursor, so it must not share a
+    // line with the read-only `chunk` / `base` / `len` captures.
+    let next = CachePadded(AtomicUsize::new(0));
     global_pool().region(nthreads, |_tid| loop {
         let start = next.fetch_add(chunk, Ordering::Relaxed);
         if start >= len {

@@ -6,7 +6,7 @@
 
 use crate::binops::BinOp;
 use crate::error::GrbError;
-use crate::scalar::{Scalar, ScalarNum};
+use crate::scalar::Scalar;
 use graph::CsrGraph;
 use std::sync::OnceLock;
 
@@ -274,15 +274,6 @@ impl<T: Scalar> Matrix<T> {
         out
     }
 
-    /// Detects a diagonal matrix (every entry on the main diagonal),
-    /// enabling GaloisBLAS' specialized diagonal SpGEMM (paper §III-B).
-    pub fn is_diagonal(&self) -> bool {
-        (0..self.nrows as u32).all(|r| {
-            let (cols, _) = self.row(r);
-            cols.iter().all(|&c| c == r)
-        })
-    }
-
     /// Builds a CSR matrix from per-row entry lists (kernel use; rows must
     /// have strictly ascending column indices).
     pub(crate) fn from_rows(nrows: usize, ncols: usize, mut rows: Vec<Vec<(u32, T)>>) -> Self {
@@ -320,21 +311,6 @@ impl<T: Scalar> Matrix<T> {
             vals,
             tcache: TransposeCache::empty(),
         }
-    }
-}
-
-impl<T: ScalarNum> Matrix<T> {
-    /// A diagonal matrix with `diag[i]` at `(i, i)` (entries with absent
-    /// positions in `diag` are omitted).
-    pub fn diagonal(diag: &crate::Vector<T>) -> Self {
-        let n = diag.size();
-        let rows = (0..n as u32)
-            .map(|i| match diag.get(i) {
-                Some(v) => vec![(i, v)],
-                None => Vec::new(),
-            })
-            .collect();
-        Matrix::from_rows(n, n, rows)
     }
 }
 
@@ -437,23 +413,11 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_detection() {
-        let mut d: crate::Vector<u32> = crate::Vector::new(3);
-        d.set(0, 1).unwrap();
-        d.set(2, 5).unwrap();
-        let m = Matrix::diagonal(&d);
-        assert!(m.is_diagonal());
-        assert_eq!(m.nvals(), 2);
-        assert!(!small().is_diagonal());
-    }
-
-    #[test]
     fn empty_matrix_behaves() {
         let m: Matrix<u32> = Matrix::new(4, 4);
         assert_eq!(m.nvals(), 0);
         assert_eq!(m.get(1, 1), None);
         assert_eq!(m.transpose().nvals(), 0);
-        assert!(m.is_diagonal(), "vacuously diagonal");
     }
 
     #[test]

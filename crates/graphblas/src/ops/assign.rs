@@ -51,8 +51,9 @@ where
         desc,
     );
     let input_nnz = mask.map_or(n, Vector::nvals);
+    let pm = perfmon::probe();
     if let Some(op) = accum {
-        accumulate_scalar(w, op, mask, value, desc);
+        accumulate_scalar(w, op, mask, value, desc, pm);
         if let Some(span) = span {
             span.finish(input_nnz, w.nvals(), 0);
         }
@@ -81,14 +82,14 @@ where
                 let pv = ParSlice::new(vals);
                 let pp = ParSlice::new(present);
                 rt.parallel_for(idx.len(), |p| {
-                    perfmon::instr(2);
-                    perfmon::touch_ref(&idx[p]);
+                    pm.instr(2);
+                    pm.touch_ref(&idx[p]);
                     let i = idx[p] as usize;
                     if desc.mask_structural || mvals[p].is_nonzero() {
                         // SAFETY: mask indices are unique, so writes are
                         // disjoint.
                         unsafe {
-                            perfmon::touch(pv.addr_of(i));
+                            pm.touch(pv.addr_of(i));
                             if !pp.read(i) {
                                 added.add(1);
                                 pp.write(i, true);
@@ -113,11 +114,11 @@ where
         let pv = ParSlice::new(vals);
         let pp = ParSlice::new(present);
         rt.parallel_for(n, |i| {
-            perfmon::instr(2);
-            let pass = mask.mask_at(i as u32, desc.mask_structural) != desc.mask_complement;
+            pm.instr(2);
+            let pass = mask.mask_at(i as u32, desc.mask_structural, pm) != desc.mask_complement;
             // SAFETY: each index is visited by exactly one iteration.
             unsafe {
-                perfmon::touch(pv.addr_of(i));
+                pm.touch(pv.addr_of(i));
                 if pass {
                     pv.write(i, value);
                     pp.write(i, true);
@@ -145,11 +146,12 @@ fn accumulate_scalar<T: Scalar, M: Scalar, B: BinOp<T>>(
     mask: Option<&Vector<M>>,
     value: T,
     desc: &Descriptor,
+    pm: perfmon::Probe,
 ) {
     let n = w.size() as u32;
     let admits = |m: &Vector<M>, i: u32| {
-        perfmon::instr(1);
-        m.mask_at(i, desc.mask_structural) != desc.mask_complement
+        pm.instr(1);
+        m.mask_at(i, desc.mask_structural, pm) != desc.mask_complement
     };
     let t: Vec<(u32, T)> = match mask {
         None => (0..n).map(|i| (i, value)).collect(),
@@ -165,7 +167,7 @@ fn accumulate_scalar<T: Scalar, M: Scalar, B: BinOp<T>>(
                 .collect(),
         },
     };
-    WriteBack::masked(desc.replace, Some(op), mask, desc).entries(w, &t);
+    WriteBack::masked(desc.replace, Some(op), mask, desc, pm).entries(w, &t);
 }
 
 /// `w = f(u)` element-wise over explicit entries (`GrB_apply`).
@@ -194,8 +196,9 @@ where
         ));
     }
     let span = super::op_start_plain(super::OpKind::Apply, R::NAME);
+    let pm = perfmon::probe();
     let input_nnz = u.nvals();
-    let wb = WriteBack::unmasked(true, accum);
+    let wb = WriteBack::unmasked(true, accum, pm);
     if let Some((uvals, upresent)) = u.dense_parts() {
         let n = u.size();
         let (mut vals, mut present) = wb.dense_scratch(w, n);
@@ -203,8 +206,8 @@ where
             let pv = ParSlice::new(&mut vals);
             let pp = ParSlice::new(&mut present);
             rt.parallel_for(n, |i| {
-                perfmon::instr(1);
-                perfmon::touch_ref(&uvals[i]);
+                pm.instr(1);
+                pm.touch_ref(&uvals[i]);
                 if upresent[i] {
                     // SAFETY: disjoint indices.
                     unsafe {
@@ -221,8 +224,8 @@ where
         {
             let pv = ParSlice::new(&mut vals);
             rt.parallel_for(uvals.len(), |p| {
-                perfmon::instr(1);
-                perfmon::touch_ref(&uvals[p]);
+                pm.instr(1);
+                pm.touch_ref(&uvals[p]);
                 // SAFETY: disjoint indices.
                 unsafe { pv.write(p, f(uvals[p])) };
             });
@@ -243,6 +246,7 @@ where
     R: Runtime,
 {
     let span = super::op_start_plain(super::OpKind::ApplyInplace, R::NAME);
+    let pm = perfmon::probe();
     let input_nnz = u.nvals();
     match u.dense_parts() {
         Some(_) => {
@@ -251,11 +255,11 @@ where
             let n = present.len();
             let present: &[bool] = present;
             rt.parallel_for(n, |i| {
-                perfmon::instr(1);
+                pm.instr(1);
                 if present[i] {
                     // SAFETY: disjoint indices.
                     unsafe {
-                        perfmon::touch(pv.addr_of(i));
+                        pm.touch(pv.addr_of(i));
                         let v = pv.read(i);
                         pv.write(i, f(v));
                     }
@@ -266,10 +270,10 @@ where
             let vals = sparse_vals_mut(u);
             let pv = ParSlice::new(vals);
             rt.parallel_for(pv.len(), |p| {
-                perfmon::instr(1);
+                pm.instr(1);
                 // SAFETY: disjoint indices.
                 unsafe {
-                    perfmon::touch(pv.addr_of(p));
+                    pm.touch(pv.addr_of(p));
                     let v = pv.read(p);
                     pv.write(p, f(v));
                 }

@@ -50,8 +50,9 @@ where
     let (w, accum) = w.target();
     let n = check_sizes(w, u, v)?;
     let span = super::op_start_plain(super::OpKind::EwiseAdd, R::NAME);
+    let pm = perfmon::probe();
     let input_nnz = u.nvals() + v.nvals();
-    let wb = WriteBack::unmasked(true, accum);
+    let wb = WriteBack::unmasked(true, accum, pm);
     match (u.dense_parts(), v.dense_parts()) {
         (Some((uv, up)), Some((vv, vp))) => {
             let (mut vals, mut present) = wb.dense_scratch(w, n);
@@ -59,9 +60,9 @@ where
                 let pv = ParSlice::new(&mut vals);
                 let pp = ParSlice::new(&mut present);
                 rt.parallel_for(n, |i| {
-                    perfmon::instr(1);
-                    perfmon::touch_ref(&uv[i]);
-                    perfmon::touch_ref(&vv[i]);
+                    pm.instr(1);
+                    pm.touch_ref(&uv[i]);
+                    pm.touch_ref(&vv[i]);
                     let out = match (up[i], vp[i]) {
                         (true, true) => Some(op.apply(uv[i], vv[i])),
                         (true, false) => Some(uv[i]),
@@ -89,8 +90,8 @@ where
                 let pv = ParSlice::new(&mut vals);
                 let pp = ParSlice::new(&mut present);
                 rt.parallel_for(n, |i| {
-                    perfmon::instr(1);
-                    perfmon::touch_ref(&dv[i]);
+                    pm.instr(1);
+                    pm.touch_ref(&dv[i]);
                     if dp[i] {
                         // SAFETY: disjoint indices.
                         unsafe {
@@ -100,8 +101,8 @@ where
                     }
                 });
                 rt.parallel_for(idx.len(), |p| {
-                    perfmon::instr(1);
-                    perfmon::touch_ref(&svals[p]);
+                    pm.instr(1);
+                    pm.touch_ref(&svals[p]);
                     let i = idx[p] as usize;
                     let x = match (dp[i], dense_left) {
                         (true, true) => op.apply(dv[i], svals[p]),
@@ -125,7 +126,7 @@ where
             let mut ui = u.iter().peekable();
             let mut vi = v.iter().peekable();
             loop {
-                perfmon::instr(1);
+                pm.instr(1);
                 match (ui.peek().copied(), vi.peek().copied()) {
                     (Some((i, x)), Some((j, y))) => {
                         let (k, out) = match i.cmp(&j) {
@@ -158,7 +159,7 @@ where
                     }
                     (None, None) => break,
                 }
-                perfmon::touch_ref(vals.last().expect("just pushed"));
+                pm.touch_ref(vals.last().expect("just pushed"));
             }
             wb.sparse(w, idx, vals);
         }
@@ -194,8 +195,9 @@ where
     let (w, accum) = w.target();
     let n = check_sizes(w, u, v)?;
     let span = super::op_start_plain(super::OpKind::EwiseMult, R::NAME);
+    let pm = perfmon::probe();
     let input_nnz = u.nvals() + v.nvals();
-    let wb = WriteBack::unmasked(true, accum);
+    let wb = WriteBack::unmasked(true, accum, pm);
     match (u.dense_parts(), v.dense_parts()) {
         (Some((uv, up)), Some((vv, vp))) => {
             let (mut vals, mut present) = wb.dense_scratch(w, n);
@@ -203,9 +205,9 @@ where
                 let pv = ParSlice::new(&mut vals);
                 let pp = ParSlice::new(&mut present);
                 rt.parallel_for(n, |i| {
-                    perfmon::instr(1);
-                    perfmon::touch_ref(&uv[i]);
-                    perfmon::touch_ref(&vv[i]);
+                    pm.instr(1);
+                    pm.touch_ref(&uv[i]);
+                    pm.touch_ref(&vv[i]);
                     if up[i] && vp[i] {
                         // SAFETY: disjoint indices.
                         unsafe {
@@ -227,8 +229,8 @@ where
                 let pv = ParSlice::new(&mut vals);
                 let pp = ParSlice::new(&mut present);
                 rt.parallel_for(idx.len(), |p| {
-                    perfmon::instr(1);
-                    perfmon::touch_ref(&svals[p]);
+                    pm.instr(1);
+                    pm.touch_ref(&svals[p]);
                     let i = idx[p] as usize;
                     if dp[i] {
                         let x = if dense_left {
@@ -253,7 +255,7 @@ where
             let mut ui = u.iter().peekable();
             let mut vi = v.iter().peekable();
             while let (Some(&(i, x)), Some(&(j, y))) = (ui.peek(), vi.peek()) {
-                perfmon::instr(1);
+                pm.instr(1);
                 match i.cmp(&j) {
                     std::cmp::Ordering::Less => {
                         ui.next();
@@ -264,7 +266,7 @@ where
                     std::cmp::Ordering::Equal => {
                         idx.push(i);
                         vals.push(op.apply(x, y));
-                        perfmon::touch_ref(vals.last().expect("just pushed"));
+                        pm.touch_ref(vals.last().expect("just pushed"));
                         ui.next();
                         vi.next();
                     }

@@ -41,6 +41,7 @@ where
         }
     }
     let span = super::op_start_plain(super::OpKind::Extract, R::NAME);
+    let pm = perfmon::probe();
     let input_nnz = u.nvals();
     let n = indices.len();
     // Dense gather target over the output dimension.
@@ -51,10 +52,10 @@ where
         let pv = ParSlice::new(&mut vals);
         let pp = ParSlice::new(&mut present);
         rt.parallel_for(n, |i| {
-            perfmon::instr(2);
-            perfmon::touch_ref(&indices[i]);
+            pm.instr(2);
+            pm.touch_ref(&indices[i]);
             if let Some(x) = u.get(indices[i]) {
-                perfmon::touch_ref(&x);
+                pm.touch_ref(&x);
                 // SAFETY: disjoint indices.
                 unsafe {
                     pv.write(i, x);

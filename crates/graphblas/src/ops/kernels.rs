@@ -466,6 +466,7 @@ pub fn mxv_kernel_choice<T: Scalar, M: Scalar>(
 ///
 /// `mul` maps `(frontier value, matrix value)` to a contribution, letting
 /// `mxv` flip the semiring's ⊗ argument order.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn scatter_sparse<T, M, S, R>(
     entries: &[(u32, T)],
     a: &Matrix<T>,
@@ -474,6 +475,7 @@ pub(crate) fn scatter_sparse<T, M, S, R>(
     semiring: S,
     mul: impl Fn(T, T) -> T + Sync,
     rt: R,
+    pm: perfmon::Probe,
 ) -> (Vec<(u32, T)>, u64)
 where
     T: Scalar,
@@ -484,13 +486,13 @@ where
     let lanes: PerThread<Vec<(u32, T)>> = PerThread::new(Vec::new);
     rt.parallel_for(entries.len(), |p| {
         let (i, x) = entries[p];
-        perfmon::touch_ref(&entries[p]);
+        pm.touch_ref(&entries[p]);
         for (j, &av) in a.row_pairs(i) {
-            perfmon::instr(2);
-            perfmon::touch_ref(&av);
+            pm.instr(2);
+            pm.touch_ref(&av);
             if let Some(m) = mask {
-                let pass = m.mask_at(j, desc.mask_structural) != desc.mask_complement;
-                perfmon::instr(1);
+                let pass = m.mask_at(j, desc.mask_structural, pm) != desc.mask_complement;
+                pm.instr(1);
                 if !pass {
                     continue;
                 }
@@ -503,7 +505,7 @@ where
     pairs.sort_unstable_by_key(|&(j, v)| (j, v.to_bits64()));
     let mut out: Vec<(u32, T)> = Vec::new();
     for (j, v) in pairs {
-        perfmon::instr(1);
+        pm.instr(1);
         match out.last_mut() {
             Some(last) if last.0 == j => last.1 = semiring.add(last.1, v),
             _ => out.push((j, v)),
@@ -529,6 +531,7 @@ pub(crate) fn scatter_dense<T, M, R>(
     add: impl Fn(T, T) -> T + Sync,
     mul: impl Fn(T, T) -> T + Sync,
     rt: R,
+    pm: perfmon::Probe,
 ) -> (AtomicAccumulator<T>, u64)
 where
     T: Scalar,
@@ -539,18 +542,18 @@ where
     let bytes = (out_dim * std::mem::size_of::<T>()) as u64;
     rt.parallel_for(entries.len(), |p| {
         let (i, x) = entries[p];
-        perfmon::touch_ref(&entries[p]);
+        pm.touch_ref(&entries[p]);
         for (j, &av) in a.row_pairs(i) {
-            perfmon::instr(2);
-            perfmon::touch_ref(&av);
+            pm.instr(2);
+            pm.touch_ref(&av);
             if let Some(m) = mask {
-                let pass = m.mask_at(j, desc.mask_structural) != desc.mask_complement;
-                perfmon::instr(1);
+                let pass = m.mask_at(j, desc.mask_structural, pm) != desc.mask_complement;
+                pm.instr(1);
                 if !pass {
                     continue;
                 }
             }
-            acc.accumulate(j as usize, mul(x, av), &add);
+            acc.accumulate(j as usize, mul(x, av), &add, pm);
         }
     });
     (acc, bytes)
@@ -564,6 +567,7 @@ where
 ///
 /// Returns entries in ascending index order plus the emission footprint
 /// in bytes. One task owns each output, so both are deterministic.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn pull_gather<T, M, S, R>(
     u: &Vector<T>,
     at: &Matrix<T>,
@@ -572,6 +576,7 @@ pub(crate) fn pull_gather<T, M, S, R>(
     semiring: S,
     mul: impl Fn(T, T) -> T + Sync,
     rt: R,
+    pm: perfmon::Probe,
 ) -> (Vec<(u32, T)>, u64)
 where
     T: Scalar,
@@ -585,8 +590,8 @@ where
     let lanes: PerThread<Vec<(u32, T)>> = PerThread::new(Vec::new);
     rt.parallel_for_balanced(n, |j| at.row_nvals(j as u32) as u64 + 1, |j| {
         if let Some(m) = mask {
-            perfmon::instr(1);
-            let pass = m.mask_at(j as u32, desc.mask_structural) != desc.mask_complement;
+            pm.instr(1);
+            let pass = m.mask_at(j as u32, desc.mask_structural, pm) != desc.mask_complement;
             if !pass {
                 return;
             }
@@ -594,11 +599,11 @@ where
         let mut acc = semiring.add_identity();
         let mut any = false;
         for (k, &av) in at.row_pairs(j as u32) {
-            perfmon::instr(2);
-            perfmon::touch_ref(&av);
+            pm.instr(2);
+            pm.touch_ref(&av);
             let x = match udense {
                 Some((uvals, upresent)) => {
-                    perfmon::touch_ref(&uvals[k as usize]);
+                    pm.touch_ref(&uvals[k as usize]);
                     upresent[k as usize].then(|| uvals[k as usize])
                 }
                 None => u.get(k),

@@ -8,9 +8,6 @@
 //!   lookup work.
 //! * **SDOT** — per-output-entry dot products; only sensible under a mask
 //!   that bounds the output (the SandiaDot tc and ktruss patterns).
-//!
-//! GaloisBLAS' diagonal-matrix specialization (§III-B) is applied
-//! automatically when the left operand is diagonal.
 
 use crate::binops::SemiringOps;
 use crate::descriptor::{Descriptor, MethodHint};
@@ -67,6 +64,7 @@ where
     }
 
     let span = super::op_start(super::OpKind::Mxm, R::NAME, mask.is_some(), desc);
+    let pm = perfmon::probe();
     let input_nnz = a.nvals() + b.nvals();
     let finish = |span: Option<super::OpTrace>, c: &Matrix<T>, materialized: usize| {
         if let Some(span) = span {
@@ -78,9 +76,6 @@ where
         MethodHint::Auto => {
             if mask.is_some() && !desc.mask_complement {
                 MethodHint::Dot
-            } else if a.nvals() <= a.nrows() && a.is_diagonal() {
-                // handled by the diagonal fast path below
-                MethodHint::Gustavson
             } else if avg_row_nvals(a) < 4.0 {
                 MethodHint::Hash
             } else {
@@ -89,13 +84,6 @@ where
         }
         m => m,
     };
-
-    // GaloisBLAS diagonal specialization: C = D * B scales each row of B.
-    if a.nvals() <= a.nrows() && a.is_diagonal() && !desc.transpose_b {
-        let c = diagonal_scale(mask, semiring, a, b, desc, rt);
-        finish(span, &c, 0);
-        return Ok(c);
-    }
 
     match method {
         MethodHint::Dot => {
@@ -108,7 +96,7 @@ where
                 ));
             }
             let bt = if desc.transpose_b { b } else { b.transpose() };
-            let c = dot_masked(mask, semiring, a, bt, desc, rt);
+            let c = dot_masked(mask, semiring, a, bt, desc, rt, pm);
             finish(span, &c, 0);
             Ok(c)
         }
@@ -121,12 +109,12 @@ where
                 b
             };
             let (c, materialized) = if matches!(method, MethodHint::Hash) {
-                (saxpy_hash(semiring, a, b_eff, rt), 0)
+                (saxpy_hash(semiring, a, b_eff, rt, pm), 0)
             } else {
                 // Per-thread Gustavson dense accumulator (values + stamps).
                 let scratch = b_eff.ncols()
                     * (std::mem::size_of::<T>() + std::mem::size_of::<u32>());
-                (saxpy_gustavson(semiring, a, b_eff, rt), scratch)
+                (saxpy_gustavson(semiring, a, b_eff, rt, pm), scratch)
             };
             let c = match mask {
                 Some(m) => filter_by_mask(c, m, desc, rt),
@@ -212,7 +200,13 @@ fn finish_rows<T: Scalar, R: Runtime>(
     c
 }
 
-fn saxpy_gustavson<T, S, R>(semiring: S, a: &Matrix<T>, b: &Matrix<T>, rt: R) -> Matrix<T>
+fn saxpy_gustavson<T, S, R>(
+    semiring: S,
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    rt: R,
+    pm: perfmon::Probe,
+) -> Matrix<T>
 where
     T: Scalar,
     S: SemiringOps<T>,
@@ -241,14 +235,14 @@ where
                     s.touched.clear();
                     let (acols, avals) = a.row(i as u32);
                     for (&k, &av) in acols.iter().zip(avals.iter()) {
-                        perfmon::touch_ref(&av);
+                        pm.touch_ref(&av);
                         let (bcols, bvals) = b.row(k);
                         for (&j, &bv) in bcols.iter().zip(bvals.iter()) {
-                            perfmon::instr(2);
-                            perfmon::touch_ref(&bv);
+                            pm.instr(2);
+                            pm.touch_ref(&bv);
                             let prod = semiring.mul(av, bv);
                             let j = j as usize;
-                            perfmon::touch_ref(&s.vals[j]);
+                            pm.touch_ref(&s.vals[j]);
                             if s.stamp[j] != generation {
                                 s.stamp[j] = generation;
                                 s.vals[j] = prod;
@@ -307,12 +301,12 @@ impl<T: Scalar> HashScratch<T> {
         (h >> (64 - self.keys.len().trailing_zeros())) as usize
     }
 
-    fn upsert(&mut self, key: u32, v: T, add: impl Fn(T, T) -> T) {
+    fn upsert(&mut self, key: u32, v: T, add: impl Fn(T, T) -> T, pm: perfmon::Probe) {
         let mask = self.keys.len() - 1;
         let mut pos = self.slot(key) & mask;
         loop {
-            perfmon::instr(1);
-            perfmon::touch_ref(&self.keys[pos]);
+            pm.instr(1);
+            pm.touch_ref(&self.keys[pos]);
             if self.keys[pos] == HASH_EMPTY {
                 self.keys[pos] = key;
                 self.vals[pos] = v;
@@ -346,7 +340,13 @@ impl<T: Scalar> HashScratch<T> {
     }
 }
 
-fn saxpy_hash<T, S, R>(semiring: S, a: &Matrix<T>, b: &Matrix<T>, rt: R) -> Matrix<T>
+fn saxpy_hash<T, S, R>(
+    semiring: S,
+    a: &Matrix<T>,
+    b: &Matrix<T>,
+    rt: R,
+    pm: perfmon::Probe,
+) -> Matrix<T>
 where
     T: Scalar,
     S: SemiringOps<T>,
@@ -382,12 +382,12 @@ where
                 scratch.with(|s| {
                     s.reset(flops);
                     for (&k, &av) in acols.iter().zip(avals.iter()) {
-                        perfmon::touch_ref(&av);
+                        pm.touch_ref(&av);
                         let (bcols, bvals) = b.row(k);
                         for (&j, &bv) in bcols.iter().zip(bvals.iter()) {
-                            perfmon::instr(2);
-                            perfmon::touch_ref(&bv);
-                            s.upsert(j, semiring.mul(av, bv), add);
+                            pm.instr(2);
+                            pm.touch_ref(&bv);
+                            s.upsert(j, semiring.mul(av, bv), add, pm);
                         }
                     }
                     // SAFETY: one writer per row index.
@@ -415,6 +415,7 @@ fn dot_masked<T, M, S, R>(
     bt: &Matrix<T>,
     desc: &Descriptor,
     rt: R,
+    pm: perfmon::Probe,
 ) -> Matrix<T>
 where
     T: Scalar,
@@ -442,7 +443,7 @@ where
             // SAFETY: one writer per row index.
             let out = unsafe { pr.get_mut(i) };
             for (&j, &mv) in mcols.iter().zip(mvals.iter()) {
-                perfmon::instr(1);
+                pm.instr(1);
                 if !(desc.mask_structural || mv.is_nonzero()) {
                     continue;
                 }
@@ -452,9 +453,9 @@ where
                 let mut acc = semiring.add_identity();
                 let mut any = false;
                 while p < acols.len() && q < bcols.len() {
-                    perfmon::instr(1);
-                    perfmon::touch_ref(&acols[p]);
-                    perfmon::touch_ref(&bcols[q]);
+                    pm.instr(1);
+                    pm.touch_ref(&acols[p]);
+                    pm.touch_ref(&bcols[q]);
                     match acols[p].cmp(&bcols[q]) {
                         std::cmp::Ordering::Less => p += 1,
                         std::cmp::Ordering::Greater => q += 1,
@@ -473,47 +474,6 @@ where
         });
     }
     finish_rows(nrows, ncols, rows, rt)
-}
-
-/// Diagonal-times-matrix specialization: row `i` of the result is row `i`
-/// of `b` scaled by `a(i, i)`.
-fn diagonal_scale<T, M, S, R>(
-    mask: Option<&Matrix<M>>,
-    semiring: S,
-    a: &Matrix<T>,
-    b: &Matrix<T>,
-    desc: &Descriptor,
-    rt: R,
-) -> Matrix<T>
-where
-    T: Scalar,
-    M: Scalar,
-    S: SemiringOps<T>,
-    R: Runtime,
-{
-    let nrows = a.nrows();
-    let mut rows: Vec<Vec<(u32, T)>> = rt.workspace().take_rows(nrows);
-    {
-        let pr = ParSlice::new(&mut rows);
-        rt.parallel_for(nrows, |i| {
-            let Some(d) = a.get(i as u32, i as u32) else {
-                return;
-            };
-            let (bcols, bvals) = b.row(i as u32);
-            // SAFETY: one writer per row index.
-            let row = unsafe { pr.get_mut(i) };
-            row.extend(bcols.iter().zip(bvals.iter()).map(|(&j, &bv)| {
-                perfmon::instr(1);
-                perfmon::touch_ref(&bv);
-                (j, semiring.mul(d, bv))
-            }));
-        });
-    }
-    let c = finish_rows(nrows, b.ncols(), rows, rt);
-    match mask {
-        Some(m) => filter_by_mask(c, m, desc, rt),
-        None => c,
-    }
 }
 
 /// Keeps the entries of `c` the mask allows (the post-hoc mask application
@@ -541,7 +501,6 @@ where
 mod tests {
     use super::*;
     use crate::binops::{Plus, PlusPair, PlusTimes};
-    use crate::vector::Vector;
     use crate::runtime::GaloisRuntime;
 
     fn mat(n: usize, t: Vec<(u32, u32, u64)>) -> Matrix<u64> {
@@ -655,28 +614,6 @@ mod tests {
         // C = A * Bᵀ: C(0,1) = 1*3 + 2*4 = 11
         assert_eq!(c.get(0, 1), Some(11));
         assert_eq!(c.get(0, 0), None);
-    }
-
-    #[test]
-    fn diagonal_fast_path_scales_rows() {
-        let mut dvec: Vector<u64> = Vector::new(3);
-        dvec.set(0, 2).unwrap();
-        dvec.set(1, 3).unwrap();
-        dvec.set(2, 5).unwrap();
-        let d = Matrix::diagonal(&dvec);
-        let b = mat(3, vec![(0, 1, 10), (1, 2, 10), (2, 0, 10)]);
-        let c = mxm(
-            None::<&Matrix<bool>>,
-            PlusTimes,
-            &d,
-            &b,
-            &Descriptor::new(),
-            GaloisRuntime,
-        )
-        .unwrap();
-        assert_eq!(c.get(0, 1), Some(20));
-        assert_eq!(c.get(1, 2), Some(30));
-        assert_eq!(c.get(2, 0), Some(50));
     }
 
     #[test]

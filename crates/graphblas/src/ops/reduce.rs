@@ -16,11 +16,12 @@ where
     R: Runtime,
 {
     let span = crate::ops::op_start_plain(crate::ops::OpKind::ReduceVector, R::NAME);
+    let pm = perfmon::probe();
     let out = if let Some((vals, present)) = u.dense_parts() {
         let partials: PerThread<T> = PerThread::new(|| monoid.identity());
         rt.parallel_for(vals.len(), |i| {
-            perfmon::instr(1);
-            perfmon::touch_ref(&vals[i]);
+            pm.instr(1);
+            pm.touch_ref(&vals[i]);
             if present[i] {
                 partials.with(|acc| *acc = monoid.apply(*acc, vals[i]));
             }
@@ -33,8 +34,8 @@ where
         let (_, vals) = u.sparse_parts().expect("sparse");
         let partials: PerThread<T> = PerThread::new(|| monoid.identity());
         rt.parallel_for(vals.len(), |p| {
-            perfmon::instr(1);
-            perfmon::touch_ref(&vals[p]);
+            pm.instr(1);
+            pm.touch_ref(&vals[p]);
             partials.with(|acc| *acc = monoid.apply(*acc, vals[p]));
         });
         partials
@@ -57,13 +58,14 @@ where
     R: Runtime,
 {
     let span = crate::ops::op_start_plain(crate::ops::OpKind::ReduceMatrix, R::NAME);
+    let pm = perfmon::probe();
     let partials: PerThread<T> = PerThread::new(|| monoid.identity());
     rt.parallel_for_balanced(a.nrows(), |i| a.row_nvals(i as u32) as u64 + 1, |i| {
         let (_, vals) = a.row(i as u32);
         partials.with(|acc| {
             for v in vals {
-                perfmon::instr(1);
-                perfmon::touch_ref(v);
+                pm.instr(1);
+                pm.touch_ref(v);
                 *acc = monoid.apply(*acc, *v);
             }
         });

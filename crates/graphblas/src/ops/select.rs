@@ -27,11 +27,12 @@ pub fn select_vector<T, R>(
     R: Runtime,
 {
     let span = super::op_start_plain(super::OpKind::SelectVector, R::NAME);
+    let pm = perfmon::probe();
     let builder = crate::vector::VectorBuilder::new(u.size());
     if let Some((vals, present)) = u.dense_parts() {
         rt.parallel_for(vals.len(), |i| {
-            perfmon::instr(1);
-            perfmon::touch_ref(&vals[i]);
+            pm.instr(1);
+            pm.touch_ref(&vals[i]);
             if present[i] && pred(i as u32, vals[i]) {
                 builder.push(i as u32, vals[i]);
             }
@@ -39,8 +40,8 @@ pub fn select_vector<T, R>(
     } else {
         let (idx, vals) = u.sparse_parts().expect("vector is sparse or dense");
         rt.parallel_for(idx.len(), |p| {
-            perfmon::instr(1);
-            perfmon::touch_ref(&vals[p]);
+            pm.instr(1);
+            pm.touch_ref(&vals[p]);
             if pred(idx[p], vals[p]) {
                 builder.push(idx[p], vals[p]);
             }
@@ -65,6 +66,7 @@ where
     R: Runtime,
 {
     let span = super::op_start_plain(super::OpKind::SelectMatrix, R::NAME);
+    let pm = perfmon::probe();
     let nrows = a.nrows();
     let mut rows: Vec<Vec<(u32, T)>> = vec![Vec::new(); nrows];
     {
@@ -73,8 +75,8 @@ where
             let (cols, vals) = a.row(i as u32);
             let mut kept = Vec::new();
             for (&c, &v) in cols.iter().zip(vals.iter()) {
-                perfmon::instr(1);
-                perfmon::touch_ref(&v);
+                pm.instr(1);
+                pm.touch_ref(&v);
                 if pred(i as u32, c, v) {
                     kept.push((c, v));
                 }

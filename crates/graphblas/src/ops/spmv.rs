@@ -103,18 +103,19 @@ where
             budget: 0,
         });
     }
-    let wb = WriteBack::masked(desc.replace, accum, mask, desc);
+    let pm = perfmon::probe();
+    let wb = WriteBack::masked(desc.replace, accum, mask, desc, pm);
     let mul = |x, av| semiring.mul(x, av);
     let accumulator_bytes = match selection.choice {
         KernelChoice::PushSparse => {
             let (out, bytes) =
-                kernels::scatter_sparse(&entries, a, mask, desc, semiring, mul, rt);
+                kernels::scatter_sparse(&entries, a, mask, desc, semiring, mul, rt, pm);
             wb.entries(w, &out);
             bytes
         }
         KernelChoice::Pull => {
             let (out, bytes) =
-                kernels::pull_gather(u, a.transpose(), mask, desc, semiring, mul, rt);
+                kernels::pull_gather(u, a.transpose(), mask, desc, semiring, mul, rt, pm);
             wb.entries(w, &out);
             bytes
         }
@@ -123,8 +124,8 @@ where
             // intermediate the paper's fixed push strategy cannot avoid.
             let add = |x, y| semiring.add(x, y);
             let (acc, bytes) =
-                kernels::scatter_dense(&entries, a, a.ncols(), mask, desc, add, mul, rt);
-            wb.entries(w, &acc.into_entries());
+                kernels::scatter_dense(&entries, a, a.ncols(), mask, desc, add, mul, rt, pm);
+            wb.entries(w, &acc.into_entries(pm));
             bytes
         }
     };
@@ -256,7 +257,8 @@ where
             budget: 0,
         });
     }
-    let wb = WriteBack::masked(desc.replace || mask.is_none(), accum, mask, desc);
+    let pm = perfmon::probe();
+    let wb = WriteBack::masked(desc.replace || mask.is_none(), accum, mask, desc, pm);
     let accumulator_bytes = match selection.choice {
         KernelChoice::PushSparse => {
             // Scatter the entries of `u` through the columns of `A`
@@ -264,7 +266,7 @@ where
             let entries = kernels::take_entries(u, rt);
             let mul = |x, av| semiring.mul(av, x);
             let (out, bytes) =
-                kernels::scatter_sparse(&entries, a.transpose(), mask, desc, semiring, mul, rt);
+                kernels::scatter_sparse(&entries, a.transpose(), mask, desc, semiring, mul, rt, pm);
             kernels::give_entries(entries, rt);
             wb.entries(w, &out);
             bytes
@@ -274,9 +276,9 @@ where
             let mul = |x, av| semiring.mul(av, x);
             let add = |x, y| semiring.add(x, y);
             let (acc, bytes) =
-                kernels::scatter_dense(&entries, a.transpose(), n, mask, desc, add, mul, rt);
+                kernels::scatter_dense(&entries, a.transpose(), n, mask, desc, add, mul, rt, pm);
             kernels::give_entries(entries, rt);
-            wb.entries(w, &acc.into_entries());
+            wb.entries(w, &acc.into_entries(pm));
             bytes
         }
         _ => {
@@ -291,9 +293,9 @@ where
                 let pp = ParSlice::new(&mut present);
                 rt.parallel_for_balanced(n, |i| a.row_nvals(i as u32) as u64 + 1, |i| {
                     if let Some(m) = mask {
-                        perfmon::instr(1);
+                        pm.instr(1);
                         let pass =
-                            m.mask_at(i as u32, desc.mask_structural) != desc.mask_complement;
+                            m.mask_at(i as u32, desc.mask_structural, pm) != desc.mask_complement;
                         if !pass {
                             return;
                         }
@@ -301,11 +303,11 @@ where
                     let mut acc = semiring.add_identity();
                     let mut any = false;
                     for (k, &av) in a.row_pairs(i as u32) {
-                        perfmon::instr(2);
-                        perfmon::touch_ref(&av);
+                        pm.instr(2);
+                        pm.touch_ref(&av);
                         let x = match udense {
                             Some((uvals, upresent)) => {
-                                perfmon::touch_ref(&uvals[k as usize]);
+                                pm.touch_ref(&uvals[k as usize]);
                                 upresent[k as usize].then(|| uvals[k as usize])
                             }
                             None => u.get(k),
@@ -318,7 +320,7 @@ where
                     if any {
                         // SAFETY: one writer per row.
                         unsafe {
-                            perfmon::touch(pv.addr_of(i));
+                            pm.touch(pv.addr_of(i));
                             pv.write(i, acc);
                             pp.write(i, true);
                         }

@@ -80,25 +80,28 @@ impl<T: Scalar, B: BinOp<T>> Output for Accum<'_, T, B> {
     }
 }
 
-/// One op's write-back: replace flag, accumulator and the mask that
-/// `replace` applies to `w`'s old entries under an accumulator.
+/// One op's write-back: replace flag, accumulator, the mask that
+/// `replace` applies to `w`'s old entries under an accumulator, and the
+/// op's counter probe.
 pub(crate) struct WriteBack<'m, M, B> {
     replace: bool,
     accum: Option<B>,
     mask: Option<&'m Vector<M>>,
     structural: bool,
     complement: bool,
+    pm: perfmon::Probe,
 }
 
 impl<B> WriteBack<'static, bool, B> {
     /// A write without a mask (`ewise_*`, `apply`).
-    pub(crate) fn unmasked(replace: bool, accum: Option<B>) -> Self {
+    pub(crate) fn unmasked(replace: bool, accum: Option<B>, pm: perfmon::Probe) -> Self {
         WriteBack {
             replace,
             accum,
             mask: None,
             structural: false,
             complement: false,
+            pm,
         }
     }
 }
@@ -110,6 +113,7 @@ impl<'m, M: Scalar, B> WriteBack<'m, M, B> {
         accum: Option<B>,
         mask: Option<&'m Vector<M>>,
         desc: &Descriptor,
+        pm: perfmon::Probe,
     ) -> Self {
         WriteBack {
             replace,
@@ -117,6 +121,7 @@ impl<'m, M: Scalar, B> WriteBack<'m, M, B> {
             mask,
             structural: desc.mask_structural,
             complement: desc.mask_complement,
+            pm,
         }
     }
 
@@ -146,7 +151,7 @@ impl<'m, M: Scalar, B> WriteBack<'m, M, B> {
     {
         if let Some(op) = self.accum {
             self.retain_masked(w);
-            accumulate_sorted(w, entries.iter().copied(), op);
+            accumulate_sorted(w, entries.iter().copied(), op, self.pm);
         } else if self.replace {
             let n = w.size();
             if crate::vector::dense_preferred(entries.len(), n) {
@@ -162,7 +167,7 @@ impl<'m, M: Scalar, B> WriteBack<'m, M, B> {
             }
         } else {
             for &(i, v) in entries {
-                perfmon::instr(1);
+                self.pm.instr(1);
                 w.set(i, v).expect("kernel indices in range");
             }
         }
@@ -176,7 +181,7 @@ impl<'m, M: Scalar, B> WriteBack<'m, M, B> {
     {
         debug_assert!(self.replace, "sparse results come from replacing writes");
         match self.accum {
-            Some(op) => accumulate_sorted(w, idx.into_iter().zip(vals), op),
+            Some(op) => accumulate_sorted(w, idx.into_iter().zip(vals), op, self.pm),
             None => w.set_sparse(idx, vals),
         }
     }
@@ -192,10 +197,11 @@ impl<'m, M: Scalar, B> WriteBack<'m, M, B> {
     ) where
         B: BinOp<T>,
     {
+        let pm = self.pm;
         let Some(op) = self.accum else {
             if !self.replace {
                 for (i, x) in w.iter() {
-                    perfmon::instr(1);
+                    pm.instr(1);
                     if !present[i as usize] {
                         vals[i as usize] = x;
                         present[i as usize] = true;
@@ -218,7 +224,7 @@ impl<'m, M: Scalar, B> WriteBack<'m, M, B> {
                 .enumerate()
                 .filter(|(_, (&p, _))| p)
                 .map(|(i, (_, v))| (i as u32, v));
-            accumulate_sorted(w, entries, op);
+            accumulate_sorted(w, entries, op, pm);
             return;
         };
         let added = galois_rt::ReduceSum::new();
@@ -226,8 +232,8 @@ impl<'m, M: Scalar, B> WriteBack<'m, M, B> {
             let pv = ParSlice::new(wv);
             let pp = ParSlice::new(wp);
             rt.parallel_for(vals.len(), |i| {
-                perfmon::instr(1);
-                perfmon::touch_ref(&vals[i]);
+                pm.instr(1);
+                pm.touch_ref(&vals[i]);
                 if present[i] {
                     // SAFETY: each index is visited by exactly one iteration.
                     unsafe {
@@ -252,11 +258,12 @@ impl<'m, M: Scalar, B> WriteBack<'m, M, B> {
         let Some(mask) = self.mask.filter(|_| self.replace && self.accum.is_some()) else {
             return;
         };
-        let keep = |i: u32| mask.mask_at(i, self.structural) != self.complement;
+        let pm = self.pm;
+        let keep = |i: u32| mask.mask_at(i, self.structural, pm) != self.complement;
         match &mut w.store {
             Store::Dense { present, nvals, .. } => {
                 for (i, p) in present.iter_mut().enumerate() {
-                    perfmon::instr(1);
+                    pm.instr(1);
                     if *p && !keep(i as u32) {
                         *p = false;
                         *nvals -= 1;
@@ -266,7 +273,7 @@ impl<'m, M: Scalar, B> WriteBack<'m, M, B> {
             Store::Sparse { idx, vals } => {
                 let mut kept = 0;
                 for p in 0..idx.len() {
-                    perfmon::instr(1);
+                    pm.instr(1);
                     if keep(idx[p]) {
                         idx[kept] = idx[p];
                         vals[kept] = vals[p];
@@ -287,6 +294,7 @@ fn accumulate_sorted<T: Scalar, B: BinOp<T>>(
     w: &mut Vector<T>,
     t: impl Iterator<Item = (u32, T)>,
     op: B,
+    pm: perfmon::Probe,
 ) {
     match &mut w.store {
         Store::Dense {
@@ -295,9 +303,9 @@ fn accumulate_sorted<T: Scalar, B: BinOp<T>>(
             nvals,
         } => {
             for (i, v) in t {
-                perfmon::instr(1);
+                pm.instr(1);
                 let i = i as usize;
-                perfmon::touch_ref(&vals[i]);
+                pm.touch_ref(&vals[i]);
                 if present[i] {
                     vals[i] = op.apply(vals[i], v);
                 } else {
@@ -320,7 +328,7 @@ fn accumulate_sorted<T: Scalar, B: BinOp<T>>(
                     out_vals.push(x);
                     old.next();
                 }
-                perfmon::instr(1);
+                pm.instr(1);
                 let v = match old.next_if(|&(j, _)| j == i) {
                     Some((_, x)) => op.apply(x, v),
                     None => v,

@@ -32,8 +32,8 @@ impl<T: Scalar> AtomicAccumulator<T> {
     }
 
     /// Folds `v` into slot `j` with `add`.
-    pub fn accumulate(&self, j: usize, v: T, add: impl Fn(T, T) -> T) {
-        perfmon::touch_ref(&self.bits[j]);
+    pub fn accumulate(&self, j: usize, v: T, add: impl Fn(T, T) -> T, pm: perfmon::Probe) {
+        pm.touch_ref(&self.bits[j]);
         loop {
             match self.state[j].load(Ordering::Acquire) {
                 EMPTY => {
@@ -86,11 +86,11 @@ impl<T: Scalar> AtomicAccumulator<T> {
     ///
     /// This is a full pass over the accumulator — the compaction cost of
     /// materializing the op's result, which the counters must see.
-    pub fn into_entries(self) -> Vec<(u32, T)> {
+    pub fn into_entries(self, pm: perfmon::Probe) -> Vec<(u32, T)> {
         let mut out = Vec::new();
         for j in 0..self.len() {
-            perfmon::instr(1);
-            perfmon::touch_ref(&self.state[j]);
+            pm.instr(1);
+            pm.touch_ref(&self.state[j]);
             if let Some(v) = self.get(j) {
                 out.push((j as u32, v));
             }
@@ -177,39 +177,43 @@ mod tests {
 
     #[test]
     fn accumulator_single_thread() {
+        let pm = perfmon::probe();
         let acc: AtomicAccumulator<u64> = AtomicAccumulator::new(4);
-        acc.accumulate(1, 5, |a, b| a + b);
-        acc.accumulate(1, 7, |a, b| a + b);
-        acc.accumulate(3, 1, |a, b| a + b);
+        acc.accumulate(1, 5, |a, b| a + b, pm);
+        acc.accumulate(1, 7, |a, b| a + b, pm);
+        acc.accumulate(3, 1, |a, b| a + b, pm);
         assert_eq!(acc.get(0), None);
         assert_eq!(acc.get(1), Some(12));
-        assert_eq!(acc.into_entries(), vec![(1, 12), (3, 1)]);
+        assert_eq!(acc.into_entries(pm), vec![(1, 12), (3, 1)]);
     }
 
     #[test]
     fn accumulator_parallel_sums_are_exact() {
+        let pm = perfmon::probe();
         let acc: AtomicAccumulator<u64> = AtomicAccumulator::new(16);
         galois_rt::do_all(0..100_000, |i| {
-            acc.accumulate(i % 16, 1, |a, b| a + b);
+            acc.accumulate(i % 16, 1, |a, b| a + b, pm);
         });
-        let total: u64 = acc.into_entries().into_iter().map(|(_, v)| v).sum();
+        let total: u64 = acc.into_entries(pm).into_iter().map(|(_, v)| v).sum();
         assert_eq!(total, 100_000);
     }
 
     #[test]
     fn accumulator_with_min_fold() {
+        let pm = perfmon::probe();
         let acc: AtomicAccumulator<u32> = AtomicAccumulator::new(2);
         galois_rt::do_all(0..1000, |i| {
-            acc.accumulate(0, i as u32, |a, b| a.min(b));
+            acc.accumulate(0, i as u32, |a, b| a.min(b), pm);
         });
         assert_eq!(acc.get(0), Some(0));
     }
 
     #[test]
     fn accumulator_floats() {
+        let pm = perfmon::probe();
         let acc: AtomicAccumulator<f64> = AtomicAccumulator::new(1);
         galois_rt::do_all(0..1000, |_| {
-            acc.accumulate(0, 0.25, |a, b| a + b);
+            acc.accumulate(0, 0.25, |a, b| a + b, pm);
         });
         assert!((acc.get(0).unwrap() - 250.0).abs() < 1e-9);
     }

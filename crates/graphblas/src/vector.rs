@@ -279,18 +279,18 @@ impl<T: Scalar> Vector<T> {
     /// Mask evaluation at index `i`: present and (structurally or by
     /// value) true.
     ///
-    /// Instrumented: reading a mask is a real memory access the paper's
-    /// counters observe.
+    /// Instrumented through the caller's probe: reading a mask is a real
+    /// memory access the paper's counters observe.
     #[inline]
-    pub(crate) fn mask_at(&self, i: u32, structural: bool) -> bool {
+    pub(crate) fn mask_at(&self, i: u32, structural: bool, pm: perfmon::Probe) -> bool {
         match &self.store {
             Store::Dense { vals, .. } => {
-                perfmon::touch(vals.as_ptr() as usize + i as usize * std::mem::size_of::<T>());
+                pm.touch(vals.as_ptr() as usize + i as usize * std::mem::size_of::<T>());
             }
             Store::Sparse { idx, .. } => {
                 if !idx.is_empty() {
                     let probe = (i as usize) % idx.len();
-                    perfmon::touch_ref(&idx[probe]);
+                    pm.touch_ref(&idx[probe]);
                 }
             }
         }
@@ -554,11 +554,12 @@ mod tests {
         let mut v: Vector<u32> = Vector::new(5);
         v.set(1, 0).unwrap(); // explicit zero
         v.set(2, 9).unwrap();
-        assert!(!v.mask_at(1, false), "valued mask skips explicit zeros");
-        assert!(v.mask_at(1, true), "structural mask counts presence");
-        assert!(v.mask_at(2, false));
-        assert!(!v.mask_at(3, false));
-        assert!(!v.mask_at(3, true));
+        let pm = perfmon::probe();
+        assert!(!v.mask_at(1, false, pm), "valued mask skips explicit zeros");
+        assert!(v.mask_at(1, true, pm), "structural mask counts presence");
+        assert!(v.mask_at(2, false, pm));
+        assert!(!v.mask_at(3, false, pm));
+        assert!(!v.mask_at(3, true, pm));
     }
 
     #[test]

@@ -19,6 +19,7 @@ const UNSET: u32 = u32::MAX;
 /// paths (no normalization, endpoints excluded — matching the serial
 /// reference).
 pub fn betweenness(g: &CsrGraph, sources: &[NodeId]) -> Vec<f64> {
+    let pm = perfmon::probe();
     let n = g.num_nodes();
     let centrality: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0f64.to_bits())).collect();
 
@@ -44,8 +45,8 @@ pub fn betweenness(g: &CsrGraph, sources: &[NodeId]) -> Vec<f64> {
                 let sv = f64::from_bits(sigma[v as usize].load(Ordering::Relaxed));
                 for e in g.edge_range(v) {
                     let u = g.edge_dst(e) as usize;
-                    perfmon::instr(3);
-                    perfmon::touch_ref(&level[u]);
+                    pm.instr(3);
+                    pm.touch_ref(&level[u]);
                     // Discover and count paths in the same fused loop.
                     if level[u].load(Ordering::Relaxed) == UNSET
                         && level[u]
@@ -81,8 +82,8 @@ pub fn betweenness(g: &CsrGraph, sources: &[NodeId]) -> Vec<f64> {
                 let mut acc = 0.0;
                 for e in g.edge_range(v) {
                     let u = g.edge_dst(e) as usize;
-                    perfmon::instr(3);
-                    perfmon::touch_ref(&level[u]);
+                    pm.instr(3);
+                    pm.touch_ref(&level[u]);
                     if level[u].load(Ordering::Relaxed) == d + 1 {
                         let su = f64::from_bits(sigma[u].load(Ordering::Relaxed));
                         let du = f64::from_bits(delta[u].load(Ordering::Relaxed));

@@ -24,6 +24,7 @@ pub struct BfsResult {
 
 /// Runs round-based data-driven bfs from `src`.
 pub fn bfs(g: &CsrGraph, src: NodeId) -> BfsResult {
+    let pm = perfmon::probe();
     let n = g.num_nodes();
     let dist: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(DIST_INFINITY)).collect();
     dist[src as usize].store(1, Ordering::Relaxed);
@@ -38,12 +39,12 @@ pub fn bfs(g: &CsrGraph, src: NodeId) -> BfsResult {
         // The single fused loop of Algorithm 1: visit, mark and enqueue.
         galois_rt::do_all(0..curr.len(), |p| {
             let node = curr[p];
-            perfmon::touch_ref(&curr[p]);
+            pm.touch_ref(&curr[p]);
             for e in g.edge_range(node) {
                 let dst = g.edge_dst(e);
-                perfmon::instr(2);
-                perfmon::touch_ref(&g.dests()[e]);
-                perfmon::touch_ref(&dist[dst as usize]);
+                pm.instr(2);
+                pm.touch_ref(&g.dests()[e]);
+                pm.touch_ref(&dist[dst as usize]);
                 if dist[dst as usize].load(Ordering::Relaxed) == DIST_INFINITY
                     && dist[dst as usize]
                         .compare_exchange(

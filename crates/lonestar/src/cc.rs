@@ -10,6 +10,7 @@
 //! unlike the fixed bulk jump per round the matrix API allows.
 
 use graph::{CsrGraph, NodeId};
+use perfmon::Probe;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Result of a graph-API connected-components run.
@@ -24,13 +25,13 @@ pub struct CcResult {
 
 /// Lock-free union-find hook: links the trees of `u` and `v`, always
 /// hooking the higher root under the lower (GAPBS-style `Link`).
-fn link(u: NodeId, v: NodeId, parent: &[AtomicU32]) {
+fn link(u: NodeId, v: NodeId, parent: &[AtomicU32], pm: Probe) {
     let mut p1 = parent[u as usize].load(Ordering::Relaxed);
     let mut p2 = parent[v as usize].load(Ordering::Relaxed);
     while p1 != p2 {
-        perfmon::instr(3);
+        pm.instr(3);
         let (high, low) = if p1 > p2 { (p1, p2) } else { (p2, p1) };
-        perfmon::touch_ref(&parent[high as usize]);
+        pm.touch_ref(&parent[high as usize]);
         // Hook only roots: try to swing `high` (if it is still a root).
         if parent[high as usize]
             .compare_exchange(high, low, Ordering::Relaxed, Ordering::Relaxed)
@@ -45,13 +46,13 @@ fn link(u: NodeId, v: NodeId, parent: &[AtomicU32]) {
 }
 
 /// Fully compresses every parent chain (one bulk pass at the end).
-fn compress_all(parent: &[AtomicU32]) {
+fn compress_all(parent: &[AtomicU32], pm: Probe) {
     galois_rt::do_all(0..parent.len(), |v| {
-        perfmon::instr(1);
+        pm.instr(1);
         let mut root = parent[v].load(Ordering::Relaxed);
-        perfmon::touch_ref(&parent[v]);
+        pm.touch_ref(&parent[v]);
         while parent[root as usize].load(Ordering::Relaxed) != root {
-            perfmon::instr(1);
+            pm.instr(1);
             root = parent[root as usize].load(Ordering::Relaxed);
         }
         parent[v].store(root, Ordering::Relaxed);
@@ -67,6 +68,7 @@ fn labels(parent: Vec<AtomicU32>) -> Vec<u32> {
 /// `neighbor_rounds` is the number of sampled edges per vertex in the
 /// subgraph-sampling phase (2 in the original paper and in Lonestar).
 pub fn afforest(g: &CsrGraph, neighbor_rounds: usize) -> CcResult {
+    let pm = perfmon::probe();
     let n = g.num_nodes();
     let parent: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
     let mut phases = 0u32;
@@ -78,13 +80,13 @@ pub fn afforest(g: &CsrGraph, neighbor_rounds: usize) -> CcResult {
         galois_rt::do_all(0..n, |v| {
             let range = g.edge_range(v as NodeId);
             if let Some(e) = range.clone().nth(r) {
-                perfmon::instr(1);
-                perfmon::touch_ref(&g.dests()[e]);
-                link(v as NodeId, g.edge_dst(e), &parent);
+                pm.instr(1);
+                pm.touch_ref(&g.dests()[e]);
+                link(v as NodeId, g.edge_dst(e), &parent, pm);
             }
         });
     }
-    compress_all(&parent);
+    compress_all(&parent, pm);
 
     // Phase 2: sample roots to find the (likely) largest component.
     let giant = most_frequent_root(&parent, 1024);
@@ -92,17 +94,17 @@ pub fn afforest(g: &CsrGraph, neighbor_rounds: usize) -> CcResult {
     // Phase 3: finish the remaining edges, skipping the giant component.
     phases += 1;
     galois_rt::do_all(0..n, |v| {
-        perfmon::touch_ref(&parent[v]);
+        pm.touch_ref(&parent[v]);
         if parent[v].load(Ordering::Relaxed) == giant {
             return;
         }
         for e in g.edge_range(v as NodeId).skip(neighbor_rounds) {
-            perfmon::instr(1);
-            perfmon::touch_ref(&g.dests()[e]);
-            link(v as NodeId, g.edge_dst(e), &parent);
+            pm.instr(1);
+            pm.touch_ref(&g.dests()[e]);
+            link(v as NodeId, g.edge_dst(e), &parent, pm);
         }
     });
-    compress_all(&parent);
+    compress_all(&parent, pm);
 
     CcResult {
         component: normalize(labels(parent)),
@@ -138,6 +140,7 @@ fn most_frequent_root(parent: &[AtomicU32], samples: usize) -> u32 {
 /// Asynchronous Shiloach-Vishkin (`cc-ls-sv`): rounds of edge hooking with
 /// **unbounded** path compression inside each `find`.
 pub fn shiloach_vishkin(g: &CsrGraph) -> CcResult {
+    let pm = perfmon::probe();
     let n = g.num_nodes();
     let parent: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
     let mut rounds = 0u32;
@@ -147,12 +150,12 @@ pub fn shiloach_vishkin(g: &CsrGraph) -> CcResult {
         galois_rt::do_all(0..n, |v| {
             for e in g.edge_range(v as NodeId) {
                 let u = g.edge_dst(e);
-                perfmon::instr(2);
-                perfmon::touch_ref(&g.dests()[e]);
-                let rv = find_compress(v as NodeId, &parent);
-                let ru = find_compress(u, &parent);
+                pm.instr(2);
+                pm.touch_ref(&g.dests()[e]);
+                let rv = find_compress(v as NodeId, &parent, pm);
+                let ru = find_compress(u, &parent, pm);
                 if rv != ru {
-                    link(rv, ru, &parent);
+                    link(rv, ru, &parent, pm);
                     changed.update(true);
                 }
             }
@@ -161,7 +164,7 @@ pub fn shiloach_vishkin(g: &CsrGraph) -> CcResult {
             break;
         }
     }
-    compress_all(&parent);
+    compress_all(&parent, pm);
     CcResult {
         component: normalize(labels(parent)),
         rounds,
@@ -170,11 +173,11 @@ pub fn shiloach_vishkin(g: &CsrGraph) -> CcResult {
 
 /// Find with full path compression — the unbounded pointer jumping the
 /// matrix API cannot express (each vertex short-circuits independently).
-fn find_compress(v: NodeId, parent: &[AtomicU32]) -> u32 {
+fn find_compress(v: NodeId, parent: &[AtomicU32], pm: Probe) -> u32 {
     let mut root = v;
     loop {
-        perfmon::instr(1);
-        perfmon::touch_ref(&parent[root as usize]);
+        pm.instr(1);
+        pm.touch_ref(&parent[root as usize]);
         let p = parent[root as usize].load(Ordering::Relaxed);
         if p == root {
             break;

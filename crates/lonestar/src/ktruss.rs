@@ -27,6 +27,7 @@ pub struct KtrussResult {
 pub fn ktruss(g: &CsrGraph, k: u32) -> KtrussResult {
     assert!(k >= 3, "k-truss requires k >= 3");
     let needed = (k - 2) as usize;
+    let pm = perfmon::probe();
     let m = g.num_edges();
     let alive: Vec<AtomicBool> = (0..m).map(|_| AtomicBool::new(true)).collect();
 
@@ -50,7 +51,7 @@ pub fn ktruss(g: &CsrGraph, k: u32) -> KtrussResult {
                 if u <= v {
                     continue;
                 }
-                perfmon::touch_ref(&alive[e]);
+                pm.touch_ref(&alive[e]);
                 if !alive[e].load(Ordering::Relaxed) {
                     continue;
                 }
@@ -60,9 +61,9 @@ pub fn ktruss(g: &CsrGraph, k: u32) -> KtrussResult {
                 let (mut p, mut q) = (g.edge_range(v).start, g.edge_range(u).start);
                 let (pe, qe) = (g.edge_range(v).end, g.edge_range(u).end);
                 while p < pe && q < qe && support < needed {
-                    perfmon::instr(2);
-                    perfmon::touch_ref(&g.dests()[p]);
-                    perfmon::touch_ref(&g.dests()[q]);
+                    pm.instr(2);
+                    pm.touch_ref(&g.dests()[p]);
+                    pm.touch_ref(&g.dests()[q]);
                     let (a, b) = (g.edge_dst(p), g.edge_dst(q));
                     match a.cmp(&b) {
                         std::cmp::Ordering::Less => p += 1,

@@ -44,6 +44,7 @@ fn initial(n: usize) -> f64 {
 ///
 /// Panics if `out_degree.len() != gt.num_nodes()`.
 pub fn pagerank(gt: &CsrGraph, out_degree: &[u32], iters: u32) -> Vec<f64> {
+    let pm = perfmon::probe();
     let n = gt.num_nodes();
     assert_eq!(out_degree.len(), n, "out_degree must cover every vertex");
     let init = initial(n);
@@ -71,15 +72,15 @@ pub fn pagerank(gt: &CsrGraph, out_degree: &[u32], iters: u32) -> Vec<f64> {
                 let mut acc = 0.0;
                 for e in gt.edge_range(v as u32) {
                     let u = gt.edge_dst(e) as usize;
-                    perfmon::instr(2);
-                    perfmon::touch_ref(&cur[u]);
+                    pm.instr(2);
+                    pm.touch_ref(&cur[u]);
                     acc += cur[u];
                 }
                 let new_res = DAMPING * acc;
                 // SAFETY: one writer per vertex index.
                 unsafe {
-                    perfmon::instr(3);
-                    perfmon::touch(pd.addr_of(v));
+                    pm.instr(3);
+                    pm.touch(pd.addr_of(v));
                     let node = pd.get_mut(v);
                     // The fused composite operation on one struct: rank
                     // update AND residual scaling, fields co-located.
@@ -104,6 +105,7 @@ pub fn pagerank(gt: &CsrGraph, out_degree: &[u32], iters: u32) -> Vec<f64> {
 ///
 /// Panics if `out_degree.len() != gt.num_nodes()`.
 pub fn pagerank_soa(gt: &CsrGraph, out_degree: &[u32], iters: u32) -> Vec<f64> {
+    let pm = perfmon::probe();
     let n = gt.num_nodes();
     assert_eq!(out_degree.len(), n, "out_degree must cover every vertex");
     let init = initial(n);
@@ -132,17 +134,17 @@ pub fn pagerank_soa(gt: &CsrGraph, out_degree: &[u32], iters: u32) -> Vec<f64> {
                 let mut acc = 0.0;
                 for e in gt.edge_range(v as u32) {
                     let u = gt.edge_dst(e) as usize;
-                    perfmon::instr(2);
-                    perfmon::touch_ref(&cur[u]);
+                    pm.instr(2);
+                    pm.touch_ref(&cur[u]);
                     acc += cur[u];
                 }
                 let new_res = DAMPING * acc;
                 // SAFETY: one writer per vertex index.
                 unsafe {
-                    perfmon::instr(3);
-                    perfmon::touch(pr.addr_of(v));
-                    perfmon::touch(pres.addr_of(v));
-                    perfmon::touch_ref(&inv[v]);
+                    pm.instr(3);
+                    pm.touch(pr.addr_of(v));
+                    pm.touch(pres.addr_of(v));
+                    pm.touch_ref(&inv[v]);
                     *pr.get_mut(v) += new_res;
                     pres.write(v, new_res);
                     pn.write(v, new_res * inv[v]);

@@ -46,6 +46,7 @@ struct Item {
 /// Panics if `delta == 0`.
 pub fn sssp(g: &CsrGraph, src: NodeId, delta: u64, tiling: bool) -> SsspResult {
     assert!(delta > 0, "delta must be positive");
+    let pm = perfmon::probe();
     let n = g.num_nodes();
     let dist: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
     dist[src as usize].store(0, Ordering::Relaxed);
@@ -60,8 +61,8 @@ pub fn sssp(g: &CsrGraph, src: NodeId, delta: u64, tiling: bool) -> SsspResult {
         |item| item.dist / delta,
         |item, ctx| {
             work.add(1);
-            perfmon::instr(1);
-            perfmon::touch_ref(&dist[item.node as usize]);
+            pm.instr(1);
+            pm.touch_ref(&dist[item.node as usize]);
             let cur = dist[item.node as usize].load(Ordering::Relaxed);
             if item.dist > cur {
                 // Stale: a shorter path was found since this was pushed.
@@ -95,9 +96,9 @@ pub fn sssp(g: &CsrGraph, src: NodeId, delta: u64, tiling: bool) -> SsspResult {
             for e in range {
                 let u = g.edge_dst(e);
                 let w = g.edge_weight(e);
-                perfmon::instr(3);
-                perfmon::touch_ref(&g.dests()[e]);
-                perfmon::touch_ref(&dist[u as usize]);
+                pm.instr(3);
+                pm.touch_ref(&g.dests()[e]);
+                pm.touch_ref(&dist[u as usize]);
                 let nd = cur.saturating_add(u64::from(w));
                 if atomic_min(&dist[u as usize], nd) {
                     ctx.push(

@@ -17,13 +17,14 @@ use graph::{CsrGraph, NodeId};
 /// ([`graph::transform::sort_by_degree`]); the paper treats that as
 /// untimed preprocessing shared with the `gb-sort`/`gb-ll` variants.
 pub fn tc(sorted: &CsrGraph) -> u64 {
+    let pm = perfmon::probe();
     let count = ReduceSum::new();
     galois_rt::do_all(0..sorted.num_nodes(), |v| {
         let v = v as NodeId;
         let vn = sorted.neighbor_slice(v);
         for (i, &u) in vn.iter().enumerate() {
-            perfmon::instr(1);
-            perfmon::touch_ref(&vn[i]);
+            pm.instr(1);
+            pm.touch_ref(&vn[i]);
             // Runtime symmetry breaking: orient v < u.
             if u <= v {
                 continue;
@@ -32,9 +33,9 @@ pub fn tc(sorted: &CsrGraph) -> u64 {
             // Merge-intersect the tails of both sorted lists (w > u).
             let (mut p, mut q) = (i + 1, 0usize);
             while p < vn.len() && q < un.len() {
-                perfmon::instr(2);
-                perfmon::touch_ref(&vn[p]);
-                perfmon::touch_ref(&un[q]);
+                pm.instr(2);
+                pm.touch_ref(&vn[p]);
+                pm.touch_ref(&un[q]);
                 if un[q] <= u {
                     q += 1;
                     continue;

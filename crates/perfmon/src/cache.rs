@@ -11,6 +11,13 @@
 //! sysfs) stay deterministic. The model is per-thread (each thread sees
 //! its own slice hierarchy), which is the right granularity for the
 //! access-count *ratios* Tables IV and V analyse.
+//!
+//! The model indexes sets by virtual address, and heap addresses move
+//! from run to run, so only the L1 count (one per access) is exact. L2,
+//! L3 and DRAM vary between runs of the same binary: over three runs of
+//! `table4` at `STUDY_SCALE=0.05` on one thread, most rows moved by under
+//! 0.5 %, but sssp road-USA LS L2 by 7.7 % and ktruss rmat22 GB L3 by
+//! 13 %. Compare those columns within a run-to-run spread, never exactly.
 
 use std::sync::OnceLock;
 

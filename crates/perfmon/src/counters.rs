@@ -115,21 +115,59 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Records `n` estimated instructions (no-op while disabled).
+/// A copy of the monitoring flag, taken by [`probe`] once per GraphBLAS
+/// op or Lonestar program: the only way to reach a hook.
+///
+/// The hooks test the copied `bool`, never the global flag, so a
+/// disabled hook in a kernel's inner loop is a test of a local value and
+/// an untaken branch; the recording bodies sit behind `#[cold]` calls.
+/// The flag is read when the probe is taken: a probe taken while
+/// monitoring is off records nothing, even if [`enable`] turns
+/// monitoring on before its hooks run.
+#[derive(Debug, Clone, Copy)]
+pub struct Probe {
+    on: bool,
+}
+
+/// Reads the monitoring flag once and returns the probe that carries it.
 #[inline]
-pub fn instr(n: u64) {
-    if !enabled() {
-        return;
+pub fn probe() -> Probe {
+    Probe { on: enabled() }
+}
+
+impl Probe {
+    /// Records `n` estimated instructions (no-op if the probe is off).
+    #[inline(always)]
+    pub fn instr(self, n: u64) {
+        if self.on {
+            record_instr(n);
+        }
     }
+
+    /// Records one memory access to `addr` (no-op if the probe is off).
+    #[inline(always)]
+    pub fn touch(self, addr: usize) {
+        if self.on {
+            record_touch(addr);
+        }
+    }
+
+    /// Records one memory access at the address of `r`.
+    #[inline(always)]
+    pub fn touch_ref<T>(self, r: &T) {
+        self.touch(r as *const T as usize);
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn record_instr(n: u64) {
     slot().instructions.fetch_add(n, Ordering::Relaxed);
 }
 
-/// Records one memory access to `addr` (no-op while disabled).
-#[inline]
-pub fn touch(addr: usize) {
-    if !enabled() {
-        return;
-    }
+#[cold]
+#[inline(never)]
+fn record_touch(addr: usize) {
     let slot = slot();
     let generation = GENERATION.load(Ordering::Relaxed);
     // SAFETY: `sim` and `sim_generation` belong to the current thread.
@@ -154,12 +192,6 @@ pub fn touch(addr: usize) {
             slot.dram.fetch_add(1, Ordering::Relaxed);
         }
     }
-}
-
-/// Records one memory access at the address of `r`.
-#[inline]
-pub fn touch_ref<T>(r: &T) {
-    touch(r as *const T as usize);
 }
 
 /// Aggregates the counters of every thread that ever recorded.
@@ -200,8 +232,22 @@ mod tests {
         let _g = LOCK.lock().unwrap();
         reset();
         enable(false);
-        instr(10);
-        touch(0x1234);
+        let pm = probe();
+        pm.instr(10);
+        pm.touch(0x1234);
+        assert_eq!(snapshot(), Counters::default());
+    }
+
+    #[test]
+    fn probe_reads_the_flag_once() {
+        let _g = LOCK.lock().unwrap();
+        reset();
+        enable(false);
+        let pm = probe();
+        enable(true);
+        pm.instr(10);
+        pm.touch(0x1234);
+        enable(false);
         assert_eq!(snapshot(), Counters::default());
     }
 
@@ -210,9 +256,10 @@ mod tests {
         let _g = LOCK.lock().unwrap();
         reset();
         enable(true);
-        touch(0x10_000); // cold: miss everywhere
-        touch(0x10_000); // hot: L1 hit
-        instr(3);
+        let pm = probe();
+        pm.touch(0x10_000); // cold: miss everywhere
+        pm.touch(0x10_000); // hot: L1 hit
+        pm.instr(3);
         enable(false);
         let c = snapshot();
         assert_eq!(c.instructions, 3);
@@ -227,9 +274,10 @@ mod tests {
         let _g = LOCK.lock().unwrap();
         reset();
         enable(true);
-        touch(0x20_000);
+        let pm = probe();
+        pm.touch(0x20_000);
         reset();
-        touch(0x20_000); // must be cold again after reset
+        pm.touch(0x20_000); // must be cold again after reset
         enable(false);
         let c = snapshot();
         assert_eq!(c.l1_accesses, 1);
@@ -264,12 +312,13 @@ mod tests {
         let _g = LOCK.lock().unwrap();
         reset();
         enable(true);
+        let pm = probe();
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 std::thread::spawn(move || {
                     for i in 0..100 {
-                        instr(1);
-                        touch(t * 0x100_0000 + i * 64);
+                        pm.instr(1);
+                        pm.touch(t * 0x100_0000 + i * 64);
                     }
                 })
             })

@@ -8,29 +8,39 @@
 //! are not portable, so this crate provides a software model with the same
 //! observable quantities:
 //!
-//! * [`instr`] — an instruction-count estimate, bumped by instrumented
-//!   kernels at operator granularity;
-//! * [`touch`] / [`touch_ref`] — a memory access, fed through a per-thread
-//!   three-level set-associative [cache model](cache) whose hit/miss
-//!   cascade yields L1/L2/L3/DRAM access counts;
+//! * [`Probe::instr`] — an instruction-count estimate, bumped by
+//!   instrumented kernels at operator granularity;
+//! * [`Probe::touch`] / [`Probe::touch_ref`] — a memory access, fed
+//!   through a per-thread three-level set-associative [cache model](cache)
+//!   whose hit/miss cascade yields L1/L2/L3/DRAM access counts;
 //! * [`alloc::TrackingAllocator`] — a `#[global_allocator]` wrapper that
 //!   records peak live bytes, standing in for the paper's maximum resident
 //!   set size (Table III).
 //!
 //! Monitoring is off by default; [`enable`] turns the hooks on. The hooks
-//! are left compiled into the hot kernels (a single relaxed atomic load
-//! when disabled), so timing runs and counter runs execute the same code.
+//! stay compiled into the hot kernels, so timing runs and counter runs
+//! execute the same code. A kernel reaches them only through a
+//! [`Probe`], which [`probe`] takes once per op: it copies the global
+//! flag into a one-byte value, and each hook tests that copy and calls
+//! an out-of-line recorder only when it is set. Disabled, a hook is a
+//! test of a local `bool` and an untaken branch. Against a build whose
+//! hooks compile to nothing, solve medians with the probe came out within
+//! 4 % either way (ten alternating pairs per workload on a 2-vCPU host),
+//! inside the run-to-run spread. The per-element load of the global flag
+//! that the probe replaced cost up to a third of a solve
+//! (`EXPERIMENTS.md`, "Free disabled hooks").
 //!
 //! ## Example
 //!
 //! ```
 //! perfmon::reset();
 //! perfmon::enable(true);
+//! let pm = perfmon::probe();
 //! let data = vec![1u64; 1024];
 //! let mut sum = 0;
 //! for x in &data {
-//!     perfmon::instr(1);
-//!     perfmon::touch_ref(x);
+//!     pm.instr(1);
+//!     pm.touch_ref(x);
 //!     sum += *x;
 //! }
 //! perfmon::enable(false);
@@ -49,5 +59,5 @@ pub mod counters;
 pub mod report;
 pub mod trace;
 
-pub use counters::{enable, enabled, instr, reset, snapshot, touch, touch_ref, Counters};
+pub use counters::{enable, enabled, probe, reset, snapshot, Counters, Probe};
 pub use report::PerfReport;
