@@ -134,7 +134,9 @@ where
     }
     let started = trace::enabled().then(Instant::now);
     let nthreads = threads().min(len);
-    if nthreads == 1 {
+    // The same inline rule as `do_all_chunked`: a loop no longer than one
+    // dynamic chunk is not worth a fork-join.
+    if nthreads == 1 || len <= DEFAULT_CHUNK {
         for i in range {
             f(i);
         }

@@ -1,18 +1,55 @@
 //! Persistent thread pool with fork-join parallel regions.
 //!
 //! The pool is created lazily on first use and lives for the rest of the
-//! process, like the Galois substrate's thread pool. Worker threads park on
-//! a condition variable between regions, so an idle pool costs nothing but
-//! address space.
+//! process, like the Galois substrate's thread pool.
+//!
+//! Between regions a worker waits in three steps, as OpenMP runtimes and
+//! the Galois pool do: it watches an atomic copy of the region epoch for a
+//! fixed window of tens of microseconds, checking it a few times between
+//! calls to `std::thread::yield_now`, and only then parks on a condition
+//! variable. A region that follows the last one within the window (a
+//! round-based algorithm's next GraphBLAS call) so starts without a futex
+//! wake-up; the yields hand the CPU to any other runnable thread (a second
+//! service job running its shares serially); and a pool idle for longer
+//! costs nothing but address space. The caller waits for the workers to
+//! finish the same way.
 //!
 //! A *region* runs a closure once on each participating thread; every other
 //! parallel construct in this crate ([`crate::do_all()`], [`crate::for_each()`],
 //! [`crate::for_each_ordered`]) is built on top of it.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 use substrate::sync::{Condvar, Mutex};
+
+/// How long a waiter watches for its wake-up condition before it parks.
+/// Long enough to span the gap between two back-to-back GraphBLAS calls,
+/// short enough that an idle pool stops using CPU almost at once.
+const SPIN_WINDOW: Duration = Duration::from_micros(50);
+
+/// Condition checks (each followed by a `spin_loop` hint) between two
+/// `yield_now` calls while a waiter spins.
+const CHECKS_PER_YIELD: u32 = 16;
+
+/// Spins, yielding every [`CHECKS_PER_YIELD`] checks, until `ready()`
+/// holds or [`SPIN_WINDOW`] has passed; returns the last `ready()`.
+fn spin_then_yield(ready: impl Fn() -> bool) -> bool {
+    let start = Instant::now();
+    loop {
+        for _ in 0..CHECKS_PER_YIELD {
+            if ready() {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        if start.elapsed() >= SPIN_WINDOW {
+            return ready();
+        }
+        std::thread::yield_now();
+    }
+}
 
 /// Type-erased pointer to the closure executed by a region.
 ///
@@ -28,6 +65,8 @@ unsafe impl Send for JobPtr {}
 struct JobSlot {
     /// Monotonically increasing region counter; a change wakes the workers.
     epoch: u64,
+    /// Workers parked on `work_cv`; a publish with none skips the notify.
+    parked: usize,
     /// Closure for the current region, if one is in flight.
     job: Option<JobPtr>,
     /// Number of threads (including the caller) participating in the
@@ -38,6 +77,10 @@ struct JobSlot {
 
 struct Shared {
     slot: Mutex<JobSlot>,
+    /// Copy of `slot.epoch`, stored under `slot`'s lock, that a spinning
+    /// worker watches without taking the lock. Only a hint: the worker
+    /// then reads the job under the lock, which orders everything else.
+    epoch: AtomicU64,
     /// Set while some caller owns the workers for a region. A second
     /// concurrent caller (a service job on another thread) does not block
     /// on it — it runs its region's shares sequentially on its own thread
@@ -46,7 +89,9 @@ struct Shared {
     work_cv: Condvar,
     /// Workers still running the current region (excludes the caller).
     remaining: AtomicUsize,
-    done_lock: Mutex<()>,
+    /// Whether the caller is parked on `done_cv`; the last worker to
+    /// finish notifies only then.
+    done_lock: Mutex<bool>,
     done_cv: Condvar,
     /// First panic payload captured from any participant of the current
     /// region; rethrown on the calling thread once the region completes.
@@ -106,14 +151,16 @@ impl ThreadPool {
         let shared = Arc::new(Shared {
             slot: Mutex::new(JobSlot {
                 epoch: 0,
+                parked: 0,
                 job: None,
                 participants: 0,
                 shutdown: false,
             }),
+            epoch: AtomicU64::new(0),
             busy: AtomicBool::new(false),
             work_cv: Condvar::new(),
             remaining: AtomicUsize::new(0),
-            done_lock: Mutex::new(()),
+            done_lock: Mutex::new(false),
             done_cv: Condvar::new(),
             panic: Mutex::new(None),
         });
@@ -209,21 +256,7 @@ impl ThreadPool {
                 job as *const _,
             )
         });
-        {
-            let mut slot = self.shared.slot.lock();
-            debug_assert!(slot.job.is_none(), "overlapping parallel regions");
-            // A previous region that rethrew the *caller's* panic leaves
-            // any worker payload behind; clear it so this region cannot
-            // spuriously rethrow a stale panic.
-            *self.shared.panic.lock() = None;
-            slot.epoch += 1;
-            slot.job = Some(job);
-            slot.participants = threads;
-            self.shared
-                .remaining
-                .store(threads - 1, Ordering::Release);
-            self.shared.work_cv.notify_all();
-        }
+        self.shared.start_region(job, threads);
 
         THREAD_ID.with(|t| t.set(0));
         IN_REGION.with(|r| r.set(true));
@@ -238,13 +271,7 @@ impl ThreadPool {
         IN_REGION.with(|r| r.set(false));
         THREAD_ID.with(|t| t.set(usize::MAX));
 
-        if self.shared.remaining.load(Ordering::Acquire) != 0 {
-            let mut guard = self.shared.done_lock.lock();
-            while self.shared.remaining.load(Ordering::Acquire) != 0 {
-                self.shared.done_cv.wait(&mut guard);
-            }
-        }
-        self.shared.slot.lock().job = None;
+        self.shared.finish_region();
 
         // Every participant is done; rethrow the first captured panic.
         if let Err(payload) = caller_result {
@@ -261,8 +288,7 @@ impl Drop for ThreadPool {
         {
             let mut slot = self.shared.slot.lock();
             slot.shutdown = true;
-            slot.epoch += 1;
-            self.shared.work_cv.notify_all();
+            self.shared.publish_epoch(&mut slot);
         }
         for handle in self.handles.lock().drain(..) {
             let _ = handle.join();
@@ -296,13 +322,63 @@ fn run_shares_serially(threads: usize, f: &(dyn Fn(usize) + Sync)) {
     }
 }
 
+/// The region protocol's non-generic half, kept out of the generic
+/// [`ThreadPool::region`] so that each closure's instantiation carries
+/// only the type erasure and the caller's share.
+impl Shared {
+    /// Publishes `job` to the workers as a region of `threads`
+    /// participants.
+    fn start_region(&self, job: JobPtr, threads: usize) {
+        let mut slot = self.slot.lock();
+        debug_assert!(slot.job.is_none(), "overlapping parallel regions");
+        // A previous region that rethrew the *caller's* panic leaves any
+        // worker payload behind; clear it so this region cannot
+        // spuriously rethrow a stale panic.
+        *self.panic.lock() = None;
+        slot.job = Some(job);
+        slot.participants = threads;
+        self.remaining.store(threads - 1, Ordering::Release);
+        self.publish_epoch(&mut slot);
+    }
+
+    /// Waits until every worker has finished the current region (spin,
+    /// then yield, then park), then retires its job.
+    fn finish_region(&self) {
+        let finished = || self.remaining.load(Ordering::Acquire) == 0;
+        if !spin_then_yield(finished) {
+            let mut parked = self.done_lock.lock();
+            *parked = true;
+            while !finished() {
+                self.done_cv.wait(&mut parked);
+            }
+            *parked = false;
+        }
+        self.slot.lock().job = None;
+    }
+
+    /// Starts a new epoch (a region or the shutdown) under `slot`'s lock:
+    /// spinning workers see it through `epoch`, parked ones are notified.
+    fn publish_epoch(&self, slot: &mut JobSlot) {
+        slot.epoch += 1;
+        self.epoch.store(slot.epoch, Ordering::Release);
+        if slot.parked > 0 {
+            self.work_cv.notify_all();
+        }
+    }
+}
+
 fn worker_loop(tid: usize, shared: Arc<Shared>) {
     let mut seen_epoch = 0u64;
     loop {
+        spin_then_yield(|| shared.epoch.load(Ordering::Acquire) != seen_epoch);
         let (job, participants) = {
+            // The epoch is re-checked under the lock, so a publish between
+            // the spin's last look and the park cannot be missed.
             let mut slot = shared.slot.lock();
             while slot.epoch == seen_epoch && !slot.shutdown {
+                slot.parked += 1;
                 shared.work_cv.wait(&mut slot);
+                slot.parked -= 1;
             }
             if slot.shutdown {
                 return;
@@ -334,8 +410,7 @@ fn worker_loop(tid: usize, shared: Arc<Shared>) {
                 *slot = Some(payload);
             }
         }
-        if shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _guard = shared.done_lock.lock();
+        if shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 && *shared.done_lock.lock() {
             shared.done_cv.notify_one();
         }
     }
@@ -560,6 +635,50 @@ mod tests {
             ok.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(ok.into_inner(), 2);
+    }
+
+    #[test]
+    fn one_thread_never_publishes_a_region() {
+        let pool = ThreadPool::new(4);
+        let ran = AtomicU64::new(0);
+        for _ in 0..10 {
+            pool.region(1, |_| {
+                ran.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        assert_eq!(ran.into_inner(), 10);
+        assert_eq!(pool.shared.epoch.load(Ordering::Acquire), 0);
+        assert_eq!(pool.shared.slot.lock().epoch, 0);
+    }
+
+    #[test]
+    fn no_wake_up_is_lost_across_spin_and_park() {
+        // Gaps from 0 to 4x the spin window: some regions are caught by
+        // the spinning workers, others find them parked and must notify.
+        let pool = Arc::new(ThreadPool::new(3));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let caller = Arc::clone(&pool);
+        let handle = std::thread::spawn(move || {
+            let mut rng = substrate::rng::Rng::seed_from_u64(37);
+            let window = SPIN_WINDOW.as_nanos() as u64;
+            let shares = AtomicU64::new(0);
+            for _ in 0..2000 {
+                let gap = Duration::from_nanos(rng.gen_range(0..=4 * window));
+                let start = Instant::now();
+                while start.elapsed() < gap {
+                    std::hint::spin_loop();
+                }
+                caller.region(3, |_| {
+                    shares.fetch_add(1, Ordering::Relaxed);
+                });
+            }
+            let _ = tx.send(shares.into_inner());
+        });
+        let shares = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a region never finished: a wake-up was lost");
+        handle.join().expect("calling thread panicked");
+        assert_eq!(shares, 2000 * 3);
     }
 
     #[test]

@@ -54,8 +54,9 @@ where
         rt.parallel_for(n, |i| {
             pm.instr(2);
             pm.touch_ref(&indices[i]);
-            if let Some(x) = u.get(indices[i]) {
-                pm.touch_ref(&x);
+            if let Some(x) = u.get_ref(indices[i]) {
+                pm.touch_ref(x);
+                let x = *x;
                 // SAFETY: disjoint indices.
                 unsafe {
                     pv.write(i, x);

@@ -487,9 +487,10 @@ where
     rt.parallel_for(entries.len(), |p| {
         let (i, x) = entries[p];
         pm.touch_ref(&entries[p]);
-        for (j, &av) in a.row_pairs(i) {
+        for (j, av) in a.row_pairs(i) {
             pm.instr(2);
-            pm.touch_ref(&av);
+            pm.touch_ref(av);
+            let av = *av;
             if let Some(m) = mask {
                 let pass = m.mask_at(j, desc.mask_structural, pm) != desc.mask_complement;
                 pm.instr(1);
@@ -543,9 +544,10 @@ where
     rt.parallel_for(entries.len(), |p| {
         let (i, x) = entries[p];
         pm.touch_ref(&entries[p]);
-        for (j, &av) in a.row_pairs(i) {
+        for (j, av) in a.row_pairs(i) {
             pm.instr(2);
-            pm.touch_ref(&av);
+            pm.touch_ref(av);
+            let av = *av;
             if let Some(m) = mask {
                 let pass = m.mask_at(j, desc.mask_structural, pm) != desc.mask_complement;
                 pm.instr(1);
@@ -598,9 +600,10 @@ where
         }
         let mut acc = semiring.add_identity();
         let mut any = false;
-        for (k, &av) in at.row_pairs(j as u32) {
+        for (k, av) in at.row_pairs(j as u32) {
             pm.instr(2);
-            pm.touch_ref(&av);
+            pm.touch_ref(av);
+            let av = *av;
             let x = match udense {
                 Some((uvals, upresent)) => {
                     pm.touch_ref(&uvals[k as usize]);

@@ -234,12 +234,14 @@ where
                     let generation = s.next_generation();
                     s.touched.clear();
                     let (acols, avals) = a.row(i as u32);
-                    for (&k, &av) in acols.iter().zip(avals.iter()) {
-                        pm.touch_ref(&av);
+                    for (&k, av) in acols.iter().zip(avals.iter()) {
+                        pm.touch_ref(av);
+                        let av = *av;
                         let (bcols, bvals) = b.row(k);
-                        for (&j, &bv) in bcols.iter().zip(bvals.iter()) {
+                        for (&j, bv) in bcols.iter().zip(bvals.iter()) {
                             pm.instr(2);
-                            pm.touch_ref(&bv);
+                            pm.touch_ref(bv);
+                            let bv = *bv;
                             let prod = semiring.mul(av, bv);
                             let j = j as usize;
                             pm.touch_ref(&s.vals[j]);
@@ -381,12 +383,14 @@ where
                 }
                 scratch.with(|s| {
                     s.reset(flops);
-                    for (&k, &av) in acols.iter().zip(avals.iter()) {
-                        pm.touch_ref(&av);
+                    for (&k, av) in acols.iter().zip(avals.iter()) {
+                        pm.touch_ref(av);
+                        let av = *av;
                         let (bcols, bvals) = b.row(k);
-                        for (&j, &bv) in bcols.iter().zip(bvals.iter()) {
+                        for (&j, bv) in bcols.iter().zip(bvals.iter()) {
                             pm.instr(2);
-                            pm.touch_ref(&bv);
+                            pm.touch_ref(bv);
+                            let bv = *bv;
                             s.upsert(j, semiring.mul(av, bv), add, pm);
                         }
                     }

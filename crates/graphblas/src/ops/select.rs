@@ -74,9 +74,10 @@ where
         rt.parallel_for(nrows, |i| {
             let (cols, vals) = a.row(i as u32);
             let mut kept = Vec::new();
-            for (&c, &v) in cols.iter().zip(vals.iter()) {
+            for (&c, v) in cols.iter().zip(vals.iter()) {
                 pm.instr(1);
-                pm.touch_ref(&v);
+                pm.touch_ref(v);
+                let v = *v;
                 if pred(i as u32, c, v) {
                     kept.push((c, v));
                 }

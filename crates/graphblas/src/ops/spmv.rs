@@ -302,9 +302,10 @@ where
                     }
                     let mut acc = semiring.add_identity();
                     let mut any = false;
-                    for (k, &av) in a.row_pairs(i as u32) {
+                    for (k, av) in a.row_pairs(i as u32) {
                         pm.instr(2);
-                        pm.touch_ref(&av);
+                        pm.touch_ref(av);
+                        let av = *av;
                         let x = match udense {
                             Some((uvals, upresent)) => {
                                 pm.touch_ref(&uvals[k as usize]);

@@ -167,14 +167,17 @@ impl<T: Scalar> Vector<T> {
     /// Reads entry `i`, or `None` if it is not explicit
     /// (`GrB_Vector_extractElement`). Out-of-range indices read as `None`.
     pub fn get(&self, i: u32) -> Option<T> {
+        self.get_ref(i).copied()
+    }
+
+    /// Entry `i` in place in the vector's storage, if present.
+    pub(crate) fn get_ref(&self, i: u32) -> Option<&T> {
         if i as usize >= self.n {
             return None;
         }
         match &self.store {
-            Store::Sparse { idx, vals } => idx.binary_search(&i).ok().map(|p| vals[p]),
-            Store::Dense { vals, present, .. } => {
-                present[i as usize].then(|| vals[i as usize])
-            }
+            Store::Sparse { idx, vals } => idx.binary_search(&i).ok().map(|p| &vals[p]),
+            Store::Dense { vals, present, .. } => present[i as usize].then(|| &vals[i as usize]),
         }
     }
 

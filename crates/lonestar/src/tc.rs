@@ -30,16 +30,13 @@ pub fn tc(sorted: &CsrGraph) -> u64 {
                 continue;
             }
             let un = sorted.neighbor_slice(u);
-            // Merge-intersect the tails of both sorted lists (w > u).
-            let (mut p, mut q) = (i + 1, 0usize);
+            // Merge-intersect the tails of both sorted lists (w > u); one
+            // binary search skips u's prefix of neighbours `<= u`.
+            let (mut p, mut q) = (i + 1, un.partition_point(|&w| w <= u));
             while p < vn.len() && q < un.len() {
                 pm.instr(2);
                 pm.touch_ref(&vn[p]);
                 pm.touch_ref(&un[q]);
-                if un[q] <= u {
-                    q += 1;
-                    continue;
-                }
                 match vn[p].cmp(&un[q]) {
                     std::cmp::Ordering::Less => p += 1,
                     std::cmp::Ordering::Greater => q += 1,

@@ -9,8 +9,10 @@
 
 use graph_api_study::graph::builder::{from_edges, GraphBuilder};
 use graph_api_study::graph::gen::{rmat, RmatParams};
+use graph_api_study::graph::transform::{sort_by_degree, symmetrize};
 use graph_api_study::graph::{CsrGraph, DeltaGraph, EdgeBatch, NodeId};
 use graph_api_study::graphblas::GaloisRuntime;
+use graph_api_study::study_core::reference;
 use graph_api_study::study_core::verify::verify;
 use graph_api_study::study_core::{try_run, PreparedGraph, Problem, System};
 use graph_api_study::{lagraph, lonestar};
@@ -68,6 +70,35 @@ fn tc_and_ktruss_on_edgeless_graph() {
             .edges_remaining,
         0
     );
+}
+
+#[test]
+fn lonestar_tc_matches_on_a_degree_sorted_star_of_cliques() {
+    // Cliques of 3..=12 vertices, every vertex also joined to one hub.
+    // Sorted by degree, the hub gets the highest id, so each edge into
+    // it meets a neighbour list that lies wholly below it: the long
+    // low-id prefix that LS tc skips with one binary search.
+    let mut edges = Vec::new();
+    let mut first = 1u32;
+    for size in 3..=12u32 {
+        for a in first..first + size {
+            edges.push((0, a));
+            edges.extend((a + 1..first + size).map(|b| (a, b)));
+        }
+        first += size;
+    }
+    let g = symmetrize(&from_edges(first as usize, edges));
+    let (sorted, perm) = sort_by_degree(&g);
+    assert_eq!(
+        perm[0] as usize,
+        sorted.num_nodes() - 1,
+        "the hub sorts last"
+    );
+    let expected: u64 = (3..=12u64)
+        .map(|s| s * (s - 1) * (s - 2) / 6 + s * (s - 1) / 2)
+        .sum();
+    assert_eq!(reference::triangles(&sorted), expected);
+    assert_eq!(lonestar::tc::tc(&sorted), expected);
 }
 
 #[test]
