@@ -16,6 +16,11 @@
 //!   product early once the additive monoid's absorbing element is
 //!   reached (wins when few outputs remain unresolved).
 //!
+//! Both pull products (this module's and `mxv`'s paper pull) fold each
+//! row through [`pull_row`]. An input vector held dense with all `n`
+//! entries present is indexed directly; a dense input with holes reads
+//! its presence flag before every value, a sparse one binary-searches.
+//!
 //! Selection is resolved in precedence order: a per-call
 //! [`Descriptor::kernel`](crate::descriptor::Descriptor) hint, then the
 //! process-wide [`kernel_mode`] (seeded from `STUDY_KERNEL`), then — under
@@ -561,11 +566,131 @@ where
     (acc, bytes)
 }
 
+/// How a pull product reads its input vector `u`, resolved once per call
+/// from `u`'s store and `nvals`.
+#[derive(Clone, Copy)]
+pub(crate) enum PullInput<'a, T> {
+    /// A dense store holding all `n` entries: `u(k)` is `vals[k]`, read
+    /// without its presence flag.
+    Full(&'a [T]),
+    /// A dense store with holes: each read checks the presence flag first.
+    Dense(&'a [T], &'a [bool]),
+    /// A sparse store: each read is a binary search.
+    Sparse(&'a Vector<T>),
+}
+
+impl<'a, T: Scalar> PullInput<'a, T> {
+    pub(crate) fn of(u: &'a Vector<T>) -> Self {
+        match u.dense_parts() {
+            Some((vals, _)) if u.nvals() == u.size() => PullInput::Full(vals),
+            Some((vals, present)) => PullInput::Dense(vals, present),
+            None => PullInput::Sparse(u),
+        }
+    }
+}
+
+/// One pull row dot product, the fold of `mxv`'s paper pull and of
+/// [`pull_gather`]: output `j` is `⊕_k mul(u(k), at(j,k))` over row `j`
+/// of `at` in storage order. `None` when the mask rejects `j` or no
+/// entry of `u` meets the row. The fold ends early once the accumulator
+/// equals `exit` (the monoid's absorbing element; `None` never exits).
+///
+/// A [`PullInput::Full`] input reads `u(k)` without its presence flag:
+/// on a dense pull that flag is a second random read per edge. The
+/// counters do not see the flag either way: each visited edge touches
+/// the matrix value and `u`'s value slot, and the row charges `instr`
+/// once, two per visited edge.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+pub(crate) fn pull_row<T, M, S>(
+    at: &Matrix<T>,
+    j: u32,
+    mask: Option<&Vector<M>>,
+    desc: &Descriptor,
+    u: PullInput<'_, T>,
+    semiring: S,
+    mul: impl Fn(T, T) -> T,
+    exit: Option<T>,
+    pm: perfmon::Probe,
+) -> Option<T>
+where
+    T: Scalar,
+    M: Scalar,
+    S: SemiringOps<T>,
+{
+    if let Some(m) = mask {
+        pm.instr(1);
+        if m.mask_at(j, desc.mask_structural, pm) == desc.mask_complement {
+            return None;
+        }
+    }
+    let (cols, avals) = at.row(j);
+    match u {
+        PullInput::Full(uvals) => fold_row(
+            cols,
+            avals,
+            |k| {
+                pm.touch_ref(&uvals[k]);
+                Some(uvals[k])
+            },
+            semiring,
+            &mul,
+            exit,
+            pm,
+        ),
+        PullInput::Dense(uvals, upresent) => fold_row(
+            cols,
+            avals,
+            |k| {
+                pm.touch_ref(&uvals[k]);
+                upresent[k].then(|| uvals[k])
+            },
+            semiring,
+            &mul,
+            exit,
+            pm,
+        ),
+        PullInput::Sparse(v) => {
+            fold_row(cols, avals, |k| v.get(k as u32), semiring, &mul, exit, pm)
+        }
+    }
+}
+
+/// The fold of [`pull_row`], instantiated once per input kind so the
+/// kind is decided outside the edge loop; `read(k)` is `u(k)`.
+#[inline(always)]
+fn fold_row<T: Scalar, S: SemiringOps<T>>(
+    cols: &[u32],
+    avals: &[T],
+    read: impl Fn(usize) -> Option<T>,
+    semiring: S,
+    mul: impl Fn(T, T) -> T,
+    exit: Option<T>,
+    pm: perfmon::Probe,
+) -> Option<T> {
+    let mut acc = semiring.add_identity();
+    let mut any = false;
+    let mut visited = cols.len();
+    for (e, (&k, av)) in cols.iter().zip(avals).enumerate() {
+        pm.touch_ref(av);
+        if let Some(x) = read(k as usize) {
+            acc = semiring.add(acc, mul(x, *av));
+            any = true;
+            if exit == Some(acc) {
+                visited = e + 1;
+                break;
+            }
+        }
+    }
+    pm.instr(2 * visited as u64);
+    any.then_some(acc)
+}
+
 /// Masked SDOT over the rows of `at` (the transpose of the scattered
-/// matrix): output `j` folds `⊕_k mul(u(k), at(j,k))`, skipping
-/// mask-rejected outputs entirely and exiting the fold early once the
-/// accumulator reaches the monoid's absorbing element (the "any" exit
-/// that makes pull bfs cheap).
+/// matrix): output `j` folds `⊕_k mul(u(k), at(j,k))` ([`pull_row`]),
+/// skipping mask-rejected outputs entirely and exiting the fold early
+/// once the accumulator reaches the monoid's absorbing element (the
+/// "any" exit that makes pull bfs cheap).
 ///
 /// Returns entries in ascending index order plus the emission footprint
 /// in bytes. One task owns each output, so both are deterministic.
@@ -587,40 +712,13 @@ where
     R: Runtime,
 {
     let n = at.nrows();
-    let udense = u.dense_parts();
+    let input = PullInput::of(u);
     let absorbing = semiring.add_absorbing();
     let lanes: PerThread<Vec<(u32, T)>> = PerThread::new(Vec::new);
     rt.parallel_for_balanced(n, |j| at.row_nvals(j as u32) as u64 + 1, |j| {
-        if let Some(m) = mask {
-            pm.instr(1);
-            let pass = m.mask_at(j as u32, desc.mask_structural, pm) != desc.mask_complement;
-            if !pass {
-                return;
-            }
-        }
-        let mut acc = semiring.add_identity();
-        let mut any = false;
-        for (k, av) in at.row_pairs(j as u32) {
-            pm.instr(2);
-            pm.touch_ref(av);
-            let av = *av;
-            let x = match udense {
-                Some((uvals, upresent)) => {
-                    pm.touch_ref(&uvals[k as usize]);
-                    upresent[k as usize].then(|| uvals[k as usize])
-                }
-                None => u.get(k),
-            };
-            if let Some(x) = x {
-                acc = semiring.add(acc, mul(x, av));
-                any = true;
-                if absorbing == Some(acc) {
-                    break;
-                }
-            }
-        }
-        if any {
-            lanes.with(|lane| lane.push((j as u32, acc)));
+        let j = j as u32;
+        if let Some(acc) = pull_row(at, j, mask, desc, input, semiring, &mul, absorbing, pm) {
+            lanes.with(|lane| lane.push((j, acc)));
         }
     });
     let mut out: Vec<(u32, T)> = lanes.into_inner().into_iter().flatten().collect();

@@ -12,7 +12,9 @@
 //! substitute a sparse-accumulator scatter or a masked pull over the
 //! cached transpose when operand sparsity favors it. The push-dense
 //! accumulator is allocated per call, as the paper's is; entry lists
-//! come from the workspace pool ([`crate::workspace`]).
+//! come from the workspace pool ([`crate::workspace`]). Both pulls fold
+//! a row with [`super::kernels::pull_row`], which skips the input's
+//! presence flags when the input holds every entry.
 
 use super::kernels;
 use super::write::{Output, WriteBack};
@@ -188,8 +190,11 @@ where
 /// Parallel over the rows of `A`; row `i` folds `⊕_k A(i,k) ⊗ u(k)`.
 /// Efficient when `u` is dense (the FastSV and pagerank usage); with a
 /// sparse `u` each matrix entry costs a binary search, faithfully
-/// reproducing why pull kernels want dense operands. Without a mask the
-/// product replaces `w`; `Accum(&mut w, ⊙)` folds it in instead.
+/// reproducing why pull kernels want dense operands. A dense `u` with
+/// every entry present (`nvals == size`) is read without its per-entry
+/// presence flags; one with holes reads a flag before each value.
+/// Without a mask the product replaces `w`; `Accum(&mut w, ⊙)` folds it
+/// in instead.
 ///
 /// # Errors
 ///
@@ -283,8 +288,10 @@ where
         }
         _ => {
             // Paper-faithful pull: dense value + presence buffers over
-            // the output dimension are the kernel's materialization.
-            let udense = u.dense_parts();
+            // the output dimension are the kernel's materialization. The
+            // fold never exits early.
+            let input = kernels::PullInput::of(u);
+            let mul = |x, av| semiring.mul(av, x);
             let bytes =
                 (n * (std::mem::size_of::<T>() + std::mem::size_of::<bool>())) as u64;
             let (mut vals, mut present) = wb.dense_scratch(w, n);
@@ -292,33 +299,9 @@ where
                 let pv = ParSlice::new(&mut vals);
                 let pp = ParSlice::new(&mut present);
                 rt.parallel_for_balanced(n, |i| a.row_nvals(i as u32) as u64 + 1, |i| {
-                    if let Some(m) = mask {
-                        pm.instr(1);
-                        let pass =
-                            m.mask_at(i as u32, desc.mask_structural, pm) != desc.mask_complement;
-                        if !pass {
-                            return;
-                        }
-                    }
-                    let mut acc = semiring.add_identity();
-                    let mut any = false;
-                    for (k, av) in a.row_pairs(i as u32) {
-                        pm.instr(2);
-                        pm.touch_ref(av);
-                        let av = *av;
-                        let x = match udense {
-                            Some((uvals, upresent)) => {
-                                pm.touch_ref(&uvals[k as usize]);
-                                upresent[k as usize].then(|| uvals[k as usize])
-                            }
-                            None => u.get(k),
-                        };
-                        if let Some(x) = x {
-                            acc = semiring.add(acc, semiring.mul(av, x));
-                            any = true;
-                        }
-                    }
-                    if any {
+                    let row =
+                        kernels::pull_row(a, i as u32, mask, desc, input, semiring, mul, None, pm);
+                    if let Some(acc) = row {
                         // SAFETY: one writer per row.
                         unsafe {
                             pm.touch(pv.addr_of(i));
@@ -465,6 +448,123 @@ mod tests {
         assert_eq!(w.get(1), Some(1));
         assert_eq!(w.get(2), Some(7));
         assert_eq!(w.get(3), None, "empty row yields no entry");
+    }
+
+    /// A 5-vertex multigraph in storage order: row 0 repeats column 3 and
+    /// does not ascend, row 1 is empty, and column 2's only source is
+    /// row 2, whose only entry it is.
+    fn multigraph_matrix() -> Matrix<f64> {
+        let g = graph::CsrGraph::from_raw(
+            vec![0, 5, 5, 6, 9, 11],
+            vec![3, 1, 3, 0, 4, 2, 4, 0, 4, 1, 1],
+            Some(vec![1, 2, 3, 1, 1, 5, 2, 1, 3, 1, 4]),
+        );
+        Matrix::from_graph(&g, f64::from)
+    }
+
+    /// `(mxv, vxm)` of `u` with both products forced onto the pull kernel.
+    fn pull_products<S: SemiringOps<T>, T: Scalar>(
+        semiring: S,
+        a: &Matrix<T>,
+        u: &Vector<T>,
+    ) -> (Vector<T>, Vector<T>) {
+        let desc = Descriptor::new()
+            .with_replace(true)
+            .with_kernel(crate::descriptor::KernelHint::Pull);
+        let mut pulled = Vector::new(a.nrows());
+        mxv(&mut pulled, None::<&Vector<bool>>, semiring, a, u, &desc, GaloisRuntime).unwrap();
+        let mut pushed = Vector::new(a.ncols());
+        vxm(&mut pushed, None::<&Vector<bool>>, semiring, u, a, &desc, GaloisRuntime).unwrap();
+        (pulled, pushed)
+    }
+
+    fn bits(v: &Vector<f64>) -> Vec<(u32, u64)> {
+        v.iter().map(|(i, x)| (i, x.to_bits())).collect()
+    }
+
+    /// Values whose sum depends on the order it is taken in.
+    const ORDER_SENSITIVE: [f64; 5] = [1e16, 1.0, -1e16, 0.5, 3.0];
+
+    #[test]
+    fn full_vector_pull_matches_the_same_entries_held_sparse() {
+        let a = multigraph_matrix();
+        let mut full = Vector::new_dense(5, 0.0);
+        for (i, &x) in ORDER_SENSITIVE.iter().enumerate() {
+            full.set(i as u32, x).unwrap();
+        }
+        assert!(matches!(kernels::PullInput::of(&full), kernels::PullInput::Full(_)));
+        let sparse = Vector::from_entries(5, full.entries()).unwrap();
+        let (mxv_full, vxm_full) = pull_products(PlusTimes, &a, &full);
+        let (mxv_sparse, vxm_sparse) = pull_products(PlusTimes, &a, &sparse);
+        assert_eq!(bits(&mxv_full), bits(&mxv_sparse));
+        assert_eq!(bits(&vxm_full), bits(&vxm_sparse));
+        assert_eq!(mxv_full.get(1), None, "an empty row yields no entry");
+        assert_eq!(mxv_full.nvals(), 4);
+        assert_eq!(vxm_full.nvals(), 5);
+    }
+
+    #[test]
+    fn vector_with_a_hole_still_reads_presence() {
+        let a = multigraph_matrix();
+        let mut holed = Vector::new_dense(5, 0.0);
+        for (i, &x) in ORDER_SENSITIVE.iter().enumerate() {
+            holed.set(i as u32, x).unwrap();
+        }
+        // The removed slot keeps its old value; only its flag says absent.
+        holed.remove(2);
+        assert!(matches!(kernels::PullInput::of(&holed), kernels::PullInput::Dense(..)));
+        let sparse = Vector::from_entries(5, holed.entries()).unwrap();
+        let (mxv_holed, vxm_holed) = pull_products(PlusTimes, &a, &holed);
+        let (mxv_sparse, vxm_sparse) = pull_products(PlusTimes, &a, &sparse);
+        assert_eq!(bits(&mxv_holed), bits(&mxv_sparse));
+        assert_eq!(bits(&vxm_holed), bits(&vxm_sparse));
+        assert_eq!(mxv_holed.get(2), None, "row 2 meets only the hole");
+        assert_eq!(vxm_holed.get(2), None, "column 2 meets only the hole");
+    }
+
+    static LOR_MULS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+    /// [`LorLand`] that counts its ⊗ calls.
+    #[derive(Clone, Copy)]
+    struct CountingLor;
+
+    impl SemiringOps<f64> for CountingLor {
+        fn add(self, a: f64, b: f64) -> f64 {
+            LorLand.add(a, b)
+        }
+        fn add_identity(self) -> f64 {
+            SemiringOps::<f64>::add_identity(LorLand)
+        }
+        fn mul(self, a: f64, b: f64) -> f64 {
+            LOR_MULS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            LorLand.mul(a, b)
+        }
+        fn add_absorbing(self) -> Option<f64> {
+            SemiringOps::<f64>::add_absorbing(LorLand)
+        }
+    }
+
+    #[test]
+    fn full_vector_lor_pull_still_exits_early() {
+        use std::sync::atomic::Ordering;
+        let a = multigraph_matrix();
+        let ones = Vector::new_dense(5, 1.0);
+        let desc = Descriptor::new()
+            .with_replace(true)
+            .with_kernel(crate::descriptor::KernelHint::Pull);
+        LOR_MULS.store(0, Ordering::Relaxed);
+        let mut reached = Vector::new(5);
+        vxm(&mut reached, None::<&Vector<bool>>, CountingLor, &ones, &a, &desc, GaloisRuntime)
+            .unwrap();
+        assert_eq!(reached.entries(), (0..5).map(|j| (j, 1.0)).collect::<Vec<_>>());
+        assert_eq!(LOR_MULS.load(Ordering::Relaxed), 5, "one ⊗ per column, then exit");
+        // `mxv` folds every entry: 11 edges.
+        LOR_MULS.store(0, Ordering::Relaxed);
+        let mut pulled = Vector::new(5);
+        mxv(&mut pulled, None::<&Vector<bool>>, CountingLor, &a, &ones, &desc, GaloisRuntime)
+            .unwrap();
+        assert_eq!(pulled.nvals(), 4);
+        assert_eq!(LOR_MULS.load(Ordering::Relaxed), 11);
     }
 
     #[test]

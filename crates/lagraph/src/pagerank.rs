@@ -14,6 +14,12 @@
 //! properties and call `GrB_mxv`, so each product has one writer per row
 //! and a fixed in-row fold order — the result is bit-identical across
 //! thread counts, runtimes and cold or warm workspace pools.
+//!
+//! The topology iterate holds all `n` entries (`pr` and the reciprocal
+//! degrees are full, so their product is), and `mxv` then reads it
+//! without per-entry presence flags. The residual loses its entry on
+//! every row without in-edges after round 1, so its products read a
+//! flag before each value.
 
 use graph::CsrGraph;
 use graphblas::binops::{Plus, PlusTimes, Times};
