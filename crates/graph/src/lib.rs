@@ -34,6 +34,7 @@ pub mod builder;
 pub mod csr;
 pub mod delta;
 pub mod gen;
+pub mod intersect;
 pub mod io;
 pub mod stats;
 pub mod suite;

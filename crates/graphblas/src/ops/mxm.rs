@@ -7,7 +7,16 @@
 //! * **Hash SAXPY** — per-row open-addressing table; memory lean, extra
 //!   lookup work.
 //! * **SDOT** — per-output-entry dot products; only sensible under a mask
-//!   that bounds the output (the SandiaDot tc and ktruss patterns).
+//!   that bounds the output (the SandiaDot tc and ktruss patterns). Each
+//!   dot intersects a row of A with a row of Bᵀ through
+//!   [`graph::intersect::for_each_common`], the intersection the Lonestar
+//!   tc and ktruss programs use too: disjoint rows are skipped, a row
+//!   more than eight times longer than its partner is searched rather
+//!   than walked (as SuiteSparse's `GB_AxB_dot_cij` trims it), and
+//!   similar rows are merged once a long leading run of one below the
+//!   other's first entry is searched past. Products are folded in
+//!   ascending column order on every route, so a float semiring sums as
+//!   a serial merge would.
 
 use crate::binops::SemiringOps;
 use crate::descriptor::{Descriptor, MethodHint};
@@ -17,6 +26,8 @@ use crate::runtime::Runtime;
 use crate::scalar::Scalar;
 use crate::util::ParSlice;
 use galois_rt::substrate::PerThread;
+use graph::intersect;
+use std::ops::ControlFlow;
 
 /// `C<mask> = A ⊗.⊕ B` (or `A ⊗.⊕ Bᵀ` with `desc.transpose_b`).
 ///
@@ -411,7 +422,8 @@ where
 }
 
 /// Masked dot-product SpGEMM: computes only the entries the mask allows,
-/// with `bt` holding the effective Bᵀ in CSR.
+/// with `bt` holding the effective Bᵀ in CSR. Each step of the
+/// intersection is charged one instruction.
 fn dot_masked<T, M, S, R>(
     mask: &Matrix<M>,
     semiring: S,
@@ -432,9 +444,13 @@ where
     let mut rows: Vec<Vec<(u32, T)>> = rt.workspace().take_rows(nrows);
     {
         let pr = ParSlice::new(&mut rows);
-        // Dot work per row: one merge-join per admitted mask entry, each
-        // bounded by the a-row length — so the mask and a row sizes are
-        // the balancing estimate.
+        // Dot work per row: one intersection per admitted mask entry,
+        // which walks at most both rows, and much less when one row is
+        // far shorter than the other. The mask and a-row sizes are only
+        // an estimate of that, but it balances well enough: GB's ktruss
+        // on a 50 k-vertex preferential-attachment graph, nearly all of
+        // it this loop, runs 1.7–1.8× faster on two threads than on one
+        // (2 vCPUs).
         rt.parallel_for_balanced(
             nrows,
             |i| (mask.row_nvals(i as u32) + a.row_nvals(i as u32)) as u64 + 1,
@@ -452,25 +468,13 @@ where
                     continue;
                 }
                 let (bcols, bvals) = bt.row(j);
-                // Merge-join the two sorted sparse rows.
-                let (mut p, mut q) = (0usize, 0usize);
                 let mut acc = semiring.add_identity();
                 let mut any = false;
-                while p < acols.len() && q < bcols.len() {
-                    pm.instr(1);
-                    pm.touch_ref(&acols[p]);
-                    pm.touch_ref(&bcols[q]);
-                    match acols[p].cmp(&bcols[q]) {
-                        std::cmp::Ordering::Less => p += 1,
-                        std::cmp::Ordering::Greater => q += 1,
-                        std::cmp::Ordering::Equal => {
-                            acc = semiring.add(acc, semiring.mul(avals[p], bvals[q]));
-                            any = true;
-                            p += 1;
-                            q += 1;
-                        }
-                    }
-                }
+                intersect::for_each_common(acols, bcols, pm, 1, |p, q| {
+                    acc = semiring.add(acc, semiring.mul(avals[p], bvals[q]));
+                    any = true;
+                    ControlFlow::Continue(())
+                });
                 if any {
                     out.push((j, acc));
                 }
@@ -595,6 +599,52 @@ mod tests {
         let c = mxm(Some(&l), PlusPair, &l, &u, &desc, GaloisRuntime).unwrap();
         let total = crate::ops::reduce_matrix(&c, Plus, GaloisRuntime);
         assert_eq!(total, 1, "exactly one triangle");
+    }
+
+    #[test]
+    fn float_dot_over_a_hub_and_a_leaf_folds_in_ascending_order() {
+        // Row 0 of A and of Bᵀ is a hub (every even column below 4000),
+        // row 1 a ten-entry leaf: each masked dot pairs a hub with a leaf,
+        // 200:1, so it runs on the trim route, hub as `a` once and as `b`
+        // once. Of the seven products, the first six are half an ulp of
+        // 1.0 each and the last is 1.0: folded in ascending order the
+        // halves add up to three ulps before the 1.0 arrives, folded the
+        // other way each rounds away. So the sum shows both a dropped
+        // term and a different fold order.
+        let hub: Vec<u32> = (0..4000).step_by(2).collect();
+        let leaf = [3u32, 4, 250, 252, 701, 1200, 1202, 1998, 3998, 3999];
+        let hub_val = |col: u32| f64::from(1u32 << (col % 3));
+        let leaf_val = |col: u32| {
+            let product = if col == 3998 { 1.0 } else { f64::EPSILON / 2.0 };
+            product / hub_val(col)
+        };
+        let mut tuples: Vec<(u32, u32, f64)> = hub.iter().map(|&c| (0, c, hub_val(c))).collect();
+        tuples.extend(leaf.iter().map(|&c| (1, c, leaf_val(c))));
+        let m = Matrix::from_tuples(2, 4000, tuples, Plus).unwrap();
+        let mask = mat(2, vec![(0, 1, 1), (1, 0, 1)]);
+        let desc = Descriptor::new()
+            .with_method(MethodHint::Dot)
+            .with_transpose_b(true)
+            .with_mask_structural(true);
+        let c = mxm(Some(&mask), PlusTimes, &m, &m, &desc, GaloisRuntime).unwrap();
+
+        let common: Vec<u32> = leaf.iter().copied().filter(|c| hub.contains(c)).collect();
+        let products: Vec<f64> = common.iter().map(|&k| hub_val(k) * leaf_val(k)).collect();
+        let ascending = products.iter().fold(0.0f64, |acc, &p| acc + p);
+        let descending = products.iter().rev().fold(0.0f64, |acc, &p| acc + p);
+        assert_ne!(
+            ascending.to_bits(),
+            descending.to_bits(),
+            "the fold order must show"
+        );
+        for (i, j) in [(0, 1), (1, 0)] {
+            let got = c.get(i, j).expect("hub and leaf share columns");
+            assert_eq!(
+                got.to_bits(),
+                ascending.to_bits(),
+                "C({i},{j}) {got} vs {ascending}"
+            );
+        }
     }
 
     #[test]

@@ -5,9 +5,14 @@
 //! it happens — later support computations *in the same round* already see
 //! the edge as gone (Gauss-Seidel iteration). The paper measures that
 //! LAGraph's end-of-round visibility (Jacobi) costs ~1.6x more rounds.
-//! No support matrix is materialized: support is a scalar in the loop.
+//! No support matrix is materialized: support is a scalar in the loop,
+//! counted over the two endpoints' neighbour lists by
+//! [`graph::intersect::for_each_common`] (the intersection LAGraph's
+//! masked dot product runs too), which stops as soon as the count reaches
+//! `k − 2`. Each intersection step is charged two instructions.
 
-use graph::{CsrGraph, NodeId};
+use graph::{intersect, CsrGraph, NodeId};
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Result of the graph-API ktruss computation.
@@ -58,28 +63,26 @@ pub fn ktruss(g: &CsrGraph, k: u32) -> KtrussResult {
                 // Count triangles through currently-alive edges; bail out
                 // early once the edge clearly survives.
                 let mut support = 0usize;
-                let (mut p, mut q) = (g.edge_range(v).start, g.edge_range(u).start);
-                let (pe, qe) = (g.edge_range(v).end, g.edge_range(u).end);
-                while p < pe && q < qe && support < needed {
-                    pm.instr(2);
-                    pm.touch_ref(&g.dests()[p]);
-                    pm.touch_ref(&g.dests()[q]);
-                    let (a, b) = (g.edge_dst(p), g.edge_dst(q));
-                    match a.cmp(&b) {
-                        std::cmp::Ordering::Less => p += 1,
-                        std::cmp::Ordering::Greater => q += 1,
-                        std::cmp::Ordering::Equal => {
-                            // Triangle v-u-a: all three edges must be alive.
-                            if alive[p].load(Ordering::Relaxed)
-                                && alive[q].load(Ordering::Relaxed)
-                            {
-                                support += 1;
-                            }
-                            p += 1;
-                            q += 1;
+                let (vs, us) = (g.edge_range(v).start, g.edge_range(u).start);
+                intersect::for_each_common(
+                    g.neighbor_slice(v),
+                    g.neighbor_slice(u),
+                    pm,
+                    2,
+                    |p, q| {
+                        // Triangle v-u-w: all three edges must be alive.
+                        if alive[vs + p].load(Ordering::Relaxed)
+                            && alive[us + q].load(Ordering::Relaxed)
+                        {
+                            support += 1;
                         }
-                    }
-                }
+                        if support < needed {
+                            ControlFlow::Continue(())
+                        } else {
+                            ControlFlow::Break(())
+                        }
+                    },
+                );
                 if support < needed {
                     // Remove both directions immediately (visible to all
                     // threads within this round).
@@ -160,6 +163,27 @@ mod tests {
         let gb = lagraph::ktruss::ktruss(&g, 4, graphblas::GaloisRuntime).unwrap();
         assert_eq!(ls.edges_remaining, gb.edges_remaining);
         assert!(ls.rounds <= gb.rounds, "ls {} vs gb {}", ls.rounds, gb.rounds);
+    }
+
+    #[test]
+    fn support_exit_inside_a_hub_leaf_pair() {
+        // A 5-clique {0, 13, 29, 47, 71} whose vertex 0 is also a hub
+        // over 1..=80, and whose vertex 13 has one more neighbour, 90.
+        // Edge (0, 13) intersects 80 neighbours with 5, so it takes the
+        // trim route: 29, 47 and 71 are found by search inside the hub's
+        // list, and the third of them reaches k − 2 = 3 with 90 still
+        // unwalked. Every edge outside the clique has support 0.
+        let clique = [0u32, 13, 29, 47, 71];
+        let mut edges: Vec<(u32, u32)> = (1..=80).map(|w| (0, w)).collect();
+        for (i, &x) in clique.iter().enumerate().skip(1) {
+            edges.extend(clique[i + 1..].iter().map(|&y| (x, y)));
+        }
+        edges.push((13, 90));
+        let g = sym(&edges, 91);
+        let r = ktruss(&g, 5);
+        assert_eq!(r.edges_remaining, 20, "the clique's ten edges, both ways");
+        let gb = lagraph::ktruss::ktruss(&g, 5, graphblas::GaloisRuntime).unwrap();
+        assert_eq!(r.edges_remaining, gb.edges_remaining);
     }
 
     #[test]

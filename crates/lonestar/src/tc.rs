@@ -4,12 +4,17 @@
 //! (preprocessing, untimed), then for every edge `(v, u)` with `v < u`
 //! intersect the neighbor lists counting common vertices `w > u`
 //! (runtime symmetry breaking: each triangle `v < u < w` counted once).
-//! The count lives in a per-thread reducer — **nothing is materialized**,
-//! which is exactly what separates `ls` from `gb-ll` in Figure 3(b) and
-//! Table V.
+//! The tails are intersected by [`graph::intersect::for_each_common`],
+//! the routine the matrix side's masked dot product runs too: a tail
+//! more than eight times longer than the other is searched, not walked,
+//! and similar tails are merged without a branch per step. Each step is
+//! charged two instructions. The count lives in a per-thread reducer —
+//! **nothing is materialized**, which is exactly what separates `ls` from
+//! `gb-ll` in Figure 3(b) and Table V.
 
 use galois_rt::ReduceSum;
-use graph::{CsrGraph, NodeId};
+use graph::{intersect, CsrGraph, NodeId};
+use std::ops::ControlFlow;
 
 /// Counts triangles of a **symmetric, loop-free, degree-sorted** graph.
 ///
@@ -30,23 +35,20 @@ pub fn tc(sorted: &CsrGraph) -> u64 {
                 continue;
             }
             let un = sorted.neighbor_slice(u);
-            // Merge-intersect the tails of both sorted lists (w > u); one
-            // binary search skips u's prefix of neighbours `<= u`.
-            let (mut p, mut q) = (i + 1, un.partition_point(|&w| w <= u));
-            while p < vn.len() && q < un.len() {
-                pm.instr(2);
-                pm.touch_ref(&vn[p]);
-                pm.touch_ref(&un[q]);
-                match vn[p].cmp(&un[q]) {
-                    std::cmp::Ordering::Less => p += 1,
-                    std::cmp::Ordering::Greater => q += 1,
-                    std::cmp::Ordering::Equal => {
-                        count.add(1);
-                        p += 1;
-                        q += 1;
-                    }
-                }
-            }
+            // Intersect the tails of both sorted lists (w > u); one
+            // uncharged binary search skips u's prefix of neighbours `<= u`.
+            let mut common = 0u64;
+            intersect::for_each_common(
+                &vn[i + 1..],
+                &un[un.partition_point(|&w| w <= u)..],
+                pm,
+                2,
+                |_, _| {
+                    common += 1;
+                    ControlFlow::Continue(())
+                },
+            );
+            count.add(common);
         }
     });
     count.reduce()
