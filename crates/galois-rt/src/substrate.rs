@@ -2,8 +2,9 @@
 //!
 //! [`PerThread`] gives each pool thread its own slot of `T`, analogous to
 //! Galois' `PerThreadStorage`. It is the building block for thread-private
-//! scratch space (e.g. the dense accumulator each thread keeps during
-//! Gustavson SpGEMM) that would be too expensive to allocate per task.
+//! state that would be too expensive to allocate per task (e.g. the
+//! partial sums of a parallel reduce, or the entry lanes each thread
+//! fills in a sparse SpMV scatter).
 
 use crate::pool::{current_thread_id, max_threads};
 use std::cell::UnsafeCell;
@@ -40,20 +41,6 @@ impl<T> PerThread<T> {
             slots: (0..max_threads())
                 .map(|_| Slot(UnsafeCell::new(init())))
                 .collect(),
-        }
-    }
-
-    /// Creates per-thread slots seeded from `values` (recycled state from
-    /// an earlier `PerThread`), topping up with `init()` if `values` holds
-    /// fewer than `max_threads()` entries and dropping any surplus.
-    pub fn from_values(values: Vec<T>, init: impl Fn() -> T) -> Self {
-        let mut values = values;
-        values.truncate(max_threads());
-        while values.len() < max_threads() {
-            values.push(init());
-        }
-        PerThread {
-            slots: values.into_iter().map(|v| Slot(UnsafeCell::new(v))).collect(),
         }
     }
 
@@ -225,18 +212,6 @@ mod tests {
             *v = 9;
         }
         assert!(s.into_inner().into_iter().all(|v| v == 9));
-    }
-
-    #[test]
-    fn from_values_recycles_then_tops_up() {
-        let n = crate::max_threads();
-        let recycled: PerThread<Vec<u8>> =
-            PerThread::from_values(vec![vec![1, 2, 3]; n + 2], Vec::new);
-        let vals = recycled.into_inner();
-        assert_eq!(vals.len(), n, "surplus values are dropped");
-        assert!(vals.iter().all(|v| v == &[1, 2, 3]));
-        let topped: PerThread<Vec<u8>> = PerThread::from_values(Vec::new(), || vec![9]);
-        assert!(topped.into_inner().into_iter().all(|v| v == [9]));
     }
 
     #[test]

@@ -4,26 +4,6 @@
 //! one Algorithm 2 of the paper uses, `Replace_Complemented_Desc`, is
 //! [`Descriptor::replace_complement`].
 
-/// SpGEMM method selection.
-///
-/// SuiteSparse chooses between SAXPY (Gustavson or hash) and dot-product
-/// methods per call (paper §III-A); [`MethodHint::Auto`] reproduces that
-/// choice, and the explicit hints let the differential benchmarks pin a
-/// method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MethodHint {
-    /// Let the implementation choose (mask present → dot, otherwise
-    /// Gustavson for wide accumulators, hash for very sparse rows).
-    #[default]
-    Auto,
-    /// Row-wise SAXPY with a dense Gustavson accumulator.
-    Gustavson,
-    /// Row-wise SAXPY with a per-row hash table.
-    Hash,
-    /// Dot-product (requires a mask to bound the output).
-    Dot,
-}
-
 /// SpMV kernel selection for `vxm` / `mxv`.
 ///
 /// The default defers to the process-wide policy
@@ -55,12 +35,8 @@ pub struct Descriptor {
     /// Mask by structure (presence) instead of by value
     /// (`GrB_STRUCTURE`).
     pub mask_structural: bool,
-    /// Use `Aᵀ` in place of `A` (`GrB_TRAN` on input 0).
-    pub transpose_a: bool,
     /// Use `Bᵀ` in place of `B` (`GrB_TRAN` on input 1).
     pub transpose_b: bool,
-    /// SpGEMM method selection.
-    pub method: MethodHint,
     /// SpMV kernel selection for `vxm` / `mxv`.
     pub kernel: KernelHint,
 }
@@ -108,13 +84,6 @@ impl Descriptor {
         self
     }
 
-    /// Pins the SpGEMM method.
-    #[must_use]
-    pub fn with_method(mut self, method: MethodHint) -> Self {
-        self.method = method;
-        self
-    }
-
     /// Pins the SpMV kernel for this call.
     #[must_use]
     pub fn with_kernel(mut self, kernel: KernelHint) -> Self {
@@ -131,13 +100,14 @@ mod tests {
     fn builder_chains() {
         let d = Descriptor::new()
             .with_replace(true)
+            .with_mask_complement(true)
             .with_mask_structural(true)
-            .with_method(MethodHint::Hash)
+            .with_transpose_b(true)
             .with_kernel(KernelHint::PushSparse);
         assert!(d.replace);
         assert!(d.mask_structural);
-        assert!(!d.mask_complement);
-        assert_eq!(d.method, MethodHint::Hash);
+        assert!(d.mask_complement);
+        assert!(d.transpose_b);
         assert_eq!(d.kernel, KernelHint::PushSparse);
         assert_eq!(Descriptor::new().kernel, KernelHint::Auto);
     }

@@ -19,8 +19,9 @@ pub enum GrbError {
     },
     /// Build input contained a duplicate index without a `dup` operator.
     DuplicateIndex(usize),
-    /// The operation requires a mask (e.g. unmasked dot-product SpGEMM on
-    /// a huge output would be quadratic).
+    /// The operation requires a mask that bounds its output: `mxm`
+    /// computes one dot product per entry an uncomplemented mask admits,
+    /// so without one it would be quadratic.
     MaskRequired(&'static str),
     /// The operation could not obtain the memory it needs
     /// (`GrB_OUT_OF_MEMORY`): no kernel's projected accumulator fits the

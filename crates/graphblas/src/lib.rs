@@ -57,7 +57,7 @@ pub(crate) mod util;
 pub mod vector;
 pub mod workspace;
 
-pub use descriptor::{Descriptor, KernelHint, MethodHint};
+pub use descriptor::{Descriptor, KernelHint};
 pub use ops::{Accum, KernelMode};
 pub use error::GrbError;
 pub use matrix::Matrix;

@@ -142,7 +142,7 @@ impl<T: Scalar> Matrix<T> {
     /// repeated explicit entries: spmv-style kernels fold them under the
     /// semiring's ⊕ like any other entry, matching how the graph-based
     /// programs iterate duplicate edges. Kernels that merge-join sorted
-    /// rows (the dot method) require deduplicated inputs, which tc and
+    /// rows (`mxm`'s dot products) require deduplicated inputs, which tc and
     /// ktruss guarantee by running on symmetrized graphs.
     pub fn from_graph(g: &CsrGraph, f: impl Fn(u32) -> T) -> Self {
         let n = g.num_nodes();

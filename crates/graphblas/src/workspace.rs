@@ -104,17 +104,15 @@ pub fn transpose_bytes_built() -> u64 {
 // ---------------------------------------------------------------------------
 // The buffer pool.
 
-/// Shelf identifiers: buffers of the same Rust type used for different
-/// purposes (entry lists vs. lanes) are pooled separately so a kernel
-/// always gets back a buffer shaped like the one it returned.
+/// Shelf identifiers: one per purpose (entry lists, SpGEMM result rows,
+/// balancing tallies and chunk lists), so a kernel always gets back a
+/// buffer shaped like the one it returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Shelf {
     /// `(u32, T)` entry lists (SpMV compaction results, `u.entries()`).
     Entries,
     /// Per-row SpGEMM result rows (`Vec<Vec<(u32, T)>>`).
     Rows,
-    /// Per-thread SpGEMM scratch extracted from a `PerThread`.
-    Scratch,
     /// `u64` per-index flop tallies for balanced partitioning.
     Flops,
     /// Chunk boundary lists for balanced partitioning.
@@ -147,13 +145,17 @@ pub struct Workspace {
 /// The process-wide pool instance.
 pub fn global() -> &'static Workspace {
     static POOL: OnceLock<Workspace> = OnceLock::new();
-    POOL.get_or_init(|| Workspace {
-        shelves: Mutex::new(HashMap::new()),
-        retained: AtomicU64::new(0),
-    })
+    POOL.get_or_init(Workspace::new)
 }
 
 impl Workspace {
+    fn new() -> Self {
+        Workspace {
+            shelves: Mutex::new(HashMap::new()),
+            retained: AtomicU64::new(0),
+        }
+    }
+
     /// Checks a buffer out of the pool, crediting its recorded byte size
     /// to the reuse counter. Returns `None` (and credits nothing) when
     /// the shelf is empty — the caller allocates fresh and reports the
@@ -171,7 +173,12 @@ impl Workspace {
     /// full) the buffer is dropped instead — the pool degrades, it never
     /// errors.
     pub(crate) fn give<K: Any + Send>(&self, shelf: Shelf, buf: K, bytes: usize) {
-        if let Some(budget) = crate::ops::mem_budget() {
+        self.give_within(shelf, buf, bytes, crate::ops::mem_budget());
+    }
+
+    /// [`Workspace::give`] against an explicit retention budget.
+    fn give_within<K: Any + Send>(&self, shelf: Shelf, buf: K, bytes: usize, budget: Option<u64>) {
+        if let Some(budget) = budget {
             let retained = self.retained.load(Ordering::Relaxed);
             if retained.saturating_add(bytes as u64) > budget {
                 return;
@@ -323,8 +330,8 @@ mod tests {
 
     #[test]
     fn pool_roundtrips_typed_buffers_and_counts_bytes() {
-        let ws = global();
-        // Drain any shelf state left by other tests in this binary.
+        // A private pool: other tests in this binary share `global()`.
+        let ws = Workspace::new();
         let v: Vec<u64> = ws.take_vec(Shelf::Flops, 32);
         assert!(v.capacity() >= 32 && v.is_empty());
         let before = snapshot();
@@ -341,7 +348,7 @@ mod tests {
 
     #[test]
     fn pool_separates_shelves_of_the_same_type() {
-        let ws = global();
+        let ws = Workspace::new();
         ws.give_vec::<u64>(Shelf::Flops, Vec::with_capacity(8));
         assert!(
             ws.take::<Vec<u64>>(Shelf::Entries).is_none(),
@@ -352,16 +359,13 @@ mod tests {
 
     #[test]
     fn give_respects_the_memory_budget() {
-        let ws = global();
-        ws.clear();
-        let prev = crate::ops::mem_budget();
-        crate::ops::set_mem_budget(Some(64));
-        ws.give_vec::<u64>(Shelf::Flops, Vec::with_capacity(1024));
+        // An explicit budget, not `set_mem_budget`: a process-wide budget
+        // of 64 bytes would also bind the tests running beside this one.
+        let ws = Workspace::new();
+        ws.give_within(Shelf::Flops, Vec::<u64>::with_capacity(1024), 8192, Some(64));
         assert_eq!(ws.retained_bytes(), 0, "over-budget buffers are dropped");
-        ws.give_vec::<u64>(Shelf::Flops, Vec::with_capacity(4));
+        ws.give_within(Shelf::Flops, Vec::<u64>::with_capacity(4), 32, Some(64));
         assert_eq!(ws.retained_bytes(), 32, "fitting buffers are pooled");
-        crate::ops::set_mem_budget(prev);
-        ws.clear();
     }
 
     #[test]

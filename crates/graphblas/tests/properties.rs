@@ -6,10 +6,9 @@
 //! to replay a reported failure.
 
 use graphblas::binops::{LorLand, Min, MinPlus, MinSecond, Plus, PlusTimes, SemiringOps, Times};
-use graphblas::{
-    ops, Descriptor, GaloisRuntime, KernelHint, Matrix, MethodHint, StaticRuntime, Vector,
-};
+use graphblas::{ops, Descriptor, GaloisRuntime, KernelHint, Matrix, StaticRuntime, Vector};
 use perfmon::trace::KernelChoice;
+use std::ops::Range;
 use substrate::prop::{self, Gen};
 use substrate::prop_assert_eq;
 
@@ -17,11 +16,22 @@ const N: usize = 24;
 const CASES: u32 = 32;
 
 fn arb_matrix(g: &mut Gen) -> Matrix<u64> {
-    let t = g.vec(0..80, |g| {
+    arb_matrix_of(g, 80, 1..50)
+}
+
+/// A mask matrix that includes explicit zeros, so valued and structural
+/// masking genuinely differ.
+fn arb_matrix_mask(g: &mut Gen) -> Matrix<u64> {
+    arb_matrix_of(g, 160, 0..3)
+}
+
+/// Up to `max_entries` tuples with values drawn from `values`.
+fn arb_matrix_of(g: &mut Gen, max_entries: usize, values: Range<u64>) -> Matrix<u64> {
+    let t = g.vec(0..max_entries, |g| {
         (
             g.gen_range(0u32..N as u32),
             g.gen_range(0u32..N as u32),
-            g.gen_range(1u64..50),
+            g.gen_range(values.clone()),
         )
     });
     Matrix::from_tuples(N, N, t, Plus).expect("in-range tuples")
@@ -74,46 +84,36 @@ fn dense_mxm(a: &Matrix<u64>, b: &Matrix<u64>) -> Vec<(u32, u32, u64)> {
 }
 
 #[test]
-fn mxm_methods_agree_with_dense_reference() {
+fn masked_mxm_agrees_with_masked_dense_reference() {
     prop::check(
-        "mxm_methods_agree_with_dense_reference",
+        "masked_mxm_agrees_with_masked_dense_reference",
         prop::cases(CASES),
-        |g| (arb_matrix(g), arb_matrix(g)),
-        |(a, b)| {
-            let expected = dense_mxm(a, b);
-            for method in [MethodHint::Gustavson, MethodHint::Hash] {
-                let c = ops::mxm(
-                    None::<&Matrix<bool>>,
-                    PlusTimes,
-                    a,
-                    b,
-                    &Descriptor::new().with_method(method),
-                    GaloisRuntime,
-                )
-                .unwrap();
-                prop_assert_eq!(c.to_tuples(), expected.clone(), "method {:?}", method);
-            }
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn masked_dot_agrees_with_masked_gustavson() {
-    prop::check(
-        "masked_dot_agrees_with_masked_gustavson",
-        prop::cases(CASES),
-        |g| (arb_matrix(g), arb_matrix(g), arb_matrix(g)),
+        |g| (arb_matrix(g), arb_matrix(g), arb_matrix_mask(g)),
         |(a, b, m)| {
-            let desc_dot = Descriptor::new()
-                .with_method(MethodHint::Dot)
-                .with_mask_structural(true);
-            let desc_sax = Descriptor::new()
-                .with_method(MethodHint::Gustavson)
-                .with_mask_structural(true);
-            let dot = ops::mxm(Some(m), PlusTimes, a, b, &desc_dot, GaloisRuntime).unwrap();
-            let sax = ops::mxm(Some(m), PlusTimes, a, b, &desc_sax, GaloisRuntime).unwrap();
-            prop_assert_eq!(dot.to_tuples(), sax.to_tuples());
+            for transpose_b in [false, true] {
+                let b_eff = if transpose_b { b.transpose() } else { b };
+                let product = dense_mxm(a, b_eff);
+                for structural in [false, true] {
+                    let expected: Vec<_> = product
+                        .iter()
+                        .copied()
+                        .filter(|&(i, j, _)| {
+                            m.get(i, j).is_some_and(|mv| structural || mv != 0)
+                        })
+                        .collect();
+                    let desc = Descriptor::new()
+                        .with_mask_structural(structural)
+                        .with_transpose_b(transpose_b);
+                    let c = ops::mxm(Some(m), PlusTimes, a, b, &desc, GaloisRuntime).unwrap();
+                    prop_assert_eq!(
+                        c.to_tuples(),
+                        expected,
+                        "structural={} transpose_b={}",
+                        structural,
+                        transpose_b
+                    );
+                }
+            }
             Ok(())
         },
     );
@@ -453,8 +453,8 @@ fn collect_spmv<S: SemiringOps<u64>>(
     }
 }
 
-/// Collects the mxm outputs for one semiring across the three methods
-/// (the dot kernel needs a mask, exercised both structurally and valued).
+/// Collects the mxm outputs for one semiring under a structural and a
+/// valued mask, each with `transpose_b` off and on.
 fn collect_mxm<S: SemiringOps<u64>>(
     semiring: S,
     a: &Matrix<u64>,
@@ -462,24 +462,14 @@ fn collect_mxm<S: SemiringOps<u64>>(
     m: &Matrix<u64>,
     out: &mut Vec<Vec<(u32, u32, u64)>>,
 ) {
-    for method in [MethodHint::Gustavson, MethodHint::Hash] {
-        let c = ops::mxm(
-            None::<&Matrix<u64>>,
-            semiring,
-            a,
-            b,
-            &Descriptor::new().with_method(method),
-            GaloisRuntime,
-        )
-        .unwrap();
-        out.push(c.to_tuples());
-    }
     for structural in [false, true] {
-        let desc = Descriptor::new()
-            .with_method(MethodHint::Dot)
-            .with_mask_structural(structural);
-        let c = ops::mxm(Some(m), semiring, a, b, &desc, GaloisRuntime).unwrap();
-        out.push(c.to_tuples());
+        for transpose_b in [false, true] {
+            let desc = Descriptor::new()
+                .with_mask_structural(structural)
+                .with_transpose_b(transpose_b);
+            let c = ops::mxm(Some(m), semiring, a, b, &desc, GaloisRuntime).unwrap();
+            out.push(c.to_tuples());
+        }
     }
 }
 
@@ -488,12 +478,12 @@ fn flop_balanced_scheduling_matches_row_partitioning_bit_for_bit() {
     // The flop-balanced partitioner and the recycled workspaces must be
     // invisible in results: on every semiring the study uses x every
     // mask/complement/replace/structural descriptor combination, vxm, mxv
-    // and all three mxm methods at 2 and 8 threads on a warm pool produce
+    // and the masked mxm at 2 and 8 threads on a warm pool produce
     // outputs bit-for-bit identical to one thread on an emptied pool.
     prop::check(
         "flop_balanced_scheduling_matches_row_partitioning_bit_for_bit",
         prop::cases(8),
-        |g| (arb_matrix(g), arb_matrix(g), arb_matrix(g), arb_vector(g), arb_mask(g)),
+        |g| (arb_matrix(g), arb_matrix(g), arb_matrix_mask(g), arb_vector(g), arb_mask(g)),
         |(a, b, mm, u, mask)| {
             let saved_threads = galois_rt::threads();
             let collect_all = || {

@@ -11,7 +11,7 @@
 
 use graph::CsrGraph;
 use graphblas::binops::PlusLand;
-use graphblas::{ops, Descriptor, GrbError, Matrix, MethodHint, Runtime};
+use graphblas::{ops, Descriptor, GrbError, Matrix, Runtime};
 
 /// Result of the matrix-based ktruss computation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +38,6 @@ pub fn ktruss<R: Runtime>(g: &CsrGraph, k: u32, rt: R) -> Result<KtrussResult, G
     let mut c: Matrix<u64> = Matrix::from_graph(g, |_| 1);
 
     let desc = Descriptor::new()
-        .with_method(MethodHint::Dot)
         .with_mask_structural(true)
         .with_transpose_b(true);
 

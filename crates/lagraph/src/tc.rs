@@ -11,7 +11,7 @@
 use graph::transform::{lower_triangular, upper_triangular};
 use graph::CsrGraph;
 use graphblas::binops::{Plus, PlusPair};
-use graphblas::{ops, Descriptor, GrbError, Matrix, MethodHint, Runtime};
+use graphblas::{ops, Descriptor, GrbError, Matrix, Runtime};
 
 /// Result of a matrix-based triangle count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +38,6 @@ pub fn tc_sandia_dot<R: Runtime>(g: &CsrGraph, rt: R) -> Result<TcResult, GrbErr
     let lower = upper_lower(g);
     let (l, u) = (&lower.0, &lower.1);
     let desc = Descriptor::new()
-        .with_method(MethodHint::Dot)
         .with_mask_structural(true)
         .with_transpose_b(true);
     let c = ops::mxm(Some(l), PlusPair, l, u, &desc, rt)?;
@@ -62,7 +61,6 @@ pub fn tc_sandia_dot<R: Runtime>(g: &CsrGraph, rt: R) -> Result<TcResult, GrbErr
 pub fn tc_listing<R: Runtime>(sorted: &CsrGraph, rt: R) -> Result<TcResult, GrbError> {
     let d = Matrix::<u64>::from_graph_upper(sorted);
     let desc = Descriptor::new()
-        .with_method(MethodHint::Dot)
         .with_mask_structural(true)
         .with_transpose_b(true);
     let c = ops::mxm(Some(&d), PlusPair, &d, &d, &desc, rt)?;
