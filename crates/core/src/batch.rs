@@ -1,13 +1,12 @@
 //! Batched multi-source query cells.
 //!
 //! A batch cell answers k queries of one problem on one system in a
-//! single run — the matrix systems (SS, GB) through the multi-column
-//! frontier engine `lagraph::batch`, the graph system (LS) through k
-//! independent worklist runs (`lonestar::batch`). The serial study
-//! cells are untouched: the caller picks the width (the service's
-//! `BatchRequest.width`), and a width-1 batch executes the exact serial
-//! kernel sequence, so the paper-faithful numbers stay bit-for-bit
-//! identical.
+//! single job. Nothing shares a sweep: the matrix systems (SS, GB) build
+//! the adjacency matrix once and run the serial bfs from each source over
+//! it ([`lagraph::bfs::bfs_each`]), the graph system (LS) runs its serial
+//! worklist bfs once per source. Query `j` therefore executes exactly the
+//! serial cell's kernel sequence from `sources[j]`, and a width-1 batch
+//! is the serial cell.
 //!
 //! A batch runs as [`crate::exec::Work::Batch`]: every query is one
 //! lane of the job, so a per-lane failure (memory budget, injected
@@ -27,7 +26,7 @@ use graphblas::{GaloisRuntime, GrbError, Runtime, StaticRuntime};
 /// benchmark's `service-mixed` workload measures it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BatchProblem {
-    /// k breadth-first searches in one levelized sweep (msBFS).
+    /// k breadth-first searches, one serial run per source (msBFS).
     Bfs,
 }
 
@@ -71,9 +70,13 @@ pub(crate) fn solve(
     match system {
         System::SuiteSparse => lagraph_bfs(p, sources, StaticRuntime),
         System::GaloisBlas => lagraph_bfs(p, sources, GaloisRuntime),
-        System::Lonestar => lonestar::batch::batched_bfs(&p.graph, sources)
-            .into_iter()
-            .map(|b| Ok(ProblemOutput::Levels(b.level)))
+        System::Lonestar => sources
+            .iter()
+            .map(|&src| {
+                Ok(ProblemOutput::Levels(
+                    lonestar::bfs::bfs(&p.graph, src).level,
+                ))
+            })
             .collect(),
     }
 }
@@ -83,7 +86,7 @@ fn lagraph_bfs<R: Runtime>(
     sources: &[NodeId],
     rt: R,
 ) -> Vec<Result<ProblemOutput, GrbError>> {
-    lagraph::batch::batched_bfs(&p.graph, sources, rt)
+    lagraph::bfs::bfs_each(&p.graph, sources, rt)
         .into_iter()
         .map(|r| r.map(|b| ProblemOutput::Levels(b.level)))
         .collect()

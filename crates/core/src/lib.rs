@@ -18,8 +18,8 @@
 //!   stage calls;
 //! * [`cell`] — the isolation boundary: `catch_unwind` + deadline
 //!   watchdog, reducing failures to `ok|failed|timeout|oom`;
-//! * [`batch`] — k-source batched queries (msBFS) and their per-query
-//!   verification;
+//! * [`batch`] — k-source batched bfs queries (one serial run per
+//!   source) and their per-query verification;
 //! * [`mod@reference`] — serial reference implementations every parallel
 //!   result is verified against;
 //! * [`verify`] — output comparisons (exact, partition-equivalence or

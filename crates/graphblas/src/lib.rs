@@ -49,7 +49,6 @@ pub mod binops;
 pub mod descriptor;
 pub mod error;
 pub mod matrix;
-pub mod multivec;
 pub mod ops;
 pub mod runtime;
 pub mod scalar;
@@ -61,7 +60,6 @@ pub use descriptor::{Descriptor, KernelHint};
 pub use ops::{Accum, KernelMode};
 pub use error::GrbError;
 pub use matrix::Matrix;
-pub use multivec::MultiVector;
 pub use runtime::{GaloisRuntime, Runtime, StaticRuntime};
 pub use scalar::{Scalar, ScalarNum};
 pub use vector::Vector;

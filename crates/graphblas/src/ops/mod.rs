@@ -125,7 +125,6 @@ impl OpTrace {
 }
 
 mod assign;
-mod batch;
 mod ewise;
 mod extract;
 mod kernels;
@@ -136,7 +135,6 @@ mod spmv;
 mod write;
 
 pub use assign::{apply, apply_inplace, assign_scalar};
-pub use batch::{mxm_frontier, LaneOutcome};
 pub use ewise::{ewise_add, ewise_mult};
 pub use extract::extract;
 pub use kernels::{

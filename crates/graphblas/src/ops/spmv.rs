@@ -18,7 +18,7 @@
 
 use super::kernels;
 use super::write::{Output, WriteBack};
-use crate::binops::{BinOp, SemiringOps};
+use crate::binops::SemiringOps;
 use crate::descriptor::Descriptor;
 use crate::error::{dim_mismatch, GrbError};
 use crate::matrix::Matrix;
@@ -28,43 +28,39 @@ use crate::util::ParSlice;
 use crate::vector::Vector;
 use perfmon::trace::KernelChoice;
 
-/// What one span-free lane execution reports back to the caller that
-/// owns the trace span (the [`vxm`] entry point, or the batched
-/// multi-frontier advance aggregating k lanes into one span).
-pub(crate) struct LaneRun {
-    /// Explicit entries of the input vector.
-    pub(crate) input_nnz: usize,
-    /// Accumulator footprint the executed kernel materialized.
-    pub(crate) accumulator_bytes: u64,
-    /// The kernel-selection outcome (choice + heuristic inputs).
-    pub(crate) selection: kernels::Selection,
-}
-
-/// The span-free body of [`vxm`]: dimension checks, kernel selection,
-/// the per-call fault/budget gate and the kernel dispatch for exactly
-/// one column. Shared verbatim by the serial entry point and each lane
-/// of [`super::batch::mxm_frontier`], so a batched column executes the
-/// identical code path as a serial call — including the
-/// `grb.alloc.accumulator` fault point, which therefore fires (and
-/// fails) per lane, never per batch.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn vxm_lane<T, M, S, R, B>(
-    w: &mut Vector<T>,
-    accum: Option<B>,
+/// `w<mask> = u ⊗.⊕ A` (push-style row scaling, `GrB_vxm`).
+///
+/// Iterates the explicit entries of `u`; each scales its matrix row into a
+/// shared dense accumulator under the semiring's ⊕. The (optionally
+/// complemented) mask filters which outputs are kept. With `desc.replace`
+/// the previous contents of `w` are discarded, otherwise they merge;
+/// `Accum(&mut w, ⊙)` folds the product into `w` instead
+/// ([`super::Accum`]).
+///
+/// # Errors
+///
+/// Returns [`GrbError::DimensionMismatch`] when `u.size != a.nrows`,
+/// `w.size != a.ncols`, or the mask size differs from `w`;
+/// [`GrbError::ResourceExhausted`] when no kernel's projected
+/// accumulator fits the active [`super::mem_budget`] (or an injected
+/// `grb.alloc.accumulator` fault fires).
+pub fn vxm<T, M, S, R>(
+    mut w: impl Output<Elem = T>,
     mask: Option<&Vector<M>>,
     semiring: S,
     u: &Vector<T>,
     a: &Matrix<T>,
     desc: &Descriptor,
     rt: R,
-) -> Result<LaneRun, GrbError>
+) -> Result<(), GrbError>
 where
     T: Scalar,
     M: Scalar,
     S: SemiringOps<T>,
     R: Runtime,
-    B: BinOp<T>,
 {
+    let (w, accum) = w.target();
+    let span = super::op_start(super::OpKind::Vxm, R::NAME, mask.is_some(), desc);
     if u.size() != a.nrows() {
         return Err(dim_mismatch(
             format!("u.size == a.nrows == {}", a.nrows()),
@@ -132,54 +128,13 @@ where
         }
     };
     kernels::give_entries(entries, rt);
-    Ok(LaneRun {
-        input_nnz,
-        accumulator_bytes,
-        selection,
-    })
-}
-
-/// `w<mask> = u ⊗.⊕ A` (push-style row scaling, `GrB_vxm`).
-///
-/// Iterates the explicit entries of `u`; each scales its matrix row into a
-/// shared dense accumulator under the semiring's ⊕. The (optionally
-/// complemented) mask filters which outputs are kept. With `desc.replace`
-/// the previous contents of `w` are discarded, otherwise they merge;
-/// `Accum(&mut w, ⊙)` folds the product into `w` instead
-/// ([`super::Accum`]).
-///
-/// # Errors
-///
-/// Returns [`GrbError::DimensionMismatch`] when `u.size != a.nrows`,
-/// `w.size != a.ncols`, or the mask size differs from `w`;
-/// [`GrbError::ResourceExhausted`] when no kernel's projected
-/// accumulator fits the active [`super::mem_budget`] (or an injected
-/// `grb.alloc.accumulator` fault fires).
-pub fn vxm<T, M, S, R>(
-    mut w: impl Output<Elem = T>,
-    mask: Option<&Vector<M>>,
-    semiring: S,
-    u: &Vector<T>,
-    a: &Matrix<T>,
-    desc: &Descriptor,
-    rt: R,
-) -> Result<(), GrbError>
-where
-    T: Scalar,
-    M: Scalar,
-    S: SemiringOps<T>,
-    R: Runtime,
-{
-    let (w, accum) = w.target();
-    let span = super::op_start(super::OpKind::Vxm, R::NAME, mask.is_some(), desc);
-    let run = vxm_lane(w, accum, mask, semiring, u, a, desc, rt)?;
     if let Some(span) = span {
         span.finish_kernel(
-            run.input_nnz,
+            input_nnz,
             w.nvals(),
-            run.accumulator_bytes as usize,
-            &run.selection,
-            run.accumulator_bytes,
+            accumulator_bytes as usize,
+            &selection,
+            accumulator_bytes,
         );
     }
     Ok(())

@@ -33,11 +33,36 @@ pub struct BfsResult {
 ///
 /// # Errors
 ///
-/// Propagates [`GrbError`] from the underlying GraphBLAS calls (only
-/// possible if `src` is out of range).
+/// Propagates [`GrbError`] from the underlying GraphBLAS calls:
+/// [`GrbError::IndexOutOfBounds`] when `src` is out of range, and
+/// [`GrbError::ResourceExhausted`] when a round's `vxm` accumulator does
+/// not fit the `STUDY_MEM_BUDGET` budget ([`ops::mem_budget`]) or an
+/// injected `grb.alloc.accumulator` fault fires.
 pub fn bfs<R: Runtime>(g: &CsrGraph, src: NodeId, rt: R) -> Result<BfsResult, GrbError> {
-    let n = g.num_nodes();
+    bfs_on(&Matrix::from_graph(g, |_| 1), src, rt)
+}
+
+/// Runs [`bfs`] once per source over one adjacency matrix: `A` is built
+/// once, and the transpose that `auto`'s pull rounds build lazily on it
+/// is built at most once too. Query `j` is exactly `bfs(g, sources[j])`
+/// and fails alone; its siblings still run.
+///
+/// # Errors
+///
+/// Each query carries its own error, as [`bfs`] describes: an
+/// out-of-range source, or a `vxm` accumulator over the memory budget or
+/// felled by an injected `grb.alloc.accumulator` fault.
+pub fn bfs_each<R: Runtime>(
+    g: &CsrGraph,
+    sources: &[NodeId],
+    rt: R,
+) -> Vec<Result<BfsResult, GrbError>> {
     let a: Matrix<u32> = Matrix::from_graph(g, |_| 1);
+    sources.iter().map(|&src| bfs_on(&a, src, rt)).collect()
+}
+
+fn bfs_on<R: Runtime>(a: &Matrix<u32>, src: NodeId, rt: R) -> Result<BfsResult, GrbError> {
+    let n = a.nrows();
 
     // dist must be dense: GrB_assign(dist, ..., 0, GrB_ALL, ...).
     let mut dist: Vector<u32> = Vector::new(n);
@@ -64,7 +89,7 @@ pub fn bfs<R: Runtime>(g: &CsrGraph, src: NodeId, rt: R) -> Result<BfsResult, Gr
             Some(&dist),
             LorLand,
             &frontier,
-            &a,
+            a,
             &Descriptor::replace_complement(),
             rt,
         )?;
@@ -127,5 +152,50 @@ mod tests {
         let g = from_edges(2, [(0, 0)]);
         let r = bfs(&g, 0, GaloisRuntime).unwrap();
         assert_eq!(r.level, vec![1, 0]);
+    }
+
+    fn diamond() -> CsrGraph {
+        graph::builder::from_weighted_edges(
+            5,
+            [(0, 1, 1), (0, 2, 4), (1, 2, 1), (2, 3, 1), (1, 3, 9), (3, 4, 2)],
+        )
+    }
+
+    #[test]
+    fn bfs_each_queries_match_serial_runs() {
+        let g = graph::gen::rmat(7, 8, graph::gen::RmatParams::default(), 5);
+        let sources = [0u32, 3, 17, 0];
+        let each = bfs_each(&g, &sources, GaloisRuntime);
+        for (j, &src) in sources.iter().enumerate() {
+            let serial = bfs(&g, src, GaloisRuntime).unwrap();
+            let b = each[j].as_ref().unwrap();
+            assert_eq!(b.level, serial.level, "query {j}");
+            assert_eq!(b.rounds, serial.rounds, "query {j} rounds");
+        }
+    }
+
+    #[test]
+    fn bfs_each_width_one_equals_serial() {
+        let g = diamond();
+        let b = bfs_each(&g, &[0], GaloisRuntime);
+        let s = bfs(&g, 0, GaloisRuntime).unwrap();
+        assert_eq!(b[0].as_ref().unwrap(), &s);
+    }
+
+    #[test]
+    fn bfs_each_of_no_sources_is_empty() {
+        let g = diamond();
+        assert!(bfs_each(&g, &[], GaloisRuntime).is_empty());
+    }
+
+    #[test]
+    fn out_of_range_source_fails_only_its_query() {
+        let g = diamond();
+        let each = bfs_each(&g, &[0, 99, 2], GaloisRuntime);
+        assert!(each[0].is_ok());
+        assert!(each[1].is_err(), "bad source is a query failure");
+        assert!(each[2].is_ok());
+        let serial = bfs(&g, 2, GaloisRuntime).unwrap();
+        assert_eq!(each[2].as_ref().unwrap(), &serial);
     }
 }

@@ -24,12 +24,12 @@
 //! | tc | [`tc::tc_listing`] | triangle listing on a sorted DAG (`tc-gb-ll`) |
 //!
 //! Extensions beyond the paper's evaluation (documented in DESIGN.md §8):
-//! [`bc::betweenness`] (the paper's motivating application) and the
-//! batched multi-source engine [`batch`] (msBFS over a multi-column
-//! frontier). The GraphBLAST direction optimization needs no port of its
-//! own: [`bfs::bfs`]'s `vxm` picks push or pull per round below the API.
+//! [`bc::betweenness`] (the paper's motivating application) and
+//! [`bfs::bfs_each`], which answers a batch of bfs queries as one serial
+//! run per source over one shared adjacency matrix. The GraphBLAST
+//! direction optimization needs no port of its own: [`bfs::bfs`]'s `vxm`
+//! picks push or pull per round below the API.
 
-pub mod batch;
 pub mod bc;
 pub mod bfs;
 pub mod cc;

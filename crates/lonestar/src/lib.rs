@@ -33,12 +33,9 @@
 //! | sssp | [`sssp::sssp`] with tiling off | `ls-notile` |
 //! | tc | [`tc::tc`] | triangle listing on a degree-sorted graph (`ls`) |
 //!
-//! Extensions beyond the paper's evaluation (documented in DESIGN.md §8):
-//! [`bc::betweenness`] (the paper's motivating application) and [`batch`]
-//! (the per-query worklist counterpart of `lagraph::batch`'s msBFS — the
-//! graph API answers a k-source batch as k independent runs).
+//! Extension beyond the paper's evaluation (documented in DESIGN.md §8):
+//! [`bc::betweenness`], the paper's motivating application.
 
-pub mod batch;
 pub mod bc;
 pub mod bfs;
 pub mod cc;

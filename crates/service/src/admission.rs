@@ -5,8 +5,9 @@
 //! pool and the `STUDY_MEM_BUDGET` accumulator pool) with a unit-based
 //! concurrency limit. Requests are classified [`CostClass::Cheap`]
 //! (frontier problems whose working set is a few vertex-length arrays)
-//! or [`CostClass::Expensive`] (tc/ktruss and batched queries, whose
-//! accumulators dominate the budget). Expensive work can never occupy
+//! or [`CostClass::Expensive`] (tc/ktruss, whose accumulators dominate
+//! the budget, and batched queries, which hold their grant for `k`
+//! runs). Expensive work can never occupy
 //! the last capacity unit, so a cheap bfs is always admittable the
 //! moment a slot frees — it cannot head-of-line block behind a ktruss.
 //!
@@ -48,8 +49,8 @@ impl CostClass {
         }
     }
 
-    /// Classifies a batched query (always expensive: `k` simultaneous
-    /// frontiers share one admission grant).
+    /// Classifies a batched query (always expensive: its `k` serial runs
+    /// hold one admission grant for the whole batch).
     pub fn of_batch(_problem: BatchProblem) -> CostClass {
         CostClass::Expensive
     }

@@ -384,7 +384,7 @@ fn width_one_batched_traces_match_serial() {
     let (serial, serial_trace) =
         with_trace(|| lagraph::bfs::bfs(&p.graph, src, GaloisRuntime).unwrap());
     let (batched, batched_trace) =
-        with_trace(|| lagraph::batch::batched_bfs(&p.graph, &[src], GaloisRuntime));
+        with_trace(|| lagraph::bfs::bfs_each(&p.graph, &[src], GaloisRuntime));
     assert_eq!(batched[0].as_ref().unwrap(), &serial, "bfs k=1 output");
     assert_eq!(
         batched_trace.fingerprint(),
@@ -393,52 +393,41 @@ fn width_one_batched_traces_match_serial() {
     );
 }
 
-/// The point of msBFS: at width 8 the levelized sweep advances all live
-/// frontiers through ONE product span per round, so the batch issues
-/// strictly fewer vxm/mxm spans than the eight serial runs it replaces —
-/// while every column stays bit-identical to the serial run from its
-/// source (amortization must never buy speed with accuracy).
+/// A batch builds its adjacency matrix once, so the transpose that
+/// `auto`'s pull rounds build lazily on it is built once per batch, not
+/// once per query: queries that each build `A^T` when run alone build it
+/// once together.
 #[test]
-fn batched_msbfs_amortizes_product_spans_at_width_eight() {
+fn batched_queries_share_one_transpose() {
     use graph_api_study::graph::{Scale, StudyGraph};
-    use graph_api_study::perfmon::trace::{with_trace, OpKind};
+    use graph_api_study::graphblas::workspace::transpose_bytes_built;
     use graph_api_study::study_core::{batch_sources, PreparedGraph};
 
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 64.0));
-    let sources = batch_sources(&p, 8);
-    assert_eq!(sources.len(), 8);
-
-    let mut serial_products = 0u64;
-    let mut serial_results = Vec::new();
-    for &src in &sources {
-        let (r, t) = with_trace(|| lagraph::bfs::bfs(&p.graph, src, GaloisRuntime).unwrap());
-        serial_products += t.summary().product_rounds;
-        serial_results.push(r);
-    }
-
-    let (batched, trace) =
-        with_trace(|| lagraph::batch::batched_bfs(&p.graph, &sources, GaloisRuntime));
-    let batched_products = trace.summary().product_rounds;
-
-    for (j, r) in batched.iter().enumerate() {
-        assert_eq!(
-            r.as_ref().unwrap(),
-            &serial_results[j],
-            "msBFS column {j} must be bit-identical to the serial run"
-        );
-    }
-    assert!(
-        batched_products < serial_products,
-        "msBFS at k=8 must issue fewer product spans than 8 serial runs \
-         (batched {batched_products} vs serial {serial_products})"
-    );
-    // The amortized rounds surface as mxm spans (>=2 live lanes per
-    // round); the tail where one lane is left alive degrades to vxm.
-    assert!(
-        trace.count_ops(OpKind::Mxm) > 0,
-        "k=8 msBFS should aggregate live lanes into mxm spans"
-    );
+    let built = |f: &dyn Fn()| {
+        let before = transpose_bytes_built();
+        f();
+        transpose_bytes_built() - before
+    };
+    let alone: Vec<(u32, u64)> = batch_sources(&p, 8)
+        .into_iter()
+        .map(|src| {
+            let bytes = built(&|| {
+                lagraph::bfs::bfs(&p.graph, src, GaloisRuntime).unwrap();
+            });
+            (src, bytes)
+        })
+        .collect();
+    let pulling: Vec<u32> = alone.iter().filter(|a| a.1 > 0).map(|a| a.0).collect();
+    assert!(pulling.len() >= 2, "too few queries pull to test sharing: {alone:?}");
+    let one = alone.iter().map(|a| a.1).max().unwrap();
+    let batch = built(&|| {
+        for r in lagraph::bfs::bfs_each(&p.graph, &pulling, GaloisRuntime) {
+            r.unwrap();
+        }
+    });
+    assert_eq!(batch, one, "{} pulling queries must build one transpose", pulling.len());
 }
 
 /// Streaming replay: absorbing the identical update stream twice yields

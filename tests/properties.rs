@@ -219,12 +219,11 @@ fn references_match_dense_oracle_on_fixed_shapes() {
     }
 }
 
-/// Tentpole invariant of the batched query engine: for every batch width
-/// k in {1, 4, 17}, on every study-graph shape, column j of msBFS is
-/// **bit-identical** to the serial single-source run from source j —
-/// across every kernel mode and 1/2/8 threads. Each lane executes the
-/// serial kernel path (same call sequence, same kernel selection), so
-/// levels and round counts must match exactly.
+/// Batched bfs queries: for every batch width k in {1, 4, 17}, on every
+/// study-graph shape, query j of `bfs_each` is **bit-identical** to the
+/// serial single-source run from source j — across every kernel mode and
+/// 1/2/8 threads. Sharing one matrix (and its lazily built transpose)
+/// across the queries must not change a query's levels or round count.
 #[test]
 fn batched_columns_are_bit_identical_to_serial() {
     use graph_api_study::galois_rt;
@@ -261,7 +260,7 @@ fn batched_columns_are_bit_identical_to_serial() {
                             "{which:?} k={k} mode={mode:?} threads={threads} column {j}"
                         )
                     };
-                    let bfs = lagraph::batch::batched_bfs(&p.graph, &sources, GaloisRuntime);
+                    let bfs = lagraph::bfs::bfs_each(&p.graph, &sources, GaloisRuntime);
                     for (j, &src) in sources.iter().enumerate() {
                         assert_eq!(
                             bfs[j].as_ref().unwrap(),
