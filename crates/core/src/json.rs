@@ -138,8 +138,8 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 /// The cache hierarchy the perfmon model simulates, as reported in
-/// trace headers: detected from sysfs, or the paper machine's Skylake
-/// constants when detection fails (`source` says which).
+/// trace headers: the paper machine's Skylake constants on every host
+/// (`source` reads `"skylake"`).
 pub(crate) fn cache_geometry_json() -> Json {
     let g = perfmon::cache::geometry();
     let mut o = Json::obj();
@@ -158,9 +158,8 @@ pub(crate) fn cache_geometry_json() -> Json {
 /// order — as the documented dump schema (`graph-api-study/trace/v8`).
 ///
 /// The header carries the schema string, the `cache_geometry` the perfmon
-/// model simulates (the hierarchy the machine reported through sysfs, or
-/// the Skylake fallback) and the ring's `dropped` count; `events` holds
-/// the spans. v8 is v7 without the delta span's `repair_frontier`
+/// model simulates (the paper machine's Skylake hierarchy) and the ring's
+/// `dropped` count; `events` holds the spans. v8 is v7 without the delta span's `repair_frontier`
 /// field.
 pub fn trace_json(trace: &perfmon::trace::Trace) -> Json {
     use perfmon::trace::Event;

@@ -66,17 +66,6 @@ pub fn do_all<F>(range: Range<usize>, f: F)
 where
     F: Fn(usize) + Sync,
 {
-    do_all_chunked(range, DEFAULT_CHUNK, f);
-}
-
-/// [`do_all`] with an explicit chunk size.
-///
-/// Small chunks balance load for irregular work at the cost of more atomic
-/// traffic; large chunks approach static scheduling.
-pub fn do_all_chunked<F>(range: Range<usize>, chunk: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
     let len = range.end.saturating_sub(range.start);
     if len == 0 {
         return;
@@ -85,7 +74,7 @@ where
     // relaxed load.
     let started = trace::enabled().then(Instant::now);
     let nthreads = threads();
-    if nthreads == 1 || len <= chunk {
+    if nthreads == 1 || len <= DEFAULT_CHUNK {
         for i in range {
             f(i);
         }
@@ -94,17 +83,16 @@ where
         }
         return;
     }
-    let chunk = chunk.max(1);
     let base = range.start;
     // Padded: every worker hammers the cursor, so it must not share a
-    // line with the read-only `chunk` / `base` / `len` captures.
+    // line with the read-only `base` / `len` captures.
     let next = CachePadded(AtomicUsize::new(0));
     global_pool().region(nthreads, |_tid| loop {
-        let start = next.fetch_add(chunk, Ordering::Relaxed);
+        let start = next.fetch_add(DEFAULT_CHUNK, Ordering::Relaxed);
         if start >= len {
             break;
         }
-        let end = (start + chunk).min(len);
+        let end = (start + DEFAULT_CHUNK).min(len);
         for i in start..end {
             f(base + i);
         }
@@ -134,7 +122,7 @@ where
     }
     let started = trace::enabled().then(Instant::now);
     let nthreads = threads().min(len);
-    // The same inline rule as `do_all_chunked`: a loop no longer than one
+    // The same inline rule as `do_all`: a loop no longer than one
     // dynamic chunk is not worth a fork-join.
     if nthreads == 1 || len <= DEFAULT_CHUNK {
         for i in range {
@@ -296,6 +284,7 @@ mod tests {
 
     #[test]
     fn do_all_covers_every_index_once() {
+        // 64 chunks of `DEFAULT_CHUNK`: every worker claims several.
         let n = 4096;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         do_all(0..n, |i| {
@@ -336,16 +325,6 @@ mod tests {
     fn do_all_static_with_fewer_items_than_threads() {
         let hits: Vec<AtomicUsize> = (0..3).map(|_| AtomicUsize::new(0)).collect();
         do_all_static(0..3, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn do_all_chunked_tiny_chunk() {
-        let n = 513;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        do_all_chunked(0..n, 1, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));

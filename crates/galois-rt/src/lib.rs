@@ -49,8 +49,8 @@ pub mod reduce;
 pub mod substrate;
 
 pub use bag::InsertBag;
-pub use do_all::{do_all, do_all_chunked, do_all_ranges, do_all_static};
+pub use do_all::{do_all, do_all_ranges, do_all_static};
 pub use for_each::{for_each, Ctx};
 pub use obim::for_each_ordered;
 pub use pool::{current_thread_id, max_threads, set_threads, threads, ThreadPool};
-pub use reduce::{ReduceLogicalOr, ReduceMax, ReduceMin, ReduceSum};
+pub use reduce::{ReduceLogicalOr, ReduceSum};

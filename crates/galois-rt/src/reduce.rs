@@ -67,89 +67,6 @@ impl std::fmt::Debug for ReduceSum {
     }
 }
 
-/// Max reducer over `u64`.
-pub struct ReduceMax {
-    lanes: Vec<Lane>,
-}
-
-impl Default for ReduceMax {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ReduceMax {
-    /// Creates a reducer whose initial maximum is `0`.
-    pub fn new() -> Self {
-        ReduceMax { lanes: lanes() }
-    }
-
-    /// Folds `v` into the calling thread's lane.
-    #[inline]
-    pub fn update(&self, v: u64) {
-        let tid = current_thread_id() % self.lanes.len();
-        self.lanes[tid].0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Returns the maximum over all lanes (0 if never updated).
-    pub fn reduce(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| l.0.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0)
-    }
-}
-
-impl std::fmt::Debug for ReduceMax {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReduceMax").field("value", &self.reduce()).finish()
-    }
-}
-
-/// Min reducer over `u64`.
-pub struct ReduceMin {
-    lanes: Vec<Lane>,
-}
-
-impl Default for ReduceMin {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ReduceMin {
-    /// Creates a reducer whose initial minimum is `u64::MAX`.
-    pub fn new() -> Self {
-        let lanes: Vec<Lane> = (0..max_threads())
-            .map(|_| Lane(AtomicU64::new(u64::MAX)))
-            .collect();
-        ReduceMin { lanes }
-    }
-
-    /// Folds `v` into the calling thread's lane.
-    #[inline]
-    pub fn update(&self, v: u64) {
-        let tid = current_thread_id() % self.lanes.len();
-        self.lanes[tid].0.fetch_min(v, Ordering::Relaxed);
-    }
-
-    /// Returns the minimum over all lanes (`u64::MAX` if never updated).
-    pub fn reduce(&self) -> u64 {
-        self.lanes
-            .iter()
-            .map(|l| l.0.load(Ordering::Relaxed))
-            .min()
-            .unwrap_or(u64::MAX)
-    }
-}
-
-impl std::fmt::Debug for ReduceMin {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReduceMin").field("value", &self.reduce()).finish()
-    }
-}
-
 /// Logical-or reducer (a parallel "did anything change?" flag).
 ///
 /// Round-based algorithms use this to detect convergence without a full
@@ -239,23 +156,6 @@ mod tests {
         assert_eq!(sum.reduce(), (0..10_000u64).sum());
         sum.reset();
         assert_eq!(sum.reduce(), 0);
-    }
-
-    #[test]
-    fn max_and_min_reduce_correctly() {
-        let max = ReduceMax::new();
-        let min = ReduceMin::new();
-        crate::do_all(0..1000, |i| {
-            max.update(i as u64);
-            min.update(i as u64 + 5);
-        });
-        assert_eq!(max.reduce(), 999);
-        assert_eq!(min.reduce(), 5);
-    }
-
-    #[test]
-    fn min_without_updates_is_max_value() {
-        assert_eq!(ReduceMin::new().reduce(), u64::MAX);
     }
 
     #[test]

@@ -4,12 +4,13 @@
 //! one Algorithm 2 of the paper uses, `Replace_Complemented_Desc`, is
 //! [`Descriptor::replace_complement`].
 
-/// SpMV kernel selection for `vxm` / `mxv`.
+/// SpMV kernel selection for `vxm`.
 ///
 /// The default defers to the process-wide policy
 /// ([`crate::ops::kernel_mode`], seeded from `STUDY_KERNEL`) and, under
 /// auto, to the per-call sparsity heuristic; the explicit hints pin a
-/// kernel for one call, overriding both.
+/// kernel for one call, overriding both. `mxv` has one kernel, the row
+/// pull, and reads no hint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelHint {
     /// Defer to the global mode / sparsity heuristic.
@@ -37,7 +38,7 @@ pub struct Descriptor {
     pub mask_structural: bool,
     /// Use `Bᵀ` in place of `B` (`GrB_TRAN` on input 1).
     pub transpose_b: bool,
-    /// SpMV kernel selection for `vxm` / `mxv`.
+    /// SpMV kernel selection for `vxm` (`mxv` ignores it).
     pub kernel: KernelHint,
 }
 
@@ -84,7 +85,7 @@ impl Descriptor {
         self
     }
 
-    /// Pins the SpMV kernel for this call.
+    /// Pins the `vxm` kernel for this call.
     #[must_use]
     pub fn with_kernel(mut self, kernel: KernelHint) -> Self {
         self.kernel = kernel;

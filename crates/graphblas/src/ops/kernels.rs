@@ -1,10 +1,10 @@
-//! Sparsity-adaptive kernel selection for `vxm` / `mxv`.
+//! Sparsity-adaptive kernel selection for `vxm`.
 //!
-//! The paper's SpMV kernels are single-strategy: `vxm` always scatters
-//! push-style into a dense accumulator, `mxv` always pulls row dot
-//! products. Real direction-optimizing systems (GraphBLAST's Beamer-style
-//! bfs, GraphMat's SPA compaction) pick a strategy *per invocation* from
-//! operand sparsity. This module adds that layer:
+//! The paper's `vxm` is single-strategy: it always scatters push-style
+//! into a dense accumulator. Real direction-optimizing systems
+//! (GraphBLAST's Beamer-style bfs, GraphMat's SPA compaction) pick a
+//! strategy *per invocation* from operand sparsity. This module adds that
+//! layer for `vxm`:
 //!
 //! * [`KernelChoice::PushDense`] — the paper-faithful SAXPY scatter into a
 //!   dense [`AtomicAccumulator`] (cost `O(out_dim)` bytes every call);
@@ -16,10 +16,11 @@
 //!   product early once the additive monoid's absorbing element is
 //!   reached (wins when few outputs remain unresolved).
 //!
-//! Both pull products (this module's and `mxv`'s paper pull) fold each
-//! row through [`pull_row`]. An input vector held dense with all `n`
-//! entries present is indexed directly; a dense input with holes reads
-//! its presence flag before every value, a sparse one binary-searches.
+//! `mxv` has one kernel, the paper's row pull, and selects nothing. Both
+//! pull products (this module's and `mxv`'s) fold each row through
+//! [`pull_row`]. An input vector held dense with all `n` entries present
+//! is indexed directly; a dense input with holes reads its presence flag
+//! before every value, a sparse one binary-searches.
 //!
 //! Selection is resolved in precedence order: a per-call
 //! [`Descriptor::kernel`](crate::descriptor::Descriptor) hint, then the
@@ -41,15 +42,15 @@ use galois_rt::substrate::PerThread;
 use perfmon::trace::KernelChoice;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
-/// Process-wide SpMV strategy policy (the `STUDY_KERNEL` axis).
+/// Process-wide `vxm` strategy policy (the `STUDY_KERNEL` axis). `mxv`
+/// pulls under either mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
     /// Pick per invocation from the sparsity heuristic.
     #[default]
     Auto,
-    /// The paper's fixed strategies: `vxm` scatters into the dense
-    /// accumulator, `mxv` pulls row dot products — bit-for-bit the
-    /// pre-selection kernels.
+    /// The paper's fixed strategy: `vxm` scatters into the dense
+    /// accumulator — bit-for-bit the pre-selection kernel.
     Push,
 }
 
@@ -172,19 +173,14 @@ impl Selection {
 }
 
 /// Resolves a descriptor hint or a non-auto mode; `None` means run the
-/// heuristic. `vxm` and `mxv` differ only in what [`KernelMode::Push`]
-/// (the paper's fixed strategy) means.
-fn forced_choice(desc: &Descriptor, is_vxm: bool) -> Option<KernelChoice> {
+/// heuristic. [`KernelMode::Push`] is the paper's fixed dense scatter.
+fn forced_choice(desc: &Descriptor) -> Option<KernelChoice> {
     match desc.kernel {
         KernelHint::PushSparse => Some(KernelChoice::PushSparse),
         KernelHint::PushDense => Some(KernelChoice::PushDense),
         KernelHint::Pull => Some(KernelChoice::Pull),
         KernelHint::Auto => match kernel_mode() {
-            KernelMode::Push => Some(if is_vxm {
-                KernelChoice::PushDense
-            } else {
-                KernelChoice::Pull
-            }),
+            KernelMode::Push => Some(KernelChoice::PushDense),
             KernelMode::Auto => None,
         },
     }
@@ -225,16 +221,12 @@ pub(crate) fn admitted_outputs<M: Scalar>(
 /// * pull: every output is mask-checked (`out_dim`) and each admitted
 ///   output folds an average-degree (`matrix_nnz / out_dim`) dot product.
 ///
-/// Whichever is cheaper wins. `pull_is_baseline` marks the `mxv` case,
-/// whose paper-faithful kernel *is* pull: ties go to pull and pull needs
-/// no byte guard (it cannot materialize more than the op's own
-/// baseline). For `vxm` (baseline: dense push scatter) ties go to push
-/// and pull is only taken when its worst-case emission
-/// (`admitted * pair_bytes`) undercuts the dense accumulator's
-/// `out_dim * val_bytes`. [`KernelChoice::PushSparse`] is likewise only
-/// chosen under its byte bound, so `auto` never materializes more than
-/// the op's fixed paper strategy.
-#[allow(clippy::too_many_arguments)]
+/// The cheaper strictly wins; ties go to the paper's push scatter. Pull
+/// is only taken when its worst-case emission (`admitted * pair_bytes`)
+/// undercuts the dense accumulator's `out_dim * val_bytes`.
+/// [`KernelChoice::PushSparse`] is likewise only chosen under its byte
+/// bound, so `auto` never materializes more than the paper's dense
+/// scatter.
 pub(crate) fn pick_kernel(
     frontier_degree: u64,
     matrix_nnz: u64,
@@ -242,19 +234,13 @@ pub(crate) fn pick_kernel(
     admitted: u64,
     pair_bytes: u64,
     val_bytes: u64,
-    pull_is_baseline: bool,
 ) -> KernelChoice {
     let dense_bytes = out_dim.saturating_mul(val_bytes);
     let avg_degree = matrix_nnz.checked_div(out_dim).unwrap_or(0);
     let pull_cost = out_dim.saturating_add(admitted.saturating_mul(avg_degree));
     let push_cost = frontier_degree.saturating_add(frontier_degree.min(admitted));
-    let pull_wins = if pull_is_baseline {
-        pull_cost <= push_cost
-    } else {
-        pull_cost < push_cost
-    };
-    let pull_fits = pull_is_baseline || admitted.saturating_mul(pair_bytes) < dense_bytes;
-    if pull_wins && pull_fits {
+    let pull_fits = admitted.saturating_mul(pair_bytes) < dense_bytes;
+    if pull_cost < push_cost && pull_fits {
         return KernelChoice::Pull;
     }
     if frontier_degree.saturating_mul(pair_bytes) < dense_bytes {
@@ -265,10 +251,7 @@ pub(crate) fn pick_kernel(
 }
 
 /// Worst-case accumulator bytes `choice` would materialize on these
-/// operands — the quantity [`mem_budget`] is enforced against.
-/// `paper_pull` marks `mxv`, whose pull kernel materializes dense value
-/// and presence buffers over the output dimension rather than emitted
-/// pairs.
+/// `vxm` operands — the quantity [`mem_budget`] is enforced against.
 pub(crate) fn projected_bytes(
     choice: KernelChoice,
     frontier_degree: u64,
@@ -276,18 +259,11 @@ pub(crate) fn projected_bytes(
     admitted: u64,
     pair_bytes: u64,
     val_bytes: u64,
-    paper_pull: bool,
 ) -> u64 {
     match choice {
         KernelChoice::PushDense => out_dim.saturating_mul(val_bytes),
         KernelChoice::PushSparse => frontier_degree.saturating_mul(pair_bytes),
-        KernelChoice::Pull => {
-            if paper_pull {
-                out_dim.saturating_mul(val_bytes.saturating_add(1))
-            } else {
-                admitted.saturating_mul(pair_bytes)
-            }
-        }
+        KernelChoice::Pull => admitted.saturating_mul(pair_bytes),
         KernelChoice::Unspecified => 0,
     }
 }
@@ -307,20 +283,9 @@ fn fit_to_budget(
     admitted: u64,
     pair_bytes: u64,
     val_bytes: u64,
-    paper_pull: bool,
     forced: bool,
 ) -> Result<KernelChoice, GrbError> {
-    let proj = |c| {
-        projected_bytes(
-            c,
-            frontier_degree,
-            out_dim,
-            admitted,
-            pair_bytes,
-            val_bytes,
-            paper_pull,
-        )
-    };
+    let proj = |c| projected_bytes(c, frontier_degree, out_dim, admitted, pair_bytes, val_bytes);
     if proj(preferred) <= limit {
         return Ok(preferred);
     }
@@ -348,13 +313,9 @@ fn fit_to_budget(
     }
 }
 
-/// Selects the kernel for `w<mask> = uᵀA` (`is_vxm`) or `w<mask> = A·u`
-/// and reports the heuristic inputs it used. The two products differ in
-/// the output dimension, in the frontier degree sum — exact row degrees
-/// for `vxm`, estimated as `u.nvals() * avg_degree` for `mxv` (exact
-/// per-column degrees would require the transpose the push kernels are
-/// trying to avoid building) — and in whether pull is the paper's
-/// baseline (`mxv`).
+/// Selects the kernel for `w<mask> = uᵀA` and reports the heuristic
+/// inputs it used: the frontier degree sum (exact row degrees of `u`'s
+/// entries), the matrix nnz and the mask-admitted output count.
 ///
 /// # Errors
 ///
@@ -365,10 +326,9 @@ pub(crate) fn select<T: Scalar, M: Scalar>(
     a: &Matrix<T>,
     mask: Option<&Vector<M>>,
     desc: &Descriptor,
-    is_vxm: bool,
 ) -> Result<Selection, GrbError> {
     let budget = mem_budget();
-    let forced = forced_choice(desc, is_vxm);
+    let forced = forced_choice(desc);
     if budget.is_none() {
         // Zero-overhead path: forced choices skip the operand scans.
         if let Some(choice) = forced {
@@ -376,15 +336,8 @@ pub(crate) fn select<T: Scalar, M: Scalar>(
         }
     }
     let matrix_nnz = a.nvals() as u64;
-    let (out_dim, frontier_degree) = if is_vxm {
-        let degree: u64 = u.iter().map(|(i, _)| a.row_nvals(i) as u64).sum();
-        (a.ncols(), degree)
-    } else if a.ncols() == 0 {
-        (a.nrows(), 0)
-    } else {
-        let degree = (u.nvals() as u64).saturating_mul(matrix_nnz) / a.ncols() as u64;
-        (a.nrows(), degree)
-    };
+    let out_dim = a.ncols();
+    let frontier_degree: u64 = u.iter().map(|(i, _)| a.row_nvals(i) as u64).sum();
     let mask_admitted = admitted_outputs(mask, desc, out_dim);
     let pair_bytes = std::mem::size_of::<(u32, T)>() as u64;
     let val_bytes = std::mem::size_of::<T>() as u64;
@@ -396,7 +349,6 @@ pub(crate) fn select<T: Scalar, M: Scalar>(
             mask_admitted,
             pair_bytes,
             val_bytes,
-            !is_vxm,
         )
     });
     let choice = match budget {
@@ -409,7 +361,6 @@ pub(crate) fn select<T: Scalar, M: Scalar>(
             mask_admitted,
             pair_bytes,
             val_bytes,
-            !is_vxm,
             forced.is_some(),
         )?,
     };
@@ -440,23 +391,7 @@ pub fn vxm_kernel_choice<T: Scalar, M: Scalar>(
     mask: Option<&Vector<M>>,
     desc: &Descriptor,
 ) -> Result<KernelChoice, GrbError> {
-    Ok(select(u, a, mask, desc, true)?.choice)
-}
-
-/// The kernel `mxv` would run for these operands (hint > mode > budget >
-/// heuristic).
-///
-/// # Errors
-///
-/// Returns [`GrbError::ResourceExhausted`] exactly when the
-/// corresponding `mxv` call would.
-pub fn mxv_kernel_choice<T: Scalar, M: Scalar>(
-    u: &Vector<T>,
-    a: &Matrix<T>,
-    mask: Option<&Vector<M>>,
-    desc: &Descriptor,
-) -> Result<KernelChoice, GrbError> {
-    Ok(select(u, a, mask, desc, false)?.choice)
+    Ok(select(u, a, mask, desc)?.choice)
 }
 
 /// SAXPY scatter of `entries` through the rows of `a` into per-thread
@@ -468,17 +403,12 @@ pub fn mxv_kernel_choice<T: Scalar, M: Scalar>(
 /// schedule). The compaction sorts by `(index, bit pattern)` before
 /// folding with ⊕ so the fold order, and hence every float result, is
 /// deterministic across thread counts.
-///
-/// `mul` maps `(frontier value, matrix value)` to a contribution, letting
-/// `mxv` flip the semiring's ⊗ argument order.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn scatter_sparse<T, M, S, R>(
     entries: &[(u32, T)],
     a: &Matrix<T>,
     mask: Option<&Vector<M>>,
     desc: &Descriptor,
     semiring: S,
-    mul: impl Fn(T, T) -> T + Sync,
     rt: R,
     pm: perfmon::Probe,
 ) -> (Vec<(u32, T)>, u64)
@@ -503,7 +433,7 @@ where
                     continue;
                 }
             }
-            lanes.with(|lane| lane.push((j, mul(x, av))));
+            lanes.with(|lane| lane.push((j, semiring.mul(x, av))));
         }
     });
     let mut pairs: Vec<(u32, T)> = lanes.into_inner().into_iter().flatten().collect();
@@ -521,29 +451,27 @@ where
 }
 
 /// SAXPY scatter of `entries` through the rows of `a` into a fresh dense
-/// atomic accumulator — the paper's fixed push kernel, parameterized
-/// over ⊗ argument order so `vxm` runs it on `a` and `mxv` on the cached
-/// transpose.
+/// atomic accumulator over `a`'s columns — the paper's fixed push kernel.
 ///
 /// Returns the accumulator (the caller commits it) and its footprint,
-/// always `out_dim * size_of::<T>()` bytes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scatter_dense<T, M, R>(
+/// always `a.ncols() * size_of::<T>()` bytes.
+pub(crate) fn scatter_dense<T, M, S, R>(
     entries: &[(u32, T)],
     a: &Matrix<T>,
-    out_dim: usize,
     mask: Option<&Vector<M>>,
     desc: &Descriptor,
-    add: impl Fn(T, T) -> T + Sync,
-    mul: impl Fn(T, T) -> T + Sync,
+    semiring: S,
     rt: R,
     pm: perfmon::Probe,
 ) -> (AtomicAccumulator<T>, u64)
 where
     T: Scalar,
     M: Scalar,
+    S: SemiringOps<T>,
     R: Runtime,
 {
+    let out_dim = a.ncols();
+    let add = |x, y| semiring.add(x, y);
     let acc: AtomicAccumulator<T> = AtomicAccumulator::new(out_dim);
     let bytes = (out_dim * std::mem::size_of::<T>()) as u64;
     rt.parallel_for(entries.len(), |p| {
@@ -560,7 +488,7 @@ where
                     continue;
                 }
             }
-            acc.accumulate(j as usize, mul(x, av), &add, pm);
+            acc.accumulate(j as usize, semiring.mul(x, av), add, pm);
         }
     });
     (acc, bytes)
@@ -589,8 +517,7 @@ impl<'a, T: Scalar> PullInput<'a, T> {
     }
 }
 
-/// One pull row dot product, the fold of `mxv`'s paper pull and of
-/// [`pull_gather`]: output `j` is `⊕_k mul(u(k), at(j,k))` over row `j`
+/// One pull row dot product, the fold of `mxv` and of [`pull_gather`]: output `j` is `⊕_k mul(u(k), at(j,k))` over row `j`
 /// of `at` in storage order. `None` when the mask rejects `j` or no
 /// entry of `u` meets the row. The fold ends early once the accumulator
 /// equals `exit` (the monoid's absorbing element; `None` never exits).
@@ -694,14 +621,12 @@ fn fold_row<T: Scalar, S: SemiringOps<T>>(
 ///
 /// Returns entries in ascending index order plus the emission footprint
 /// in bytes. One task owns each output, so both are deterministic.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn pull_gather<T, M, S, R>(
     u: &Vector<T>,
     at: &Matrix<T>,
     mask: Option<&Vector<M>>,
     desc: &Descriptor,
     semiring: S,
-    mul: impl Fn(T, T) -> T + Sync,
     rt: R,
     pm: perfmon::Probe,
 ) -> (Vec<(u32, T)>, u64)
@@ -714,10 +639,11 @@ where
     let n = at.nrows();
     let input = PullInput::of(u);
     let absorbing = semiring.add_absorbing();
+    let mul = |x, av| semiring.mul(x, av);
     let lanes: PerThread<Vec<(u32, T)>> = PerThread::new(Vec::new);
     rt.parallel_for_balanced(n, |j| at.row_nvals(j as u32) as u64 + 1, |j| {
         let j = j as u32;
-        if let Some(acc) = pull_row(at, j, mask, desc, input, semiring, &mul, absorbing, pm) {
+        if let Some(acc) = pull_row(at, j, mask, desc, input, semiring, mul, absorbing, pm) {
             lanes.with(|lane| lane.push((j, acc)));
         }
     });
@@ -760,15 +686,14 @@ mod tests {
     #[test]
     fn descriptor_hint_beats_mode() {
         let desc = Descriptor::new().with_kernel(KernelHint::PushSparse);
-        assert_eq!(forced_choice(&desc, true), Some(KernelChoice::PushSparse));
-        assert_eq!(forced_choice(&desc, false), Some(KernelChoice::PushSparse));
+        assert_eq!(forced_choice(&desc), Some(KernelChoice::PushSparse));
     }
 
     #[test]
     fn tiny_frontier_scatters_sparse() {
         // 1-entry frontier of degree 8 against a 10_000-wide output:
         // sparse pairs beat a 10_000-slot dense accumulator.
-        let c = pick_kernel(8, 50_000, 10_000, 10_000, 16, 8, false);
+        let c = pick_kernel(8, 50_000, 10_000, 10_000, 16, 8);
         assert_eq!(c, KernelChoice::PushSparse);
     }
 
@@ -778,13 +703,13 @@ mod tests {
         // pair lanes would outweigh the dense accumulator and pull's
         // full-matrix fold is no cheaper, so the paper's dense scatter
         // runs.
-        let c = pick_kernel(40_000, 50_000, 10_000, 10_000, 16, 8, false);
+        let c = pick_kernel(40_000, 50_000, 10_000, 10_000, 16, 8);
         assert_eq!(c, KernelChoice::PushDense);
     }
 
     #[test]
     fn tiny_output_keeps_the_paper_dense_scatter() {
-        let c = pick_kernel(400, 500, 63, 63, 16, 8, false);
+        let c = pick_kernel(400, 500, 63, 63, 16, 8);
         assert_eq!(c, KernelChoice::PushDense);
     }
 
@@ -793,7 +718,7 @@ mod tests {
         // Late-bfs shape: a heavy frontier but only 100 unvisited
         // vertices admitted by the complemented mask — pull reads 100
         // short rows instead of scattering 40_000 edges.
-        let c = pick_kernel(40_000, 50_000, 10_000, 100, 16, 8, false);
+        let c = pick_kernel(40_000, 50_000, 10_000, 100, 16, 8);
         assert_eq!(c, KernelChoice::Pull);
     }
 
@@ -801,33 +726,15 @@ mod tests {
     fn pull_needs_the_byte_guard() {
         // Pull wins on work but its emission bound (admitted * pair
         // bytes) would exceed the dense accumulator: fall back.
-        let c = pick_kernel(40_000, 50_000, 10_000, 9_000, 16, 8, false);
+        let c = pick_kernel(40_000, 50_000, 10_000, 9_000, 16, 8);
         assert_ne!(c, KernelChoice::Pull);
     }
 
     #[test]
-    fn dense_operand_tie_prefers_pull_for_mxv() {
-        // Dense u, no mask: push_cost == pull_cost == nnz + n. mxv's
-        // tie bias keeps the paper-faithful pull; vxm's keeps the dense
-        // push scatter.
-        let n = 1_000u64;
-        let nnz = 8_000u64;
-        assert_eq!(
-            pick_kernel(nnz, nnz, n, n, 16, 8, true),
-            KernelChoice::Pull
-        );
-        assert_eq!(
-            pick_kernel(nnz, nnz, n, n, 16, 8, false),
-            KernelChoice::PushDense
-        );
-    }
-
-    #[test]
     fn zero_dimensions_do_not_divide() {
-        // Empty operands must not divide by zero; each op degrades to
-        // its own paper baseline.
-        assert_eq!(pick_kernel(0, 0, 0, 0, 16, 8, false), KernelChoice::PushDense);
-        assert_eq!(pick_kernel(0, 0, 0, 0, 16, 8, true), KernelChoice::Pull);
+        // Empty operands must not divide by zero; selection degrades to
+        // the paper's dense scatter.
+        assert_eq!(pick_kernel(0, 0, 0, 0, 16, 8), KernelChoice::PushDense);
     }
 
     #[test]
@@ -846,13 +753,11 @@ mod tests {
     #[test]
     fn projections_match_the_kernel_footprints() {
         use KernelChoice::*;
-        // vxm: dense = out_dim * val, sparse = degree * pair,
+        // dense = out_dim * val, sparse = degree * pair,
         // pull = admitted * pair.
-        assert_eq!(projected_bytes(PushDense, 8, 100, 50, 16, 8, false), 800);
-        assert_eq!(projected_bytes(PushSparse, 8, 100, 50, 16, 8, false), 128);
-        assert_eq!(projected_bytes(Pull, 8, 100, 50, 16, 8, false), 800);
-        // mxv paper pull: dense vals + presence over out_dim.
-        assert_eq!(projected_bytes(Pull, 8, 100, 50, 16, 8, true), 900);
+        assert_eq!(projected_bytes(PushDense, 8, 100, 50, 16, 8), 800);
+        assert_eq!(projected_bytes(PushSparse, 8, 100, 50, 16, 8), 128);
+        assert_eq!(projected_bytes(Pull, 8, 100, 50, 16, 8), 800);
     }
 
     #[test]
@@ -869,7 +774,6 @@ mod tests {
             16,
             8,
             false,
-            false,
         )
         .unwrap();
         assert_eq!(c, KernelChoice::PushSparse);
@@ -885,7 +789,6 @@ mod tests {
             100,
             16,
             8,
-            false,
             false,
         )
         .unwrap_err();
@@ -910,7 +813,6 @@ mod tests {
             100,
             16,
             8,
-            false,
             true,
         )
         .unwrap_err();
@@ -933,7 +835,6 @@ mod tests {
             100,
             16,
             8,
-            false,
             false,
         )
         .unwrap();

@@ -84,7 +84,8 @@ impl OpTrace {
     }
 
     /// Closes the span for a `vxm`/`mxv` call, recording which kernel ran,
-    /// its accumulator footprint, and the selection heuristic's inputs.
+    /// its accumulator footprint, and the selection heuristic's inputs
+    /// (zero for `mxv`, which selects nothing).
     pub(crate) fn finish_kernel(
         self,
         input_nnz: usize,
@@ -138,8 +139,7 @@ pub use assign::{apply, apply_inplace, assign_scalar};
 pub use ewise::{ewise_add, ewise_mult};
 pub use extract::extract;
 pub use kernels::{
-    kernel_mode, mem_budget, mxv_kernel_choice, set_kernel_mode, set_mem_budget,
-    vxm_kernel_choice, KernelMode,
+    kernel_mode, mem_budget, set_kernel_mode, set_mem_budget, vxm_kernel_choice, KernelMode,
 };
 pub use mxm::mxm;
 pub use reduce::{reduce_matrix, reduce_vector};

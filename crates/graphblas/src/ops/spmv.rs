@@ -6,15 +6,16 @@
 //! form. The push kernel materializes a dense accumulator per call — the
 //! *materialization* cost the paper measures.
 //!
-//! Both entry points now route through [`super::kernels`]: under
-//! [`super::kernels::KernelMode::Push`] (or a forced descriptor hint)
-//! they run the paper's single-strategy kernels above, while `auto` may
-//! substitute a sparse-accumulator scatter or a masked pull over the
-//! cached transpose when operand sparsity favors it. The push-dense
-//! accumulator is allocated per call, as the paper's is; entry lists
-//! come from the workspace pool ([`crate::workspace`]). Both pulls fold
-//! a row with [`super::kernels::pull_row`], which skips the input's
-//! presence flags when the input holds every entry.
+//! `vxm` routes through [`super::kernels`]: under
+//! [`super::kernels::KernelMode::Push`] (or a forced descriptor hint) it
+//! runs the paper's dense scatter, while `auto` may substitute a
+//! sparse-accumulator scatter or a masked pull over the cached transpose
+//! when operand sparsity favors it. The push-dense accumulator is
+//! allocated per call, as the paper's is; entry lists come from the
+//! workspace pool ([`crate::workspace`]). `mxv` has one kernel, the
+//! paper's row pull, in every mode. Both pulls fold a row with
+//! [`super::kernels::pull_row`], which skips the input's presence flags
+//! when the input holds every entry.
 
 use super::kernels;
 use super::write::{Output, WriteBack};
@@ -86,7 +87,7 @@ where
     // parallel loop can index them.
     let entries: Vec<(u32, T)> = kernels::take_entries(u, rt);
     let input_nnz = entries.len();
-    let selection = kernels::select(u, a, mask, desc, true)?;
+    let selection = kernels::select(u, a, mask, desc)?;
     if substrate::fault::point("grb.alloc.accumulator") {
         return Err(GrbError::ResourceExhausted {
             required: kernels::projected_bytes(
@@ -96,33 +97,28 @@ where
                 selection.mask_admitted,
                 std::mem::size_of::<(u32, T)>() as u64,
                 std::mem::size_of::<T>() as u64,
-                false,
             ),
             budget: 0,
         });
     }
     let pm = perfmon::probe();
     let wb = WriteBack::masked(desc.replace, accum, mask, desc, pm);
-    let mul = |x, av| semiring.mul(x, av);
     let accumulator_bytes = match selection.choice {
         KernelChoice::PushSparse => {
-            let (out, bytes) =
-                kernels::scatter_sparse(&entries, a, mask, desc, semiring, mul, rt, pm);
+            let (out, bytes) = kernels::scatter_sparse(&entries, a, mask, desc, semiring, rt, pm);
             wb.entries(w, &out);
             bytes
         }
         KernelChoice::Pull => {
             let (out, bytes) =
-                kernels::pull_gather(u, a.transpose(), mask, desc, semiring, mul, rt, pm);
+                kernels::pull_gather(u, a.transpose(), mask, desc, semiring, rt, pm);
             wb.entries(w, &out);
             bytes
         }
         _ => {
             // Dense accumulator over the output dimension: the
             // intermediate the paper's fixed push strategy cannot avoid.
-            let add = |x, y| semiring.add(x, y);
-            let (acc, bytes) =
-                kernels::scatter_dense(&entries, a, a.ncols(), mask, desc, add, mul, rt, pm);
+            let (acc, bytes) = kernels::scatter_dense(&entries, a, mask, desc, semiring, rt, pm);
             wb.entries(w, &acc.into_entries(pm));
             bytes
         }
@@ -142,20 +138,24 @@ where
 
 /// `w<mask> = A ⊗.⊕ u` (pull-style dot products per row, `GrB_mxv`).
 ///
-/// Parallel over the rows of `A`; row `i` folds `⊕_k A(i,k) ⊗ u(k)`.
-/// Efficient when `u` is dense (the FastSV and pagerank usage); with a
-/// sparse `u` each matrix entry costs a binary search, faithfully
-/// reproducing why pull kernels want dense operands. A dense `u` with
-/// every entry present (`nvals == size`) is read without its per-entry
-/// presence flags; one with holes reads a flag before each value.
-/// Without a mask the product replaces `w`; `Accum(&mut w, ⊙)` folds it
-/// in instead.
+/// Parallel over the rows of `A`; row `i` folds `⊕_k A(i,k) ⊗ u(k)` in
+/// the row's storage order, so the result does not depend on the runtime
+/// or the thread count. This is the only kernel: `mxv` reads neither the
+/// descriptor's kernel hint nor [`super::kernel_mode`]. Efficient when
+/// `u` is dense (the FastSV and pagerank usage); with a sparse `u` each
+/// matrix entry costs a binary search, faithfully reproducing why pull
+/// kernels want dense operands. A dense `u` with every entry present
+/// (`nvals == size`) is read without its per-entry presence flags; one
+/// with holes reads a flag before each value. Without a mask the product
+/// replaces `w`; `Accum(&mut w, ⊙)` folds it in instead.
 ///
 /// # Errors
 ///
 /// Returns [`GrbError::DimensionMismatch`] on non-conforming sizes;
-/// [`GrbError::ResourceExhausted`] under an exceeded [`super::mem_budget`]
-/// or an injected `grb.alloc.accumulator` fault.
+/// [`GrbError::ResourceExhausted`] when the pull's dense value and
+/// presence buffers, `a.nrows() * (size_of::<T>() + 1)` bytes, exceed an
+/// active [`super::mem_budget`] (there is no smaller kernel to fall back
+/// to), or on an injected `grb.alloc.accumulator` fault.
 pub fn mxv<T, M, S, R>(
     mut w: impl Output<Elem = T>,
     mask: Option<&Vector<M>>,
@@ -201,81 +201,52 @@ where
     );
     let input_nnz = u.nvals();
 
+    // Dense value + presence buffers over the output dimension are the
+    // pull's materialization.
     let n = a.nrows();
-    let selection = kernels::select(u, a, mask, desc, false)?;
+    let accumulator_bytes = (n * (std::mem::size_of::<T>() + std::mem::size_of::<bool>())) as u64;
+    if let Some(limit) = super::mem_budget() {
+        if accumulator_bytes > limit {
+            return Err(GrbError::ResourceExhausted {
+                required: accumulator_bytes,
+                budget: limit,
+            });
+        }
+    }
     if substrate::fault::point("grb.alloc.accumulator") {
         return Err(GrbError::ResourceExhausted {
-            required: kernels::projected_bytes(
-                selection.choice,
-                selection.frontier_degree,
-                n as u64,
-                selection.mask_admitted,
-                std::mem::size_of::<(u32, T)>() as u64,
-                std::mem::size_of::<T>() as u64,
-                true,
-            ),
+            required: accumulator_bytes,
             budget: 0,
         });
     }
     let pm = perfmon::probe();
     let wb = WriteBack::masked(desc.replace || mask.is_none(), accum, mask, desc, pm);
-    let accumulator_bytes = match selection.choice {
-        KernelChoice::PushSparse => {
-            // Scatter the entries of `u` through the columns of `A`
-            // (rows of the cached transpose) into sparse lanes.
-            let entries = kernels::take_entries(u, rt);
-            let mul = |x, av| semiring.mul(av, x);
-            let (out, bytes) =
-                kernels::scatter_sparse(&entries, a.transpose(), mask, desc, semiring, mul, rt, pm);
-            kernels::give_entries(entries, rt);
-            wb.entries(w, &out);
-            bytes
-        }
-        KernelChoice::PushDense => {
-            let entries = kernels::take_entries(u, rt);
-            let mul = |x, av| semiring.mul(av, x);
-            let add = |x, y| semiring.add(x, y);
-            let (acc, bytes) =
-                kernels::scatter_dense(&entries, a.transpose(), n, mask, desc, add, mul, rt, pm);
-            kernels::give_entries(entries, rt);
-            wb.entries(w, &acc.into_entries(pm));
-            bytes
-        }
-        _ => {
-            // Paper-faithful pull: dense value + presence buffers over
-            // the output dimension are the kernel's materialization. The
-            // fold never exits early.
-            let input = kernels::PullInput::of(u);
-            let mul = |x, av| semiring.mul(av, x);
-            let bytes =
-                (n * (std::mem::size_of::<T>() + std::mem::size_of::<bool>())) as u64;
-            let (mut vals, mut present) = wb.dense_scratch(w, n);
-            {
-                let pv = ParSlice::new(&mut vals);
-                let pp = ParSlice::new(&mut present);
-                rt.parallel_for_balanced(n, |i| a.row_nvals(i as u32) as u64 + 1, |i| {
-                    let row =
-                        kernels::pull_row(a, i as u32, mask, desc, input, semiring, mul, None, pm);
-                    if let Some(acc) = row {
-                        // SAFETY: one writer per row.
-                        unsafe {
-                            pm.touch(pv.addr_of(i));
-                            pv.write(i, acc);
-                            pp.write(i, true);
-                        }
-                    }
-                });
+    // The fold never exits early.
+    let input = kernels::PullInput::of(u);
+    let mul = |x, av| semiring.mul(av, x);
+    let (mut vals, mut present) = wb.dense_scratch(w, n);
+    {
+        let pv = ParSlice::new(&mut vals);
+        let pp = ParSlice::new(&mut present);
+        rt.parallel_for_balanced(n, |i| a.row_nvals(i as u32) as u64 + 1, |i| {
+            let row = kernels::pull_row(a, i as u32, mask, desc, input, semiring, mul, None, pm);
+            if let Some(acc) = row {
+                // SAFETY: one writer per row.
+                unsafe {
+                    pm.touch(pv.addr_of(i));
+                    pv.write(i, acc);
+                    pp.write(i, true);
+                }
             }
-            wb.dense(w, vals, present, rt);
-            bytes
-        }
-    };
+        });
+    }
+    wb.dense(w, vals, present, rt);
     if let Some(span) = span {
         span.finish_kernel(
             input_nnz,
             w.nvals(),
             accumulator_bytes as usize,
-            &selection,
+            &kernels::Selection::forced(KernelChoice::Pull),
             accumulator_bytes,
         );
     }
@@ -417,19 +388,18 @@ mod tests {
         Matrix::from_graph(&g, f64::from)
     }
 
-    /// `(mxv, vxm)` of `u` with both products forced onto the pull kernel.
+    /// `(mxv, vxm)` of `u`, with `vxm` forced onto the pull kernel.
     fn pull_products<S: SemiringOps<T>, T: Scalar>(
         semiring: S,
         a: &Matrix<T>,
         u: &Vector<T>,
     ) -> (Vector<T>, Vector<T>) {
-        let desc = Descriptor::new()
-            .with_replace(true)
-            .with_kernel(crate::descriptor::KernelHint::Pull);
+        let desc = Descriptor::new().with_replace(true);
         let mut pulled = Vector::new(a.nrows());
         mxv(&mut pulled, None::<&Vector<bool>>, semiring, a, u, &desc, GaloisRuntime).unwrap();
+        let pull = desc.with_kernel(crate::descriptor::KernelHint::Pull);
         let mut pushed = Vector::new(a.ncols());
-        vxm(&mut pushed, None::<&Vector<bool>>, semiring, u, a, &desc, GaloisRuntime).unwrap();
+        vxm(&mut pushed, None::<&Vector<bool>>, semiring, u, a, &pull, GaloisRuntime).unwrap();
         (pulled, pushed)
     }
 
@@ -504,12 +474,11 @@ mod tests {
         use std::sync::atomic::Ordering;
         let a = multigraph_matrix();
         let ones = Vector::new_dense(5, 1.0);
-        let desc = Descriptor::new()
-            .with_replace(true)
-            .with_kernel(crate::descriptor::KernelHint::Pull);
+        let desc = Descriptor::new().with_replace(true);
+        let pull = desc.with_kernel(crate::descriptor::KernelHint::Pull);
         LOR_MULS.store(0, Ordering::Relaxed);
         let mut reached = Vector::new(5);
-        vxm(&mut reached, None::<&Vector<bool>>, CountingLor, &ones, &a, &desc, GaloisRuntime)
+        vxm(&mut reached, None::<&Vector<bool>>, CountingLor, &ones, &a, &pull, GaloisRuntime)
             .unwrap();
         assert_eq!(reached.entries(), (0..5).map(|j| (j, 1.0)).collect::<Vec<_>>());
         assert_eq!(LOR_MULS.load(Ordering::Relaxed), 5, "one ⊗ per column, then exit");

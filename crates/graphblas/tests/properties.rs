@@ -214,9 +214,45 @@ fn hint_of(choice: KernelChoice) -> KernelHint {
     }
 }
 
-/// All three forced kernels, `auto`, and the kernel the cost model says
-/// `auto` delegates to must produce identical entries for one
-/// (semiring, mask, descriptor) combination — on both `vxm` and `mxv`.
+/// `mxv`'s reference: row `i` folds `⊕_k A(i,k) ⊗ u(k)` over every
+/// column, kept when the mask admits `i` and some `k` meets the row.
+/// Every study semiring's ⊕ on `u64` is associative and commutative, so
+/// the column order of the fold does not matter.
+fn dense_mxv<S: SemiringOps<u64>>(
+    semiring: S,
+    a: &Matrix<u64>,
+    u: &Vector<u64>,
+    m: Option<&Vector<u64>>,
+    desc: Descriptor,
+) -> Vec<(u32, u64)> {
+    let admits = |i: u32| match m {
+        None => true,
+        Some(m) => {
+            let hit = m.get(i).is_some_and(|x| desc.mask_structural || x != 0);
+            hit != desc.mask_complement
+        }
+    };
+    let mut out = Vec::new();
+    for i in (0..N as u32).filter(|&i| admits(i)) {
+        let mut acc = semiring.add_identity();
+        let mut any = false;
+        for k in 0..N as u32 {
+            if let (Some(av), Some(x)) = (a.get(i, k), u.get(k)) {
+                acc = semiring.add(acc, semiring.mul(av, x));
+                any = true;
+            }
+        }
+        if any {
+            out.push((i, acc));
+        }
+    }
+    out
+}
+
+/// All three forced `vxm` kernels, `auto`, and the kernel the cost model
+/// says `auto` delegates to must produce identical entries for one
+/// (semiring, mask, descriptor) combination; `mxv`, which has one
+/// kernel, must match [`dense_mxv`].
 fn assert_spmv_kernels_agree<S: SemiringOps<u64>>(
     name: &str,
     semiring: S,
@@ -244,35 +280,20 @@ fn assert_spmv_kernels_agree<S: SemiringOps<u64>>(
         delegate
     );
 
-    let run_mxv = |hint| {
-        let mut w: Vector<u64> = Vector::new(N);
-        ops::mxv(&mut w, m, semiring, a, u, &desc.with_kernel(hint), StaticRuntime).unwrap();
-        w.entries()
-    };
-    let base = run_mxv(KernelHint::Pull);
-    for hint in [KernelHint::PushSparse, KernelHint::PushDense] {
-        prop_assert_eq!(run_mxv(hint), base.clone(), "{} mxv {:?}", name, hint);
-    }
-    prop_assert_eq!(run_mxv(KernelHint::Auto), base.clone(), "{} mxv auto", name);
-    let delegate = hint_of(ops::mxv_kernel_choice(u, a, m, &desc).unwrap());
-    prop_assert_eq!(
-        run_mxv(delegate),
-        base.clone(),
-        "{} mxv delegate {:?}",
-        name,
-        delegate
-    );
+    let mut w: Vector<u64> = Vector::new(N);
+    ops::mxv(&mut w, m, semiring, a, u, &desc, StaticRuntime).unwrap();
+    prop_assert_eq!(w.entries(), dense_mxv(semiring, a, u, m, desc), "{} mxv", name);
     Ok(())
 }
 
 #[test]
 fn kernels_agree_under_every_semiring_and_descriptor() {
-    // The tentpole invariant of the kernel-selection layer: push-sparse,
-    // push-dense and pull are three implementations of the same
-    // operation, so on every semiring the study uses x mask presence x
-    // complement x replace x structural combination they must be
+    // The tentpole invariant of the kernel-selection layer: `vxm`'s
+    // push-sparse, push-dense and pull are three implementations of the
+    // same operation, so on every semiring the study uses x mask presence
+    // x complement x replace x structural combination they must be
     // indistinguishable — and `auto` must match whichever kernel the
-    // cost model delegates to.
+    // cost model delegates to. `mxv` must match a dense fold.
     prop::check(
         "kernels_agree_under_every_semiring_and_descriptor",
         prop::cases(CASES),
@@ -307,11 +328,11 @@ fn kernels_agree_under_every_semiring_and_descriptor() {
 /// kernel hints.
 type OpExpectations = (Vec<(u32, u64)>, Vec<(u32, u64)>);
 
-/// Runs one (semiring, mask, descriptor) combination under every forced
-/// kernel hint plus `auto`, on both ops, and asserts the entries are
-/// bit-identical to `expect` — one expectation per op, since `vxm` and
-/// `mxv` are different products under a non-commutative ⊗ — building
-/// the expectations on the first call.
+/// Runs one (semiring, mask, descriptor) combination through `vxm` under
+/// every forced kernel hint plus `auto`, and through `mxv` once, and
+/// asserts the entries are bit-identical to `expect` — one expectation
+/// per op, since `vxm` and `mxv` are different products under a
+/// non-commutative ⊗ — building the expectations on the first call.
 #[allow(clippy::too_many_arguments)]
 fn assert_spmv_kernels_agree_with<S: SemiringOps<u64>>(
     name: &str,
@@ -329,38 +350,25 @@ fn assert_spmv_kernels_agree_with<S: SemiringOps<u64>>(
         KernelHint::Pull,
         KernelHint::Auto,
     ];
-    let mut seed: Option<OpExpectations> = None;
-    for hint in HINTS {
+    let run_vxm = |hint| {
         let mut w: Vector<u64> = Vector::new(N);
         ops::vxm(&mut w, m, semiring, u, a, &desc.with_kernel(hint), GaloisRuntime).unwrap();
-        let vxm_got = w.entries();
-        let mut w: Vector<u64> = Vector::new(N);
-        ops::mxv(&mut w, m, semiring, a, u, &desc.with_kernel(hint), StaticRuntime).unwrap();
-        let mxv_got = w.entries();
-        match expect.as_ref().or(seed.as_ref()) {
-            None => seed = Some((vxm_got, mxv_got)),
-            Some((ev, em)) => {
-                prop_assert_eq!(
-                    vxm_got,
-                    ev.clone(),
-                    "{} vxm {:?} at {} threads",
-                    name,
-                    hint,
-                    threads
-                );
-                prop_assert_eq!(
-                    mxv_got,
-                    em.clone(),
-                    "{} mxv {:?} at {} threads",
-                    name,
-                    hint,
-                    threads
-                );
-            }
-        }
-    }
-    if expect.is_none() {
-        *expect = seed;
+        w.entries()
+    };
+    let mut w: Vector<u64> = Vector::new(N);
+    ops::mxv(&mut w, m, semiring, a, u, &desc, StaticRuntime).unwrap();
+    let mxv_got = w.entries();
+    let (ev, em) = expect.get_or_insert_with(|| (run_vxm(HINTS[0]), mxv_got.clone()));
+    prop_assert_eq!(mxv_got, *em, "{} mxv at {} threads", name, threads);
+    for hint in HINTS {
+        prop_assert_eq!(
+            run_vxm(hint),
+            *ev,
+            "{} vxm {:?} at {} threads",
+            name,
+            hint,
+            threads
+        );
     }
     Ok(())
 }
@@ -368,8 +376,8 @@ fn assert_spmv_kernels_agree_with<S: SemiringOps<u64>>(
 #[test]
 fn kernels_agree_across_thread_counts() {
     // The kernel-equivalence invariant must also be insensitive to the
-    // worker count: push-forced, pull-forced and auto
-    // runs produce bit-identical entries at 1, 2 and 8 threads, on every
+    // worker count: every forced `vxm` kernel, `auto`, and `mxv`'s one
+    // kernel produce bit-identical entries at 1, 2 and 8 threads, on every
     // study semiring x descriptor combination — compared against one
     // expectation shared across the whole sweep, so the check is
     // cross-thread, not merely intra-thread.

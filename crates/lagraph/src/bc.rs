@@ -158,4 +158,16 @@ mod tests {
         let gb = betweenness(&g, &sources, GaloisRuntime).unwrap();
         assert!(close(&ss.centrality, &gb.centrality));
     }
+
+    #[test]
+    fn backends_are_bit_identical() {
+        // The backward `c = A·w` folds each row in storage order on every
+        // runtime, so the fractional dependencies add up the same way.
+        let g = graph::gen::rmat(8, 8, graph::gen::RmatParams::default(), 6);
+        let sources = [0, 3, 5];
+        let bits = |r: BcResult| r.centrality.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let ss = betweenness(&g, &sources, StaticRuntime).unwrap();
+        let gb = betweenness(&g, &sources, GaloisRuntime).unwrap();
+        assert_eq!(bits(ss), bits(gb));
+    }
 }

@@ -23,7 +23,7 @@
 
 use graph::CsrGraph;
 use graphblas::binops::{Plus, PlusTimes, Times};
-use graphblas::{ops, Descriptor, GrbError, KernelHint, Matrix, Runtime, Vector};
+use graphblas::{ops, Descriptor, GrbError, Matrix, Runtime, Vector};
 
 /// Damping factor used throughout the study.
 pub const DAMPING: f64 = 0.85;
@@ -55,14 +55,6 @@ fn pull_operands(
 }
 
 /// The round's product, `incoming = AT · x`, as one `GrB_mxv`.
-///
-/// The descriptor names the pull kernel instead of leaving it to `auto`:
-/// the topology iterate is fully dense and `auto` resolves it to pull
-/// anyway, but the residual loses its entry on every row without
-/// in-edges after round 1, which tips `auto`'s work estimate to a scatter
-/// through `AT`'s own (lazily built) transpose — an atomic f64 fold whose
-/// order follows the schedule. Naming the kernel keeps both formulations
-/// on the same product and makes their bit-identity structural.
 fn pull_product<R: Runtime>(
     incoming: &mut Vector<f64>,
     at: &Matrix<f64>,
@@ -75,9 +67,7 @@ fn pull_product<R: Runtime>(
         PlusTimes,
         at,
         x,
-        &Descriptor::new()
-            .with_replace(true)
-            .with_kernel(KernelHint::Pull),
+        &Descriptor::new().with_replace(true),
         rt,
     )
 }

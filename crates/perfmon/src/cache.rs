@@ -1,16 +1,13 @@
 //! Three-level set-associative LRU cache model.
 //!
-//! The default geometry mirrors the paper's Intel Xeon Gold 5120
-//! (Skylake-SP): 32 KiB / 8-way L1D, 1 MiB / 16-way L2, and a 1.375 MiB /
-//! 11-way L3 slice per core, all with 64-byte lines. [`geometry`]
-//! additionally probes the real machine through
-//! `/sys/devices/system/cpu/cpu0/cache/` and, when every level parses and
-//! sanitizes (64-byte lines, set counts a power of two), the model uses
-//! the detected sizes instead; any anomaly falls back to the Skylake
-//! constants so hermetic environments (containers, CI runners that hide
-//! sysfs) stay deterministic. The model is per-thread (each thread sees
-//! its own slice hierarchy), which is the right granularity for the
-//! access-count *ratios* Tables IV and V analyse.
+//! The geometry is the paper's Intel Xeon Gold 5120 (Skylake-SP) on
+//! every host: 32 KiB / 8-way L1D, 1 MiB / 16-way L2, and a 1.375 MiB /
+//! 11-way L3 slice per core, all with 64-byte lines. The counters build
+//! [`CacheSim::skylake`], and [`geometry`] reports that same constant for
+//! trace headers; the machine's own caches are never read. The model is
+//! per-thread (each thread sees its own slice hierarchy), which is the
+//! right granularity for the access-count *ratios* Tables IV and V
+//! analyse.
 //!
 //! The model indexes sets by virtual address, and heap addresses move
 //! from run to run, so only the L1 count (one per access) is exact. L2,
@@ -18,8 +15,6 @@
 //! `table4` at `STUDY_SCALE=0.05` on one thread, most rows moved by under
 //! 0.5 %, but sssp road-USA LS L2 by 7.7 % and ktruss rmat22 GB L3 by
 //! 13 %. Compare those columns within a run-to-run spread, never exactly.
-
-use std::sync::OnceLock;
 
 /// Cache line size in bytes (and the shift used to derive line addresses).
 pub const LINE_BYTES: usize = 64;
@@ -34,18 +29,6 @@ pub struct LevelGeometry {
     pub ways: usize,
 }
 
-impl LevelGeometry {
-    /// A geometry is usable only if it yields a valid [`CacheLevel`]:
-    /// whole lines, lines divisible into ways, a power-of-two set count.
-    fn sane(self) -> bool {
-        let lines = self.bytes / LINE_BYTES;
-        self.ways > 0
-            && self.bytes.is_multiple_of(LINE_BYTES)
-            && lines.is_multiple_of(self.ways)
-            && (lines / self.ways).is_power_of_two()
-    }
-}
-
 /// The three-level geometry the simulator models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
@@ -55,7 +38,7 @@ pub struct CacheGeometry {
     pub l2: LevelGeometry,
     /// L3 slice per core.
     pub l3: LevelGeometry,
-    /// `"sysfs"` when detected from the machine, `"skylake"` otherwise.
+    /// Which machine the geometry models: `"skylake"`.
     pub source: &'static str,
 }
 
@@ -72,76 +55,10 @@ impl CacheGeometry {
     }
 }
 
-/// Parses a sysfs cache size string (`"32K"`, `"1024K"`, `"2M"`).
-fn parse_size(s: &str) -> Option<usize> {
-    let s = s.trim();
-    let (digits, mult) = match s.as_bytes().last()? {
-        b'K' => (&s[..s.len() - 1], 1024),
-        b'M' => (&s[..s.len() - 1], 1024 * 1024),
-        _ => (s, 1),
-    };
-    digits.parse::<usize>().ok().map(|n| n * mult)
-}
-
-/// Reads one `cpu0/cache/indexN` directory into a candidate level.
-/// Returns the level number alongside so callers can slot it.
-fn read_index(dir: &std::path::Path) -> Option<(u32, &'static str, LevelGeometry)> {
-    let read = |f: &str| std::fs::read_to_string(dir.join(f)).ok();
-    let level: u32 = read("level")?.trim().parse().ok()?;
-    let ty = read("type")?;
-    let ty: &'static str = match ty.trim() {
-        "Data" => "Data",
-        "Unified" => "Unified",
-        _ => return None, // instruction caches don't serve loads
-    };
-    let bytes = parse_size(&read("size")?)?;
-    let ways: usize = read("ways_of_associativity")?.trim().parse().ok()?;
-    let line: usize = read("coherency_line_size")?.trim().parse().ok()?;
-    if line != LINE_BYTES {
-        return None; // the model's line shift is fixed at 64 B
-    }
-    Some((level, ty, LevelGeometry { bytes, ways }))
-}
-
-/// Probes `/sys/devices/system/cpu/cpu0/cache/`. Returns `None` unless
-/// all three levels are present, parse, and sanitize.
-fn detect_sysfs(root: &std::path::Path) -> Option<CacheGeometry> {
-    let mut l1 = None;
-    let mut l2 = None;
-    let mut l3 = None;
-    for entry in std::fs::read_dir(root).ok()? {
-        let path = entry.ok()?.path();
-        if !path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .is_some_and(|n| n.starts_with("index"))
-        {
-            continue;
-        }
-        match read_index(&path) {
-            Some((1, "Data", g)) => l1 = Some(g),
-            Some((2, _, g)) => l2 = Some(g),
-            Some((3, _, g)) => l3 = Some(g),
-            _ => {}
-        }
-    }
-    let (l1, l2, l3) = (l1?, l2?, l3?);
-    if l1.sane() && l2.sane() && l3.sane() {
-        Some(CacheGeometry { l1, l2, l3, source: "sysfs" })
-    } else {
-        None
-    }
-}
-
-/// The process-wide cache geometry: detected from sysfs once, falling
-/// back to [`CacheGeometry::skylake`] when the machine hides or reports
-/// an unusable hierarchy.
+/// The geometry the counters simulate: [`CacheGeometry::skylake`].
 pub fn geometry() -> &'static CacheGeometry {
-    static GEOMETRY: OnceLock<CacheGeometry> = OnceLock::new();
-    GEOMETRY.get_or_init(|| {
-        detect_sysfs(std::path::Path::new("/sys/devices/system/cpu/cpu0/cache"))
-            .unwrap_or_else(CacheGeometry::skylake)
-    })
+    static GEOMETRY: CacheGeometry = CacheGeometry::skylake();
+    &GEOMETRY
 }
 
 /// One set-associative level with LRU replacement.
@@ -239,11 +156,6 @@ impl CacheSim {
             l2: CacheLevel::new(g.l2.bytes, g.l2.ways),
             l3: CacheLevel::new(g.l3.bytes, g.l3.ways),
         }
-    }
-
-    /// A simulator over the machine's detected geometry ([`geometry`]).
-    pub fn detected() -> Self {
-        CacheSim::with_geometry(geometry())
     }
 
     /// Simulates one byte-address access and reports the serving level.
@@ -351,42 +263,8 @@ mod tests {
     }
 
     #[test]
-    fn sysfs_sizes_parse() {
-        assert_eq!(parse_size("32K"), Some(32 << 10));
-        assert_eq!(parse_size("1024K\n"), Some(1 << 20));
-        assert_eq!(parse_size("2M"), Some(2 << 20));
-        assert_eq!(parse_size("65536"), Some(65536));
-        assert_eq!(parse_size("junk"), None);
-    }
-
-    #[test]
-    fn missing_sysfs_falls_back_hermetically() {
-        assert_eq!(
-            detect_sysfs(std::path::Path::new("/nonexistent/cache/root")),
-            None
-        );
-    }
-
-    #[test]
-    fn detected_geometry_always_builds_a_simulator() {
-        // Whatever this machine reports, the chosen geometry must be
-        // sane — CacheLevel::new panics otherwise — and the fallback
-        // must equal the paper machine.
-        let g = geometry();
-        assert!(g.l1.sane() && g.l2.sane() && g.l3.sane());
-        let _ = CacheSim::detected();
-        if g.source == "skylake" {
-            assert_eq!(*g, CacheGeometry::skylake());
-        } else {
-            assert_eq!(g.source, "sysfs");
-        }
-    }
-
-    #[test]
-    fn insane_reported_geometry_is_rejected() {
-        assert!(!LevelGeometry { bytes: 3 * LINE_BYTES, ways: 1 }.sane());
-        assert!(!LevelGeometry { bytes: 32 << 10, ways: 0 }.sane());
-        assert!(!LevelGeometry { bytes: 100, ways: 1 }.sane());
-        assert!(LevelGeometry { bytes: 48 << 10, ways: 12 }.sane(), "Ice Lake L1");
+    fn reported_geometry_is_the_simulated_one() {
+        assert_eq!(*geometry(), CacheGeometry::skylake());
+        assert_eq!(geometry().source, "skylake");
     }
 }

@@ -175,6 +175,32 @@ fn budget_constrained_bfs_degrades_and_still_verifies() {
     );
 }
 
+/// `mxv` has one kernel, so a budget below its pull's dense buffers
+/// (`n × (8 + 1)` bytes for f64) is `ResourceExhausted`, not a fallback.
+#[test]
+fn mxv_under_a_budget_the_pull_does_not_fit_is_exhausted() {
+    use graph_api_study::graphblas::binops::PlusTimes;
+    use graph_api_study::graphblas::{Descriptor, GaloisRuntime, GrbError, Matrix, Vector};
+    let g = path_graph();
+    let a: Matrix<f64> = Matrix::from_graph(&g.graph, |_| 1.0);
+    let n = a.nrows() as u64;
+    let u = Vector::new_dense(a.ncols(), 1.0);
+    let run = |budget| {
+        with_chaos_state(None, Some(budget), || {
+            let mut w = Vector::new(a.nrows());
+            let no_mask = None::<&Vector<bool>>;
+            let desc = Descriptor::new();
+            ops::mxv(&mut w, no_mask, PlusTimes, &a, &u, &desc, GaloisRuntime).map(|()| w)
+        })
+    };
+    assert!(matches!(
+        run(9 * n - 1),
+        Err(GrbError::ResourceExhausted { required, budget })
+            if required == 9 * n && budget == 9 * n - 1
+    ));
+    assert_eq!(run(9 * n).expect("the pull fits").nvals(), a.nrows() - 1);
+}
+
 /// A job whose body sleeps past its timeout (`cell.hang` sleeps 2 s
 /// against a 50 ms deadline) reports `timeout` at the job level and in
 /// its lane, with no output; the next job runs and verifies normally.

@@ -244,8 +244,8 @@ fn matrix_api_pagerank_is_bit_identical_across_threads_runtimes_and_pools() {
     }
 }
 
-/// Pins the kernel pr runs: every round's product is an `mxv` resolved to
-/// the pull kernel over the `AT` handed in, on both backends — no `vxm`,
+/// Pins the kernel pr runs: every round's product is an `mxv`, whose one
+/// kernel pulls over the `AT` handed in, on both backends — no `vxm`,
 /// four API calls per round, and no transpose built inside the solve.
 #[test]
 fn traced_pagerank_pulls_over_the_prepared_transpose() {
