@@ -276,18 +276,7 @@ impl<T: Scalar> Matrix<T> {
 
     /// Builds a CSR matrix from per-row entry lists (kernel use; rows must
     /// have strictly ascending column indices).
-    pub(crate) fn from_rows(nrows: usize, ncols: usize, mut rows: Vec<Vec<(u32, T)>>) -> Self {
-        Self::from_rows_drain(nrows, ncols, &mut rows)
-    }
-
-    /// [`from_rows`](Matrix::from_rows), but draining a borrowed buffer so
-    /// the caller can return the row vectors (and their capacities) to the
-    /// workspace pool instead of dropping them.
-    pub(crate) fn from_rows_drain(
-        nrows: usize,
-        ncols: usize,
-        rows: &mut [Vec<(u32, T)>],
-    ) -> Self {
+    pub(crate) fn from_rows(nrows: usize, ncols: usize, rows: Vec<Vec<(u32, T)>>) -> Self {
         debug_assert_eq!(rows.len(), nrows);
         let mut row_ptr = vec![0usize; nrows + 1];
         for (i, row) in rows.iter().enumerate() {
@@ -297,8 +286,8 @@ impl<T: Scalar> Matrix<T> {
         let total = row_ptr[nrows];
         let mut col_idx = Vec::with_capacity(total);
         let mut vals = Vec::with_capacity(total);
-        for row in rows.iter_mut() {
-            for (c, v) in row.drain(..) {
+        for row in rows {
+            for (c, v) in row {
                 col_idx.push(c);
                 vals.push(v);
             }

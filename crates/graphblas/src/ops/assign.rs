@@ -7,8 +7,8 @@ use crate::descriptor::Descriptor;
 use crate::error::{dim_mismatch, GrbError};
 use crate::runtime::Runtime;
 use crate::scalar::Scalar;
-use crate::util::ParSlice;
 use crate::vector::Vector;
+use galois_rt::substrate::ParSlice;
 
 /// `w<mask> = value` over all indices (`GrB_assign` with `GrB_ALL`, as in
 /// lines 6 and 11 of Algorithm 2 in the paper).

@@ -6,8 +6,8 @@ use crate::binops::BinOp;
 use crate::error::{dim_mismatch, GrbError};
 use crate::runtime::Runtime;
 use crate::scalar::Scalar;
-use crate::util::ParSlice;
 use crate::vector::Vector;
+use galois_rt::substrate::ParSlice;
 
 fn check_sizes<T: Scalar>(
     w: &Vector<T>,

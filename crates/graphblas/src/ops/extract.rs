@@ -7,8 +7,8 @@
 use crate::error::{dim_mismatch, GrbError};
 use crate::runtime::Runtime;
 use crate::scalar::Scalar;
-use crate::util::ParSlice;
 use crate::vector::Vector;
+use galois_rt::substrate::ParSlice;
 
 /// `w[i] = u[indices[i]]` for every `i`; `w` takes the size of `indices`.
 /// Missing `u` entries leave `w[i]` implicit.

@@ -653,21 +653,6 @@ where
     (out, acc_bytes)
 }
 
-/// The entry list of `u`, drawn from the workspace pool.
-pub(crate) fn take_entries<T: Scalar, R: Runtime>(u: &Vector<T>, rt: R) -> Vec<(u32, T)> {
-    let mut buf = rt
-        .workspace()
-        .take_vec(crate::workspace::Shelf::Entries, u.nvals());
-    u.entries_into(&mut buf);
-    buf
-}
-
-/// Returns an entry list obtained via [`take_entries`] to the pool.
-pub(crate) fn give_entries<T: Scalar, R: Runtime>(entries: Vec<(u32, T)>, rt: R) {
-    rt.workspace()
-        .give_vec(crate::workspace::Shelf::Entries, entries);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -96,8 +96,8 @@ impl OpTrace {
     ) {
         let ws = crate::workspace::snapshot();
         // Transient churn: bytes allocated during the op minus bytes still
-        // live at op end — the thrown-away allocations workspace recycling
-        // targets. 0 when the tracking allocator is not installed.
+        // live at op end — the op's thrown-away scratch. 0 when the
+        // tracking allocator is not installed.
         let total_delta = perfmon::alloc::total_bytes().saturating_sub(self.alloc_total);
         let live_delta = perfmon::alloc::live_bytes().saturating_sub(self.alloc_live);
         trace::record(Event::Op(OpSpan {

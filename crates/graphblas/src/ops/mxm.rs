@@ -21,7 +21,7 @@ use crate::error::{dim_mismatch, GrbError};
 use crate::matrix::Matrix;
 use crate::runtime::Runtime;
 use crate::scalar::Scalar;
-use crate::util::ParSlice;
+use galois_rt::substrate::ParSlice;
 use graph::intersect;
 use std::ops::ControlFlow;
 
@@ -107,7 +107,7 @@ where
 {
     let nrows = a.nrows();
     let ncols = bt.nrows();
-    let mut rows: Vec<Vec<(u32, T)>> = rt.workspace().take_rows(nrows);
+    let mut rows: Vec<Vec<(u32, T)>> = vec![Vec::new(); nrows];
     {
         let pr = ParSlice::new(&mut rows);
         // Dot work per row: one intersection per admitted mask entry,
@@ -147,9 +147,7 @@ where
             }
         });
     }
-    let c = Matrix::from_rows_drain(nrows, ncols, &mut rows);
-    rt.workspace().give_rows(rows);
-    c
+    Matrix::from_rows(nrows, ncols, rows)
 }
 
 #[cfg(test)]

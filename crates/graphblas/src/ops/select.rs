@@ -8,8 +8,8 @@
 use crate::matrix::Matrix;
 use crate::runtime::Runtime;
 use crate::scalar::Scalar;
-use crate::util::ParSlice;
 use crate::vector::Vector;
+use galois_rt::substrate::ParSlice;
 
 /// `w = { (i, u[i]) : pred(i, u[i]) }` — keeps the entries of `u` that
 /// satisfy `pred`.

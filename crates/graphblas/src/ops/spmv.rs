@@ -10,9 +10,9 @@
 //! [`super::kernels::KernelMode::Push`] (or a forced descriptor hint) it
 //! runs the paper's dense scatter, while `auto` may substitute a
 //! sparse-accumulator scatter or a masked pull over the cached transpose
-//! when operand sparsity favors it. The push-dense accumulator is
-//! allocated per call, as the paper's is; entry lists come from the
-//! workspace pool ([`crate::workspace`]). `mxv` has one kernel, the
+//! when operand sparsity favors it. The push-dense accumulator and the
+//! push arms' list of `u`'s entries are allocated per call, as the
+//! paper's are; the pull arm reads `u` in place. `mxv` has one kernel, the
 //! paper's row pull, in every mode. Both pulls fold a row with
 //! [`super::kernels::pull_row`], which skips the input's presence flags
 //! when the input holds every entry.
@@ -25,8 +25,8 @@ use crate::error::{dim_mismatch, GrbError};
 use crate::matrix::Matrix;
 use crate::runtime::Runtime;
 use crate::scalar::Scalar;
-use crate::util::ParSlice;
 use crate::vector::Vector;
+use galois_rt::substrate::ParSlice;
 use perfmon::trace::KernelChoice;
 
 /// `w<mask> = u ⊗.⊕ A` (push-style row scaling, `GrB_vxm`).
@@ -83,10 +83,6 @@ where
         }
     }
 
-    // Materialize the input entries (from the workspace pool) so the
-    // parallel loop can index them.
-    let entries: Vec<(u32, T)> = kernels::take_entries(u, rt);
-    let input_nnz = entries.len();
     let selection = kernels::select(u, a, mask, desc)?;
     if substrate::fault::point("grb.alloc.accumulator") {
         return Err(GrbError::ResourceExhausted {
@@ -105,7 +101,8 @@ where
     let wb = WriteBack::masked(desc.replace, accum, mask, desc, pm);
     let accumulator_bytes = match selection.choice {
         KernelChoice::PushSparse => {
-            let (out, bytes) = kernels::scatter_sparse(&entries, a, mask, desc, semiring, rt, pm);
+            let (out, bytes) =
+                kernels::scatter_sparse(&u.entries(), a, mask, desc, semiring, rt, pm);
             wb.entries(w, &out);
             bytes
         }
@@ -118,15 +115,15 @@ where
         _ => {
             // Dense accumulator over the output dimension: the
             // intermediate the paper's fixed push strategy cannot avoid.
-            let (acc, bytes) = kernels::scatter_dense(&entries, a, mask, desc, semiring, rt, pm);
+            let (acc, bytes) =
+                kernels::scatter_dense(&u.entries(), a, mask, desc, semiring, rt, pm);
             wb.entries(w, &acc.into_entries(pm));
             bytes
         }
     };
-    kernels::give_entries(entries, rt);
     if let Some(span) = span {
         span.finish_kernel(
-            input_nnz,
+            u.nvals(),
             w.nvals(),
             accumulator_bytes as usize,
             &selection,

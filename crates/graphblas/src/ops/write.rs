@@ -18,8 +18,8 @@ use crate::binops::BinOp;
 use crate::descriptor::Descriptor;
 use crate::runtime::Runtime;
 use crate::scalar::Scalar;
-use crate::util::ParSlice;
 use crate::vector::{Store, Vector};
+use galois_rt::substrate::ParSlice;
 
 /// The output operand of an accumulated write, `w ⊙= t` (the C API's
 /// `accum` argument): pass `Accum(&mut w, op)` where an op takes its

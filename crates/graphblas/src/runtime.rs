@@ -18,16 +18,6 @@ pub trait Runtime: Copy + Send + Sync + Default + 'static {
     /// SuiteSparse and GaloisBLAS).
     fn parallel_for<F: Fn(usize) + Sync>(self, n: usize, f: F);
 
-    /// The recyclable-buffer workspace kernels draw scratch from. Both
-    /// backends share the process-global pool: buffers released by an SS
-    /// call are reusable by the next GB call and vice versa, which is the
-    /// GraphMat observation (per-thread state reuse across iterations)
-    /// applied at the process level.
-    #[inline]
-    fn workspace(self) -> &'static crate::workspace::Workspace {
-        crate::workspace::global()
-    }
-
     /// Runs `f(i)` for every `i < n` in parallel, partitioned into
     /// equal-*cost* chunks by `cost_of(i)` (GraphBLAST-style flop
     /// balancing) on both backends.

@@ -1,5 +1,6 @@
-//! Internal parallel-kernel utilities: an atomic generic accumulator and a
-//! disjoint-write slice wrapper.
+//! Internal parallel-kernel utilities: an atomic generic accumulator.
+//! Kernels that write disjoint indices from a parallel loop use
+//! [`galois_rt::substrate::ParSlice`].
 
 use crate::scalar::Scalar;
 use std::marker::PhantomData;
@@ -99,78 +100,6 @@ impl<T: Scalar> AtomicAccumulator<T> {
     }
 }
 
-/// A shared view of a mutable slice whose elements are written by at most
-/// one thread each (the caller guarantees index-disjointness).
-pub(crate) struct ParSlice<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _marker: PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: see the `write`/`get_mut` contracts — callers promise disjoint
-// element access across threads.
-unsafe impl<T: Send> Send for ParSlice<'_, T> {}
-unsafe impl<T: Send> Sync for ParSlice<'_, T> {}
-
-impl<'a, T> ParSlice<'a, T> {
-    /// Wraps `slice` for disjoint parallel writes.
-    pub fn new(slice: &'a mut [T]) -> Self {
-        ParSlice {
-            ptr: slice.as_mut_ptr(),
-            len: slice.len(),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Writes `v` at `i`.
-    ///
-    /// # Safety
-    ///
-    /// `i < len()`, and no other thread accesses element `i` concurrently.
-    #[inline]
-    pub unsafe fn write(&self, i: usize, v: T) {
-        debug_assert!(i < self.len);
-        *self.ptr.add(i) = v;
-    }
-
-    /// Mutable access to element `i`.
-    ///
-    /// # Safety
-    ///
-    /// `i < len()`, and no other thread accesses element `i` concurrently.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn get_mut(&self, i: usize) -> &mut T {
-        debug_assert!(i < self.len);
-        &mut *self.ptr.add(i)
-    }
-
-    /// Reads element `i`.
-    ///
-    /// # Safety
-    ///
-    /// `i < len()`, and no thread writes element `i` concurrently.
-    #[inline]
-    pub unsafe fn read(&self, i: usize) -> T
-    where
-        T: Copy,
-    {
-        debug_assert!(i < self.len);
-        *self.ptr.add(i)
-    }
-
-    /// Address of element `i`, for cache-model instrumentation.
-    #[inline]
-    pub fn addr_of(&self, i: usize) -> usize {
-        self.ptr as usize + i * std::mem::size_of::<T>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,15 +145,5 @@ mod tests {
             acc.accumulate(0, 0.25, |a, b| a + b, pm);
         });
         assert!((acc.get(0).unwrap() - 250.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn par_slice_disjoint_writes() {
-        let mut data = vec![0u32; 1000];
-        let ps = ParSlice::new(&mut data);
-        galois_rt::do_all(0..1000, |i| unsafe {
-            ps.write(i, i as u32 * 2);
-        });
-        assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32 * 2));
     }
 }

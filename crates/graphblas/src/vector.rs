@@ -276,7 +276,9 @@ impl<T: Scalar> Vector<T> {
 
     /// Collects the explicit entries (ascending index order).
     pub fn entries(&self) -> Vec<(u32, T)> {
-        self.iter().collect()
+        let mut out = Vec::with_capacity(self.nvals());
+        out.extend(self.iter());
+        out
     }
 
     /// Mask evaluation at index `i`: present and (structurally or by
@@ -339,10 +341,10 @@ impl<T: Scalar> Vector<T> {
 
     /// Takes the dense buffers out of the vector (leaving it empty
     /// sparse) so an overwrite path can recycle them instead of
-    /// allocating — the workspace layer's store reuse. `None` when the
-    /// store is sparse. Callers must zero-normalize (`vals` to `T::ZERO`
-    /// and `present` to `false` at every slot) before repopulating, so
-    /// reused stores stay bit-identical to freshly allocated ones.
+    /// allocating. `None` when the store is sparse. Callers must
+    /// zero-normalize (`vals` to `T::ZERO` and `present` to `false` at
+    /// every slot) before repopulating, so reused stores stay
+    /// bit-identical to freshly allocated ones.
     pub(crate) fn take_dense_store(&mut self) -> Option<(Vec<T>, Vec<bool>)> {
         match std::mem::replace(
             &mut self.store,
@@ -357,13 +359,6 @@ impl<T: Scalar> Vector<T> {
                 None
             }
         }
-    }
-
-    /// Collects the explicit entries into `out` (cleared first) — the
-    /// pooled-buffer counterpart of [`Vector::entries`].
-    pub(crate) fn entries_into(&self, out: &mut Vec<(u32, T)>) {
-        out.clear();
-        out.extend(self.iter());
     }
 }
 

@@ -483,11 +483,11 @@ fn collect_mxm<S: SemiringOps<u64>>(
 
 #[test]
 fn flop_balanced_scheduling_matches_row_partitioning_bit_for_bit() {
-    // The flop-balanced partitioner and the recycled workspaces must be
-    // invisible in results: on every semiring the study uses x every
-    // mask/complement/replace/structural descriptor combination, vxm, mxv
-    // and the masked mxm at 2 and 8 threads on a warm pool produce
-    // outputs bit-for-bit identical to one thread on an emptied pool.
+    // The flop-balanced partitioner must be invisible in results: on
+    // every semiring the study uses x every mask/complement/replace/
+    // structural descriptor combination, vxm, mxv and the masked mxm at
+    // 2 and 8 threads produce outputs bit-for-bit identical to one
+    // thread.
     prop::check(
         "flop_balanced_scheduling_matches_row_partitioning_bit_for_bit",
         prop::cases(8),
@@ -509,12 +509,10 @@ fn flop_balanced_scheduling_matches_row_partitioning_bit_for_bit() {
             };
             let result = (|| {
                 galois_rt::set_threads(1);
-                graphblas::workspace::global().clear();
-                let one_thread_cold = collect_all();
+                let one_thread = collect_all();
                 for threads in [2usize, 8] {
                     galois_rt::set_threads(threads);
-                    let warm = collect_all();
-                    prop_assert_eq!(warm, one_thread_cold, "threads={}", threads);
+                    prop_assert_eq!(collect_all(), one_thread, "threads={}", threads);
                 }
                 Ok(())
             })();

@@ -13,7 +13,7 @@
 //! own pagerank they are handed `AT` and the out-degrees as cached graph
 //! properties and call `GrB_mxv`, so each product has one writer per row
 //! and a fixed in-row fold order — the result is bit-identical across
-//! thread counts, runtimes and cold or warm workspace pools.
+//! thread counts and runtimes.
 //!
 //! The topology iterate holds all `n` entries (`pr` and the reciprocal
 //! degrees are full, so their product is), and `mxv` then reads it

@@ -212,10 +212,11 @@ pub struct OpSpan {
     /// Heuristic input: estimated output slots the mask admits (0 when
     /// the heuristic never ran).
     pub mask_admitted: u64,
-    /// Workspace bytes this call satisfied from the recycling pool.
+    /// Workspace bytes this call met by recycling its output's own
+    /// dense store.
     pub ws_reused_bytes: u64,
-    /// Workspace bytes this call allocated fresh (pool misses, growth,
-    /// and one-time cached-transpose builds).
+    /// Workspace bytes this call allocated fresh (dense output stores
+    /// that could not be recycled, and one-time cached-transpose builds).
     pub ws_fresh_bytes: u64,
     /// Summed per-row flop estimates of the call's flop-balanced loops
     /// (0 when no loop was balanced).
@@ -225,7 +226,7 @@ pub struct OpSpan {
     /// Transient allocator churn: bytes allocated during the call minus
     /// bytes still live when it returned (0 unless the tracking
     /// allocator is installed). The op's *thrown-away* allocations —
-    /// what workspace recycling eliminates.
+    /// what per-call scratch costs the allocator.
     pub alloc_bytes: u64,
     /// Wall time of the call.
     pub elapsed_ns: u64,
@@ -628,7 +629,7 @@ pub struct TraceSummary {
     /// Always 0: no kernel of that name exists any more. The field stays
     /// because the repo benchmark's published counters read it.
     pub kernel_bitmap: u64,
-    /// Workspace bytes served from the recycling pool across all ops.
+    /// Workspace bytes met by recycling output stores across all ops.
     pub ws_reused_bytes: u64,
     /// Workspace bytes allocated fresh across all ops.
     pub ws_fresh_bytes: u64,
@@ -801,8 +802,8 @@ mod tests {
                 _ => unreachable!(),
             };
             o.elapsed_ns = 999_999; // timing differs
-            o.ws_reused_bytes = 0; // pool warmth differs
-            o.ws_fresh_bytes = 4096;
+            o.ws_reused_bytes = 0; // whether `w` held a reusable store differs
+            o.ws_fresh_bytes = 4096; // and whether a cached transpose was built
             o.chunks = 99; // partitioning differs
             o.alloc_bytes = 1 << 20; // allocator churn differs
             record(Event::Op(o));

@@ -2,8 +2,9 @@
 //! and load shedding.
 //!
 //! The controller guards the server's shared resources (the galois-rt
-//! pool and the `STUDY_MEM_BUDGET` accumulator pool) with a unit-based
-//! concurrency limit. Requests are classified [`CostClass::Cheap`]
+//! pool and the `STUDY_MEM_BUDGET` accumulator budget, which bounds the
+//! accumulators jobs allocate per call) with a unit-based concurrency
+//! limit. Requests are classified [`CostClass::Cheap`]
 //! (frontier problems whose working set is a few vertex-length arrays)
 //! or [`CostClass::Expensive`] (tc/ktruss, whose accumulators dominate
 //! the budget, and batched queries, which hold their grant for `k`

@@ -9,14 +9,16 @@
 //!    *results* must not depend on the thread count: bfs, cc and pagerank
 //!    produce identical output on 1, 2 and the default number of threads,
 //!    on both the Lonestar and the GaloisBLAS paths. Matrix-API pr is
-//!    held to more: bit-identical across threads × runtimes × cold and
-//!    warm workspace pools, on the pull kernel a traced run pins.
+//!    held to more: bit-identical across threads × runtimes, on the pull
+//!    kernel a traced run pins.
 //! 3. Traces are deterministic: two traced runs at the same seed and
 //!    thread count produce identical event streams once the
 //!    scheduling-perturbed fields (timings, steals, bucket visits) are
 //!    stripped — the invariant every gate on traced counters (the
 //!    repo benchmark's exactly-repeating per-layer counts included)
-//!    relies on. On more than one thread an asynchronous work-list
+//!    relies on. Each op's workspace bytes repeat too: kernels retain
+//!    nothing between calls, so a second run sees no state the first
+//!    one left behind. On more than one thread an asynchronous work-list
 //!    loop's iteration count depends on the schedule, so there it
 //!    repeats only its kind, and is held to equal output and at least
 //!    one iteration per settled vertex instead.
@@ -39,7 +41,8 @@ use graph_api_study::graph::gen::{
 };
 use graph_api_study::graph::transform::{sort_by_degree, symmetrize, transpose};
 use graph_api_study::graph::{CsrGraph, EdgeBatch};
-use graph_api_study::graphblas::{workspace, GaloisRuntime, Runtime, StaticRuntime};
+use graph_api_study::graphblas::ops::{kernel_mode, set_kernel_mode, KernelMode};
+use graph_api_study::graphblas::{GaloisRuntime, Runtime, StaticRuntime};
 use graph_api_study::{lagraph, lonestar};
 
 type SeededBuild = Box<dyn Fn(u64) -> CsrGraph>;
@@ -145,6 +148,28 @@ erdos_renyi 42: 6742b450cb266343 236a20de243bee81 b8c70b1e39769392
 /// whose spans a concurrent trace would pick up must not interleave.
 static POOL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
+/// Pins the process-wide SpMV policy to `auto` and restores the previous
+/// one on drop, also when the test panics. Callers must already hold
+/// `POOL_LOCK`, which every test here that runs a matrix op takes, so no
+/// neighbour sees the switch.
+struct AutoKernels {
+    prev: KernelMode,
+}
+
+impl AutoKernels {
+    fn pin() -> AutoKernels {
+        let prev = kernel_mode();
+        set_kernel_mode(KernelMode::Auto);
+        AutoKernels { prev }
+    }
+}
+
+impl Drop for AutoKernels {
+    fn drop(&mut self) {
+        set_kernel_mode(self.prev);
+    }
+}
+
 /// Runs `f` once per thread configuration and asserts all results agree.
 fn across_thread_counts<T: PartialEq + std::fmt::Debug>(
     what: &str,
@@ -212,10 +237,9 @@ fn matrix_api_pr<R: Runtime>(gt: &CsrGraph, deg: &[u32], rt: R) -> [Vec<f64>; 2]
 
 /// Matrix-API pr pulls over the prepared transpose: one writer per row
 /// and a fixed in-row fold order, so both formulations are bit-identical
-/// (not merely close) across thread counts, runtimes and a cold or warm
-/// workspace pool.
+/// (not merely close) across thread counts and runtimes.
 #[test]
-fn matrix_api_pagerank_is_bit_identical_across_threads_runtimes_and_pools() {
+fn matrix_api_pagerank_is_bit_identical_across_threads_and_runtimes() {
     let g = rmat(9, 8, RmatParams::default(), 7);
     let gt = transpose(&g);
     let deg: Vec<u32> = (0..g.num_nodes() as u32)
@@ -227,15 +251,8 @@ fn matrix_api_pagerank_is_bit_identical_across_threads_runtimes_and_pools() {
     let mut runs = Vec::new();
     for threads in [1usize, 2, 4] {
         galois_rt::set_threads(threads);
-        for pool in ["cold", "warm"] {
-            if pool == "cold" {
-                workspace::global().clear();
-            }
-            let ss = matrix_api_pr(&gt, &deg, StaticRuntime);
-            let gb = matrix_api_pr(&gt, &deg, GaloisRuntime);
-            runs.push((format!("SS {threads}t {pool}"), ss));
-            runs.push((format!("GB {threads}t {pool}"), gb));
-        }
+        runs.push((format!("SS {threads}t"), matrix_api_pr(&gt, &deg, StaticRuntime)));
+        runs.push((format!("GB {threads}t"), matrix_api_pr(&gt, &deg, GaloisRuntime)));
     }
     galois_rt::set_threads(saved_threads);
     let (base, expected) = &runs[0];
@@ -334,6 +351,12 @@ fn traces_are_deterministic_across_repeated_runs() {
         ProblemOutput::Dists(d) => d.iter().filter(|&&x| x != u64::MAX).count() as u64,
         _ => 0,
     };
+    // The fingerprint strips workspace bytes; compare them on their own.
+    let workspace_bytes = |t: &Trace| -> Vec<(u64, u64)> {
+        t.ops()
+            .map(|s| (s.ws_reused_bytes, s.ws_fresh_bytes))
+            .collect()
+    };
     let async_iterations = |t: &Trace| {
         t.loops()
             .filter(|s| is_async(s.kind))
@@ -344,7 +367,7 @@ fn traces_are_deterministic_across_repeated_runs() {
     // Graph preparation happens outside the traced region.
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 64.0));
     for system in System::all() {
-        for problem in [Problem::Bfs, Problem::Cc, Problem::Sssp] {
+        for problem in [Problem::Bfs, Problem::Cc, Problem::Sssp, Problem::Tc] {
             let a = traced_run(system, problem, &p);
             let b = traced_run(system, problem, &p);
             assert_eq!(a.output, b.output, "{system} {problem} output");
@@ -352,6 +375,11 @@ fn traces_are_deterministic_across_repeated_runs() {
                 repeatable(&a.trace),
                 repeatable(&b.trace),
                 "{system} {problem}: trace fingerprints differ between runs"
+            );
+            assert_eq!(
+                workspace_bytes(&a.trace),
+                workspace_bytes(&b.trace),
+                "{system} {problem}: per-op workspace bytes differ between runs"
             );
             for run in [&a, &b] {
                 if let Some(iterations) = async_iterations(&run.trace) {
@@ -396,7 +424,8 @@ fn width_one_batched_traces_match_serial() {
 /// A batch builds its adjacency matrix once, so the transpose that
 /// `auto`'s pull rounds build lazily on it is built once per batch, not
 /// once per query: queries that each build `A^T` when run alone build it
-/// once together.
+/// once together. A property of `auto`, so `auto` is pinned whatever
+/// `STUDY_KERNEL` says (under `push` no query pulls).
 #[test]
 fn batched_queries_share_one_transpose() {
     use graph_api_study::graph::{Scale, StudyGraph};
@@ -404,6 +433,7 @@ fn batched_queries_share_one_transpose() {
     use graph_api_study::study_core::{batch_sources, PreparedGraph};
 
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _auto = AutoKernels::pin();
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 64.0));
     let built = |f: &dyn Fn()| {
         let before = transpose_bytes_built();

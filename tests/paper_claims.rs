@@ -2,7 +2,7 @@
 //! invariants: the matrix API must measurably execute more instructions
 //! and memory accesses than the graph API for the workloads §V-B
 //! analyzes. They run the paper's fixed SpMV strategies on the one
-//! allocation path there is: recycled workspaces, with the push-dense
+//! allocation path there is: per-call scratch, with the push-dense
 //! accumulator allocated and scanned per call as the paper's is.
 //!
 //! The perfmon counters are process-global, so these tests serialize on
