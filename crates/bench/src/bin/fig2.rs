@@ -9,11 +9,13 @@
 //! cargo run -p bench --bin fig2 --release
 //! ```
 
+use graphblas::ops::Policy;
 use std::sync::Arc;
 use study_core::report::{secs, Table};
 use study_core::{execute, Job, PreparedGraph, Problem, System, Work};
 
 fn main() {
+    let policy = Policy::from_env();
     let scale = bench::scale_from_env();
     let selected = bench::graphs_from_env();
     let four: Vec<_> = graph::StudyGraph::four_largest()
@@ -50,7 +52,11 @@ fn main() {
                 let mut cells = vec![format!("{} {} {}", problem, p.name, system)];
                 for &t in &threads {
                     galois_rt::set_threads(t);
-                    let out = execute(&Job::new(Work::Cell(system, problem)), p);
+                    let job = Job {
+                        policy,
+                        ..Job::new(Work::Cell(system, problem))
+                    };
+                    let out = execute(&job, p);
                     assert!(out.is_ok(), "{problem} on {system}: {:?}", out.lanes);
                     cells.push(secs(out.solve));
                 }

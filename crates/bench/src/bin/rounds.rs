@@ -10,10 +10,15 @@
 //! cargo run -p bench --bin rounds --release
 //! ```
 
+use graphblas::ops::{with_policy, Policy};
 use graphblas::GaloisRuntime;
 use study_core::report::Table;
 
 fn main() {
+    with_policy(Policy::from_env(), count_rounds);
+}
+
+fn count_rounds() {
     let scale = bench::scale_from_env();
     let prepared = bench::prepare_graphs(scale);
 

@@ -17,6 +17,7 @@
 //! ```
 
 use bench::service_load::{self, LoadSpec};
+use graphblas::ops::{with_policy, Policy};
 use service::{Catalog, Client, RetryPolicy, Service, ServiceConfig};
 use std::net::SocketAddr;
 
@@ -34,13 +35,17 @@ fn main() {
 }
 
 fn serve() -> i32 {
+    let policy = Policy::from_env();
     let scale = bench::scale_from_env();
     let catalog = Catalog::new();
     for p in bench::prepare_graphs(scale) {
         eprintln!("[serve] cataloged {} ({} nodes)", p.name, p.graph.num_nodes());
         catalog.insert(std::sync::Arc::unwrap_or_clone(p));
     }
-    let handle = match Service::start(ServiceConfig::from_env(), catalog) {
+    // The service stamps the policy it starts under on every job.
+    let handle = match with_policy(policy, || {
+        Service::start(ServiceConfig::from_env(), catalog)
+    }) {
         Ok(h) => h,
         Err(e) => {
             eprintln!("[serve] bind failed: {e}");

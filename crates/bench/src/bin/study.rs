@@ -21,6 +21,7 @@
 //!
 //! Example: `study sssp --graph road-USA --scale 0.5 --system LS --perf`
 
+use graphblas::ops::Policy;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use study_core::cell::cell_timeout_from_env;
@@ -175,6 +176,7 @@ fn summarize(out: &ProblemOutput) -> String {
 
 fn main() {
     let opts = parse_args();
+    let policy = Policy::from_env();
     if let Some(t) = opts.threads {
         std::env::set_var("GALOIS_MAX_THREADS", t.to_string());
         galois_rt::set_threads(t);
@@ -203,6 +205,7 @@ fn main() {
             verify: opts.verify,
             trace: opts.trace,
             timeout,
+            policy,
             ..Job::new(Work::Cell(system, opts.problem))
         };
         let outcome = execute(&job, &p);

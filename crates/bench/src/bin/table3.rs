@@ -11,14 +11,16 @@
 //! cargo run -p bench --bin table3 --release
 //! ```
 
+use graphblas::ops::Policy;
 use perfmon::alloc::{peak_bytes, reset_peak, TrackingAllocator};
 use study_core::report::{mib, Table};
-use study_core::{try_run, Problem, System};
+use study_core::{execute, Job, Problem, System, Work};
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
 
 fn main() {
+    let policy = Policy::from_env();
     let scale = bench::scale_from_env();
     let prepared = bench::prepare_graphs(scale);
 
@@ -31,10 +33,18 @@ fn main() {
         for system in System::all() {
             let mut cells = vec![format!("{problem} {system}")];
             for p in &prepared {
+                let job = Job {
+                    policy,
+                    ..Job::new(Work::Cell(system, problem))
+                };
                 reset_peak();
-                let out = try_run(system, problem, p)
-                    .unwrap_or_else(|e| panic!("{problem} on {system} failed: {e}"));
+                let out = execute(&job, p);
                 let peak = peak_bytes();
+                assert!(
+                    out.is_ok(),
+                    "{problem} on {system}: {:?}",
+                    out.lanes[0].error
+                );
                 // Keep the output alive until after the measurement.
                 std::hint::black_box(&out);
                 cells.push(mib(peak));

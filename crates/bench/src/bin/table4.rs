@@ -7,9 +7,11 @@
 //! cargo run -p bench --bin table4 --release
 //! ```
 
+use graphblas::ops::Policy;
 use perfmon::PerfReport;
+use std::sync::Arc;
 use study_core::report::Table;
-use study_core::{try_run, Problem, System};
+use study_core::{execute, Job, PreparedGraph, Problem, System, Work};
 
 /// The (problem, graph) pairs §V-B discusses against Table IV.
 fn rows() -> Vec<(Problem, &'static str)> {
@@ -24,6 +26,7 @@ fn rows() -> Vec<(Problem, &'static str)> {
 }
 
 fn main() {
+    let policy = Policy::from_env();
     let scale = bench::scale_from_env();
     let prepared = bench::prepare_graphs(scale);
     let find = |name: &str| prepared.iter().find(|p| p.name == name);
@@ -42,8 +45,8 @@ fn main() {
             eprintln!("[skip] {graph_name} not selected");
             continue;
         };
-        let gb = measure(System::GaloisBlas, problem, p);
-        let ls = measure(System::Lonestar, problem, p);
+        let gb = measure(System::GaloisBlas, problem, p, policy);
+        let ls = measure(System::Lonestar, problem, p, policy);
         println!("{gb}");
         println!("{ls}");
         let r = gb.ratio(&ls);
@@ -60,13 +63,20 @@ fn main() {
     println!("ratios > 1 mean GB executes more of that event than LS, as in the paper.");
 }
 
-fn measure(system: System, problem: Problem, p: &study_core::PreparedGraph) -> PerfReport {
+fn measure(system: System, problem: Problem, p: &Arc<PreparedGraph>, policy: Policy) -> PerfReport {
+    let job = Job {
+        policy,
+        ..Job::new(Work::Cell(system, problem))
+    };
     perfmon::reset();
     perfmon::enable(true);
-    let out = try_run(system, problem, p)
-        .unwrap_or_else(|e| panic!("{problem} on {system} failed: {e}"));
+    let out = execute(&job, p);
     perfmon::enable(false);
-    std::hint::black_box(&out);
+    assert!(
+        out.is_ok(),
+        "{problem} on {system}: {:?}",
+        out.lanes[0].error
+    );
     PerfReport::new(
         format!("{problem} {} {}", p.name, system),
         perfmon::snapshot(),

@@ -6,6 +6,7 @@
 //! cargo run -p bench --bin table5 --release
 //! ```
 
+use graphblas::ops::Policy;
 use perfmon::PerfReport;
 use std::sync::Arc;
 use study_core::report::Table;
@@ -23,6 +24,7 @@ fn pairs() -> Vec<(&'static str, Variant, Variant, &'static str)> {
 }
 
 fn main() {
+    let policy = Policy::from_env();
     let scale = bench::scale_from_env();
     let prepared = bench::prepare_graphs(scale);
     let find = |name: &str| prepared.iter().find(|p| p.name == name);
@@ -41,8 +43,8 @@ fn main() {
             eprintln!("[skip] {graph_name} not selected");
             continue;
         };
-        let m = measure(matrix_variant, p);
-        let g = measure(graph_variant, p);
+        let m = measure(matrix_variant, p, policy);
+        let g = measure(graph_variant, p, policy);
         println!("{m}");
         println!("{g}");
         let r = m.ratio(&g);
@@ -62,10 +64,14 @@ fn main() {
     println!("\n{table}");
 }
 
-fn measure(variant: Variant, p: &Arc<PreparedGraph>) -> PerfReport {
+fn measure(variant: Variant, p: &Arc<PreparedGraph>, policy: Policy) -> PerfReport {
+    let job = Job {
+        policy,
+        ..Job::new(Work::Variant(variant))
+    };
     perfmon::reset();
     perfmon::enable(true);
-    let out = execute(&Job::new(Work::Variant(variant)), p);
+    let out = execute(&job, p);
     perfmon::enable(false);
     assert!(
         out.is_ok(),

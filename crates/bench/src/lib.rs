@@ -13,6 +13,7 @@
 //!   as the paper does (default `1`; the paper used 3).
 //! * `STUDY_GRAPHS` — comma-separated subset of graph names to run.
 
+use graphblas::ops::Policy;
 use std::sync::Arc;
 use std::time::Duration;
 use study_core::{execute, Job, JobOutcome, PreparedGraph, Work};
@@ -169,11 +170,13 @@ fn load_or_generate(dir: &str, which: StudyGraph, scale: Scale) -> graph::CsrGra
     g
 }
 
-/// Averages the run stage of `repeats` executions of `work` on `p`.
-/// Only the first execution is verified; its outcome is returned.
+/// Averages the run stage of `repeats` executions of `work` on `p`,
+/// under [`Policy::from_env`] (which panics on a malformed knob). Only
+/// the first execution is verified; its outcome is returned.
 pub fn timed_verified(work: Work, p: &Arc<PreparedGraph>, repeats: u32) -> (Duration, JobOutcome) {
     let mut job = Job {
         verify: true,
+        policy: Policy::from_env(),
         ..Job::new(work)
     };
     let first = execute(&job, p);

@@ -5,8 +5,9 @@
 //! hands it to [`execute`]. One isolation boundary ([`run_protected`])
 //! runs fixed stages in a fixed order: the `cell.run` / `cell.hang`
 //! fault points → `catch_unwind`, plus the deadline thread when
-//! [`Job::timeout`] is set → run, under [`perfmon::trace::with_trace`]
-//! iff [`Job::trace`] → verify every ok lane iff [`Job::verify`] → the
+//! [`Job::timeout`] is set → install [`Job::policy`] on the thread that
+//! runs the job → run, under [`perfmon::trace::with_trace`] iff
+//! [`Job::trace`] → verify every ok lane iff [`Job::verify`] → the
 //! [`JobOutcome`].
 //!
 //! A job has one *lane* per query: a cell or a variant is one lane, a
@@ -22,6 +23,7 @@ use crate::problem::{Problem, ProblemOutput, System, Variant};
 use crate::runner;
 use crate::verify::{verify, VerifyError};
 use graph::NodeId;
+use graphblas::ops::{with_policy, Policy};
 use graphblas::GrbError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -75,10 +77,14 @@ pub struct Job {
     pub trace: bool,
     /// Abandon the job after this long (`None`: run inline, no deadline).
     pub timeout: Option<Duration>,
+    /// The kernel and budget policy the run stage runs under (a process
+    /// edge passes [`Policy::from_env`]).
+    pub policy: Policy,
 }
 
 impl Job {
-    /// `work` with every option off: unverified, untraced, no deadline.
+    /// `work` with every option off: unverified, untraced, no deadline,
+    /// the default policy.
     /// Turn options on with struct update syntax:
     /// `Job { verify: true, ..Job::new(work) }`.
     pub fn new(work: Work) -> Job {
@@ -87,6 +93,7 @@ impl Job {
             verify: false,
             trace: false,
             timeout: None,
+            policy: Policy::default(),
         }
     }
 }
@@ -126,7 +133,9 @@ impl JobOutcome {
 /// abandoned and must keep its operands alive on its own.
 pub fn execute(job: &Job, p: &Arc<PreparedGraph>) -> JobOutcome {
     let (inner, shared) = (job.clone(), Arc::clone(p));
-    let boundary = run_protected(job.timeout, move || Ok(stages(&inner, &shared)));
+    let boundary = run_protected(job.timeout, move || {
+        Ok(with_policy(inner.policy, || stages(&inner, &shared)))
+    });
     let queries = match &job.work {
         Work::Batch(_, _, sources) => sources.len(),
         Work::Cell(..) | Work::Variant(_) => 1,

@@ -42,10 +42,11 @@ pub struct TracedMeasurement {
 }
 
 /// Runs `problem` on `system` with [`perfmon::trace`] enabled, returning
-/// the merged trace alongside timing and output.
+/// the trace alongside timing and output.
 ///
-/// Trace state is process-global; callers running traced cells
-/// concurrently (tests in particular) must serialize.
+/// The trace holds what the calling thread ran, so traced cells on
+/// other threads, or untraced work beside them, do not enter it. The run
+/// uses the calling thread's [`graphblas::ops::Policy`].
 pub fn traced_run(system: System, problem: Problem, p: &PreparedGraph) -> TracedMeasurement {
     let start = Instant::now();
     let (output, trace) = perfmon::trace::with_trace(|| {

@@ -4,27 +4,6 @@
 //! one Algorithm 2 of the paper uses, `Replace_Complemented_Desc`, is
 //! [`Descriptor::replace_complement`].
 
-/// SpMV kernel selection for `vxm`.
-///
-/// The default defers to the process-wide policy
-/// ([`crate::ops::kernel_mode`], seeded from `STUDY_KERNEL`) and, under
-/// auto, to the per-call sparsity heuristic; the explicit hints pin a
-/// kernel for one call, overriding both. `mxv` has one kernel, the row
-/// pull, and reads no hint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelHint {
-    /// Defer to the global mode / sparsity heuristic.
-    #[default]
-    Auto,
-    /// Force the SAXPY scatter with the sparse (per-thread lane)
-    /// accumulator.
-    PushSparse,
-    /// Force the SAXPY scatter with the dense atomic accumulator.
-    PushDense,
-    /// Force the masked SDOT pull over the (cached) transpose.
-    Pull,
-}
-
 /// Modifies masks and input orientation for one operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Descriptor {
@@ -38,8 +17,6 @@ pub struct Descriptor {
     pub mask_structural: bool,
     /// Use `Bᵀ` in place of `B` (`GrB_TRAN` on input 1).
     pub transpose_b: bool,
-    /// SpMV kernel selection for `vxm` (`mxv` ignores it).
-    pub kernel: KernelHint,
 }
 
 impl Descriptor {
@@ -84,13 +61,6 @@ impl Descriptor {
         self.transpose_b = on;
         self
     }
-
-    /// Pins the `vxm` kernel for this call.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: KernelHint) -> Self {
-        self.kernel = kernel;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -103,14 +73,11 @@ mod tests {
             .with_replace(true)
             .with_mask_complement(true)
             .with_mask_structural(true)
-            .with_transpose_b(true)
-            .with_kernel(KernelHint::PushSparse);
+            .with_transpose_b(true);
         assert!(d.replace);
         assert!(d.mask_structural);
         assert!(d.mask_complement);
         assert!(d.transpose_b);
-        assert_eq!(d.kernel, KernelHint::PushSparse);
-        assert_eq!(Descriptor::new().kernel, KernelHint::Auto);
     }
 
     #[test]

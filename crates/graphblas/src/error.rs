@@ -25,8 +25,9 @@ pub enum GrbError {
     MaskRequired(&'static str),
     /// The operation could not obtain the memory it needs
     /// (`GrB_OUT_OF_MEMORY`): no kernel's projected accumulator fits the
-    /// active [`mem_budget`](crate::ops::mem_budget), or an injected
-    /// `grb.alloc.accumulator` fault fired (reported with `budget: 0`).
+    /// calling thread's [`Policy::budget`](crate::ops::Policy::budget),
+    /// or an injected `grb.alloc.accumulator` fault fired (reported with
+    /// `budget: 0`).
     ResourceExhausted {
         /// Bytes the least-materializing viable kernel would need.
         required: u64,

@@ -56,8 +56,8 @@ pub(crate) mod util;
 pub mod vector;
 pub mod workspace;
 
-pub use descriptor::{Descriptor, KernelHint};
-pub use ops::{Accum, KernelMode};
+pub use descriptor::Descriptor;
+pub use ops::Accum;
 pub use error::GrbError;
 pub use matrix::Matrix;
 pub use runtime::{GaloisRuntime, Runtime, StaticRuntime};

@@ -22,16 +22,14 @@
 //! is indexed directly; a dense input with holes reads its presence flag
 //! before every value, a sparse one binary-searches.
 //!
-//! Selection is resolved in precedence order: a per-call
-//! [`Descriptor::kernel`](crate::descriptor::Descriptor) hint, then the
-//! process-wide [`kernel_mode`] (seeded from `STUDY_KERNEL`), then — under
-//! [`KernelMode::Auto`] — a Beamer-style cost model over the frontier
-//! degree sum, matrix nnz, and mask-admitted output count. Byte guards
-//! ensure the chosen kernel never materializes more accumulator bytes
-//! than the paper's dense scatter would.
+//! Selection reads the calling thread's run [`Policy`]: a forced kernel
+//! runs as named; otherwise a Beamer-style cost model over the frontier
+//! degree sum, matrix nnz, and mask-admitted output count picks one. Byte
+//! guards ensure the chosen kernel never materializes more accumulator
+//! bytes than the paper's dense scatter would.
 
 use crate::binops::SemiringOps;
-use crate::descriptor::{Descriptor, KernelHint};
+use crate::descriptor::Descriptor;
 use crate::error::GrbError;
 use crate::matrix::Matrix;
 use crate::runtime::Runtime;
@@ -40,116 +38,94 @@ use crate::util::AtomicAccumulator;
 use crate::vector::Vector;
 use galois_rt::substrate::PerThread;
 use perfmon::trace::KernelChoice;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::cell::Cell;
 
-/// Process-wide `vxm` strategy policy (the `STUDY_KERNEL` axis). `mxv`
-/// pulls under either mode.
+/// How one run configures the products: which `vxm` kernel runs and how
+/// many accumulator bytes an op may project. The default lets the cost
+/// model pick under no budget.
+///
+/// A policy belongs to a thread: [`with_policy`] installs one for the
+/// duration of a closure, and every op reads it on the thread that calls
+/// it (`vxm`'s selection and `mxv`'s budget check run there, before any
+/// parallel loop).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// Pick per invocation from the sparsity heuristic.
-    #[default]
-    Auto,
-    /// The paper's fixed strategy: `vxm` scatters into the dense
-    /// accumulator — bit-for-bit the pre-selection kernel.
-    Push,
+pub struct Policy {
+    /// The `vxm` kernel every call runs; `None` lets the cost model pick.
+    /// `Some(KernelChoice::PushDense)` is the paper's fixed scatter;
+    /// `Some(KernelChoice::Unspecified)` names no kernel and counts as
+    /// `None`. `mxv` has one kernel and ignores this.
+    pub kernel: Option<KernelChoice>,
+    /// The most accumulator bytes one op may project; `None` is unlimited.
+    ///
+    /// When the preferred kernel would exceed it, the cost model degrades
+    /// to the least-materializing kernel that fits, and when none fits
+    /// (or the kernel was forced) the op returns
+    /// [`GrbError::ResourceExhausted`] — the paper's materialization
+    /// limitation enforced as an invariant.
+    pub budget: Option<u64>,
 }
 
-/// 0 = not yet resolved from the environment.
-static MODE: AtomicU8 = AtomicU8::new(0);
-
-const MODE_AUTO: u8 = 1;
-const MODE_PUSH: u8 = 2;
-
-fn encode(mode: KernelMode) -> u8 {
-    match mode {
-        KernelMode::Auto => MODE_AUTO,
-        KernelMode::Push => MODE_PUSH,
-    }
-}
-
-/// Returns the process-wide kernel policy, resolving it from the
-/// `STUDY_KERNEL` environment variable (`push` | `auto`) on first use.
-/// Unset defaults to [`KernelMode::Auto`].
-///
-/// # Panics
-///
-/// Panics when `STUDY_KERNEL` is set to an unrecognized value.
-pub fn kernel_mode() -> KernelMode {
-    match MODE.load(Ordering::Relaxed) {
-        MODE_AUTO => KernelMode::Auto,
-        MODE_PUSH => KernelMode::Push,
-        _ => {
-            let mode = match std::env::var("STUDY_KERNEL") {
-                Ok(v) => match v.as_str() {
-                    "auto" => KernelMode::Auto,
-                    "push" => KernelMode::Push,
-                    other => panic!("STUDY_KERNEL must be push or auto; got {other:?}"),
-                },
-                Err(_) => KernelMode::Auto,
-            };
-            MODE.store(encode(mode), Ordering::Relaxed);
-            mode
+impl Policy {
+    /// `kernel` forced on every `vxm`, under no budget.
+    pub const fn forcing(kernel: KernelChoice) -> Policy {
+        Policy {
+            kernel: Some(kernel),
+            budget: None,
         }
     }
-}
 
-/// Overrides the process-wide kernel policy (takes precedence over
-/// `STUDY_KERNEL`; per-call [`Descriptor`] hints still win).
-pub fn set_kernel_mode(mode: KernelMode) {
-    MODE.store(encode(mode), Ordering::Relaxed);
-}
-
-/// `u64::MAX` = not yet resolved from the environment,
-/// `u64::MAX - 1` = unlimited.
-static BUDGET: AtomicU64 = AtomicU64::new(u64::MAX);
-const BUDGET_UNRESOLVED: u64 = u64::MAX;
-const BUDGET_UNLIMITED: u64 = u64::MAX - 1;
-
-/// Returns the process-wide accumulator byte budget, resolving it from
-/// the `STUDY_MEM_BUDGET` environment variable (a byte count) on first
-/// use. `None` means unlimited — selection runs exactly the pre-budget
-/// logic at the cost of one relaxed atomic load.
-///
-/// The budget bounds each op's *projected* accumulator footprint (see
-/// `projected_bytes`): when the preferred kernel would exceed it,
-/// `auto` degrades to the least-materializing kernel that fits, and when
-/// none fits the op returns [`GrbError::ResourceExhausted`] — the
-/// paper's materialization limitation enforced as an invariant.
-///
-/// # Panics
-///
-/// Panics when `STUDY_MEM_BUDGET` is set to a non-integer.
-pub fn mem_budget() -> Option<u64> {
-    match BUDGET.load(Ordering::Relaxed) {
-        BUDGET_UNRESOLVED => {
-            let budget = match std::env::var("STUDY_MEM_BUDGET") {
-                Ok(v) if !v.trim().is_empty() => Some(v.trim().parse().unwrap_or_else(|e| {
-                    panic!("STUDY_MEM_BUDGET must be a byte count, got {v:?}: {e}")
-                })),
-                _ => None,
-            };
-            set_mem_budget(budget);
-            budget
-        }
-        BUDGET_UNLIMITED => None,
-        b => Some(b),
+    /// Reads `STUDY_KERNEL` (`push` | `auto`, unset is `auto`) and
+    /// `STUDY_MEM_BUDGET` (a byte count, unset or empty is unlimited).
+    /// Each process edge calls this once and hands the result to the
+    /// jobs it runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics naming the knob when either is set to something else.
+    pub fn from_env() -> Policy {
+        let kernel = match std::env::var("STUDY_KERNEL") {
+            Ok(v) => match v.as_str() {
+                "auto" => None,
+                "push" => Some(KernelChoice::PushDense),
+                other => panic!("STUDY_KERNEL must be push or auto; got {other:?}"),
+            },
+            Err(_) => None,
+        };
+        let budget = match std::env::var("STUDY_MEM_BUDGET") {
+            Ok(v) if !v.trim().is_empty() => Some(v.trim().parse().unwrap_or_else(|e| {
+                panic!("STUDY_MEM_BUDGET must be a byte count, got {v:?}: {e}")
+            })),
+            _ => None,
+        };
+        Policy { kernel, budget }
     }
 }
 
-/// Overrides the process-wide accumulator byte budget (takes precedence
-/// over `STUDY_MEM_BUDGET`); `None` removes any limit. Budgets at or
-/// above `u64::MAX - 1` are treated as unlimited.
-pub fn set_mem_budget(budget: Option<u64>) {
-    BUDGET.store(
-        budget.unwrap_or(BUDGET_UNLIMITED).min(BUDGET_UNLIMITED),
-        Ordering::Relaxed,
-    );
+thread_local! {
+    static POLICY: Cell<Policy> = const { Cell::new(Policy { kernel: None, budget: None }) };
+}
+
+/// The calling thread's policy (the default outside [`with_policy`]).
+pub fn policy() -> Policy {
+    POLICY.with(Cell::get)
+}
+
+/// Runs `f` with `p` as the calling thread's policy, then restores the
+/// previous one — also when `f` panics.
+pub fn with_policy<T>(p: Policy, f: impl FnOnce() -> T) -> T {
+    struct Restore(Policy);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            POLICY.with(|c| c.set(self.0));
+        }
+    }
+    let _restore = Restore(POLICY.with(|c| c.replace(p)));
+    f()
 }
 
 /// The outcome of kernel selection for one call: the kernel to run plus
 /// the heuristic inputs, recorded on the op's trace span. Forced choices
-/// (descriptor hint or non-auto mode) skip the operand scans and leave
-/// the inputs zero.
+/// skip the operand scans and leave the inputs zero.
 pub(crate) struct Selection {
     /// Kernel to execute.
     pub choice: KernelChoice,
@@ -169,20 +145,6 @@ impl Selection {
             matrix_nnz: 0,
             mask_admitted: 0,
         }
-    }
-}
-
-/// Resolves a descriptor hint or a non-auto mode; `None` means run the
-/// heuristic. [`KernelMode::Push`] is the paper's fixed dense scatter.
-fn forced_choice(desc: &Descriptor) -> Option<KernelChoice> {
-    match desc.kernel {
-        KernelHint::PushSparse => Some(KernelChoice::PushSparse),
-        KernelHint::PushDense => Some(KernelChoice::PushDense),
-        KernelHint::Pull => Some(KernelChoice::Pull),
-        KernelHint::Auto => match kernel_mode() {
-            KernelMode::Push => Some(KernelChoice::PushDense),
-            KernelMode::Auto => None,
-        },
     }
 }
 
@@ -251,7 +213,7 @@ pub(crate) fn pick_kernel(
 }
 
 /// Worst-case accumulator bytes `choice` would materialize on these
-/// `vxm` operands — the quantity [`mem_budget`] is enforced against.
+/// `vxm` operands — the quantity [`Policy::budget`] is enforced against.
 pub(crate) fn projected_bytes(
     choice: KernelChoice,
     frontier_degree: u64,
@@ -269,9 +231,9 @@ pub(crate) fn projected_bytes(
 }
 
 /// Applies the byte budget to a preliminary choice. The preferred kernel
-/// stands when its projection fits. A `forced` choice (descriptor hint or
-/// non-auto mode) that does not fit errors immediately — the caller asked
-/// for that kernel specifically. Under `auto`, the least-materializing
+/// stands when its projection fits. A `forced` choice that does not fit
+/// errors immediately — the policy asked for that kernel specifically.
+/// Otherwise the least-materializing
 /// kernel that fits is substituted; when none fits the op reports the
 /// cheapest kernel's requirement.
 #[allow(clippy::too_many_arguments)]
@@ -319,16 +281,16 @@ fn fit_to_budget(
 ///
 /// # Errors
 ///
-/// Returns [`GrbError::ResourceExhausted`] when a [`mem_budget`] is
-/// active and no viable kernel's projected accumulator fits it.
+/// Returns [`GrbError::ResourceExhausted`] when the policy sets a budget
+/// and no viable kernel's projected accumulator fits it.
 pub(crate) fn select<T: Scalar, M: Scalar>(
     u: &Vector<T>,
     a: &Matrix<T>,
     mask: Option<&Vector<M>>,
     desc: &Descriptor,
 ) -> Result<Selection, GrbError> {
-    let budget = mem_budget();
-    let forced = forced_choice(desc);
+    let Policy { kernel, budget } = policy();
+    let forced = kernel.filter(|&k| k != KernelChoice::Unspecified);
     if budget.is_none() {
         // Zero-overhead path: forced choices skip the operand scans.
         if let Some(choice) = forced {
@@ -377,8 +339,8 @@ pub(crate) fn select<T: Scalar, M: Scalar>(
     })
 }
 
-/// The kernel `vxm` would run for these operands (hint > mode > budget >
-/// heuristic). Exposed so tests can assert that `auto` delegates to the
+/// The kernel `vxm` would run for these operands under the calling
+/// thread's [`Policy`]. Exposed so tests can assert that `auto` delegates to the
 /// kernel the cost model names.
 ///
 /// # Errors
@@ -658,20 +620,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mode_roundtrip_and_default() {
-        let before = kernel_mode();
-        set_kernel_mode(KernelMode::Push);
-        assert_eq!(kernel_mode(), KernelMode::Push);
-        set_kernel_mode(KernelMode::Auto);
-        assert_eq!(kernel_mode(), KernelMode::Auto);
-        set_kernel_mode(before);
-        assert_eq!(kernel_mode(), before);
+    fn with_policy_scopes_and_restores() {
+        let push = Policy::forcing(KernelChoice::PushDense);
+        with_policy(push, || {
+            assert_eq!(policy(), push);
+            let elsewhere = std::thread::spawn(policy).join().unwrap();
+            assert_eq!(elsewhere, Policy::default(), "another thread keeps its own");
+            let auto = Policy::default();
+            with_policy(auto, || assert_eq!(policy(), auto));
+            assert_eq!(policy(), push, "the inner scope restores the outer policy");
+        });
+        assert!(std::panic::catch_unwind(|| with_policy(push, || panic!("inside"))).is_err());
+        assert_eq!(policy(), Policy::default(), "a panic restores it too");
     }
 
     #[test]
-    fn descriptor_hint_beats_mode() {
-        let desc = Descriptor::new().with_kernel(KernelHint::PushSparse);
-        assert_eq!(forced_choice(&desc), Some(KernelChoice::PushSparse));
+    fn forcing_unspecified_leaves_the_choice_to_the_cost_model() {
+        let tuples = vec![(0, 1, 1u32), (0, 2, 1)];
+        let a = Matrix::from_tuples(4, 4, tuples, crate::binops::Plus).unwrap();
+        let u = Vector::from_entries(4, vec![(0, 1u32)]).unwrap();
+        let no_mask = None::<&Vector<u32>>;
+        let choice = || vxm_kernel_choice(&u, &a, no_mask, &Descriptor::new()).unwrap();
+        let unspecified = Policy::forcing(KernelChoice::Unspecified);
+        assert_eq!(with_policy(unspecified, choice), choice());
     }
 
     #[test]
@@ -720,19 +691,6 @@ mod tests {
         // Empty operands must not divide by zero; selection degrades to
         // the paper's dense scatter.
         assert_eq!(pick_kernel(0, 0, 0, 0, 16, 8), KernelChoice::PushDense);
-    }
-
-    #[test]
-    fn budget_roundtrip_is_behaviour_neutral() {
-        // Use a budget large enough that no projection can exceed it, so
-        // concurrently running selection tests are unaffected.
-        let before = mem_budget();
-        set_mem_budget(Some(u64::MAX - 2));
-        assert_eq!(mem_budget(), Some(u64::MAX - 2));
-        set_mem_budget(Some(u64::MAX));
-        assert_eq!(mem_budget(), None, "near-MAX budgets clamp to unlimited");
-        set_mem_budget(before);
-        assert_eq!(mem_budget(), before);
     }
 
     #[test]

@@ -19,9 +19,9 @@ use crate::descriptor::Descriptor;
 use perfmon::trace::{self, Event, KernelChoice, MaskMode, OpKind, OpSpan};
 use std::time::Instant;
 
-/// Live span guard for one GraphBLAS call; `None` while tracing is off
-/// (the disabled cost is the one relaxed load inside
-/// [`perfmon::trace::enabled`]).
+/// Live span guard for one GraphBLAS call; `None` while the calling
+/// thread is not tracing (the disabled cost is the thread-local read
+/// inside [`perfmon::trace::enabled`]).
 pub(crate) struct OpTrace {
     backend: &'static str,
     kind: OpKind,
@@ -138,9 +138,7 @@ mod write;
 pub use assign::{apply, apply_inplace, assign_scalar};
 pub use ewise::{ewise_add, ewise_mult};
 pub use extract::extract;
-pub use kernels::{
-    kernel_mode, mem_budget, set_kernel_mode, set_mem_budget, vxm_kernel_choice, KernelMode,
-};
+pub use kernels::{policy, vxm_kernel_choice, with_policy, Policy};
 pub use mxm::mxm;
 pub use reduce::{reduce_matrix, reduce_vector};
 pub use select::{select_matrix, select_vector};

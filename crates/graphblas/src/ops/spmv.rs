@@ -6,16 +6,15 @@
 //! form. The push kernel materializes a dense accumulator per call — the
 //! *materialization* cost the paper measures.
 //!
-//! `vxm` routes through [`super::kernels`]: under
-//! [`super::kernels::KernelMode::Push`] (or a forced descriptor hint) it
-//! runs the paper's dense scatter, while `auto` may substitute a
-//! sparse-accumulator scatter or a masked pull over the cached transpose
-//! when operand sparsity favors it. The push-dense accumulator and the
-//! push arms' list of `u`'s entries are allocated per call, as the
-//! paper's are; the pull arm reads `u` in place. `mxv` has one kernel, the
-//! paper's row pull, in every mode. Both pulls fold a row with
-//! [`super::kernels::pull_row`], which skips the input's presence flags
-//! when the input holds every entry.
+//! `vxm` routes through [`super::kernels`]: a [`super::Policy`] that
+//! forces push-dense runs the paper's dense scatter, while the cost model
+//! may substitute a sparse-accumulator scatter or a masked pull over the
+//! cached transpose when operand sparsity favors it. The push-dense
+//! accumulator and the push arms' list of `u`'s entries are allocated per
+//! call, as the paper's are; the pull arm reads `u` in place. `mxv` has
+//! one kernel, the paper's row pull, under every policy. Both pulls fold
+//! a row with [`super::kernels::pull_row`], which skips the input's
+//! presence flags when the input holds every entry.
 
 use super::kernels;
 use super::write::{Output, WriteBack};
@@ -43,8 +42,8 @@ use perfmon::trace::KernelChoice;
 /// Returns [`GrbError::DimensionMismatch`] when `u.size != a.nrows`,
 /// `w.size != a.ncols`, or the mask size differs from `w`;
 /// [`GrbError::ResourceExhausted`] when no kernel's projected
-/// accumulator fits the active [`super::mem_budget`] (or an injected
-/// `grb.alloc.accumulator` fault fires).
+/// accumulator fits the calling thread's [`super::Policy::budget`] (or
+/// an injected `grb.alloc.accumulator` fault fires).
 pub fn vxm<T, M, S, R>(
     mut w: impl Output<Elem = T>,
     mask: Option<&Vector<M>>,
@@ -137,22 +136,23 @@ where
 ///
 /// Parallel over the rows of `A`; row `i` folds `⊕_k A(i,k) ⊗ u(k)` in
 /// the row's storage order, so the result does not depend on the runtime
-/// or the thread count. This is the only kernel: `mxv` reads neither the
-/// descriptor's kernel hint nor [`super::kernel_mode`]. Efficient when
-/// `u` is dense (the FastSV and pagerank usage); with a sparse `u` each
-/// matrix entry costs a binary search, faithfully reproducing why pull
-/// kernels want dense operands. A dense `u` with every entry present
-/// (`nvals == size`) is read without its per-entry presence flags; one
-/// with holes reads a flag before each value. Without a mask the product
-/// replaces `w`; `Accum(&mut w, ⊙)` folds it in instead.
+/// or the thread count. This is the only kernel: `mxv` ignores
+/// [`super::Policy::kernel`]. Efficient when `u` is dense (the FastSV and
+/// pagerank usage); with a sparse `u` each matrix entry costs a binary
+/// search, faithfully reproducing why pull kernels want dense operands.
+/// A dense `u` with every entry present (`nvals == size`) is read without
+/// its per-entry presence flags; one with holes reads a flag before each
+/// value. Without a mask the product replaces `w`; `Accum(&mut w, ⊙)`
+/// folds it in instead.
 ///
 /// # Errors
 ///
 /// Returns [`GrbError::DimensionMismatch`] on non-conforming sizes;
 /// [`GrbError::ResourceExhausted`] when the pull's dense value and
-/// presence buffers, `a.nrows() * (size_of::<T>() + 1)` bytes, exceed an
-/// active [`super::mem_budget`] (there is no smaller kernel to fall back
-/// to), or on an injected `grb.alloc.accumulator` fault.
+/// presence buffers, `a.nrows() * (size_of::<T>() + 1)` bytes, exceed the
+/// calling thread's [`super::Policy::budget`] (there is no smaller
+/// kernel to fall back to), or on an injected `grb.alloc.accumulator`
+/// fault.
 pub fn mxv<T, M, S, R>(
     mut w: impl Output<Elem = T>,
     mask: Option<&Vector<M>>,
@@ -202,7 +202,7 @@ where
     // pull's materialization.
     let n = a.nrows();
     let accumulator_bytes = (n * (std::mem::size_of::<T>() + std::mem::size_of::<bool>())) as u64;
-    if let Some(limit) = super::mem_budget() {
+    if let Some(limit) = super::policy().budget {
         if accumulator_bytes > limit {
             return Err(GrbError::ResourceExhausted {
                 required: accumulator_bytes,
@@ -385,6 +385,11 @@ mod tests {
         Matrix::from_graph(&g, f64::from)
     }
 
+    /// Runs `f` with `vxm` forced onto the pull kernel.
+    fn forcing_pull<T>(f: impl FnOnce() -> T) -> T {
+        crate::ops::with_policy(crate::ops::Policy::forcing(KernelChoice::Pull), f)
+    }
+
     /// `(mxv, vxm)` of `u`, with `vxm` forced onto the pull kernel.
     fn pull_products<S: SemiringOps<T>, T: Scalar>(
         semiring: S,
@@ -393,10 +398,19 @@ mod tests {
     ) -> (Vector<T>, Vector<T>) {
         let desc = Descriptor::new().with_replace(true);
         let mut pulled = Vector::new(a.nrows());
-        mxv(&mut pulled, None::<&Vector<bool>>, semiring, a, u, &desc, GaloisRuntime).unwrap();
-        let pull = desc.with_kernel(crate::descriptor::KernelHint::Pull);
+        mxv(
+            &mut pulled,
+            None::<&Vector<bool>>,
+            semiring,
+            a,
+            u,
+            &desc,
+            GaloisRuntime,
+        )
+        .unwrap();
         let mut pushed = Vector::new(a.ncols());
-        vxm(&mut pushed, None::<&Vector<bool>>, semiring, u, a, &pull, GaloisRuntime).unwrap();
+        let no_mask = None::<&Vector<bool>>;
+        forcing_pull(|| vxm(&mut pushed, no_mask, semiring, u, a, &desc, GaloisRuntime)).unwrap();
         (pulled, pushed)
     }
 
@@ -472,11 +486,20 @@ mod tests {
         let a = multigraph_matrix();
         let ones = Vector::new_dense(5, 1.0);
         let desc = Descriptor::new().with_replace(true);
-        let pull = desc.with_kernel(crate::descriptor::KernelHint::Pull);
         LOR_MULS.store(0, Ordering::Relaxed);
         let mut reached = Vector::new(5);
-        vxm(&mut reached, None::<&Vector<bool>>, CountingLor, &ones, &a, &pull, GaloisRuntime)
-            .unwrap();
+        forcing_pull(|| {
+            vxm(
+                &mut reached,
+                None::<&Vector<bool>>,
+                CountingLor,
+                &ones,
+                &a,
+                &desc,
+                GaloisRuntime,
+            )
+        })
+        .unwrap();
         assert_eq!(reached.entries(), (0..5).map(|j| (j, 1.0)).collect::<Vec<_>>());
         assert_eq!(LOR_MULS.load(Ordering::Relaxed), 5, "one ⊗ per column, then exit");
         // `mxv` folds every entry: 11 edges.

@@ -5,11 +5,12 @@
 //! SuiteSparse does; nothing is retained between calls. What this
 //! module keeps is:
 //!
-//! * **op counters**: cumulative totals that each op's trace span
-//!   brackets to report `ws_reused_bytes` / `ws_fresh_bytes` (a
+//! * **op counters**: per-thread cumulative totals that each op's trace
+//!   span brackets to report `ws_reused_bytes` / `ws_fresh_bytes` (a
 //!   replace-mode write that recycles `w`'s own dense store, against
 //!   one that allocates a new one or builds a cached transpose) and
-//!   `flops` / `chunks`;
+//!   `flops` / `chunks`. All are written on the op's calling thread, so
+//!   ops on other threads never move them;
 //! * **flop-balanced scheduling** (`run_balanced`): row loops whose
 //!   per-row cost is skewed (SpGEMM over rmat-like degree distributions,
 //!   masked pull SpMV) are partitioned into equal-*flops* ranges instead
@@ -17,21 +18,24 @@
 //!   which reuses the `substrate::deque` work-stealing layer for the
 //!   residual imbalance.
 
+use std::cell::Cell;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 // ---------------------------------------------------------------------------
-// Cumulative counters: op spans record start/finish deltas of these.
+// Cumulative counters of the calling thread: op spans record start/finish
+// deltas of these.
 
-static WS_REUSED: AtomicU64 = AtomicU64::new(0);
-static WS_FRESH: AtomicU64 = AtomicU64::new(0);
-static WS_FLOPS: AtomicU64 = AtomicU64::new(0);
-static WS_CHUNKS: AtomicU64 = AtomicU64::new(0);
-static TRANSPOSE_BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static WS_REUSED: Cell<u64> = const { Cell::new(0) };
+    static WS_FRESH: Cell<u64> = const { Cell::new(0) };
+    static WS_FLOPS: Cell<u64> = const { Cell::new(0) };
+    static WS_CHUNKS: Cell<u64> = const { Cell::new(0) };
+    static TRANSPOSE_BYTES: Cell<u64> = const { Cell::new(0) };
+}
 
-/// A point-in-time copy of the cumulative workspace counters; two
-/// snapshots bracket one op and their difference is what that op's trace
-/// span reports.
+/// A point-in-time copy of the calling thread's cumulative workspace
+/// counters; two snapshots bracket one op and their difference is what
+/// that op's trace span reports.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct WsSnapshot {
     pub reused: u64,
@@ -40,30 +44,30 @@ pub(crate) struct WsSnapshot {
     pub chunks: u64,
 }
 
-/// Reads the cumulative counters.
+/// Reads the calling thread's cumulative counters.
 pub(crate) fn snapshot() -> WsSnapshot {
     WsSnapshot {
-        reused: WS_REUSED.load(Ordering::Relaxed),
-        fresh: WS_FRESH.load(Ordering::Relaxed),
-        flops: WS_FLOPS.load(Ordering::Relaxed),
-        chunks: WS_CHUNKS.load(Ordering::Relaxed),
+        reused: WS_REUSED.with(Cell::get),
+        fresh: WS_FRESH.with(Cell::get),
+        flops: WS_FLOPS.with(Cell::get),
+        chunks: WS_CHUNKS.with(Cell::get),
     }
 }
 
 /// Credits `bytes` of workspace demand met by recycling `w`'s own store.
 pub(crate) fn note_reused(bytes: usize) {
-    WS_REUSED.fetch_add(bytes as u64, Ordering::Relaxed);
+    WS_REUSED.with(|c| c.set(c.get() + bytes as u64));
 }
 
 /// Credits `bytes` of freshly allocated workspace demand.
 pub(crate) fn note_fresh(bytes: usize) {
-    WS_FRESH.fetch_add(bytes as u64, Ordering::Relaxed);
+    WS_FRESH.with(|c| c.set(c.get() + bytes as u64));
 }
 
 /// Records the useful work and chunk count of one balanced loop.
 pub(crate) fn note_work(flops: u64, chunks: u64) {
-    WS_FLOPS.fetch_add(flops, Ordering::Relaxed);
-    WS_CHUNKS.fetch_add(chunks, Ordering::Relaxed);
+    WS_FLOPS.with(|c| c.set(c.get() + flops));
+    WS_CHUNKS.with(|c| c.set(c.get() + chunks));
 }
 
 /// Records a `Matrix::transpose()` cache build of `bytes` bytes.
@@ -72,13 +76,13 @@ pub(crate) fn note_work(flops: u64, chunks: u64) {
 /// on the op that triggered the build and are *not* re-reported on every
 /// cache reuse. They count as fresh workspace bytes.
 pub(crate) fn note_transpose_build(bytes: usize) {
-    TRANSPOSE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+    TRANSPOSE_BYTES.with(|c| c.set(c.get() + bytes as u64));
     note_fresh(bytes);
 }
 
-/// Total bytes of cached-transpose builds recorded so far (test hook).
+/// Bytes of cached-transpose builds this thread triggered (test hook).
 pub fn transpose_bytes_built() -> u64 {
-    TRANSPOSE_BYTES.load(Ordering::Relaxed)
+    TRANSPOSE_BYTES.with(Cell::get)
 }
 
 // ---------------------------------------------------------------------------
@@ -178,7 +182,7 @@ mod tests {
 
     #[test]
     fn run_balanced_visits_every_index_once() {
-        use std::sync::atomic::AtomicUsize;
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let n = 2048;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         run_balanced(n, |i| (i % 17) as u64, |i| {

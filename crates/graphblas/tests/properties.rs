@@ -6,7 +6,8 @@
 //! to replay a reported failure.
 
 use graphblas::binops::{LorLand, Min, MinPlus, MinSecond, Plus, PlusTimes, SemiringOps, Times};
-use graphblas::{ops, Descriptor, GaloisRuntime, KernelHint, Matrix, StaticRuntime, Vector};
+use graphblas::ops::{with_policy, Policy};
+use graphblas::{ops, Descriptor, GaloisRuntime, Matrix, StaticRuntime, Vector};
 use perfmon::trace::KernelChoice;
 use std::ops::Range;
 use substrate::prop::{self, Gen};
@@ -205,13 +206,26 @@ fn vxm_equals_mxv_under_every_descriptor() {
     );
 }
 
-fn hint_of(choice: KernelChoice) -> KernelHint {
-    match choice {
-        KernelChoice::PushSparse => KernelHint::PushSparse,
-        KernelChoice::PushDense => KernelHint::PushDense,
-        KernelChoice::Pull => KernelHint::Pull,
-        KernelChoice::Unspecified => panic!("selection must name a concrete kernel"),
-    }
+/// `vxm` with `kernel` forced (`None`: the cost model picks), on the
+/// GB runtime, returning the entries.
+fn vxm_under<S: SemiringOps<u64>>(
+    kernel: Option<KernelChoice>,
+    semiring: S,
+    a: &Matrix<u64>,
+    u: &Vector<u64>,
+    m: Option<&Vector<u64>>,
+    desc: Descriptor,
+) -> Vec<(u32, u64)> {
+    let policy = Policy {
+        kernel,
+        budget: None,
+    };
+    let mut w: Vector<u64> = Vector::new(N);
+    with_policy(policy, || {
+        ops::vxm(&mut w, m, semiring, u, a, &desc, GaloisRuntime)
+    })
+    .unwrap();
+    w.entries()
 }
 
 /// `mxv`'s reference: row `i` folds `⊕_k A(i,k) ⊗ u(k)` over every
@@ -261,19 +275,26 @@ fn assert_spmv_kernels_agree<S: SemiringOps<u64>>(
     m: Option<&Vector<u64>>,
     desc: Descriptor,
 ) -> Result<(), String> {
-    let run_vxm = |hint| {
-        let mut w: Vector<u64> = Vector::new(N);
-        ops::vxm(&mut w, m, semiring, u, a, &desc.with_kernel(hint), GaloisRuntime).unwrap();
-        w.entries()
-    };
-    let base = run_vxm(KernelHint::PushDense);
-    for hint in [KernelHint::PushSparse, KernelHint::Pull] {
-        prop_assert_eq!(run_vxm(hint), base.clone(), "{} vxm {:?}", name, hint);
+    let run_vxm = |kernel| vxm_under(kernel, semiring, a, u, m, desc);
+    let base = run_vxm(Some(KernelChoice::PushDense));
+    for kernel in [KernelChoice::PushSparse, KernelChoice::Pull] {
+        prop_assert_eq!(
+            run_vxm(Some(kernel)),
+            base.clone(),
+            "{} vxm {:?}",
+            name,
+            kernel
+        );
     }
-    prop_assert_eq!(run_vxm(KernelHint::Auto), base.clone(), "{} vxm auto", name);
-    let delegate = hint_of(ops::vxm_kernel_choice(u, a, m, &desc).unwrap());
+    prop_assert_eq!(run_vxm(None), base.clone(), "{} vxm auto", name);
+    let delegate = ops::vxm_kernel_choice(u, a, m, &desc).unwrap();
+    assert_ne!(
+        delegate,
+        KernelChoice::Unspecified,
+        "selection must name a concrete kernel"
+    );
     prop_assert_eq!(
-        run_vxm(delegate),
+        run_vxm(Some(delegate)),
         base.clone(),
         "{} vxm delegate {:?}",
         name,
@@ -325,11 +346,11 @@ fn kernels_agree_under_every_semiring_and_descriptor() {
 }
 
 /// The `(vxm entries, mxv entries)` expectation pair shared across
-/// kernel hints.
+/// `vxm` kernels.
 type OpExpectations = (Vec<(u32, u64)>, Vec<(u32, u64)>);
 
 /// Runs one (semiring, mask, descriptor) combination through `vxm` under
-/// every forced kernel hint plus `auto`, and through `mxv` once, and
+/// every forced kernel plus the cost model, and through `mxv` once, and
 /// asserts the entries are bit-identical to `expect` — one expectation
 /// per op, since `vxm` and `mxv` are different products under a
 /// non-commutative ⊗ — building the expectations on the first call.
@@ -344,29 +365,25 @@ fn assert_spmv_kernels_agree_with<S: SemiringOps<u64>>(
     desc: Descriptor,
     expect: &mut Option<OpExpectations>,
 ) -> Result<(), String> {
-    const HINTS: [KernelHint; 4] = [
-        KernelHint::PushDense,
-        KernelHint::PushSparse,
-        KernelHint::Pull,
-        KernelHint::Auto,
+    const KERNELS: [Option<KernelChoice>; 4] = [
+        Some(KernelChoice::PushDense),
+        Some(KernelChoice::PushSparse),
+        Some(KernelChoice::Pull),
+        None,
     ];
-    let run_vxm = |hint| {
-        let mut w: Vector<u64> = Vector::new(N);
-        ops::vxm(&mut w, m, semiring, u, a, &desc.with_kernel(hint), GaloisRuntime).unwrap();
-        w.entries()
-    };
+    let run_vxm = |kernel| vxm_under(kernel, semiring, a, u, m, desc);
     let mut w: Vector<u64> = Vector::new(N);
     ops::mxv(&mut w, m, semiring, a, u, &desc, StaticRuntime).unwrap();
     let mxv_got = w.entries();
-    let (ev, em) = expect.get_or_insert_with(|| (run_vxm(HINTS[0]), mxv_got.clone()));
+    let (ev, em) = expect.get_or_insert_with(|| (run_vxm(KERNELS[0]), mxv_got.clone()));
     prop_assert_eq!(mxv_got, *em, "{} mxv at {} threads", name, threads);
-    for hint in HINTS {
+    for kernel in KERNELS {
         prop_assert_eq!(
-            run_vxm(hint),
+            run_vxm(kernel),
             *ev,
             "{} vxm {:?} at {} threads",
             name,
-            hint,
+            kernel,
             threads
         );
     }

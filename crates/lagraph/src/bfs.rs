@@ -7,13 +7,14 @@
 //! paper's *lightweight loops* limitation.
 //!
 //! The algorithm itself stays fixed-strategy push, but under the default
-//! `STUDY_KERNEL=auto` policy the `vxm` underneath direction-optimizes
-//! per round: sparse early frontiers scatter into pair lanes, saturated
+//! [`ops::Policy`] the `vxm` underneath direction-optimizes per round:
+//! sparse early frontiers scatter into pair lanes, saturated
 //! mid-frontiers use the dense accumulator, and late rounds pull only
 //! the still-unvisited vertices through the complemented mask — the
 //! GraphBLAST-style optimization living *below* the API, invisible to
-//! this code, so the matrix API needs no separate push/pull bfs.
-//! `STUDY_KERNEL=push` restores the paper's cost model.
+//! this code, so the matrix API needs no separate push/pull bfs. A
+//! policy forcing push-dense (`STUDY_KERNEL=push`) restores the paper's
+//! cost model.
 
 use graph::{CsrGraph, NodeId};
 use graphblas::binops::LorLand;
@@ -36,14 +37,14 @@ pub struct BfsResult {
 /// Propagates [`GrbError`] from the underlying GraphBLAS calls:
 /// [`GrbError::IndexOutOfBounds`] when `src` is out of range, and
 /// [`GrbError::ResourceExhausted`] when a round's `vxm` accumulator does
-/// not fit the `STUDY_MEM_BUDGET` budget ([`ops::mem_budget`]) or an
-/// injected `grb.alloc.accumulator` fault fires.
+/// not fit the calling thread's [`ops::Policy::budget`] or an injected
+/// `grb.alloc.accumulator` fault fires.
 pub fn bfs<R: Runtime>(g: &CsrGraph, src: NodeId, rt: R) -> Result<BfsResult, GrbError> {
     bfs_on(&Matrix::from_graph(g, |_| 1), src, rt)
 }
 
 /// Runs [`bfs`] once per source over one adjacency matrix: `A` is built
-/// once, and the transpose that `auto`'s pull rounds build lazily on it
+/// once, and the transpose that the cost model's pull rounds build lazily on it
 /// is built at most once too. Query `j` is exactly `bfs(g, sources[j])`
 /// and fails alone; its siblings still run.
 ///

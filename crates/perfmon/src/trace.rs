@@ -9,12 +9,13 @@
 //! parallel loop records a [`LoopSpan`] (iterations, steals, rounds, OBIM
 //! bucket visits).
 //!
-//! Spans are pushed into per-thread ring buffers (bounded at
-//! [`RING_CAPACITY`] events; overflow evicts the oldest and is counted)
-//! and merged into a single sequence-ordered [`Trace`] by [`collect`].
-//! Tracing is off by default; when disabled every hook is a single relaxed
-//! atomic load, so timing runs and traced runs execute the same code —
-//! the same design as the [`crate::counters`] hooks.
+//! A trace belongs to the thread that called [`with_trace`]: a span is
+//! recorded by the thread that issued the call or launched the loop, into
+//! that thread's bounded buffer ([`RING_CAPACITY`] events; overflow evicts
+//! the oldest and is counted), so work on other threads never lands in
+//! it. Tracing is off by default; when disabled every hook is one
+//! thread-local read, so timing runs and traced runs execute the same
+//! code.
 //!
 //! ## Example
 //!
@@ -39,10 +40,9 @@
 //! assert_eq!(t.summary().iterations, 100);
 //! ```
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use substrate::sync::Mutex;
+use std::cell::RefCell;
 
-/// Maximum events held per thread before the oldest are evicted.
+/// Maximum events one trace holds before the oldest are evicted.
 pub const RING_CAPACITY: usize = 1 << 16;
 
 /// The GraphBLAS API call a span describes.
@@ -176,7 +176,7 @@ impl MaskMode {
 /// One GraphBLAS API call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpSpan {
-    /// Global order of completion (assigned by [`record`]).
+    /// Index of the span in its trace (assigned by [`record`]).
     pub seq: u64,
     /// Backend the kernel ran on ("SS" or "GB").
     pub backend: &'static str,
@@ -226,7 +226,8 @@ pub struct OpSpan {
     /// Transient allocator churn: bytes allocated during the call minus
     /// bytes still live when it returned (0 unless the tracking
     /// allocator is installed). The op's *thrown-away* allocations —
-    /// what per-call scratch costs the allocator.
+    /// what per-call scratch costs the allocator. Unlike the other
+    /// fields it is process-wide: the allocator counts every thread's.
     pub alloc_bytes: u64,
     /// Wall time of the call.
     pub elapsed_ns: u64,
@@ -264,7 +265,7 @@ impl LoopKind {
 /// One runtime parallel loop (a `do_all`/`for_each` launch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LoopSpan {
-    /// Global order of completion (assigned by [`record`]).
+    /// Index of the span in its trace (assigned by [`record`]).
     pub seq: u64,
     /// Which loop construct.
     pub kind: LoopKind,
@@ -307,7 +308,7 @@ impl DeltaKind {
 /// compaction (trace/v4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaSpan {
-    /// Global order of completion (assigned by [`record`]).
+    /// Index of the span in its trace (assigned by [`record`]).
     pub seq: u64,
     /// Which delta operation.
     pub kind: DeltaKind,
@@ -334,7 +335,7 @@ pub enum Event {
 }
 
 impl Event {
-    /// The event's global completion order.
+    /// The event's index in its trace.
     pub fn seq(&self) -> u64 {
         match self {
             Event::Op(s) => s.seq,
@@ -344,7 +345,7 @@ impl Event {
     }
 }
 
-/// Per-thread ring: bounded event storage plus an eviction count.
+/// One trace in progress: bounded event storage plus an eviction count.
 #[derive(Default)]
 struct Ring {
     events: Vec<Event>,
@@ -354,7 +355,15 @@ struct Ring {
 }
 
 impl Ring {
-    fn push(&mut self, e: Event) {
+    /// Stamps `e` with its index in the trace (evicted events count) and
+    /// stores it, evicting the oldest event when full.
+    fn push(&mut self, mut e: Event) {
+        let seq = self.events.len() as u64 + self.dropped;
+        match &mut e {
+            Event::Op(s) => s.seq = seq,
+            Event::Loop(s) => s.seq = seq,
+            Event::Delta(s) => s.seq = seq,
+        }
         if self.events.len() < RING_CAPACITY {
             self.events.push(e);
         } else {
@@ -364,121 +373,75 @@ impl Ring {
         }
     }
 
-    fn clear(&mut self) {
-        self.events.clear();
-        self.head = 0;
-        self.dropped = 0;
+    /// The surviving events in recording order.
+    fn into_trace(mut self) -> Trace {
+        self.events.rotate_left(self.head);
+        Trace {
+            events: self.events,
+            dropped: self.dropped,
+        }
     }
 }
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static SEQ: AtomicU64 = AtomicU64::new(0);
-static RINGS: Mutex<Vec<&'static Mutex<Ring>>> = Mutex::new(Vec::new());
 
 thread_local! {
-    static RING: std::cell::Cell<Option<&'static Mutex<Ring>>> =
-        const { std::cell::Cell::new(None) };
+    /// The calling thread's innermost open trace, if any.
+    static ACTIVE: RefCell<Option<Ring>> = const { RefCell::new(None) };
 }
 
-fn ring() -> &'static Mutex<Ring> {
-    RING.with(|r| match r.get() {
-        Some(ring) => ring,
-        None => {
-            // Leaked intentionally: pool threads live for the whole
-            // process, so the ring count is bounded by the thread count.
-            let ring: &'static Mutex<Ring> = Box::leak(Box::new(Mutex::new(Ring::default())));
-            r.set(Some(ring));
-            RINGS.lock().push(ring);
-            ring
-        }
-    })
-}
-
-/// Turns tracing on or off globally.
-pub fn enable(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// Whether tracing is currently on (one relaxed load — the full cost of
-/// every hook while disabled).
+/// Whether the calling thread is inside [`with_trace`] (one thread-local
+/// read — the full cost of every hook while disabled).
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ACTIVE.with(|a| a.borrow().is_some())
 }
 
-/// Records one event into the calling thread's ring (no-op while
-/// disabled). The event's `seq` field is overwritten with the next global
-/// sequence number.
+/// Records one event into the calling thread's open trace (no-op outside
+/// [`with_trace`]). The event's `seq` field is overwritten with its index
+/// in that trace.
 pub fn record(event: Event) {
-    if !enabled() {
-        return;
-    }
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    let stamped = match event {
-        Event::Op(mut s) => {
-            s.seq = seq;
-            Event::Op(s)
+    ACTIVE.with(|a| {
+        if let Some(ring) = a.borrow_mut().as_mut() {
+            ring.push(event);
         }
-        Event::Loop(mut s) => {
-            s.seq = seq;
-            Event::Loop(s)
-        }
-        Event::Delta(mut s) => {
-            s.seq = seq;
-            Event::Delta(s)
-        }
-    };
-    ring().lock().push(stamped);
+    });
 }
 
-/// Clears every thread's ring and the global sequence counter.
+/// Runs `f` with tracing on for the calling thread and returns its output
+/// together with the trace of what the thread recorded meanwhile.
 ///
-/// Call only while no traced parallel work is in flight.
-pub fn reset() {
-    for ring in RINGS.lock().iter() {
-        ring.lock().clear();
-    }
-    SEQ.store(0, Ordering::Relaxed);
-}
-
-/// Merges every thread's ring into one sequence-ordered [`Trace`]
-/// (non-destructive).
-///
-/// Call only after traced work has completed (every loop construct is a
-/// barrier, so "after the traced closure returned" is sufficient).
-pub fn collect() -> Trace {
-    let mut events = Vec::new();
-    let mut dropped = 0;
-    for ring in RINGS.lock().iter() {
-        let ring = ring.lock();
-        events.extend_from_slice(&ring.events);
-        dropped += ring.dropped;
-    }
-    events.sort_by_key(Event::seq);
-    Trace { events, dropped }
-}
-
-/// Runs `f` with tracing enabled on a fresh trace and returns its output
-/// together with the merged trace.
-///
-/// Trace state is process-global: while `f` runs, every thread's spans
-/// are recorded — those of concurrent `with_trace` calls and of
-/// concurrent *untraced* work alike — so callers (tests in particular)
-/// must serialize against anything that runs ops or loops.
+/// Calls nest: an inner call gets a trace of its own, whose events the
+/// enclosing trace then receives as well. When `f` panics the trace is
+/// discarded and the enclosing one (or none) is back in force.
 pub fn with_trace<T>(f: impl FnOnce() -> T) -> (T, Trace) {
-    reset();
-    enable(true);
+    /// Puts the enclosing trace back on drop, unwinding included.
+    struct Restore(Option<Ring>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            ACTIVE.with(|a| *a.borrow_mut() = self.0.take());
+        }
+    }
+    let mut restore = Restore(ACTIVE.with(|a| a.borrow_mut().replace(Ring::default())));
     let out = f();
-    enable(false);
-    (out, collect())
+    let inner = ACTIVE
+        .with(|a| a.borrow_mut().take())
+        .expect("with_trace's own trace is open");
+    let trace = inner.into_trace();
+    if let Some(outer) = restore.0.as_mut() {
+        for &e in &trace.events {
+            outer.push(e);
+        }
+        outer.dropped += trace.dropped;
+    }
+    drop(restore);
+    (out, trace)
 }
 
-/// A merged, ordered collection of trace events.
+/// The ordered events of one [`with_trace`] call.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Trace {
-    /// Events in global completion order.
+    /// Events in recording order.
     pub events: Vec<Event>,
-    /// Events evicted from full rings (0 means the trace is complete).
+    /// Events evicted from a full trace (0 means the trace is complete).
     pub dropped: u64,
 }
 
@@ -652,10 +615,6 @@ pub struct TraceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
-
-    // Trace state is process-global; serialize the tests that use it.
-    static LOCK: StdMutex<()> = StdMutex::new(());
 
     fn op(kind: OpKind, materialized: u64) -> Event {
         Event::Op(OpSpan {
@@ -708,7 +667,6 @@ mod tests {
 
     #[test]
     fn delta_spans_aggregate_and_fingerprint() {
-        let _g = LOCK.lock().unwrap();
         let ((), t) = with_trace(|| {
             record(dl(DeltaKind::Apply, 64));
             record(dl(DeltaKind::Apply, 8));
@@ -738,17 +696,45 @@ mod tests {
     }
 
     #[test]
-    fn disabled_record_is_a_noop() {
-        let _g = LOCK.lock().unwrap();
-        reset();
-        enable(false);
+    fn record_outside_a_trace_or_on_another_thread_is_a_noop() {
         record(op(OpKind::Vxm, 64));
-        assert!(collect().events.is_empty());
+        let ((), t) = with_trace(|| {
+            std::thread::spawn(|| {
+                assert!(!enabled(), "tracing is the calling thread's");
+                record(op(OpKind::Vxm, 64));
+            })
+            .join()
+            .unwrap();
+            assert!(enabled());
+        });
+        assert!(t.events.is_empty() && !enabled());
+    }
+
+    #[test]
+    fn nested_traces_feed_the_enclosing_one_and_unwind_cleanly() {
+        let ((), outer) = with_trace(|| {
+            record(op(OpKind::Apply, 0));
+            let ((), inner) = with_trace(|| record(op(OpKind::Vxm, 64)));
+            assert_eq!(inner.events[0].seq(), 0, "seq counts within its own trace");
+            let unwound = std::panic::catch_unwind(|| {
+                with_trace(|| {
+                    record(op(OpKind::Mxv, 8));
+                    panic!("inside a nested trace");
+                })
+            });
+            assert!(unwound.is_err() && enabled(), "the enclosing trace is back");
+            record(op(OpKind::Extract, 0));
+        });
+        let kinds: Vec<OpKind> = outer.ops().map(|s| s.kind).collect();
+        assert_eq!(kinds, [OpKind::Apply, OpKind::Vxm, OpKind::Extract]);
+        let seqs: Vec<u64> = outer.events.iter().map(Event::seq).collect();
+        assert_eq!(seqs, [0, 1, 2]);
+        assert!(std::panic::catch_unwind(|| with_trace(|| panic!("outermost"))).is_err());
+        assert!(!enabled(), "no trace is left open");
     }
 
     #[test]
     fn with_trace_collects_in_order() {
-        let _g = LOCK.lock().unwrap();
         let ((), t) = with_trace(|| {
             record(op(OpKind::AssignScalar, 0));
             record(lp(LoopKind::DoAll, 10));
@@ -778,7 +764,6 @@ mod tests {
 
     #[test]
     fn loop_only_trace_counts_loops_as_passes() {
-        let _g = LOCK.lock().unwrap();
         let ((), t) = with_trace(|| {
             record(lp(LoopKind::ForEach, 100));
             record(lp(LoopKind::ForEachOrdered, 50));
@@ -791,7 +776,6 @@ mod tests {
 
     #[test]
     fn fingerprint_strips_timing_and_scheduling() {
-        let _g = LOCK.lock().unwrap();
         let ((), a) = with_trace(|| {
             record(op(OpKind::Vxm, 64));
             record(lp(LoopKind::DoAll, 7));
@@ -820,27 +804,14 @@ mod tests {
     #[test]
     fn ring_eviction_is_counted() {
         let mut ring = Ring::default();
-        for _ in 0..(RING_CAPACITY + 5) {
-            ring.push(lp(LoopKind::DoAll, 1));
+        for i in 0..(RING_CAPACITY + 5) as u64 {
+            ring.push(lp(LoopKind::DoAll, i));
         }
         assert_eq!(ring.events.len(), RING_CAPACITY);
         assert_eq!(ring.dropped, 5);
-        ring.clear();
-        assert_eq!(ring.dropped, 0);
-        assert!(ring.events.is_empty());
-    }
-
-    #[test]
-    fn reset_clears_other_threads_rings() {
-        let _g = LOCK.lock().unwrap();
-        reset();
-        enable(true);
-        std::thread::spawn(|| record(op(OpKind::Apply, 0)))
-            .join()
-            .unwrap();
-        enable(false);
-        assert_eq!(collect().events.len(), 1);
-        reset();
-        assert!(collect().events.is_empty());
+        let t = ring.into_trace();
+        assert_eq!(t.dropped, 5);
+        assert_eq!(t.events[0].seq(), 5, "the oldest five were evicted");
+        assert!(t.events.windows(2).all(|w| w[0].seq() + 1 == w[1].seq()));
     }
 }

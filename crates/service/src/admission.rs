@@ -105,13 +105,14 @@ impl AdmissionConfig {
     ///
     /// # Panics
     ///
-    /// Panics when `STUDY_SVC_MAX_INFLIGHT` is set to a non-integer.
+    /// Panics when `STUDY_SVC_MAX_INFLIGHT` is set to a non-integer, or
+    /// where [`graphblas::ops::Policy::from_env`] does.
     pub fn from_env() -> AdmissionConfig {
         let capacity = match std::env::var("STUDY_SVC_MAX_INFLIGHT") {
             Ok(v) if !v.trim().is_empty() => v.trim().parse().unwrap_or_else(|e| {
                 panic!("STUDY_SVC_MAX_INFLIGHT must be a unit count, got {v:?}: {e}")
             }),
-            _ => match graphblas::ops::mem_budget() {
+            _ => match graphblas::ops::Policy::from_env().budget {
                 Some(budget) => ((budget / BYTES_PER_UNIT) as u32).clamp(1, 32),
                 None => 8,
             },

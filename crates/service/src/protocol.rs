@@ -171,7 +171,8 @@ pub enum Status {
     Failed,
     /// The job outlived its deadline (queue wait included).
     Timeout,
-    /// The job exceeded the `STUDY_MEM_BUDGET`.
+    /// The job exceeded its memory budget (`STUDY_MEM_BUDGET` at the
+    /// server's start).
     Oom,
     /// Admission control shed the request before it ran.
     Rejected,

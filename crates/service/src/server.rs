@@ -22,6 +22,7 @@ use crate::protocol::{
     Request, Response, RunRequest, RunResponse, StatsResponse, Status,
 };
 use graph::delta::EdgeBatch;
+use graphblas::ops::Policy;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -88,6 +89,8 @@ pub struct DrainReport {
 struct Shared {
     catalog: Catalog,
     admission: Admission,
+    /// The starting thread's policy, stamped on every job.
+    policy: Policy,
     default_deadline_ms: u32,
     stop: AtomicBool,
     served: AtomicU64,
@@ -109,7 +112,8 @@ pub struct ServiceHandle {
 pub struct Service;
 
 impl Service {
-    /// Binds the configured address and starts serving the catalog.
+    /// Binds the configured address and starts serving the catalog; every
+    /// job runs under the calling thread's [`Policy`] at this call.
     ///
     /// # Errors
     ///
@@ -120,6 +124,7 @@ impl Service {
         let shared = Arc::new(Shared {
             catalog,
             admission: Admission::new(config.admission),
+            policy: graphblas::ops::policy(),
             default_deadline_ms: config.default_deadline_ms,
             stop: AtomicBool::new(false),
             served: AtomicU64::new(0),
@@ -329,6 +334,7 @@ fn admit_and_execute(
     let job = Job {
         verify,
         timeout,
+        policy: shared.policy,
         ..Job::new(work(&p))
     };
     let started = Instant::now();

@@ -1,8 +1,8 @@
 //! Chaos suite: the resilience tentpole end to end.
 //!
-//! Every test here perturbs process-global state (the fault plan, the
-//! memory budget), so the whole suite serializes on one lock and
-//! restores the environment-derived configuration afterwards — the
+//! Every test here perturbs the process-global fault plan, so the whole
+//! suite serializes on one lock and restores the environment's plan
+//! afterwards. A memory budget is part of a job's policy instead. The
 //! final `sweep_survives_env_faults` test is the one CI's chaos matrix
 //! drives through `STUDY_FAULTS` / `STUDY_MEM_BUDGET` /
 //! `STUDY_CELL_TIMEOUT_MS`.
@@ -12,7 +12,7 @@ mod common;
 use common::update_stream;
 use graph_api_study::galois_rt::ThreadPool;
 use graph_api_study::graph::{DeltaGraph, EdgeBatch};
-use graph_api_study::graphblas::ops;
+use graph_api_study::graphblas::ops::{self, Policy};
 use graph_api_study::study_core::cell::{
     cell_timeout_from_env, run_protected, CellOutcome, CellStatus,
 };
@@ -23,27 +23,24 @@ use graph_api_study::study_core::{
 use graph_api_study::substrate::fault::{self, FaultPlan};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Serializes the suite and pins down the fault/budget globals for one
-/// test body, restoring the `STUDY_FAULTS` / `STUDY_MEM_BUDGET` view
-/// afterwards so test order cannot matter.
-fn with_chaos_state<T>(plan: Option<&str>, budget: Option<u64>, f: impl FnOnce() -> T) -> T {
+/// Serializes the suite and pins down the fault plan for one test body,
+/// restoring the `STUDY_FAULTS` plan afterwards so test order cannot
+/// matter.
+fn with_chaos_state<T>(plan: Option<&str>, f: impl FnOnce() -> T) -> T {
     static LOCK: Mutex<()> = Mutex::new(());
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     fault::set_plan(plan.map(|spec| FaultPlan::parse(spec).expect("test plan parses")));
-    ops::set_mem_budget(budget);
     let out = f();
     fault::set_plan(fault::plan_from_env());
-    ops::set_mem_budget(env_budget());
     out
 }
 
-/// The budget `STUDY_MEM_BUDGET` configures (mirrors the lazy resolution
-/// in `graphblas::ops::mem_budget`).
-fn env_budget() -> Option<u64> {
-    std::env::var("STUDY_MEM_BUDGET")
-        .ok()
-        .filter(|v| !v.trim().is_empty())
-        .map(|v| v.trim().parse().expect("STUDY_MEM_BUDGET must be bytes"))
+/// The default policy under a byte budget.
+fn budget(bytes: u64) -> Policy {
+    Policy {
+        kernel: None,
+        budget: Some(bytes),
+    }
 }
 
 /// One shared small study graph (preparation dominates the suite's cost).
@@ -73,23 +70,32 @@ fn path_graph() -> Arc<PreparedGraph> {
     Arc::new(PreparedGraph::from_graph("path100".to_string(), g, 0, 3, 1 << 13))
 }
 
-/// Executes `work` unverified, with the `STUDY_CELL_TIMEOUT_MS`
-/// deadline, and returns its lanes.
-fn run_lanes(work: Work, p: &Arc<PreparedGraph>) -> Vec<CellOutcome<ProblemOutput>> {
+/// Executes `work` unverified under `policy`, with the
+/// `STUDY_CELL_TIMEOUT_MS` deadline, and returns its lanes.
+fn run_lanes(
+    work: Work,
+    p: &Arc<PreparedGraph>,
+    policy: Policy,
+) -> Vec<CellOutcome<ProblemOutput>> {
     let job = Job {
         timeout: cell_timeout_from_env(),
+        policy,
         ..Job::new(work)
     };
     execute(&job, p).lanes
 }
 
 /// Runs the full 18-cell sweep (6 problems x 3 systems, one graph)
-/// through the executor, returning each cell's outcome projection.
-fn sweep(p: &Arc<PreparedGraph>) -> Vec<(CellStatus, Option<String>, Option<ProblemOutput>)> {
+/// through the executor under `policy`, returning each cell's outcome
+/// projection.
+fn sweep(
+    p: &Arc<PreparedGraph>,
+    policy: Policy,
+) -> Vec<(CellStatus, Option<String>, Option<ProblemOutput>)> {
     let mut out = Vec::new();
     for problem in Problem::all() {
         for system in System::all() {
-            let o = run_lanes(Work::Cell(system, problem), p).remove(0);
+            let o = run_lanes(Work::Cell(system, problem), p, policy).remove(0);
             out.push((o.status, o.error, o.value));
         }
     }
@@ -99,7 +105,7 @@ fn sweep(p: &Arc<PreparedGraph>) -> Vec<(CellStatus, Option<String>, Option<Prob
 #[test]
 fn sweep_continues_past_an_injected_cell_failure() {
     let p = prepared();
-    let clean = with_chaos_state(None, None, || sweep(&p));
+    let clean = with_chaos_state(None, || sweep(&p, Policy::default()));
     assert!(
         clean.iter().all(|(s, _, _)| *s == CellStatus::Ok),
         "fault-free sweep must be all ok: {:?}",
@@ -107,7 +113,7 @@ fn sweep_continues_past_an_injected_cell_failure() {
     );
 
     // `cell.run:nth=5` victimizes exactly the fifth cell of the sweep.
-    let faulted = with_chaos_state(Some("cell.run:nth=5"), None, || sweep(&p));
+    let faulted = with_chaos_state(Some("cell.run:nth=5"), || sweep(&p, Policy::default()));
     assert_eq!(faulted.len(), clean.len(), "sweep must run to completion");
     for (i, ((fs, fe, fv), (_, _, cv))) in faulted.iter().zip(&clean).enumerate() {
         if i == 4 {
@@ -127,8 +133,9 @@ fn seeded_fault_plan_replays_bit_exact() {
     let p = prepared();
     let plan = "seed=7;grb.alloc.accumulator:p=0.1";
     let run = || {
-        with_chaos_state(Some(plan), None, || {
-            let statuses: Vec<CellStatus> = sweep(&p).into_iter().map(|(s, _, _)| s).collect();
+        with_chaos_state(Some(plan), || {
+            let sweep = sweep(&p, Policy::default());
+            let statuses: Vec<CellStatus> = sweep.into_iter().map(|(s, _, _)| s).collect();
             (statuses, fault::firing_log())
         })
     };
@@ -156,9 +163,10 @@ fn budget_constrained_bfs_degrades_and_still_verifies() {
     let job = Job {
         verify: true,
         trace: true,
+        policy: budget(64),
         ..Job::new(bfs.clone())
     };
-    let outcome = with_chaos_state(None, Some(64), || execute(&job, &p));
+    let outcome = with_chaos_state(None, || execute(&job, &p));
     assert!(outcome.is_ok(), "degraded run still verifies: {:?}", outcome.lanes);
     let s = outcome.trace.expect("a traced job returns its trace").summary();
     assert!(s.kernel_push_sparse > 0, "budget must leave sparse push: {s:?}");
@@ -166,7 +174,7 @@ fn budget_constrained_bfs_degrades_and_still_verifies() {
     assert_eq!(s.kernel_pull, 0, "pull never fits in 64 B: {s:?}");
 
     // A budget nothing fits in is an oom outcome, not an abort.
-    let starved = with_chaos_state(None, Some(0), || run_lanes(bfs, &p).remove(0));
+    let starved = with_chaos_state(None, || run_lanes(bfs, &p, budget(0)).remove(0));
     assert_eq!(starved.status, CellStatus::Oom);
     assert!(
         starved.error.as_deref().unwrap_or_default().contains("out of memory"),
@@ -185,13 +193,13 @@ fn mxv_under_a_budget_the_pull_does_not_fit_is_exhausted() {
     let a: Matrix<f64> = Matrix::from_graph(&g.graph, |_| 1.0);
     let n = a.nrows() as u64;
     let u = Vector::new_dense(a.ncols(), 1.0);
-    let run = |budget| {
-        with_chaos_state(None, Some(budget), || {
-            let mut w = Vector::new(a.nrows());
-            let no_mask = None::<&Vector<bool>>;
-            let desc = Descriptor::new();
-            ops::mxv(&mut w, no_mask, PlusTimes, &a, &u, &desc, GaloisRuntime).map(|()| w)
-        })
+    let run = |bytes| {
+        let mut w = Vector::new(a.nrows());
+        let no_mask = None::<&Vector<bool>>;
+        let desc = Descriptor::new();
+        let mxv = || ops::mxv(&mut w, no_mask, PlusTimes, &a, &u, &desc, GaloisRuntime);
+        // The chaos lock keeps a neighbour's fault plan out of this call.
+        with_chaos_state(None, || ops::with_policy(budget(bytes), mxv)).map(|()| w)
     };
     assert!(matches!(
         run(9 * n - 1),
@@ -207,7 +215,7 @@ fn mxv_under_a_budget_the_pull_does_not_fit_is_exhausted() {
 #[test]
 fn job_outliving_its_timeout_reports_timeout() {
     let p = prepared();
-    with_chaos_state(Some("cell.hang:nth=1"), None, || {
+    with_chaos_state(Some("cell.hang:nth=1"), || {
         let job = Job {
             verify: true,
             timeout: Some(std::time::Duration::from_millis(50)),
@@ -238,7 +246,7 @@ fn batched_lane_fault_never_poisons_siblings() {
     let p = prepared();
     let sources = batch_sources(&p, 6);
     let batch = Work::Batch(System::GaloisBlas, BatchProblem::Bfs, sources.clone());
-    let clean = with_chaos_state(None, None, || run_lanes(batch.clone(), &p));
+    let clean = with_chaos_state(None, || run_lanes(batch.clone(), &p, Policy::default()));
     assert!(
         clean.iter().all(|o| o.status == CellStatus::Ok),
         "fault-free batch must be all ok"
@@ -246,8 +254,8 @@ fn batched_lane_fault_never_poisons_siblings() {
 
     // The accumulator fault point fires once per lane advance, so nth=7
     // victimizes exactly one deterministic lane mid-sweep.
-    let faulted = with_chaos_state(Some("grb.alloc.accumulator:nth=7"), None, || {
-        run_lanes(batch, &p)
+    let faulted = with_chaos_state(Some("grb.alloc.accumulator:nth=7"), || {
+        run_lanes(batch, &p, Policy::default())
     });
     assert_eq!(faulted.len(), sources.len());
     let victims: Vec<usize> = (0..sources.len())
@@ -290,8 +298,9 @@ fn batched_budget_oom_isolates_per_query() {
     let p = Arc::new(PreparedGraph::from_graph("hub200".to_string(), g, 0, 3, 1 << 13));
     let sources = [0u32, 1];
 
-    let outcomes = with_chaos_state(None, Some(64), || {
-        run_lanes(Work::Batch(System::GaloisBlas, BatchProblem::Bfs, sources.to_vec()), &p)
+    let outcomes = with_chaos_state(None, || {
+        let batch = Work::Batch(System::GaloisBlas, BatchProblem::Bfs, sources.to_vec());
+        run_lanes(batch, &p, budget(64))
     });
     assert_eq!(outcomes[0].status, CellStatus::Ok, "error: {:?}", outcomes[0].error);
     verify_batch_query(
@@ -316,7 +325,7 @@ fn batched_budget_oom_isolates_per_query() {
 /// retry all keep working.
 #[test]
 fn compaction_crash_leaves_the_old_snapshot_readable() {
-    with_chaos_state(Some("delta.compact.commit:nth=1"), None, || {
+    with_chaos_state(Some("delta.compact.commit:nth=1"), || {
         let g = graph_api_study::graph::builder::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
         let mut d = DeltaGraph::with_threshold(g.clone(), 0);
         d.apply(&EdgeBatch::new().insert(0, 3).delete(1, 2)).unwrap();
@@ -390,7 +399,7 @@ fn ingest_cell(
 fn compaction_crash_fails_the_cell_not_the_sweep() {
     let p = prepared();
     let updates = update_stream(&p.graph, 2, 12, 11);
-    with_chaos_state(Some("delta.compact.commit:nth=1"), None, || {
+    with_chaos_state(Some("delta.compact.commit:nth=1"), || {
         // The victim: its compaction is the first commit.
         let victim = ingest_cell(System::Lonestar, Problem::Bfs, &p, &updates);
         assert_eq!(
@@ -423,7 +432,7 @@ fn seeded_compaction_faults_replay_bit_exact() {
     let p = prepared();
     let updates = update_stream(&p.graph, 9, 16, 13);
     let replay = |plan: Option<&str>| {
-        with_chaos_state(plan, None, || {
+        with_chaos_state(plan, || {
             let mut delta = DeltaGraph::with_threshold(p.graph.clone(), 0);
             let mut results = Vec::new();
             for batch in &updates {
@@ -461,7 +470,7 @@ fn seeded_compaction_faults_replay_bit_exact() {
 
 #[test]
 fn pool_survives_an_injected_worker_panic() {
-    with_chaos_state(Some("pool.worker:nth=1"), None, || {
+    with_chaos_state(Some("pool.worker:nth=1"), || {
         let pool = ThreadPool::new(2);
         let hit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             pool.region(2, |_| {});
@@ -527,7 +536,7 @@ fn bfs_request() -> RunRequest {
 /// process survives, and the drain is clean.
 #[test]
 fn service_contains_an_injected_job_panic() {
-    let clean_digest = with_chaos_state(None, None, || {
+    let clean_digest = with_chaos_state(None, || {
         let handle = start_service(4, 0);
         let mut c = Client::connect(handle.addr(), RetryPolicy::none(), 5).unwrap();
         let r = c.run(&bfs_request()).expect("transport");
@@ -537,7 +546,7 @@ fn service_contains_an_injected_job_panic() {
         r.digest
     });
 
-    with_chaos_state(Some("cell.run:nth=2"), None, || {
+    with_chaos_state(Some("cell.run:nth=2"), || {
         let handle = start_service(4, 0);
         let mut c = Client::connect(handle.addr(), RetryPolicy::none(), 5).unwrap();
         let mut statuses = Vec::new();
@@ -570,7 +579,7 @@ fn service_contains_an_injected_job_panic() {
 /// the same connection completes normally.
 #[test]
 fn service_deadline_trips_on_an_injected_hang() {
-    with_chaos_state(Some("cell.hang:nth=1"), None, || {
+    with_chaos_state(Some("cell.hang:nth=1"), || {
         let handle = start_service(4, 250);
         let mut c = Client::connect(handle.addr(), RetryPolicy::none(), 6).unwrap();
         let victim = c.run(&bfs_request()).expect("transport");
@@ -597,7 +606,7 @@ fn service_deadline_trips_on_an_injected_hang() {
 /// capacity resumes service with no residue.
 #[test]
 fn service_zero_budget_mid_traffic_sheds_and_recovers() {
-    with_chaos_state(None, None, || {
+    with_chaos_state(None, || {
         let handle = start_service(4, 0);
         let mut c = Client::connect(handle.addr(), RetryPolicy::none(), 8).unwrap();
         let r = c.run(&bfs_request()).expect("transport");
@@ -628,7 +637,7 @@ fn service_zero_budget_mid_traffic_sheds_and_recovers() {
 fn service_seeded_admission_faults_replay_bit_exact() {
     let plan = "seed=11;svc.admit:p=0.4";
     let run = || {
-        with_chaos_state(Some(plan), None, || {
+        with_chaos_state(Some(plan), || {
             let handle = start_service(4, 0);
             let mut c = Client::connect(
                 handle.addr(),
@@ -669,12 +678,12 @@ fn service_seeded_admission_faults_replay_bit_exact() {
 #[test]
 fn sweep_survives_env_faults() {
     let p = prepared();
-    let outcomes = with_chaos_state(None, None, || {
+    let policy = Policy::from_env();
+    let outcomes = with_chaos_state(None, || {
         // `with_chaos_state` restored nothing yet — install the
-        // environment's own plan and budget explicitly.
+        // environment's own plan explicitly.
         fault::set_plan(fault::plan_from_env());
-        ops::set_mem_budget(env_budget());
-        sweep(&p)
+        sweep(&p, policy)
     });
     assert_eq!(outcomes.len(), Problem::all().len() * System::all().len());
     let mut cell = 0usize;
@@ -700,7 +709,7 @@ fn sweep_survives_env_faults() {
         }
     }
     let fired = fault::firing_log();
-    if fault::plan_spec().is_none() && env_budget().is_none() {
+    if fault::plan_spec().is_none() && policy.budget.is_none() {
         assert!(
             outcomes.iter().all(|(s, _, _)| *s == CellStatus::Ok),
             "no faults, no budget: the sweep must be all ok"

@@ -2,12 +2,14 @@
 //! graph shape (at test scale), every Figure 3 algorithm variant agrees
 //! with the serial reference on those same shapes, the batched query
 //! engine agrees with the per-query Lonestar worklist runs, and whole
-//! algorithms give the same answer under every kernel mode and thread
-//! count.
+//! algorithms give the same answer under every kernel policy and thread
+//! count. Every check runs under the cost model and under the paper's
+//! fixed push-dense scatter.
 
 use graph_api_study::galois_rt;
 use graph_api_study::graph::{Scale, StudyGraph};
-use graph_api_study::graphblas::ops::{self, KernelMode};
+use graph_api_study::graphblas::ops::{with_policy, Policy};
+use graph_api_study::perfmon::trace::KernelChoice;
 use graph_api_study::study_core::{
     batch_sources, execute, try_run, verify, verify_batch_query, BatchProblem, Job, JobOutcome,
     PreparedGraph, Problem, ProblemOutput, System, Variant, Work,
@@ -15,19 +17,26 @@ use graph_api_study::study_core::{
 use std::sync::Arc;
 use std::time::Duration;
 
-/// `work` through the executor, verified against the serial reference.
-fn verified(work: Work, p: &Arc<PreparedGraph>) -> JobOutcome {
-    execute(&Job { verify: true, ..Job::new(work) }, p)
+/// The cost model, and the paper's fixed push-dense `vxm` scatter.
+const POLICIES: [Policy; 2] = [
+    Policy { kernel: None, budget: None },
+    Policy::forcing(KernelChoice::PushDense),
+];
+
+/// `work` through the executor under `policy`, verified against the
+/// serial reference.
+fn verified(work: Work, p: &Arc<PreparedGraph>, policy: Policy) -> JobOutcome {
+    execute(&Job { verify: true, policy, ..Job::new(work) }, p)
 }
 
-fn check_all_problems(which: StudyGraph) {
+fn check_all_problems(which: StudyGraph, policy: Policy) {
     let p = Arc::new(PreparedGraph::study(which, Scale::custom(1.0 / 128.0)));
     for problem in Problem::all() {
         for system in System::all() {
-            let out = verified(Work::Cell(system, problem), &p);
+            let out = verified(Work::Cell(system, problem), &p, policy);
             assert!(
                 out.is_ok() && out.solve > Duration::ZERO,
-                "{system} {problem} on {}: {:?}",
+                "{system} {problem} on {} under {policy:?}: {:?}",
                 p.name,
                 out.lanes[0].error
             );
@@ -37,17 +46,17 @@ fn check_all_problems(which: StudyGraph) {
 
 /// Every Figure 3 panel variant (pr, tc, cc, sssp) verified against the
 /// serial reference on one shape.
-fn check_variant_panels(which: StudyGraph) {
+fn check_variant_panels(which: StudyGraph, policy: Policy) {
     let p = Arc::new(PreparedGraph::study(which, Scale::custom(1.0 / 128.0)));
     for problem in [Problem::Pr, Problem::Tc, Problem::Cc, Problem::Sssp] {
         let panel = Variant::panel(problem);
         assert!(!panel.is_empty(), "{problem} has no Figure 3 panel");
         for &variant in panel {
             assert_eq!(variant.problem(), problem);
-            let out = verified(Work::Variant(variant), &p);
+            let out = verified(Work::Variant(variant), &p, policy);
             assert!(
                 out.is_ok(),
-                "{} {problem} on {}: {:?}",
+                "{} {problem} on {} under {policy:?}: {:?}",
                 variant.name(),
                 p.name,
                 out.lanes[0].error
@@ -57,31 +66,34 @@ fn check_variant_panels(which: StudyGraph) {
 }
 
 fn check_shape(which: StudyGraph) {
-    check_all_problems(which);
-    check_variant_panels(which);
+    for policy in POLICIES {
+        check_all_problems(which, policy);
+        check_variant_panels(which, policy);
+    }
 }
 
 /// Batched matrix-API queries cross-checked against the per-query
 /// worklist runs: column j of the SS and GB msBFS engines must equal the
 /// Lonestar (LS) levels for source j, and every query must also verify
 /// against its own serial reference.
-fn check_batched_vs_lonestar(which: StudyGraph, width: usize) {
+fn check_batched_vs_lonestar(which: StudyGraph, width: usize, policy: Policy) {
     let p = Arc::new(PreparedGraph::study(which, Scale::custom(1.0 / 128.0)));
     let sources = batch_sources(&p, width);
     let problem = BatchProblem::Bfs;
-    let batch = |system| execute(&Job::new(Work::Batch(system, problem, sources.clone())), &p);
+    let work = |system| Work::Batch(system, problem, sources.clone());
+    let batch = |system| execute(&Job { policy, ..Job::new(work(system)) }, &p);
     let ls = batch(System::Lonestar);
     for system in [System::SuiteSparse, System::GaloisBlas] {
         let batched = batch(system);
         assert_eq!(batched.lanes.len(), sources.len());
         for (j, lane) in batched.lanes.iter().enumerate() {
             let out = lane.value.as_ref().unwrap_or_else(|| {
-                panic!("{system} {problem} on {} query {j}: {:?}", p.name, lane.error)
+                panic!("{system} {problem} on {} {policy:?} query {j}: {:?}", p.name, lane.error)
             });
             assert_eq!(
                 out,
                 ls.lanes[j].value.as_ref().unwrap(),
-                "{system} {problem} on {} query {j} disagrees with LS",
+                "{system} {problem} on {} {policy:?} query {j} disagrees with LS",
                 p.name
             );
             verify_batch_query(&p, problem, sources[j], out)
@@ -100,18 +112,19 @@ fn batched_queries_agree_with_lonestar_per_query() {
             StudyGraph::RoadUsaW,
             StudyGraph::Indochina04,
         ] {
-            check_batched_vs_lonestar(which, width);
+            for policy in POLICIES {
+                check_batched_vs_lonestar(which, width, policy);
+            }
         }
     }
 }
 
 /// bfs, cc and pr on one shape per topology class (scale-free, road,
-/// web) under every kernel mode × 1/2/8 threads × system: every output
-/// verifies, bfs levels and cc labels equal the Auto/1-thread run
-/// exactly, and pr ranks stay within 1e-9 of it.
+/// web) under every kernel policy × 1/2/8 threads × system: every
+/// output verifies, bfs levels and cc labels equal the cost-model /
+/// 1-thread run exactly, and pr ranks stay within 1e-9 of it.
 #[test]
 fn outputs_agree_across_kernel_modes_and_threads() {
-    let saved_mode = ops::kernel_mode();
     let saved_threads = galois_rt::threads();
     let problems = [Problem::Bfs, Problem::Cc, Problem::Pr];
     for which in [
@@ -120,7 +133,6 @@ fn outputs_agree_across_kernel_modes_and_threads() {
         StudyGraph::Indochina04,
     ] {
         let p = PreparedGraph::study(which, Scale::custom(1.0 / 256.0));
-        ops::set_kernel_mode(KernelMode::Auto);
         galois_rt::set_threads(1);
         let baselines: Vec<(System, Problem, ProblemOutput)> = System::all()
             .into_iter()
@@ -131,15 +143,13 @@ fn outputs_agree_across_kernel_modes_and_threads() {
                 (system, problem, out)
             })
             .collect();
-        for mode in [KernelMode::Auto, KernelMode::Push] {
-            ops::set_kernel_mode(mode);
+        for policy in POLICIES {
             for threads in [1usize, 2, 8] {
                 galois_rt::set_threads(threads);
                 for (system, problem, baseline) in &baselines {
-                    let ctx =
-                        format!("{which:?} {system} {problem} kernel={mode:?} threads={threads}");
-                    let got =
-                        try_run(*system, *problem, &p).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                    let ctx = format!("{which:?} {system} {problem} {policy:?} threads={threads}");
+                    let got = with_policy(policy, || try_run(*system, *problem, &p))
+                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
                     verify::verify(&p, *problem, &got).unwrap_or_else(|e| panic!("{ctx}: {e}"));
                     match (baseline, &got) {
                         (ProblemOutput::Ranks(a), ProblemOutput::Ranks(b)) => {
@@ -151,13 +161,12 @@ fn outputs_agree_across_kernel_modes_and_threads() {
                                 );
                             }
                         }
-                        (a, b) => assert_eq!(a, b, "{ctx}: output differs from Auto/1 thread"),
+                        (a, b) => assert_eq!(a, b, "{ctx}: output differs from the baseline"),
                     }
                 }
             }
         }
     }
-    ops::set_kernel_mode(saved_mode);
     galois_rt::set_threads(saved_threads);
 }
 

@@ -31,6 +31,9 @@
 //!    bit-identical compacted snapshots, and re-grouping the same ops into
 //!    different batch partitions never changes the compacted graph or the
 //!    answers solved on it.
+//! 6. A trace and a kernel policy belong to one thread (or job): work
+//!    beside them sees neither. Matrix-API checks run under both the
+//!    cost model and the paper's push-dense scatter.
 
 mod common;
 
@@ -41,8 +44,9 @@ use graph_api_study::graph::gen::{
 };
 use graph_api_study::graph::transform::{sort_by_degree, symmetrize, transpose};
 use graph_api_study::graph::{CsrGraph, EdgeBatch};
-use graph_api_study::graphblas::ops::{kernel_mode, set_kernel_mode, KernelMode};
+use graph_api_study::graphblas::ops::{with_policy, Policy};
 use graph_api_study::graphblas::{GaloisRuntime, Runtime, StaticRuntime};
+use graph_api_study::perfmon::trace::KernelChoice;
 use graph_api_study::{lagraph, lonestar};
 
 type SeededBuild = Box<dyn Fn(u64) -> CsrGraph>;
@@ -144,31 +148,15 @@ erdos_renyi 42: 6742b450cb266343 236a20de243bee81 b8c70b1e39769392
     assert_eq!(actual, EXPECTED, "CSR bytes changed");
 }
 
-/// Tests that reconfigure the global pool, record a trace, or run jobs
-/// whose spans a concurrent trace would pick up must not interleave.
+/// Guards the pool's thread count: tests that change it, or that compare
+/// runs which must see the same count, take this lock.
 static POOL_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// Pins the process-wide SpMV policy to `auto` and restores the previous
-/// one on drop, also when the test panics. Callers must already hold
-/// `POOL_LOCK`, which every test here that runs a matrix op takes, so no
-/// neighbour sees the switch.
-struct AutoKernels {
-    prev: KernelMode,
-}
-
-impl AutoKernels {
-    fn pin() -> AutoKernels {
-        let prev = kernel_mode();
-        set_kernel_mode(KernelMode::Auto);
-        AutoKernels { prev }
-    }
-}
-
-impl Drop for AutoKernels {
-    fn drop(&mut self) {
-        set_kernel_mode(self.prev);
-    }
-}
+/// The cost model, and the paper's fixed push-dense `vxm` scatter.
+const POLICIES: [Policy; 2] = [
+    Policy { kernel: None, budget: None },
+    Policy::forcing(KernelChoice::PushDense),
+];
 
 /// Runs `f` once per thread configuration and asserts all results agree.
 fn across_thread_counts<T: PartialEq + std::fmt::Debug>(
@@ -214,17 +202,21 @@ fn algorithm_results_do_not_depend_on_thread_count() {
     assert!(pr.iter().all(|x| x.is_finite()));
 
     // GaloisBLAS path.
-    across_thread_counts("lagraph bfs levels", || {
-        lagraph::bfs::bfs(&g, 0, GaloisRuntime).unwrap().level
-    });
-    across_thread_counts("lagraph components", || {
-        lagraph::cc::connected_components(&s, GaloisRuntime)
-            .unwrap()
-            .component
-    });
-    across_thread_counts("lagraph pagerank scores", || {
-        lagraph::pagerank::pagerank(&gt, &deg, 10, GaloisRuntime).unwrap()
-    });
+    for policy in POLICIES {
+        with_policy(policy, || {
+            across_thread_counts("lagraph bfs levels", || {
+                lagraph::bfs::bfs(&g, 0, GaloisRuntime).unwrap().level
+            });
+            across_thread_counts("lagraph components", || {
+                lagraph::cc::connected_components(&s, GaloisRuntime)
+                    .unwrap()
+                    .component
+            });
+            across_thread_counts("lagraph pagerank scores", || {
+                lagraph::pagerank::pagerank(&gt, &deg, 10, GaloisRuntime).unwrap()
+            });
+        });
+    }
 }
 
 /// Both matrix-API pr formulations on one backend: `[pr-gb, pr-gb-res]`.
@@ -268,10 +260,9 @@ fn matrix_api_pagerank_is_bit_identical_across_threads_and_runtimes() {
 fn traced_pagerank_pulls_over_the_prepared_transpose() {
     use graph_api_study::graph::{Scale, StudyGraph};
     use graph_api_study::graphblas::workspace::transpose_bytes_built;
-    use graph_api_study::perfmon::trace::{KernelChoice, OpKind};
+    use graph_api_study::perfmon::trace::OpKind;
     use graph_api_study::study_core::{traced_run, PreparedGraph, Problem, System};
 
-    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 64.0));
     let iters = u64::from(p.pr_iters);
     for system in [System::SuiteSparse, System::GaloisBlas] {
@@ -303,17 +294,23 @@ fn executor_trace_matches_traced_run() {
         execute, traced_run, Job, PreparedGraph, Problem, System, Work,
     };
 
-    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 128.0));
     let p = std::sync::Arc::new(p);
     let work = Work::Cell(System::GaloisBlas, Problem::Bfs);
     assert!(execute(&Job::new(work.clone()), &p).trace.is_none());
-    let traced = execute(&Job { trace: true, ..Job::new(work) }, &p);
-    let expected = traced_run(System::GaloisBlas, Problem::Bfs, &p);
-    let ops = traced.trace.as_ref().map(|t| t.summary().ops);
-    assert!(ops > Some(0));
-    assert_eq!(ops, Some(expected.trace.summary().ops));
-    assert_eq!(traced.lanes[0].value.as_ref(), Some(&expected.output));
+    for policy in POLICIES {
+        let job = Job {
+            trace: true,
+            policy,
+            ..Job::new(work.clone())
+        };
+        let traced = execute(&job, &p);
+        let expected = with_policy(policy, || traced_run(System::GaloisBlas, Problem::Bfs, &p));
+        let ops = traced.trace.as_ref().map(|t| t.summary().ops);
+        assert!(ops > Some(0));
+        assert_eq!(ops, Some(expected.trace.summary().ops), "{policy:?}");
+        assert_eq!(traced.lanes[0].value.as_ref(), Some(&expected.output));
+    }
 }
 
 #[test]
@@ -327,9 +324,8 @@ fn traces_are_deterministic_across_repeated_runs() {
     // kind repeats; bulk-synchronous loops and GraphBLAS calls repeat in
     // full at any thread count.
     let is_async = |kind: LoopKind| matches!(kind, LoopKind::ForEach | LoopKind::ForEachOrdered);
-    // Tracing state is process-global, so serialize against the other
-    // pool-reconfiguring tests. Read the thread count under the lock:
-    // outside it, a neighbour's `set_threads(1)` can be in force.
+    // Read the thread count under the lock: outside it, a neighbour's
+    // `set_threads(1)` can be in force.
     let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let multi_threaded = galois_rt::threads() > 1;
     let repeatable = |t: &Trace| -> Vec<String> {
@@ -366,10 +362,14 @@ fn traces_are_deterministic_across_repeated_runs() {
 
     // Graph preparation happens outside the traced region.
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 64.0));
-    for system in System::all() {
+    for (system, policy) in System::all()
+        .into_iter()
+        .flat_map(|s| POLICIES.map(|p| (s, p)))
+    {
         for problem in [Problem::Bfs, Problem::Cc, Problem::Sssp, Problem::Tc] {
-            let a = traced_run(system, problem, &p);
-            let b = traced_run(system, problem, &p);
+            let run = || with_policy(policy, || traced_run(system, problem, &p));
+            let (a, b) = (run(), run());
+            let system = format!("{system} {:?}", policy.kernel);
             assert_eq!(a.output, b.output, "{system} {problem} output");
             assert_eq!(
                 repeatable(&a.trace),
@@ -409,31 +409,33 @@ fn width_one_batched_traces_match_serial() {
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 64.0));
     let src = p.source;
 
-    let (serial, serial_trace) =
-        with_trace(|| lagraph::bfs::bfs(&p.graph, src, GaloisRuntime).unwrap());
-    let (batched, batched_trace) =
-        with_trace(|| lagraph::bfs::bfs_each(&p.graph, &[src], GaloisRuntime));
-    assert_eq!(batched[0].as_ref().unwrap(), &serial, "bfs k=1 output");
-    assert_eq!(
-        batched_trace.fingerprint(),
-        serial_trace.fingerprint(),
-        "bfs: width-1 batched trace must be fingerprint-identical to serial"
-    );
+    for policy in POLICIES {
+        let (serial, serial_trace) = with_policy(policy, || {
+            with_trace(|| lagraph::bfs::bfs(&p.graph, src, GaloisRuntime).unwrap())
+        });
+        let (batched, batched_trace) = with_policy(policy, || {
+            with_trace(|| lagraph::bfs::bfs_each(&p.graph, &[src], GaloisRuntime))
+        });
+        assert_eq!(batched[0].as_ref().unwrap(), &serial, "bfs k=1 output");
+        assert_eq!(
+            batched_trace.fingerprint(),
+            serial_trace.fingerprint(),
+            "bfs {policy:?}: width-1 batched trace must be fingerprint-identical to serial"
+        );
+    }
 }
 
 /// A batch builds its adjacency matrix once, so the transpose that
 /// `auto`'s pull rounds build lazily on it is built once per batch, not
 /// once per query: queries that each build `A^T` when run alone build it
-/// once together. A property of `auto`, so `auto` is pinned whatever
-/// `STUDY_KERNEL` says (under `push` no query pulls).
+/// once together. A property of the cost model, which this thread's
+/// default policy runs (under push-dense no query pulls).
 #[test]
 fn batched_queries_share_one_transpose() {
     use graph_api_study::graph::{Scale, StudyGraph};
     use graph_api_study::graphblas::workspace::transpose_bytes_built;
     use graph_api_study::study_core::{batch_sources, PreparedGraph};
 
-    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _auto = AutoKernels::pin();
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 64.0));
     let built = |f: &dyn Fn()| {
         let before = transpose_bytes_built();
@@ -514,9 +516,6 @@ fn update_batch_grouping_does_not_change_results() {
     use graph_api_study::study_core::verify::verify;
     use graph_api_study::study_core::{try_run, PreparedGraph, Problem, System};
 
-    // Untraced here, but tracing is process-global: without the lock
-    // these jobs' spans land in whichever traced test is running.
-    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 128.0));
     let coarse = update_stream(&p.graph, 1, 24, 33);
     let singles: Vec<EdgeBatch> = coarse[0]
@@ -552,12 +551,15 @@ fn update_batch_grouping_does_not_change_results() {
     );
     assert_ne!(one.graph, p.graph, "the stream changed the graph");
 
-    for system in System::all() {
+    for (system, policy) in System::all()
+        .into_iter()
+        .flat_map(|s| POLICIES.map(|p| (s, p)))
+    {
         for problem in [Problem::Bfs, Problem::Cc] {
-            let a = try_run(system, problem, &one)
-                .unwrap_or_else(|e| panic!("{system} {problem} coarse: {e}"));
-            let b = try_run(system, problem, &many)
-                .unwrap_or_else(|e| panic!("{system} {problem} singles: {e}"));
+            let run = |g| with_policy(policy, || try_run(system, problem, g));
+            let system = format!("{system} {:?}", policy.kernel);
+            let a = run(&one).unwrap_or_else(|e| panic!("{system} {problem} coarse: {e}"));
+            let b = run(&many).unwrap_or_else(|e| panic!("{system} {problem} singles: {e}"));
             verify(&one, problem, &a).unwrap_or_else(|e| panic!("{system} {problem}: {e}"));
             assert_eq!(
                 a, b,
@@ -576,4 +578,97 @@ fn generation_is_thread_count_independent() {
         rmat(8, 8, RmatParams::default(), 3)
     });
     assert_eq!(got, reference);
+}
+
+/// A trace holds what its own thread ran and nothing else: 50 or more
+/// traced GB bfs runs under one `with_trace`, made while another thread
+/// loops untraced SS pr solves, record what a solo run records — each
+/// run's own trace and the enclosing one alike, down to every op's
+/// workspace bytes, flops and chunks.
+#[test]
+fn a_neighbours_untraced_work_stays_out_of_a_trace() {
+    use graph_api_study::graph::{Scale, StudyGraph};
+    use graph_api_study::perfmon::trace::{with_trace, Trace};
+    use graph_api_study::study_core::{traced_run, try_run, PreparedGraph, Problem, System};
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering::Relaxed};
+
+    // Chunk counts follow the thread count, which must not change here.
+    let _guard = POOL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 128.0));
+    let bfs = || traced_run(System::GaloisBlas, Problem::Bfs, &p).trace;
+    let shape = |t: &Trace| {
+        let ws = t
+            .ops()
+            .map(|o| (o.ws_reused_bytes, o.ws_fresh_bytes, o.flops, o.chunks));
+        (t.fingerprint(), ws.collect::<Vec<_>>())
+    };
+    let solo = shape(&bfs());
+    let (done, solves) = (AtomicBool::new(false), AtomicU32::new(0));
+    let (runs, whole) = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !done.load(Relaxed) {
+                try_run(System::SuiteSparse, Problem::Pr, &p).expect("pr solves");
+                solves.fetch_add(1, Relaxed);
+            }
+        });
+        while solves.load(Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        // At least 50 runs, and one whole neighbour solve inside them.
+        let start = solves.load(Relaxed);
+        let traced = with_trace(|| {
+            let mut runs = Vec::new();
+            while runs.len() < 50 || solves.load(Relaxed) < start + 2 {
+                runs.push(bfs());
+            }
+            runs
+        });
+        done.store(true, Relaxed);
+        traced
+    });
+    for (i, run) in runs.iter().enumerate() {
+        assert_eq!(shape(run), solo, "run {i}");
+    }
+    assert_eq!(whole.fingerprint(), vec![solo.0; runs.len()].concat());
+}
+
+/// A kernel policy reaches the runs it was given to and no others: two
+/// threads solve bfs on the road lattice at once, one forcing the
+/// paper's push-dense scatter and one under the cost model, and each
+/// trace holds only its own kernel choices. A job's policy also reaches
+/// the thread its deadline spawns: nothing fits a zero budget there.
+#[test]
+fn a_policy_reaches_only_its_own_runs() {
+    use graph_api_study::graph::{Scale, StudyGraph};
+    use graph_api_study::study_core::cell::CellStatus;
+    use graph_api_study::study_core::{execute, traced_run, Job, PreparedGraph};
+    use graph_api_study::study_core::{Problem, System, Work};
+
+    let p = PreparedGraph::study(StudyGraph::RoadUsa, Scale::custom(1.0 / 64.0));
+    let p = std::sync::Arc::new(p);
+    let bfs = |policy| with_policy(policy, || traced_run(System::GaloisBlas, Problem::Bfs, &p));
+    let [auto, push] = std::thread::scope(|scope| {
+        POLICIES
+            .map(|policy| scope.spawn(move || bfs(policy).trace.summary()))
+            .map(|run| run.join().unwrap())
+    });
+    assert!(push.kernel_push_dense > 0, "{push:?}");
+    assert_eq!(push.kernel_push_sparse + push.kernel_pull, 0, "{push:?}");
+    assert!(auto.kernel_push_sparse > 0, "{auto:?}");
+
+    let starved = Job {
+        timeout: Some(std::time::Duration::from_secs(60)),
+        policy: Policy {
+            kernel: None,
+            budget: Some(0),
+        },
+        ..Job::new(Work::Cell(System::GaloisBlas, Problem::Bfs))
+    };
+    let out = execute(&starved, &p);
+    assert_eq!(out.status, CellStatus::Ok, "the job itself ends");
+    assert!(
+        out.lanes.iter().all(|l| l.status == CellStatus::Oom),
+        "{:?}",
+        out.lanes
+    );
 }

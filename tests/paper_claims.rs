@@ -10,40 +10,23 @@
 
 use graph_api_study::galois_rt;
 use graph_api_study::graph::{Scale, StudyGraph};
-use graph_api_study::graphblas::ops::{kernel_mode, set_kernel_mode, KernelMode};
+use graph_api_study::graphblas::ops::{with_policy, Policy};
 use graph_api_study::perfmon;
+use graph_api_study::perfmon::trace::KernelChoice;
 use graph_api_study::study_core::{try_run, PreparedGraph, Problem, System};
 use std::sync::Mutex;
 
-/// A failing claim panics while holding this lock. It guards no data and
-/// `KernelPin` restores the policy on unwind, so every test recovers the
-/// guard from a poisoned lock instead of failing after it.
+/// A failing claim panics while holding this lock. It guards no data,
+/// so every test recovers the guard from a poisoned lock instead of
+/// failing after it. It serializes the perfmon counters and the pool's
+/// thread count, which are process-wide.
 static PERF_LOCK: Mutex<()> = Mutex::new(());
 
-/// Pins the process-wide SpMV policy to the paper's fixed strategies for
-/// the duration of a counter test (the quantitative claims below describe
-/// the *paper's* kernels, not the direction-optimizing `auto` ones): `vxm`
-/// scatters into a dense accumulator and drains all of it every round,
-/// which is the lightweight-loop and materialization cost the ratios
-/// quantify. Restores the policy on drop. Callers must already hold
-/// `PERF_LOCK` — the kernel policy is process-global, like the counters.
-struct KernelPin {
-    prev: KernelMode,
-}
-
-impl KernelPin {
-    fn paper_kernels() -> KernelPin {
-        let prev = kernel_mode();
-        set_kernel_mode(KernelMode::Push);
-        KernelPin { prev }
-    }
-}
-
-impl Drop for KernelPin {
-    fn drop(&mut self) {
-        set_kernel_mode(self.prev);
-    }
-}
+/// The paper's fixed SpMV strategy, which the quantitative claims below
+/// describe (not the direction-optimizing cost model): `vxm` scatters
+/// into a dense accumulator and drains all of it every round, which is
+/// the lightweight-loop and materialization cost the ratios quantify.
+const PAPER: Policy = Policy::forcing(KernelChoice::PushDense);
 
 /// Pins the pool to one thread for a claim stated at one thread, and
 /// restores the previous count on drop, also when the claim fails.
@@ -70,7 +53,7 @@ impl Drop for OneThread {
 fn counters_for(system: System, problem: Problem, p: &PreparedGraph) -> perfmon::Counters {
     perfmon::reset();
     perfmon::enable(true);
-    let out = try_run(system, problem, p).unwrap();
+    let out = with_policy(PAPER, || try_run(system, problem, p)).unwrap();
     perfmon::enable(false);
     std::hint::black_box(&out);
     perfmon::snapshot()
@@ -85,7 +68,6 @@ fn assert_gb_exceeds_ls(
     one_thread: bool,
 ) {
     let _guard = PERF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _pin = KernelPin::paper_kernels();
     let _threads = one_thread.then(OneThread::pin);
     let p = PreparedGraph::study(which, Scale::custom(1.0 / 32.0));
     let gb = counters_for(System::GaloisBlas, problem, &p);
@@ -136,7 +118,6 @@ fn tc_materializes_more_memory_traffic_not_instructions() {
     // Table II variants (SandiaDot vs listing) the signature the paper
     // reports is on memory accesses.
     let _guard = PERF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _pin = KernelPin::paper_kernels();
     let p = PreparedGraph::study(StudyGraph::Uk07, Scale::custom(1.0 / 32.0));
     let gb = counters_for(System::GaloisBlas, Problem::Tc, &p);
     let ls = counters_for(System::Lonestar, Problem::Tc, &p);
@@ -154,13 +135,16 @@ fn pr_double_traversal_of_residual_shows_in_memory_accesses() {
     // Lonestar loop.
     use graph_api_study::study_core::{execute, Job, Variant, Work};
     let _guard = PERF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _pin = KernelPin::paper_kernels();
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 32.0));
     let p = std::sync::Arc::new(p);
     let measure = |variant| {
         perfmon::reset();
         perfmon::enable(true);
-        let out = execute(&Job::new(Work::Variant(variant)), &p);
+        let job = Job {
+            policy: PAPER,
+            ..Job::new(Work::Variant(variant))
+        };
+        let out = execute(&job, &p);
         assert!(out.is_ok(), "{:?}", out.lanes[0].error);
         perfmon::enable(false);
         std::hint::black_box(&out);
@@ -185,12 +169,14 @@ fn bc_materializes_and_costs_instructions() {
     use graph_api_study::graphblas::GaloisRuntime;
     use graph_api_study::{lagraph, lonestar};
     let _guard = PERF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _pin = KernelPin::paper_kernels();
     let p = PreparedGraph::study(StudyGraph::RoadUsaW, Scale::custom(1.0 / 32.0));
     let sources = [p.source, 0, 1, 2];
     perfmon::reset();
     perfmon::enable(true);
-    let gb_run = lagraph::bc::betweenness(&p.graph, &sources, GaloisRuntime).unwrap();
+    let gb_run = with_policy(PAPER, || {
+        lagraph::bc::betweenness(&p.graph, &sources, GaloisRuntime)
+    })
+    .unwrap();
     perfmon::enable(false);
     let gb = perfmon::snapshot();
     perfmon::reset();
@@ -226,9 +212,8 @@ fn traced_bfs_shows_extra_passes_and_materialization() {
     use graph_api_study::perfmon::trace::OpKind;
     use graph_api_study::study_core::traced_run;
     let _guard = PERF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let _pin = KernelPin::paper_kernels();
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 32.0));
-    let gb = traced_run(System::GaloisBlas, Problem::Bfs, &p);
+    let gb = with_policy(PAPER, || traced_run(System::GaloisBlas, Problem::Bfs, &p));
     let ls = traced_run(System::Lonestar, Problem::Bfs, &p);
 
     let gbs = gb.trace.summary();
@@ -271,14 +256,10 @@ fn adaptive_kernels_cut_bfs_materialization() {
     // exact same levels as the paper's fixed push strategy.
     use graph_api_study::study_core::traced_run;
     let _guard = PERF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let prev = kernel_mode();
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 32.0));
     for system in [System::SuiteSparse, System::GaloisBlas] {
-        set_kernel_mode(KernelMode::Push);
-        let push = traced_run(system, Problem::Bfs, &p);
-        set_kernel_mode(KernelMode::Auto);
+        let push = with_policy(PAPER, || traced_run(system, Problem::Bfs, &p));
         let auto = traced_run(system, Problem::Bfs, &p);
-        set_kernel_mode(prev);
         assert_eq!(
             push.output, auto.output,
             "{system:?}: auto must reproduce the fixed strategy's levels"
@@ -302,7 +283,7 @@ fn accumulated_write_costs_its_update_not_its_output() {
     // 2^20 slots instead.
     use graph_api_study::graphblas::binops::{Min, MinPlus, Plus};
     use graph_api_study::graphblas::{
-        ops, Accum, Descriptor, GaloisRuntime, KernelHint, Matrix, StaticRuntime, Vector,
+        ops, Accum, Descriptor, GaloisRuntime, Matrix, StaticRuntime, Vector,
     };
     const N: usize = 1 << 20;
     const K: u64 = 16;
@@ -330,18 +311,21 @@ fn accumulated_write_costs_its_update_not_its_output() {
     let apply = instructions(&mut |dist| {
         ops::apply(Accum(dist, Min), &update, |d| d, GaloisRuntime).unwrap();
     });
-    let sparse_push = Descriptor::new().with_kernel(KernelHint::PushSparse);
+    let sparse_push = Policy::forcing(KernelChoice::PushSparse);
     let vxm = instructions(&mut |dist| {
         let no_mask = None::<&Vector<bool>>;
-        ops::vxm(
-            Accum(dist, Min),
-            no_mask,
-            MinPlus,
-            &update,
-            &a,
-            &sparse_push,
-            StaticRuntime,
-        )
+        let desc = Descriptor::new();
+        with_policy(sparse_push, || {
+            ops::vxm(
+                Accum(dist, Min),
+                no_mask,
+                MinPlus,
+                &update,
+                &a,
+                &desc,
+                StaticRuntime,
+            )
+        })
         .unwrap();
     });
     for (op, instr) in [("apply", apply), ("vxm", vxm)] {

@@ -221,18 +221,19 @@ fn references_match_dense_oracle_on_fixed_shapes() {
 
 /// Batched bfs queries: for every batch width k in {1, 4, 17}, on every
 /// study-graph shape, query j of `bfs_each` is **bit-identical** to the
-/// serial single-source run from source j — across every kernel mode and
-/// 1/2/8 threads. Sharing one matrix (and its lazily built transpose)
-/// across the queries must not change a query's levels or round count.
+/// serial single-source run from source j — under the cost model and the
+/// paper's push-dense kernel, at 1/2/8 threads. Sharing one matrix (and
+/// its lazily built transpose) across the queries must not change a
+/// query's levels or round count.
 #[test]
 fn batched_columns_are_bit_identical_to_serial() {
     use graph_api_study::galois_rt;
     use graph_api_study::graph::{Scale, StudyGraph};
-    use graph_api_study::graphblas::ops::{self, KernelMode};
+    use graph_api_study::graphblas::ops::{with_policy, Policy};
+    use graph_api_study::perfmon::trace::KernelChoice;
     use graph_api_study::study_core::{batch_sources, PreparedGraph};
     use std::collections::HashMap;
 
-    let saved_mode = ops::kernel_mode();
     let saved_threads = galois_rt::threads();
     for which in [
         StudyGraph::Rmat22,
@@ -240,9 +241,12 @@ fn batched_columns_are_bit_identical_to_serial() {
         StudyGraph::Indochina04,
     ] {
         let p = PreparedGraph::study(which, Scale::custom(1.0 / 256.0));
-        for mode in [KernelMode::Auto, KernelMode::Push] {
-            ops::set_kernel_mode(mode);
-            // Serial answers per source, computed once per (graph, mode):
+        for kernel in [None, Some(KernelChoice::PushDense)] {
+            let policy = Policy {
+                kernel,
+                budget: None,
+            };
+            // Serial answers per source, computed once per (graph, kernel):
             // thread count cannot change them (the determinism suite pins
             // that), so every thread sweep compares against the same bits.
             let mut serial_bfs = HashMap::new();
@@ -250,17 +254,18 @@ fn batched_columns_are_bit_identical_to_serial() {
                 let sources = batch_sources(&p, k);
                 for &src in &sources {
                     serial_bfs.entry(src).or_insert_with(|| {
-                        lagraph::bfs::bfs(&p.graph, src, GaloisRuntime).unwrap()
+                        with_policy(policy, || lagraph::bfs::bfs(&p.graph, src, GaloisRuntime))
+                            .unwrap()
                     });
                 }
                 for threads in [1usize, 2, 8] {
                     galois_rt::set_threads(threads);
                     let ctx = |j: usize| {
-                        format!(
-                            "{which:?} k={k} mode={mode:?} threads={threads} column {j}"
-                        )
+                        format!("{which:?} k={k} kernel={kernel:?} threads={threads} column {j}")
                     };
-                    let bfs = lagraph::bfs::bfs_each(&p.graph, &sources, GaloisRuntime);
+                    let bfs = with_policy(policy, || {
+                        lagraph::bfs::bfs_each(&p.graph, &sources, GaloisRuntime)
+                    });
                     for (j, &src) in sources.iter().enumerate() {
                         assert_eq!(
                             bfs[j].as_ref().unwrap(),
@@ -273,7 +278,6 @@ fn batched_columns_are_bit_identical_to_serial() {
             }
         }
     }
-    ops::set_kernel_mode(saved_mode);
     galois_rt::set_threads(saved_threads);
 }
 
@@ -366,7 +370,9 @@ where
     R: graph_api_study::graphblas::Runtime,
 {
     use graph_api_study::graphblas::binops::{MinPlus, PlusTimes, Times};
-    use graph_api_study::graphblas::{ops, Accum, Descriptor, KernelHint, Vector};
+    use graph_api_study::graphblas::ops::{with_policy, Policy};
+    use graph_api_study::graphblas::{ops, Accum, Descriptor, Vector};
+    use graph_api_study::perfmon::trace::KernelChoice;
 
     let mask = c.mask.as_ref();
     let admits = |i: u32| match (mask, mask.and_then(|m| m.get(i))) {
@@ -406,16 +412,21 @@ where
         .with_replace(c.replace)
         .with_mask_structural(c.structural)
         .with_mask_complement(c.complement);
-    for hint in [
-        KernelHint::Auto,
-        KernelHint::PushSparse,
-        KernelHint::PushDense,
-        KernelHint::Pull,
+    for kernel in [
+        None,
+        Some(KernelChoice::PushSparse),
+        Some(KernelChoice::PushDense),
+        Some(KernelChoice::Pull),
     ] {
-        let desc = desc.with_kernel(hint);
-        check(&format!("vxm {hint:?}"), true, &|w, accum| match accum {
-            Some(op) => ops::vxm(Accum(w, op), mask, MinPlus, &c.u, &c.a, &desc, rt),
-            None => ops::vxm(w, mask, MinPlus, &c.u, &c.a, &desc, rt),
+        let policy = Policy {
+            kernel,
+            budget: None,
+        };
+        check(&format!("vxm {kernel:?}"), true, &|w, accum| {
+            with_policy(policy, || match accum {
+                Some(op) => ops::vxm(Accum(w, op), mask, MinPlus, &c.u, &c.a, &desc, rt),
+                None => ops::vxm(w, mask, MinPlus, &c.u, &c.a, &desc, rt),
+            })
         })?;
     }
     check("mxv", true, &|w, accum| match accum {
@@ -442,8 +453,9 @@ where
 }
 
 /// The output accumulator's contract, for every op that honours it
-/// (`vxm` under each kernel hint, `mxv`, `assign_scalar`, `apply`,
-/// `ewise_add`, `ewise_mult`), dense and sparse outputs, no / valued /
+/// (`vxm` under each forced kernel and the cost model, `mxv`,
+/// `assign_scalar`, `apply`, `ewise_add`, `ewise_mult`), dense and
+/// sparse outputs, no / valued /
 /// structural / complemented masks, `replace` on and off, both runtimes,
 /// and a commutative, an idempotent and a non-commutative accumulator.
 #[test]
