@@ -90,6 +90,7 @@ fn parse_args() -> Options {
                 opts.threads = Some(
                     args.next()
                         .and_then(|s| s.parse().ok())
+                        .filter(|&t: &usize| t > 0)
                         .unwrap_or_else(|| usage()),
                 );
             }

@@ -12,6 +12,9 @@
 //! * `STUDY_REPEATS` — timed repetitions per cell, reporting the average
 //!   as the paper does (default `1`; the paper used 3).
 //! * `STUDY_GRAPHS` — comma-separated subset of graph names to run.
+//!
+//! An empty or blank value counts as unset; any other value the parser
+//! rejects stops the binary with a message naming the knob.
 
 use graphblas::ops::Policy;
 use std::sync::Arc;
@@ -41,8 +44,8 @@ pub fn parse_scale(s: &str) -> Result<Scale, String> {
 /// Panics when the variable is set to anything [`parse_scale`] rejects.
 pub fn scale_from_env() -> Scale {
     match std::env::var("STUDY_SCALE") {
-        Ok(v) => parse_scale(&v).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => Scale::custom(0.25),
+        Ok(v) if !v.trim().is_empty() => parse_scale(&v).unwrap_or_else(|e| panic!("{e}")),
+        _ => Scale::custom(0.25),
     }
 }
 
@@ -67,8 +70,8 @@ pub fn parse_repeats(s: &str) -> Result<u32, String> {
 /// Panics when the variable is set to anything [`parse_repeats`] rejects.
 pub fn repeats_from_env() -> u32 {
     match std::env::var("STUDY_REPEATS") {
-        Ok(v) => parse_repeats(&v).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => 1,
+        Ok(v) if !v.trim().is_empty() => parse_repeats(&v).unwrap_or_else(|e| panic!("{e}")),
+        _ => 1,
     }
 }
 
@@ -112,8 +115,8 @@ pub fn parse_graphs(s: &str) -> Result<Vec<StudyGraph>, String> {
 /// Panics when the variable is set to anything [`parse_graphs`] rejects.
 pub fn graphs_from_env() -> Vec<StudyGraph> {
     match std::env::var("STUDY_GRAPHS") {
-        Ok(v) => parse_graphs(&v).unwrap_or_else(|e| panic!("{e}")),
-        Err(_) => StudyGraph::all().to_vec(),
+        Ok(v) if !v.trim().is_empty() => parse_graphs(&v).unwrap_or_else(|e| panic!("{e}")),
+        _ => StudyGraph::all().to_vec(),
     }
 }
 
@@ -130,7 +133,9 @@ pub fn prepare_graph_names() -> Vec<String> {
 /// With `STUDY_CACHE_DIR` set, generated graphs are cached as binary CSR
 /// files keyed by name and scale, so repeated runs skip regeneration.
 pub fn prepare_graphs(scale: Scale) -> Vec<Arc<PreparedGraph>> {
-    let cache_dir = std::env::var("STUDY_CACHE_DIR").ok();
+    let cache_dir = std::env::var("STUDY_CACHE_DIR")
+        .ok()
+        .filter(|d| !d.trim().is_empty());
     graphs_from_env()
         .into_iter()
         .map(|which| {

@@ -155,12 +155,13 @@ pub(crate) fn cache_geometry_json() -> Json {
 }
 
 /// Serializes a full trace — every op, loop and delta span in completion
-/// order — as the documented dump schema (`graph-api-study/trace/v8`).
+/// order — as the documented dump schema (`graph-api-study/trace/v9`).
 ///
 /// The header carries the schema string, the `cache_geometry` the perfmon
 /// model simulates (the paper machine's Skylake hierarchy) and the ring's
-/// `dropped` count; `events` holds the spans. v8 is v7 without the delta span's `repair_frontier`
-/// field.
+/// `dropped` count; `events` holds the spans. v9 is v8 without the two
+/// op-span fields only `vxm`'s pull selection read (the matrix nnz and
+/// the mask-admitted output count).
 pub fn trace_json(trace: &perfmon::trace::Trace) -> Json {
     use perfmon::trace::Event;
     let mut events = Vec::new();
@@ -181,8 +182,6 @@ pub fn trace_json(trace: &perfmon::trace::Trace) -> Json {
                 o.push("kernel", s.kernel.name());
                 o.push("accumulator_bytes", s.accumulator_bytes);
                 o.push("frontier_degree", s.frontier_degree);
-                o.push("matrix_nnz", s.matrix_nnz);
-                o.push("mask_admitted", s.mask_admitted);
                 o.push("ws_reused_bytes", s.ws_reused_bytes);
                 o.push("ws_fresh_bytes", s.ws_fresh_bytes);
                 o.push("flops", s.flops);
@@ -214,7 +213,7 @@ pub fn trace_json(trace: &perfmon::trace::Trace) -> Json {
         events.push(o);
     }
     let mut doc = Json::obj();
-    doc.push("schema", "graph-api-study/trace/v8");
+    doc.push("schema", "graph-api-study/trace/v9");
     doc.push("cache_geometry", cache_geometry_json());
     doc.push("dropped", trace.dropped);
     doc.push("events", events);
@@ -334,8 +333,6 @@ mod tests {
                     kernel: KernelChoice::PushSparse,
                     accumulator_bytes: 48,
                     frontier_degree: 9,
-                    matrix_nnz: 20,
-                    mask_admitted: 4,
                     ws_reused_bytes: 32,
                     ws_fresh_bytes: 16,
                     flops: 12,
@@ -365,7 +362,7 @@ mod tests {
             dropped: 0,
         };
         let s = trace_json(&trace).pretty();
-        assert!(s.contains("\"schema\": \"graph-api-study/trace/v8\""));
+        assert!(s.contains("\"schema\": \"graph-api-study/trace/v9\""));
         assert!(s.contains("\"cache_geometry\""));
         assert!(s.contains("\"l1_bytes\""));
         assert!(s.contains("\"event\": \"delta\""));

@@ -1,11 +1,14 @@
 //! Asynchronous data-driven loops over an unordered work-list.
 //!
-//! [`for_each`] is the Galois construct behind asynchronous algorithms such
-//! as unbounded Shiloach-Vishkin pointer jumping (`cc-ls-sv` in the paper):
-//! there is a single work-list, no rounds and no barriers, and operator
-//! applications see each other's updates immediately (Gauss-Seidel
-//! iteration). This is exactly the execution model Section II-D of the
-//! paper says a matrix-based API cannot express.
+//! [`for_each`] is Galois' unordered data-driven loop: there is a single
+//! work-list, no rounds and no barriers, and operator applications see
+//! each other's updates immediately (Gauss-Seidel iteration) — the
+//! execution model Section II-D of the paper says a matrix-based API
+//! cannot express. No study algorithm calls it: `cc-ls-sv`
+//! (`lonestar::cc::shiloach_vishkin`) runs rounds of `do_all`, and
+//! `sssp-ls` runs on the ordered [`crate::for_each_ordered`]. The repo
+//! benchmark's `galois-rt.for_each_mitems_per_s` probe and this crate's
+//! tests are its callers.
 
 use crate::do_all::record_loop;
 use crate::pool::{global_pool, threads};

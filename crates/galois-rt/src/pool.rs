@@ -416,17 +416,32 @@ fn worker_loop(tid: usize, shared: Arc<Shared>) {
     }
 }
 
+/// The pool size: `GALOIS_MAX_THREADS` when set, else the host's
+/// parallelism.
+///
+/// # Panics
+///
+/// Panics where [`parse_max_threads`] does.
 fn default_max_threads() -> usize {
-    if let Ok(v) = std::env::var("GALOIS_MAX_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
+    let knob = std::env::var("GALOIS_MAX_THREADS").ok();
+    knob.and_then(|v| parse_max_threads(&v)).unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
+/// A `GALOIS_MAX_THREADS` value: blank is unset; anything but a
+/// positive thread count panics naming the knob.
+fn parse_max_threads(v: &str) -> Option<usize> {
+    let t = v.trim();
+    if t.is_empty() {
+        return None;
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    match t.parse::<usize>() {
+        Ok(n) if n > 0 => Some(n),
+        _ => panic!("GALOIS_MAX_THREADS must be a positive thread count; got {v:?}"),
+    }
 }
 
 static GLOBAL_POOL: OnceLock<ThreadPool> = OnceLock::new();
@@ -463,6 +478,17 @@ pub fn max_threads() -> usize {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn max_threads_knob_is_blank_or_a_positive_count() {
+        assert_eq!(parse_max_threads(""), None);
+        assert_eq!(parse_max_threads("  "), None);
+        assert_eq!(parse_max_threads(" 4 "), Some(4));
+        for bad in ["abc", "0", "-2", "1.5"] {
+            let r = std::panic::catch_unwind(|| parse_max_threads(bad));
+            assert!(r.is_err(), "{bad:?} must panic");
+        }
+    }
 
     #[test]
     fn region_runs_each_participant_once() {

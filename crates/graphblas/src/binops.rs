@@ -40,15 +40,6 @@ pub trait SemiringOps<T>: Copy + Send + Sync + 'static {
     fn add_identity(self) -> T;
     /// The multiplicative operation.
     fn mul(self, a: T, b: T) -> T;
-
-    /// The additive monoid's absorbing element, when one exists: a `z`
-    /// with `z ⊕ x = z` for every `x`. Pull kernels short-circuit a dot
-    /// product once the accumulator reaches it (the `any`-style early
-    /// exit for [`LorLand`]). `None` (the default) disables the exit.
-    #[inline]
-    fn add_absorbing(self) -> Option<T> {
-        None
-    }
 }
 
 macro_rules! binop {
@@ -169,43 +160,14 @@ semiring!(
     MinPlus,
     add: |a, b| a.min_val(b), identity: T::MAX_VALUE, mul: |a, b| a.plus(b)
 );
-/// The boolean semiring `(∨, ∧)` interpreted over any scalar via non-zero
-/// truthiness. Written out (not via the macro) because `∨` has an
-/// absorbing element — once an accumulator holds `1` no further operand
-/// can change it — which the pull kernel exploits to exit dot products
-/// early.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LorLand;
-
-impl<T: ScalarNum> SemiringOps<T> for LorLand {
-    #[inline]
-    fn add(self, a: T, b: T) -> T {
-        if a.is_nonzero() || b.is_nonzero() {
-            T::ONE
-        } else {
-            T::ZERO
-        }
-    }
-
-    #[inline]
-    fn add_identity(self) -> T {
-        T::ZERO
-    }
-
-    #[inline]
-    fn mul(self, a: T, b: T) -> T {
-        if a.is_nonzero() && b.is_nonzero() {
-            T::ONE
-        } else {
-            T::ZERO
-        }
-    }
-
-    #[inline]
-    fn add_absorbing(self) -> Option<T> {
-        Some(T::ONE)
-    }
-}
+semiring!(
+    /// The boolean semiring `(∨, ∧)` interpreted over any scalar via
+    /// non-zero truthiness.
+    LorLand,
+    add: |a, b| if a.is_nonzero() || b.is_nonzero() { T::ONE } else { T::ZERO },
+    identity: T::ZERO,
+    mul: |a, b| if a.is_nonzero() && b.is_nonzero() { T::ONE } else { T::ZERO }
+);
 semiring!(
     /// `(+, pair)`: counts structural intersections (SandiaDot tc).
     PlusPair,
@@ -273,19 +235,6 @@ mod tests {
         assert_eq!(SemiringOps::<u32>::mul(s, 7, 0), 0);
         assert_eq!(SemiringOps::<u32>::add(s, 0, 9), 1);
         assert_eq!(SemiringOps::<u32>::add(s, 0, 0), 0);
-    }
-
-    #[test]
-    fn absorbing_elements_absorb() {
-        // Only `or` declares one; the `min`/`plus` monoids must not
-        // short-circuit (min's would be type-dependent, plus has none).
-        let z = SemiringOps::<u32>::add_absorbing(LorLand).unwrap();
-        for x in [0u32, 1, 7] {
-            assert_eq!(LorLand.add(z, x), z);
-        }
-        assert_eq!(SemiringOps::<u64>::add_absorbing(MinPlus), None);
-        assert_eq!(SemiringOps::<u64>::add_absorbing(PlusTimes), None);
-        assert_eq!(SemiringOps::<u32>::add_absorbing(MinSecond), None);
     }
 
     #[test]

@@ -8,41 +8,6 @@ use crate::binops::BinOp;
 use crate::error::GrbError;
 use crate::scalar::Scalar;
 use graph::CsrGraph;
-use std::sync::OnceLock;
-
-/// Lazily-built cached transpose, excluded from the matrix's derived
-/// `Clone` / `PartialEq` / `Debug` semantics: clones start with an empty
-/// cache (they own their CSR arrays, so sharing would alias lifetimes),
-/// and equality compares only the CSR contents.
-struct TransposeCache<T>(OnceLock<Box<Matrix<T>>>);
-
-impl<T> TransposeCache<T> {
-    const fn empty() -> Self {
-        TransposeCache(OnceLock::new())
-    }
-}
-
-impl<T> Clone for TransposeCache<T> {
-    fn clone(&self) -> Self {
-        TransposeCache::empty()
-    }
-}
-
-impl<T> PartialEq for TransposeCache<T> {
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-impl<T> std::fmt::Debug for TransposeCache<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.get().is_some() {
-            "TransposeCache(built)"
-        } else {
-            "TransposeCache(empty)"
-        })
-    }
-}
 
 /// A sparse `nrows × ncols` matrix over scalar `T` in CSR form.
 ///
@@ -63,7 +28,6 @@ pub struct Matrix<T> {
     row_ptr: Vec<usize>,
     col_idx: Vec<u32>,
     vals: Vec<T>,
-    tcache: TransposeCache<T>,
 }
 
 impl<T: Scalar> Matrix<T> {
@@ -75,7 +39,6 @@ impl<T: Scalar> Matrix<T> {
             row_ptr: vec![0; nrows + 1],
             col_idx: Vec::new(),
             vals: Vec::new(),
-            tcache: TransposeCache::empty(),
         }
     }
 
@@ -130,7 +93,6 @@ impl<T: Scalar> Matrix<T> {
             row_ptr,
             col_idx,
             vals,
-            tcache: TransposeCache::empty(),
         })
     }
 
@@ -153,7 +115,6 @@ impl<T: Scalar> Matrix<T> {
             row_ptr: g.offsets().to_vec(),
             col_idx: g.dests().to_vec(),
             vals,
-            tcache: TransposeCache::empty(),
         }
     }
 
@@ -201,27 +162,6 @@ impl<T: Scalar> Matrix<T> {
         cols.binary_search(&c).ok().map(|p| vals[p])
     }
 
-    /// The transpose (CSR of `A^T`, i.e. the CSC view of `A`), built
-    /// lazily on the first call and cached on the matrix: repeated calls
-    /// return the same allocation, so pull kernels can take the CSC view
-    /// per invocation for free.
-    ///
-    /// `Matrix` has no `&mut self` structural mutator, so the cache can
-    /// never go stale.
-    pub fn transpose(&self) -> &Matrix<T> {
-        self.tcache.0.get_or_init(|| {
-            let t = self.build_transpose();
-            // Recorded once, inside the initializer: repeated calls reuse
-            // the cache and must not re-report the build.
-            crate::workspace::note_transpose_build(
-                t.row_ptr.len() * std::mem::size_of::<usize>()
-                    + t.col_idx.len() * std::mem::size_of::<u32>()
-                    + t.vals.len() * std::mem::size_of::<T>(),
-            );
-            Box::new(t)
-        })
-    }
-
     /// Iterates row `r`'s `(column, &value)` pairs in storage order; the
     /// SpMV kernel bodies iterate rows through this.
     #[inline]
@@ -230,9 +170,11 @@ impl<T: Scalar> Matrix<T> {
         cols.iter().copied().zip(vals)
     }
 
-    /// Rebuilds the CSC view from scratch (the cached
-    /// [`transpose`](Matrix::transpose) is the public entry point).
-    fn build_transpose(&self) -> Matrix<T> {
+    /// The transpose (CSR of `A^T`, i.e. the CSC view of `A`), built
+    /// afresh on every call. A product that pulls takes a transpose the
+    /// caller prepared, as LAGraph's algorithms take the graph object's
+    /// `AT`; nothing caches one here.
+    pub fn transpose(&self) -> Matrix<T> {
         let mut col_counts = vec![0usize; self.ncols + 1];
         for &c in &self.col_idx {
             col_counts[c as usize + 1] += 1;
@@ -258,7 +200,6 @@ impl<T: Scalar> Matrix<T> {
             row_ptr: col_counts,
             col_idx,
             vals,
-            tcache: TransposeCache::empty(),
         }
     }
 
@@ -298,7 +239,6 @@ impl<T: Scalar> Matrix<T> {
             row_ptr,
             col_idx,
             vals,
-            tcache: TransposeCache::empty(),
         }
     }
 }
@@ -347,32 +287,7 @@ mod tests {
         let t = m.transpose();
         assert_eq!(t.get(1, 0), Some(1));
         assert_eq!(t.get(0, 2), Some(4));
-        assert_eq!(t.transpose(), &m);
-    }
-
-    #[test]
-    fn transpose_is_cached() {
-        let m = small();
-        let first: *const Matrix<u32> = m.transpose();
-        let second: *const Matrix<u32> = m.transpose();
-        assert!(
-            std::ptr::eq(first, second),
-            "two transpose() calls must return the same allocation"
-        );
-    }
-
-    #[test]
-    fn transpose_cache_is_not_shared_with_clones() {
-        let m = small();
-        let t = m.transpose();
-        let c = m.clone();
-        assert_eq!(c, m, "equality ignores the cache");
-        let tc = c.transpose();
-        assert!(
-            !std::ptr::eq(t as *const Matrix<u32>, tc as *const Matrix<u32>),
-            "a clone builds its own transpose"
-        );
-        assert_eq!(t, tc, "with identical contents");
+        assert_eq!(t.transpose(), m);
     }
 
     #[test]
@@ -385,7 +300,6 @@ mod tests {
             row_ptr: vec![0, 4, 4, 5],
             col_idx: vec![3, 1, 3, 0, 2],
             vals: vec![10u64, 20, 30, 40, 50],
-            tcache: TransposeCache::empty(),
         };
         let pairs = |r| m.row_pairs(r).map(|(c, &v)| (c, v)).collect::<Vec<_>>();
         assert_eq!(pairs(0), vec![(3, 10), (1, 20), (3, 30), (0, 40)]);

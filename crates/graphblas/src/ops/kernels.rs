@@ -1,32 +1,28 @@
-//! Sparsity-adaptive kernel selection for `vxm`.
+//! Accumulator selection for `vxm`, and the row fold of `mxv`.
 //!
-//! The paper's `vxm` is single-strategy: it always scatters push-style
-//! into a dense accumulator. Real direction-optimizing systems
-//! (GraphBLAST's Beamer-style bfs, GraphMat's SPA compaction) pick a
-//! strategy *per invocation* from operand sparsity. This module adds that
-//! layer for `vxm`:
+//! `vxm` is the push (SAXPY) product, as in GraphBLAS. The paper's `vxm`
+//! always scatters into a dense accumulator; GraphMat's SPA compaction
+//! shows that a frontier touching few outputs is cheaper to collect as
+//! sparse pairs. So `vxm` has two kernels:
 //!
 //! * [`KernelChoice::PushDense`] — the paper-faithful SAXPY scatter into a
 //!   dense [`AtomicAccumulator`] (cost `O(out_dim)` bytes every call);
 //! * [`KernelChoice::PushSparse`] — the same scatter into per-thread
 //!   sparse pair lanes, compacted by a sort + fold (no dense
-//!   intermediate; wins when the frontier touches few outputs);
-//! * [`KernelChoice::Pull`] — masked SDOT over the rows of the cached
-//!   transpose, visiting only mask-admitted outputs and exiting each dot
-//!   product early once the additive monoid's absorbing element is
-//!   reached (wins when few outputs remain unresolved).
+//!   intermediate; wins when the frontier touches few outputs).
 //!
-//! `mxv` has one kernel, the paper's row pull, and selects nothing. Both
-//! pull products (this module's and `mxv`'s) fold each row through
+//! A pull is `mxv` over a transpose the caller prepared, as LAGraph pulls
+//! over the `AT` its graph object holds; `vxm` never builds one. `mxv`
+//! has one kernel, the paper's row pull, and folds each row through
 //! [`pull_row`]. An input vector held dense with all `n` entries present
 //! is indexed directly; a dense input with holes reads its presence flag
 //! before every value, a sparse one binary-searches.
 //!
-//! Selection reads the calling thread's run [`Policy`]: a forced kernel
-//! runs as named; otherwise a Beamer-style cost model over the frontier
-//! degree sum, matrix nnz, and mask-admitted output count picks one. Byte
-//! guards ensure the chosen kernel never materializes more accumulator
-//! bytes than the paper's dense scatter would.
+//! Selection reads the calling thread's run [`Policy`]: a forced push
+//! kernel runs as named; otherwise the sparse scatter runs when the
+//! frontier's `(index, value)` pairs take fewer bytes than the dense
+//! accumulator, so `vxm` never materializes more than the paper's dense
+//! scatter would.
 
 use crate::binops::SemiringOps;
 use crate::descriptor::Descriptor;
@@ -51,15 +47,16 @@ use std::cell::Cell;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Policy {
     /// The `vxm` kernel every call runs; `None` lets the cost model pick.
-    /// `Some(KernelChoice::PushDense)` is the paper's fixed scatter;
-    /// `Some(KernelChoice::Unspecified)` names no kernel and counts as
-    /// `None`. `mxv` has one kernel and ignores this.
+    /// `Some(KernelChoice::PushDense)` is the paper's fixed scatter.
+    /// `vxm` has only the two push kernels, so `Some(KernelChoice::Pull)`,
+    /// like `Some(KernelChoice::Unspecified)`, names no `vxm` kernel and
+    /// counts as `None`. `mxv` has one kernel and ignores this.
     pub kernel: Option<KernelChoice>,
     /// The most accumulator bytes one op may project; `None` is unlimited.
     ///
-    /// When the preferred kernel would exceed it, the cost model degrades
-    /// to the least-materializing kernel that fits, and when none fits
-    /// (or the kernel was forced) the op returns
+    /// When `vxm`'s preferred kernel would exceed it, the cost model
+    /// degrades to the other push kernel if that one fits, and when
+    /// neither fits (or the kernel was forced) the op returns
     /// [`GrbError::ResourceExhausted`] — the paper's materialization
     /// limitation enforced as an invariant.
     pub budget: Option<u64>,
@@ -75,30 +72,41 @@ impl Policy {
     }
 
     /// Reads `STUDY_KERNEL` (`push` | `auto`, unset is `auto`) and
-    /// `STUDY_MEM_BUDGET` (a byte count, unset or empty is unlimited).
-    /// Each process edge calls this once and hands the result to the
-    /// jobs it runs.
+    /// `STUDY_MEM_BUDGET` (a byte count, unset is unlimited). An empty or
+    /// blank value counts as unset. Each process edge calls this once and
+    /// hands the result to the jobs it runs.
     ///
     /// # Panics
     ///
     /// Panics naming the knob when either is set to something else.
     pub fn from_env() -> Policy {
-        let kernel = match std::env::var("STUDY_KERNEL") {
-            Ok(v) => match v.as_str() {
-                "auto" => None,
-                "push" => Some(KernelChoice::PushDense),
-                other => panic!("STUDY_KERNEL must be push or auto; got {other:?}"),
-            },
-            Err(_) => None,
-        };
-        let budget = match std::env::var("STUDY_MEM_BUDGET") {
-            Ok(v) if !v.trim().is_empty() => Some(v.trim().parse().unwrap_or_else(|e| {
-                panic!("STUDY_MEM_BUDGET must be a byte count, got {v:?}: {e}")
-            })),
-            _ => None,
-        };
-        Policy { kernel, budget }
+        Policy {
+            kernel: std::env::var("STUDY_KERNEL")
+                .ok()
+                .and_then(|v| parse_kernel(&v)),
+            budget: std::env::var("STUDY_MEM_BUDGET")
+                .ok()
+                .and_then(|v| parse_budget(&v)),
+        }
     }
+}
+
+/// A `STUDY_KERNEL` value: blank or `auto` is the cost model.
+fn parse_kernel(v: &str) -> Option<KernelChoice> {
+    match v.trim() {
+        "" | "auto" => None,
+        "push" => Some(KernelChoice::PushDense),
+        _ => panic!("STUDY_KERNEL must be push or auto; got {v:?}"),
+    }
+}
+
+/// A `STUDY_MEM_BUDGET` value: blank is no budget.
+fn parse_budget(v: &str) -> Option<u64> {
+    let t = v.trim();
+    (!t.is_empty()).then(|| {
+        t.parse()
+            .unwrap_or_else(|e| panic!("STUDY_MEM_BUDGET must be a byte count, got {v:?}: {e}"))
+    })
 }
 
 thread_local! {
@@ -124,17 +132,13 @@ pub fn with_policy<T>(p: Policy, f: impl FnOnce() -> T) -> T {
 }
 
 /// The outcome of kernel selection for one call: the kernel to run plus
-/// the heuristic inputs, recorded on the op's trace span. Forced choices
-/// skip the operand scans and leave the inputs zero.
+/// the heuristic input, recorded on the op's trace span. Forced choices
+/// skip the operand scan and leave the input zero.
 pub(crate) struct Selection {
     /// Kernel to execute.
     pub choice: KernelChoice,
     /// Sum of frontier-row degrees (upper bound on scatter work).
     pub frontier_degree: u64,
-    /// Matrix nnz.
-    pub matrix_nnz: u64,
-    /// Outputs the mask admits.
-    pub mask_admitted: u64,
 }
 
 impl Selection {
@@ -142,112 +146,60 @@ impl Selection {
         Selection {
             choice,
             frontier_degree: 0,
-            matrix_nnz: 0,
-            mask_admitted: 0,
         }
     }
 }
 
-/// Number of output slots the mask lets through. Valued masks admit
-/// non-zero entries (a dense vector full of explicit zeros admits none),
-/// structural masks admit present entries; complement inverts against the
-/// output dimension.
-pub(crate) fn admitted_outputs<M: Scalar>(
-    mask: Option<&Vector<M>>,
-    desc: &Descriptor,
-    out_dim: usize,
-) -> u64 {
-    match mask {
-        None => out_dim as u64,
-        Some(m) => {
-            let hits = if desc.mask_structural {
-                m.nvals()
-            } else {
-                m.nonzeros()
-            };
-            if desc.mask_complement {
-                (out_dim - hits.min(out_dim)) as u64
-            } else {
-                hits.min(out_dim) as u64
-            }
-        }
-    }
-}
-
-/// The Beamer-style cost model, pure in its inputs so tests can probe the
-/// decision boundary directly.
-///
-/// Work estimates (element visits):
-/// * push: every frontier edge is scattered (`frontier_degree`) and at
-///   most `min(frontier_degree, admitted)` outputs are written;
-/// * pull: every output is mask-checked (`out_dim`) and each admitted
-///   output folds an average-degree (`matrix_nnz / out_dim`) dot product.
-///
-/// The cheaper strictly wins; ties go to the paper's push scatter. Pull
-/// is only taken when its worst-case emission (`admitted * pair_bytes`)
-/// undercuts the dense accumulator's `out_dim * val_bytes`.
-/// [`KernelChoice::PushSparse`] is likewise only chosen under its byte
-/// bound, so `auto` never materializes more than the paper's dense
-/// scatter.
+/// The cost model, pure in its inputs so tests can probe the decision
+/// boundary directly. The sparse scatter emits at most one `(index,
+/// value)` pair per frontier edge; it runs when those `frontier_degree *
+/// pair_bytes` undercut the dense accumulator's `out_dim * val_bytes`.
+/// Ties go to the paper's dense scatter, so `auto` never materializes
+/// more than the paper would.
 pub(crate) fn pick_kernel(
     frontier_degree: u64,
-    matrix_nnz: u64,
     out_dim: u64,
-    admitted: u64,
     pair_bytes: u64,
     val_bytes: u64,
 ) -> KernelChoice {
-    let dense_bytes = out_dim.saturating_mul(val_bytes);
-    let avg_degree = matrix_nnz.checked_div(out_dim).unwrap_or(0);
-    let pull_cost = out_dim.saturating_add(admitted.saturating_mul(avg_degree));
-    let push_cost = frontier_degree.saturating_add(frontier_degree.min(admitted));
-    let pull_fits = admitted.saturating_mul(pair_bytes) < dense_bytes;
-    if pull_cost < push_cost && pull_fits {
-        return KernelChoice::Pull;
-    }
-    if frontier_degree.saturating_mul(pair_bytes) < dense_bytes {
+    if frontier_degree.saturating_mul(pair_bytes) < out_dim.saturating_mul(val_bytes) {
         KernelChoice::PushSparse
     } else {
         KernelChoice::PushDense
     }
 }
 
-/// Worst-case accumulator bytes `choice` would materialize on these
-/// `vxm` operands — the quantity [`Policy::budget`] is enforced against.
+/// Worst-case accumulator bytes push kernel `choice` would materialize
+/// on these `vxm` operands — the quantity [`Policy::budget`] is enforced
+/// against.
 pub(crate) fn projected_bytes(
     choice: KernelChoice,
     frontier_degree: u64,
     out_dim: u64,
-    admitted: u64,
     pair_bytes: u64,
     val_bytes: u64,
 ) -> u64 {
     match choice {
-        KernelChoice::PushDense => out_dim.saturating_mul(val_bytes),
         KernelChoice::PushSparse => frontier_degree.saturating_mul(pair_bytes),
-        KernelChoice::Pull => admitted.saturating_mul(pair_bytes),
-        KernelChoice::Unspecified => 0,
+        _ => out_dim.saturating_mul(val_bytes),
     }
 }
 
 /// Applies the byte budget to a preliminary choice. The preferred kernel
 /// stands when its projection fits. A `forced` choice that does not fit
 /// errors immediately — the policy asked for that kernel specifically.
-/// Otherwise the least-materializing
-/// kernel that fits is substituted; when none fits the op reports the
-/// cheapest kernel's requirement.
-#[allow(clippy::too_many_arguments)]
+/// Otherwise the less-materializing push kernel is substituted when it
+/// fits; when neither fits the op reports the cheaper one's requirement.
 fn fit_to_budget(
     preferred: KernelChoice,
     limit: u64,
     frontier_degree: u64,
     out_dim: u64,
-    admitted: u64,
     pair_bytes: u64,
     val_bytes: u64,
     forced: bool,
 ) -> Result<KernelChoice, GrbError> {
-    let proj = |c| projected_bytes(c, frontier_degree, out_dim, admitted, pair_bytes, val_bytes);
+    let proj = |c| projected_bytes(c, frontier_degree, out_dim, pair_bytes, val_bytes);
     if proj(preferred) <= limit {
         return Ok(preferred);
     }
@@ -257,14 +209,10 @@ fn fit_to_budget(
             budget: limit,
         });
     }
-    let cheapest = [
-        KernelChoice::PushSparse,
-        KernelChoice::Pull,
-        KernelChoice::PushDense,
-    ]
-    .into_iter()
-    .min_by_key(|&c| proj(c))
-    .expect("candidate list is non-empty");
+    let cheapest = [KernelChoice::PushSparse, KernelChoice::PushDense]
+        .into_iter()
+        .min_by_key(|&c| proj(c))
+        .expect("candidate list is non-empty");
     if proj(cheapest) <= limit {
         Ok(cheapest)
     } else {
@@ -275,52 +223,35 @@ fn fit_to_budget(
     }
 }
 
-/// Selects the kernel for `w<mask> = uᵀA` and reports the heuristic
-/// inputs it used: the frontier degree sum (exact row degrees of `u`'s
-/// entries), the matrix nnz and the mask-admitted output count.
+/// Selects the kernel for `w = uᵀA` and reports the heuristic input it
+/// used: the frontier degree sum (exact row degrees of `u`'s entries).
 ///
 /// # Errors
 ///
 /// Returns [`GrbError::ResourceExhausted`] when the policy sets a budget
-/// and no viable kernel's projected accumulator fits it.
-pub(crate) fn select<T: Scalar, M: Scalar>(
-    u: &Vector<T>,
-    a: &Matrix<T>,
-    mask: Option<&Vector<M>>,
-    desc: &Descriptor,
-) -> Result<Selection, GrbError> {
+/// and neither push kernel's projected accumulator fits it.
+pub(crate) fn select<T: Scalar>(u: &Vector<T>, a: &Matrix<T>) -> Result<Selection, GrbError> {
     let Policy { kernel, budget } = policy();
-    let forced = kernel.filter(|&k| k != KernelChoice::Unspecified);
+    let forced = kernel.filter(|k| matches!(k, KernelChoice::PushSparse | KernelChoice::PushDense));
     if budget.is_none() {
-        // Zero-overhead path: forced choices skip the operand scans.
+        // Zero-overhead path: forced choices skip the operand scan.
         if let Some(choice) = forced {
             return Ok(Selection::forced(choice));
         }
     }
-    let matrix_nnz = a.nvals() as u64;
-    let out_dim = a.ncols();
+    let out_dim = a.ncols() as u64;
     let frontier_degree: u64 = u.iter().map(|(i, _)| a.row_nvals(i) as u64).sum();
-    let mask_admitted = admitted_outputs(mask, desc, out_dim);
     let pair_bytes = std::mem::size_of::<(u32, T)>() as u64;
     let val_bytes = std::mem::size_of::<T>() as u64;
-    let preferred = forced.unwrap_or_else(|| {
-        pick_kernel(
-            frontier_degree,
-            matrix_nnz,
-            out_dim as u64,
-            mask_admitted,
-            pair_bytes,
-            val_bytes,
-        )
-    });
+    let preferred =
+        forced.unwrap_or_else(|| pick_kernel(frontier_degree, out_dim, pair_bytes, val_bytes));
     let choice = match budget {
         None => preferred,
         Some(limit) => fit_to_budget(
             preferred,
             limit,
             frontier_degree,
-            out_dim as u64,
-            mask_admitted,
+            out_dim,
             pair_bytes,
             val_bytes,
             forced.is_some(),
@@ -334,26 +265,22 @@ pub(crate) fn select<T: Scalar, M: Scalar>(
     Ok(Selection {
         choice,
         frontier_degree,
-        matrix_nnz,
-        mask_admitted,
     })
 }
 
-/// The kernel `vxm` would run for these operands under the calling
-/// thread's [`Policy`]. Exposed so tests can assert that `auto` delegates to the
-/// kernel the cost model names.
+/// The kernel `vxm` would run on `u` and `a` under the calling thread's
+/// [`Policy`]. The mask does not enter the choice. Exposed so tests can
+/// assert that `auto` delegates to the kernel the cost model names.
 ///
 /// # Errors
 ///
 /// Returns [`GrbError::ResourceExhausted`] exactly when the
 /// corresponding `vxm` call would.
-pub fn vxm_kernel_choice<T: Scalar, M: Scalar>(
+pub fn vxm_kernel_choice<T: Scalar>(
     u: &Vector<T>,
     a: &Matrix<T>,
-    mask: Option<&Vector<M>>,
-    desc: &Descriptor,
 ) -> Result<KernelChoice, GrbError> {
-    Ok(select(u, a, mask, desc)?.choice)
+    Ok(select(u, a)?.choice)
 }
 
 /// SAXPY scatter of `entries` through the rows of `a` into per-thread
@@ -479,10 +406,9 @@ impl<'a, T: Scalar> PullInput<'a, T> {
     }
 }
 
-/// One pull row dot product, the fold of `mxv` and of [`pull_gather`]: output `j` is `⊕_k mul(u(k), at(j,k))` over row `j`
-/// of `at` in storage order. `None` when the mask rejects `j` or no
-/// entry of `u` meets the row. The fold ends early once the accumulator
-/// equals `exit` (the monoid's absorbing element; `None` never exits).
+/// One pull row dot product, the fold of `mxv`: output `j` is
+/// `⊕_k mul(u(k), at(j,k))` over row `j` of `at` in storage order.
+/// `None` when the mask rejects `j` or no entry of `u` meets the row.
 ///
 /// A [`PullInput::Full`] input reads `u(k)` without its presence flag:
 /// on a dense pull that flag is a second random read per edge. The
@@ -499,7 +425,6 @@ pub(crate) fn pull_row<T, M, S>(
     u: PullInput<'_, T>,
     semiring: S,
     mul: impl Fn(T, T) -> T,
-    exit: Option<T>,
     pm: perfmon::Probe,
 ) -> Option<T>
 where
@@ -524,7 +449,6 @@ where
             },
             semiring,
             &mul,
-            exit,
             pm,
         ),
         PullInput::Dense(uvals, upresent) => fold_row(
@@ -536,12 +460,9 @@ where
             },
             semiring,
             &mul,
-            exit,
             pm,
         ),
-        PullInput::Sparse(v) => {
-            fold_row(cols, avals, |k| v.get(k as u32), semiring, &mul, exit, pm)
-        }
+        PullInput::Sparse(v) => fold_row(cols, avals, |k| v.get(k as u32), semiring, &mul, pm),
     }
 }
 
@@ -554,65 +475,19 @@ fn fold_row<T: Scalar, S: SemiringOps<T>>(
     read: impl Fn(usize) -> Option<T>,
     semiring: S,
     mul: impl Fn(T, T) -> T,
-    exit: Option<T>,
     pm: perfmon::Probe,
 ) -> Option<T> {
     let mut acc = semiring.add_identity();
     let mut any = false;
-    let mut visited = cols.len();
-    for (e, (&k, av)) in cols.iter().zip(avals).enumerate() {
+    for (&k, av) in cols.iter().zip(avals) {
         pm.touch_ref(av);
         if let Some(x) = read(k as usize) {
             acc = semiring.add(acc, mul(x, *av));
             any = true;
-            if exit == Some(acc) {
-                visited = e + 1;
-                break;
-            }
         }
     }
-    pm.instr(2 * visited as u64);
+    pm.instr(2 * cols.len() as u64);
     any.then_some(acc)
-}
-
-/// Masked SDOT over the rows of `at` (the transpose of the scattered
-/// matrix): output `j` folds `⊕_k mul(u(k), at(j,k))` ([`pull_row`]),
-/// skipping mask-rejected outputs entirely and exiting the fold early
-/// once the accumulator reaches the monoid's absorbing element (the
-/// "any" exit that makes pull bfs cheap).
-///
-/// Returns entries in ascending index order plus the emission footprint
-/// in bytes. One task owns each output, so both are deterministic.
-pub(crate) fn pull_gather<T, M, S, R>(
-    u: &Vector<T>,
-    at: &Matrix<T>,
-    mask: Option<&Vector<M>>,
-    desc: &Descriptor,
-    semiring: S,
-    rt: R,
-    pm: perfmon::Probe,
-) -> (Vec<(u32, T)>, u64)
-where
-    T: Scalar,
-    M: Scalar,
-    S: SemiringOps<T>,
-    R: Runtime,
-{
-    let n = at.nrows();
-    let input = PullInput::of(u);
-    let absorbing = semiring.add_absorbing();
-    let mul = |x, av| semiring.mul(x, av);
-    let lanes: PerThread<Vec<(u32, T)>> = PerThread::new(Vec::new);
-    rt.parallel_for_balanced(n, |j| at.row_nvals(j as u32) as u64 + 1, |j| {
-        let j = j as u32;
-        if let Some(acc) = pull_row(at, j, mask, desc, input, semiring, mul, absorbing, pm) {
-            lanes.with(|lane| lane.push((j, acc)));
-        }
-    });
-    let mut out: Vec<(u32, T)> = lanes.into_inner().into_iter().flatten().collect();
-    let acc_bytes = (out.len() * std::mem::size_of::<(u32, T)>()) as u64;
-    out.sort_unstable_by_key(|&(j, _)| j);
-    (out, acc_bytes)
 }
 
 #[cfg(test)]
@@ -635,106 +510,91 @@ mod tests {
     }
 
     #[test]
-    fn forcing_unspecified_leaves_the_choice_to_the_cost_model() {
+    fn forcing_no_push_kernel_leaves_the_choice_to_the_cost_model() {
         let tuples = vec![(0, 1, 1u32), (0, 2, 1)];
         let a = Matrix::from_tuples(4, 4, tuples, crate::binops::Plus).unwrap();
         let u = Vector::from_entries(4, vec![(0, 1u32)]).unwrap();
-        let no_mask = None::<&Vector<u32>>;
-        let choice = || vxm_kernel_choice(&u, &a, no_mask, &Descriptor::new()).unwrap();
-        let unspecified = Policy::forcing(KernelChoice::Unspecified);
-        assert_eq!(with_policy(unspecified, choice), choice());
+        let choice = || vxm_kernel_choice(&u, &a).unwrap();
+        for kernel in [KernelChoice::Unspecified, KernelChoice::Pull] {
+            assert_eq!(
+                with_policy(Policy::forcing(kernel), choice),
+                choice(),
+                "{kernel:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn blank_knobs_are_unset_and_bad_ones_panic() {
+        for blank in ["", "  ", "\t"] {
+            assert_eq!(parse_kernel(blank), None);
+            assert_eq!(parse_budget(blank), None);
+        }
+        assert_eq!(parse_kernel("auto"), None);
+        assert_eq!(parse_kernel(" push "), Some(KernelChoice::PushDense));
+        assert_eq!(parse_budget(" 4096 "), Some(4096));
+        for bad in ["pull", "Push", "x"] {
+            assert!(
+                std::panic::catch_unwind(|| parse_kernel(bad)).is_err(),
+                "{bad:?}"
+            );
+        }
+        for bad in ["-1", "4k", "x"] {
+            assert!(
+                std::panic::catch_unwind(|| parse_budget(bad)).is_err(),
+                "{bad:?}"
+            );
+        }
     }
 
     #[test]
     fn tiny_frontier_scatters_sparse() {
         // 1-entry frontier of degree 8 against a 10_000-wide output:
         // sparse pairs beat a 10_000-slot dense accumulator.
-        let c = pick_kernel(8, 50_000, 10_000, 10_000, 16, 8);
+        let c = pick_kernel(8, 10_000, 16, 8);
         assert_eq!(c, KernelChoice::PushSparse);
     }
 
     #[test]
     fn heavy_frontier_scatters_dense() {
-        // Frontier touching most edges with most outputs admitted: the
-        // pair lanes would outweigh the dense accumulator and pull's
-        // full-matrix fold is no cheaper, so the paper's dense scatter
-        // runs.
-        let c = pick_kernel(40_000, 50_000, 10_000, 10_000, 16, 8);
+        // Frontier touching most edges: the pair lanes would outweigh
+        // the dense accumulator, so the paper's dense scatter runs.
+        let c = pick_kernel(40_000, 10_000, 16, 8);
         assert_eq!(c, KernelChoice::PushDense);
     }
 
     #[test]
     fn tiny_output_keeps_the_paper_dense_scatter() {
-        let c = pick_kernel(400, 500, 63, 63, 16, 8);
+        let c = pick_kernel(400, 63, 16, 8);
         assert_eq!(c, KernelChoice::PushDense);
     }
 
     #[test]
-    fn few_admitted_outputs_pull() {
-        // Late-bfs shape: a heavy frontier but only 100 unvisited
-        // vertices admitted by the complemented mask — pull reads 100
-        // short rows instead of scattering 40_000 edges.
-        let c = pick_kernel(40_000, 50_000, 10_000, 100, 16, 8);
-        assert_eq!(c, KernelChoice::Pull);
-    }
-
-    #[test]
-    fn pull_needs_the_byte_guard() {
-        // Pull wins on work but its emission bound (admitted * pair
-        // bytes) would exceed the dense accumulator: fall back.
-        let c = pick_kernel(40_000, 50_000, 10_000, 9_000, 16, 8);
-        assert_ne!(c, KernelChoice::Pull);
-    }
-
-    #[test]
     fn zero_dimensions_do_not_divide() {
-        // Empty operands must not divide by zero; selection degrades to
-        // the paper's dense scatter.
-        assert_eq!(pick_kernel(0, 0, 0, 0, 16, 8), KernelChoice::PushDense);
+        // Empty operands select the paper's dense scatter.
+        assert_eq!(pick_kernel(0, 0, 16, 8), KernelChoice::PushDense);
     }
 
     #[test]
     fn projections_match_the_kernel_footprints() {
         use KernelChoice::*;
-        // dense = out_dim * val, sparse = degree * pair,
-        // pull = admitted * pair.
-        assert_eq!(projected_bytes(PushDense, 8, 100, 50, 16, 8), 800);
-        assert_eq!(projected_bytes(PushSparse, 8, 100, 50, 16, 8), 128);
-        assert_eq!(projected_bytes(Pull, 8, 100, 50, 16, 8), 800);
+        // dense = out_dim * val, sparse = degree * pair.
+        assert_eq!(projected_bytes(PushDense, 8, 100, 16, 8), 800);
+        assert_eq!(projected_bytes(PushSparse, 8, 100, 16, 8), 128);
     }
 
     #[test]
     fn budget_degrades_auto_to_the_cheapest_fit() {
         // Path-graph shape: degree-1 frontier. Dense (800 B) is the
-        // heuristic pick here, but a 256 B budget admits only the sparse
-        // scatter (16 B).
-        let c = fit_to_budget(
-            KernelChoice::PushDense,
-            256,
-            1,
-            100,
-            100,
-            16,
-            8,
-            false,
-        )
-        .unwrap();
+        // preferred kernel here, but a 256 B budget admits only the
+        // sparse scatter (16 B).
+        let c = fit_to_budget(KernelChoice::PushDense, 256, 1, 100, 16, 8, false).unwrap();
         assert_eq!(c, KernelChoice::PushSparse);
     }
 
     #[test]
     fn budget_errors_when_nothing_fits() {
-        let e = fit_to_budget(
-            KernelChoice::PushDense,
-            4,
-            10,
-            100,
-            100,
-            16,
-            8,
-            false,
-        )
-        .unwrap_err();
+        let e = fit_to_budget(KernelChoice::PushDense, 4, 10, 100, 16, 8, false).unwrap_err();
         match e {
             GrbError::ResourceExhausted { required, budget } => {
                 assert_eq!(budget, 4);
@@ -748,17 +608,7 @@ mod tests {
     fn budget_rejects_unfitting_forced_choice() {
         // A forced dense scatter may not silently degrade: the caller
         // asked for that kernel.
-        let e = fit_to_budget(
-            KernelChoice::PushDense,
-            256,
-            1,
-            100,
-            100,
-            16,
-            8,
-            true,
-        )
-        .unwrap_err();
+        let e = fit_to_budget(KernelChoice::PushDense, 256, 1, 100, 16, 8, true).unwrap_err();
         assert!(matches!(
             e,
             GrbError::ResourceExhausted {
@@ -770,32 +620,7 @@ mod tests {
 
     #[test]
     fn fitting_preferred_choice_stands() {
-        let c = fit_to_budget(
-            KernelChoice::PushDense,
-            800,
-            1,
-            100,
-            100,
-            16,
-            8,
-            false,
-        )
-        .unwrap();
+        let c = fit_to_budget(KernelChoice::PushDense, 800, 1, 100, 16, 8, false).unwrap();
         assert_eq!(c, KernelChoice::PushDense);
-    }
-
-    #[test]
-    fn admitted_outputs_counts_values_and_structure() {
-        let desc = Descriptor::new();
-        // Dense mask with explicit zeros: valued admits only non-zeros.
-        let mut m: Vector<u32> = Vector::new_dense(8, 0);
-        m.set(2, 5).unwrap();
-        m.set(6, 1).unwrap();
-        assert_eq!(admitted_outputs(Some(&m), &desc, 8), 2);
-        let structural = Descriptor::new().with_mask_structural(true);
-        assert_eq!(admitted_outputs(Some(&m), &structural, 8), 8);
-        let complement = Descriptor::new().with_mask_complement(true);
-        assert_eq!(admitted_outputs(Some(&m), &complement, 8), 6);
-        assert_eq!(admitted_outputs(None::<&Vector<u32>>, &desc, 8), 8);
     }
 }

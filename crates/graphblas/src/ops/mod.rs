@@ -84,8 +84,8 @@ impl OpTrace {
     }
 
     /// Closes the span for a `vxm`/`mxv` call, recording which kernel ran,
-    /// its accumulator footprint, and the selection heuristic's inputs
-    /// (zero for `mxv`, which selects nothing).
+    /// its accumulator footprint, and the cost model's input, the frontier
+    /// degree (zero for `mxv`, which selects nothing).
     pub(crate) fn finish_kernel(
         self,
         input_nnz: usize,
@@ -113,8 +113,6 @@ impl OpTrace {
             kernel: selection.choice,
             accumulator_bytes,
             frontier_degree: selection.frontier_degree,
-            matrix_nnz: selection.matrix_nnz,
-            mask_admitted: selection.mask_admitted,
             ws_reused_bytes: ws.reused - self.ws.reused,
             ws_fresh_bytes: ws.fresh - self.ws.fresh,
             flops: ws.flops - self.ws.flops,

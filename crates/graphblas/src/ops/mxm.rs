@@ -79,8 +79,11 @@ where
 
     let span = super::op_start(super::OpKind::Mxm, R::NAME, true, desc);
     let pm = perfmon::probe();
-    let bt = if desc.transpose_b { b } else { b.transpose() };
-    let c = dot_masked(mask, semiring, a, bt, desc, rt, pm);
+    let c = if desc.transpose_b {
+        dot_masked(mask, semiring, a, b, desc, rt, pm)
+    } else {
+        dot_masked(mask, semiring, a, &b.transpose(), desc, rt, pm)
+    };
     if let Some(span) = span {
         span.finish(a.nvals() + b.nvals(), c.nvals(), 0);
     }
@@ -284,7 +287,7 @@ mod tests {
         // C = A * Bᵀ: C(0,1) = 1*3 + 2*4 = 11
         assert_eq!(c.get(0, 1), Some(11));
         assert_eq!(c.get(0, 0), None);
-        assert_eq!(c.to_tuples(), dense_product(&a, b.transpose()));
+        assert_eq!(c.to_tuples(), dense_product(&a, &b.transpose()));
     }
 
     #[test]

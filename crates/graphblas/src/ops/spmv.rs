@@ -8,13 +8,13 @@
 //!
 //! `vxm` routes through [`super::kernels`]: a [`super::Policy`] that
 //! forces push-dense runs the paper's dense scatter, while the cost model
-//! may substitute a sparse-accumulator scatter or a masked pull over the
-//! cached transpose when operand sparsity favors it. The push-dense
-//! accumulator and the push arms' list of `u`'s entries are allocated per
-//! call, as the paper's are; the pull arm reads `u` in place. `mxv` has
-//! one kernel, the paper's row pull, under every policy. Both pulls fold
-//! a row with [`super::kernels::pull_row`], which skips the input's
-//! presence flags when the input holds every entry.
+//! may substitute a sparse-accumulator scatter when the frontier touches
+//! few outputs. Both are push kernels; `vxm` never builds a transpose.
+//! The dense accumulator and the list of `u`'s entries are allocated per
+//! call, as the paper's are. `mxv` has one kernel, the paper's row pull,
+//! under every policy; it folds a row with
+//! [`super::kernels::pull_row`], which skips the input's presence flags
+//! when the input holds every entry.
 
 use super::kernels;
 use super::write::{Output, WriteBack};
@@ -41,7 +41,7 @@ use perfmon::trace::KernelChoice;
 ///
 /// Returns [`GrbError::DimensionMismatch`] when `u.size != a.nrows`,
 /// `w.size != a.ncols`, or the mask size differs from `w`;
-/// [`GrbError::ResourceExhausted`] when no kernel's projected
+/// [`GrbError::ResourceExhausted`] when neither push kernel's projected
 /// accumulator fits the calling thread's [`super::Policy::budget`] (or
 /// an injected `grb.alloc.accumulator` fault fires).
 pub fn vxm<T, M, S, R>(
@@ -82,14 +82,13 @@ where
         }
     }
 
-    let selection = kernels::select(u, a, mask, desc)?;
+    let selection = kernels::select(u, a)?;
     if substrate::fault::point("grb.alloc.accumulator") {
         return Err(GrbError::ResourceExhausted {
             required: kernels::projected_bytes(
                 selection.choice,
                 selection.frontier_degree,
                 a.ncols() as u64,
-                selection.mask_admitted,
                 std::mem::size_of::<(u32, T)>() as u64,
                 std::mem::size_of::<T>() as u64,
             ),
@@ -105,15 +104,10 @@ where
             wb.entries(w, &out);
             bytes
         }
-        KernelChoice::Pull => {
-            let (out, bytes) =
-                kernels::pull_gather(u, a.transpose(), mask, desc, semiring, rt, pm);
-            wb.entries(w, &out);
-            bytes
-        }
         _ => {
-            // Dense accumulator over the output dimension: the
-            // intermediate the paper's fixed push strategy cannot avoid.
+            // PushDense, the only other kernel selection names. Dense
+            // accumulator over the output dimension: the intermediate
+            // the paper's fixed push strategy cannot avoid.
             let (acc, bytes) =
                 kernels::scatter_dense(&u.entries(), a, mask, desc, semiring, rt, pm);
             wb.entries(w, &acc.into_entries(pm));
@@ -218,7 +212,6 @@ where
     }
     let pm = perfmon::probe();
     let wb = WriteBack::masked(desc.replace || mask.is_none(), accum, mask, desc, pm);
-    // The fold never exits early.
     let input = kernels::PullInput::of(u);
     let mul = |x, av| semiring.mul(av, x);
     let (mut vals, mut present) = wb.dense_scratch(w, n);
@@ -226,7 +219,7 @@ where
         let pv = ParSlice::new(&mut vals);
         let pp = ParSlice::new(&mut present);
         rt.parallel_for_balanced(n, |i| a.row_nvals(i as u32) as u64 + 1, |i| {
-            let row = kernels::pull_row(a, i as u32, mask, desc, input, semiring, mul, None, pm);
+            let row = kernels::pull_row(a, i as u32, mask, desc, input, semiring, mul, pm);
             if let Some(acc) = row {
                 // SAFETY: one writer per row.
                 unsafe {
@@ -385,33 +378,16 @@ mod tests {
         Matrix::from_graph(&g, f64::from)
     }
 
-    /// Runs `f` with `vxm` forced onto the pull kernel.
-    fn forcing_pull<T>(f: impl FnOnce() -> T) -> T {
-        crate::ops::with_policy(crate::ops::Policy::forcing(KernelChoice::Pull), f)
-    }
-
-    /// `(mxv, vxm)` of `u`, with `vxm` forced onto the pull kernel.
-    fn pull_products<S: SemiringOps<T>, T: Scalar>(
+    /// `mxv` of `u` with `replace`.
+    fn pulled<S: SemiringOps<T>, T: Scalar>(
         semiring: S,
         a: &Matrix<T>,
         u: &Vector<T>,
-    ) -> (Vector<T>, Vector<T>) {
+    ) -> Vector<T> {
         let desc = Descriptor::new().with_replace(true);
-        let mut pulled = Vector::new(a.nrows());
-        mxv(
-            &mut pulled,
-            None::<&Vector<bool>>,
-            semiring,
-            a,
-            u,
-            &desc,
-            GaloisRuntime,
-        )
-        .unwrap();
-        let mut pushed = Vector::new(a.ncols());
-        let no_mask = None::<&Vector<bool>>;
-        forcing_pull(|| vxm(&mut pushed, no_mask, semiring, u, a, &desc, GaloisRuntime)).unwrap();
-        (pulled, pushed)
+        let mut w = Vector::new(a.nrows());
+        mxv(&mut w, None::<&Vector<bool>>, semiring, a, u, &desc, GaloisRuntime).unwrap();
+        w
     }
 
     fn bits(v: &Vector<f64>) -> Vec<(u32, u64)> {
@@ -430,13 +406,10 @@ mod tests {
         }
         assert!(matches!(kernels::PullInput::of(&full), kernels::PullInput::Full(_)));
         let sparse = Vector::from_entries(5, full.entries()).unwrap();
-        let (mxv_full, vxm_full) = pull_products(PlusTimes, &a, &full);
-        let (mxv_sparse, vxm_sparse) = pull_products(PlusTimes, &a, &sparse);
-        assert_eq!(bits(&mxv_full), bits(&mxv_sparse));
-        assert_eq!(bits(&vxm_full), bits(&vxm_sparse));
+        let mxv_full = pulled(PlusTimes, &a, &full);
+        assert_eq!(bits(&mxv_full), bits(&pulled(PlusTimes, &a, &sparse)));
         assert_eq!(mxv_full.get(1), None, "an empty row yields no entry");
         assert_eq!(mxv_full.nvals(), 4);
-        assert_eq!(vxm_full.nvals(), 5);
     }
 
     #[test]
@@ -450,65 +423,9 @@ mod tests {
         holed.remove(2);
         assert!(matches!(kernels::PullInput::of(&holed), kernels::PullInput::Dense(..)));
         let sparse = Vector::from_entries(5, holed.entries()).unwrap();
-        let (mxv_holed, vxm_holed) = pull_products(PlusTimes, &a, &holed);
-        let (mxv_sparse, vxm_sparse) = pull_products(PlusTimes, &a, &sparse);
-        assert_eq!(bits(&mxv_holed), bits(&mxv_sparse));
-        assert_eq!(bits(&vxm_holed), bits(&vxm_sparse));
+        let mxv_holed = pulled(PlusTimes, &a, &holed);
+        assert_eq!(bits(&mxv_holed), bits(&pulled(PlusTimes, &a, &sparse)));
         assert_eq!(mxv_holed.get(2), None, "row 2 meets only the hole");
-        assert_eq!(vxm_holed.get(2), None, "column 2 meets only the hole");
-    }
-
-    static LOR_MULS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-    /// [`LorLand`] that counts its ⊗ calls.
-    #[derive(Clone, Copy)]
-    struct CountingLor;
-
-    impl SemiringOps<f64> for CountingLor {
-        fn add(self, a: f64, b: f64) -> f64 {
-            LorLand.add(a, b)
-        }
-        fn add_identity(self) -> f64 {
-            SemiringOps::<f64>::add_identity(LorLand)
-        }
-        fn mul(self, a: f64, b: f64) -> f64 {
-            LOR_MULS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            LorLand.mul(a, b)
-        }
-        fn add_absorbing(self) -> Option<f64> {
-            SemiringOps::<f64>::add_absorbing(LorLand)
-        }
-    }
-
-    #[test]
-    fn full_vector_lor_pull_still_exits_early() {
-        use std::sync::atomic::Ordering;
-        let a = multigraph_matrix();
-        let ones = Vector::new_dense(5, 1.0);
-        let desc = Descriptor::new().with_replace(true);
-        LOR_MULS.store(0, Ordering::Relaxed);
-        let mut reached = Vector::new(5);
-        forcing_pull(|| {
-            vxm(
-                &mut reached,
-                None::<&Vector<bool>>,
-                CountingLor,
-                &ones,
-                &a,
-                &desc,
-                GaloisRuntime,
-            )
-        })
-        .unwrap();
-        assert_eq!(reached.entries(), (0..5).map(|j| (j, 1.0)).collect::<Vec<_>>());
-        assert_eq!(LOR_MULS.load(Ordering::Relaxed), 5, "one ⊗ per column, then exit");
-        // `mxv` folds every entry: 11 edges.
-        LOR_MULS.store(0, Ordering::Relaxed);
-        let mut pulled = Vector::new(5);
-        mxv(&mut pulled, None::<&Vector<bool>>, CountingLor, &a, &ones, &desc, GaloisRuntime)
-            .unwrap();
-        assert_eq!(pulled.nvals(), 4);
-        assert_eq!(LOR_MULS.load(Ordering::Relaxed), 11);
     }
 
     #[test]

@@ -248,23 +248,6 @@ impl<T: Scalar> Vector<T> {
         }
     }
 
-    /// Number of explicit entries holding a non-zero value — what a
-    /// *valued* mask admits, as opposed to [`nvals`](Vector::nvals)
-    /// (structural presence). `O(nvals)` for sparse storage, `O(n)` for
-    /// dense; algorithms like bfs keep a dense distance vector full of
-    /// explicit zeros, so the kernel heuristic must count values, not
-    /// presence.
-    pub fn nonzeros(&self) -> usize {
-        match &self.store {
-            Store::Sparse { vals, .. } => vals.iter().filter(|v| v.is_nonzero()).count(),
-            Store::Dense { vals, present, .. } => vals
-                .iter()
-                .zip(present.iter())
-                .filter(|(v, &p)| p && v.is_nonzero())
-                .count(),
-        }
-    }
-
     /// Iterates over `(index, value)` of explicit entries in ascending
     /// index order.
     pub fn iter(&self) -> Iter<'_, T> {
@@ -519,20 +502,6 @@ mod tests {
         assert!(!dense_preferred(9, 100));
         assert!(!dense_preferred(0, 10));
         assert!(!dense_preferred(0, 0), "empty dimension is never dense");
-    }
-
-    #[test]
-    fn nonzeros_counts_values_not_presence() {
-        let mut v: Vector<u32> = Vector::new(6);
-        v.set(0, 0).unwrap(); // explicit zero
-        v.set(1, 5).unwrap();
-        v.set(2, 0).unwrap(); // explicit zero
-        v.set(3, 1).unwrap();
-        assert_eq!(v.nvals(), 4);
-        assert_eq!(v.nonzeros(), 2);
-        v.to_dense();
-        assert_eq!(v.nonzeros(), 2, "dense store agrees");
-        assert_eq!(Vector::<u64>::new(4).nonzeros(), 0);
     }
 
     #[test]

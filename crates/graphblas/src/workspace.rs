@@ -8,12 +8,12 @@
 //! * **op counters**: per-thread cumulative totals that each op's trace
 //!   span brackets to report `ws_reused_bytes` / `ws_fresh_bytes` (a
 //!   replace-mode write that recycles `w`'s own dense store, against
-//!   one that allocates a new one or builds a cached transpose) and
+//!   one that allocates a new one) and
 //!   `flops` / `chunks`. All are written on the op's calling thread, so
 //!   ops on other threads never move them;
 //! * **flop-balanced scheduling** (`run_balanced`): row loops whose
 //!   per-row cost is skewed (SpGEMM over rmat-like degree distributions,
-//!   masked pull SpMV) are partitioned into equal-*flops* ranges instead
+//!   pull SpMV) are partitioned into equal-*flops* ranges instead
 //!   of equal-*row* ranges and executed on `galois_rt::do_all_ranges`,
 //!   which reuses the `substrate::deque` work-stealing layer for the
 //!   residual imbalance.
@@ -30,7 +30,6 @@ thread_local! {
     static WS_FRESH: Cell<u64> = const { Cell::new(0) };
     static WS_FLOPS: Cell<u64> = const { Cell::new(0) };
     static WS_CHUNKS: Cell<u64> = const { Cell::new(0) };
-    static TRANSPOSE_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 /// A point-in-time copy of the calling thread's cumulative workspace
@@ -68,21 +67,6 @@ pub(crate) fn note_fresh(bytes: usize) {
 pub(crate) fn note_work(flops: u64, chunks: u64) {
     WS_FLOPS.with(|c| c.set(c.get() + flops));
     WS_CHUNKS.with(|c| c.set(c.get() + chunks));
-}
-
-/// Records a `Matrix::transpose()` cache build of `bytes` bytes.
-///
-/// Called once from inside the `OnceLock` initializer, so the bytes land
-/// on the op that triggered the build and are *not* re-reported on every
-/// cache reuse. They count as fresh workspace bytes.
-pub(crate) fn note_transpose_build(bytes: usize) {
-    TRANSPOSE_BYTES.with(|c| c.set(c.get() + bytes as u64));
-    note_fresh(bytes);
-}
-
-/// Bytes of cached-transpose builds this thread triggered (test hook).
-pub fn transpose_bytes_built() -> u64 {
-    TRANSPOSE_BYTES.with(Cell::get)
 }
 
 // ---------------------------------------------------------------------------

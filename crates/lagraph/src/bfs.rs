@@ -6,15 +6,14 @@
 //! everything into one loop (Algorithm 1). That 3-vs-1 pass count is the
 //! paper's *lightweight loops* limitation.
 //!
-//! The algorithm itself stays fixed-strategy push, but under the default
-//! [`ops::Policy`] the `vxm` underneath direction-optimizes per round:
-//! sparse early frontiers scatter into pair lanes, saturated
-//! mid-frontiers use the dense accumulator, and late rounds pull only
-//! the still-unvisited vertices through the complemented mask — the
-//! GraphBLAST-style optimization living *below* the API, invisible to
-//! this code, so the matrix API needs no separate push/pull bfs. A
-//! policy forcing push-dense (`STUDY_KERNEL=push`) restores the paper's
-//! cost model.
+//! The algorithm is push in every round, as LAGraph's basic bfs is. Under
+//! the default [`ops::Policy`] the `vxm` underneath picks its accumulator
+//! per round: sparse frontiers scatter into pair lanes, saturated ones
+//! into the dense accumulator. A policy forcing push-dense
+//! (`STUDY_KERNEL=push`) restores the paper's cost model. `vxm` never
+//! pulls: a direction-optimizing bfs would pull the way LAGraph does,
+//! with `mxv` over a transpose prepared before the clock starts, chosen
+//! by the algorithm rather than below the API.
 
 use graph::{CsrGraph, NodeId};
 use graphblas::binops::LorLand;
@@ -43,10 +42,9 @@ pub fn bfs<R: Runtime>(g: &CsrGraph, src: NodeId, rt: R) -> Result<BfsResult, Gr
     bfs_on(&Matrix::from_graph(g, |_| 1), src, rt)
 }
 
-/// Runs [`bfs`] once per source over one adjacency matrix: `A` is built
-/// once, and the transpose that the cost model's pull rounds build lazily on it
-/// is built at most once too. Query `j` is exactly `bfs(g, sources[j])`
-/// and fails alone; its siblings still run.
+/// Runs [`bfs`] once per source over one adjacency matrix, built once.
+/// Query `j` is exactly `bfs(g, sources[j])` and fails alone; its
+/// siblings still run.
 ///
 /// # Errors
 ///

@@ -26,9 +26,10 @@
 //! Extensions beyond the paper's evaluation (documented in DESIGN.md §8):
 //! [`bc::betweenness`] (the paper's motivating application) and
 //! [`bfs::bfs_each`], which answers a batch of bfs queries as one serial
-//! run per source over one shared adjacency matrix. The GraphBLAST
-//! direction optimization needs no port of its own: [`bfs::bfs`]'s `vxm`
-//! picks push or pull per round below the API.
+//! run per source over one shared adjacency matrix. [`bfs::bfs`] pushes
+//! every round; its `vxm` picks a sparse or a dense accumulator below
+//! the API, and pulls nothing (a pull is `mxv` over a prepared
+//! transpose, as pagerank's is).
 
 pub mod bc;
 pub mod bfs;

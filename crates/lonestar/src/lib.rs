@@ -5,7 +5,8 @@
 //! Rust ports of the Lonestar benchmark programs evaluated in *A Study of
 //! APIs for Graph Analytics Workloads* (IISWC 2020). These use the
 //! graph-based API — [`graph::CsrGraph`] plus the [`galois_rt`] parallel
-//! constructs (`do_all`, `for_each`, OBIM) — and exercise exactly the four
+//! constructs (`do_all`, and the OBIM work-list `for_each_ordered` for
+//! sssp) — and exercise exactly the four
 //! capabilities the paper shows a matrix API cannot express:
 //!
 //! * **fused composite operators** — bfs marks distances and builds the

@@ -133,8 +133,8 @@ pub enum KernelChoice {
     /// SAXPY scatter into the dense atomic accumulator sized by the
     /// output dimension.
     PushDense,
-    /// SDOT over rows of the (cached) transpose, iterating only
-    /// mask-admitted output indices.
+    /// SDOT over the rows of the matrix `mxv` was handed (the only
+    /// `mxv` kernel; `vxm` never pulls).
     Pull,
 }
 
@@ -199,24 +199,18 @@ pub struct OpSpan {
     /// do not go through kernel selection).
     pub kernel: KernelChoice,
     /// Bytes the chosen kernel's accumulator actually held: the dense
-    /// buffer size for push-dense / pull-dense, the collected `(index,
-    /// value)` pairs for the sparse kernels.
+    /// buffer size for push-dense and `mxv`'s pull, the collected
+    /// `(index, value)` pairs for push-sparse.
     pub accumulator_bytes: u64,
     /// Heuristic input: summed matrix row degrees over the input's
     /// explicit entries (0 when selection was forced and the heuristic
     /// never ran).
     pub frontier_degree: u64,
-    /// Heuristic input: explicit entries in the matrix operand (0 when
-    /// the heuristic never ran).
-    pub matrix_nnz: u64,
-    /// Heuristic input: estimated output slots the mask admits (0 when
-    /// the heuristic never ran).
-    pub mask_admitted: u64,
     /// Workspace bytes this call met by recycling its output's own
     /// dense store.
     pub ws_reused_bytes: u64,
     /// Workspace bytes this call allocated fresh (dense output stores
-    /// that could not be recycled, and one-time cached-transpose builds).
+    /// that could not be recycled).
     pub ws_fresh_bytes: u64,
     /// Summed per-row flop estimates of the call's flop-balanced loops
     /// (0 when no loop was balanced).
@@ -526,7 +520,7 @@ impl Trace {
     /// mask mode, materialized bytes); loop spans keep kind and
     /// iterations. Elapsed times, steal counts and bucket visits — the
     /// fields legitimately perturbed by scheduling — are dropped. The
-    /// trace/v8 dump headers (schema, cache geometry, dropped count)
+    /// trace/v9 dump headers (schema, cache geometry, dropped count)
     /// live outside the event stream and are not fingerprinted.
     pub fn fingerprint(&self) -> Vec<String> {
         self.events
@@ -630,8 +624,6 @@ mod tests {
             kernel: KernelChoice::PushDense,
             accumulator_bytes: materialized,
             frontier_degree: 9,
-            matrix_nnz: 20,
-            mask_admitted: 4,
             ws_reused_bytes: 6,
             ws_fresh_bytes: 2,
             flops: 40,

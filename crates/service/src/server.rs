@@ -57,7 +57,10 @@ impl ServiceConfig {
     /// Panics when `STUDY_SVC_DEADLINE_MS` or `STUDY_SVC_MAX_INFLIGHT`
     /// is set to a non-integer.
     pub fn from_env() -> ServiceConfig {
-        let addr = std::env::var("STUDY_SVC_ADDR").unwrap_or_else(|_| "127.0.0.1:0".to_string());
+        let addr = std::env::var("STUDY_SVC_ADDR")
+            .ok()
+            .filter(|a| !a.trim().is_empty())
+            .unwrap_or_else(|| "127.0.0.1:0".to_string());
         let default_deadline_ms = match std::env::var("STUDY_SVC_DEADLINE_MS") {
             Ok(v) if !v.trim().is_empty() => v.trim().parse().unwrap_or_else(|e| {
                 panic!("STUDY_SVC_DEADLINE_MS must be milliseconds, got {v:?}: {e}")

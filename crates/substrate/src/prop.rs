@@ -76,8 +76,9 @@ pub fn cases(cases: u32) -> Config {
 }
 
 fn seed_from_env() -> u64 {
-    let Ok(raw) = std::env::var("STUDY_PROP_SEED") else {
-        return DEFAULT_SEED;
+    let raw = match std::env::var("STUDY_PROP_SEED") {
+        Ok(v) if !v.trim().is_empty() => v.trim().to_string(),
+        _ => return DEFAULT_SEED,
     };
     let parsed = raw
         .strip_prefix("0x")

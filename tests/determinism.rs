@@ -22,10 +22,10 @@
 //!    loop's iteration count depends on the schedule, so there it
 //!    repeats only its kind, and is held to equal output and at least
 //!    one iteration per settled vertex instead.
-//! 4. The batched query engine degrades exactly to the serial engine: a
-//!    width-1 batch emits a trace whose fingerprint equals the serial
-//!    run's, and at width 8 msBFS issues strictly fewer matrix-product
-//!    spans than eight serial runs while returning bit-identical levels.
+//! 4. A batch of bfs queries is serial runs over one matrix: a width-1
+//!    batch emits a trace whose fingerprint equals the serial run's.
+//!    Under the cost model every bfs round's `vxm` pushes, and reaches
+//!    the levels of the paper's push-dense scatter.
 //! 5. Streaming ingestion is replayable: absorbing the identical update
 //!    stream twice yields fingerprint-identical apply/compact traces and
 //!    bit-identical compacted snapshots, and re-grouping the same ops into
@@ -255,24 +255,17 @@ fn matrix_api_pagerank_is_bit_identical_across_threads_and_runtimes() {
 
 /// Pins the kernel pr runs: every round's product is an `mxv`, whose one
 /// kernel pulls over the `AT` handed in, on both backends — no `vxm`,
-/// four API calls per round, and no transpose built inside the solve.
+/// and four API calls per round.
 #[test]
 fn traced_pagerank_pulls_over_the_prepared_transpose() {
     use graph_api_study::graph::{Scale, StudyGraph};
-    use graph_api_study::graphblas::workspace::transpose_bytes_built;
     use graph_api_study::perfmon::trace::OpKind;
     use graph_api_study::study_core::{traced_run, PreparedGraph, Problem, System};
 
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 64.0));
     let iters = u64::from(p.pr_iters);
     for system in [System::SuiteSparse, System::GaloisBlas] {
-        let built_before = transpose_bytes_built();
         let t = traced_run(system, Problem::Pr, &p).trace;
-        assert_eq!(
-            transpose_bytes_built(),
-            built_before,
-            "{system}: pr must not build a transpose inside the solve"
-        );
         assert_eq!(t.count_ops(OpKind::Vxm), 0, "{system}: pr issues no vxm");
         assert_eq!(t.count_ops(OpKind::Mxv), iters, "{system}: one mxv per round");
         assert!(
@@ -425,41 +418,36 @@ fn width_one_batched_traces_match_serial() {
     }
 }
 
-/// A batch builds its adjacency matrix once, so the transpose that
-/// `auto`'s pull rounds build lazily on it is built once per batch, not
-/// once per query: queries that each build `A^T` when run alone build it
-/// once together. A property of the cost model, which this thread's
-/// default policy runs (under push-dense no query pulls).
+/// `vxm` is the push product: under the cost model a bfs round scatters,
+/// sparse or dense, and never pulls. On these 8 rmat22 queries the cost
+/// model once chose pull rounds over a transpose built inside the solve;
+/// each must now push every round and reach exactly the levels of the
+/// paper's push-dense scatter.
 #[test]
-fn batched_queries_share_one_transpose() {
+fn bfs_vxm_pushes_every_round_and_matches_push_dense() {
     use graph_api_study::graph::{Scale, StudyGraph};
-    use graph_api_study::graphblas::workspace::transpose_bytes_built;
+    use graph_api_study::perfmon::trace::{with_trace, OpKind};
     use graph_api_study::study_core::{batch_sources, PreparedGraph};
 
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 64.0));
-    let built = |f: &dyn Fn()| {
-        let before = transpose_bytes_built();
-        f();
-        transpose_bytes_built() - before
-    };
-    let alone: Vec<(u32, u64)> = batch_sources(&p, 8)
-        .into_iter()
-        .map(|src| {
-            let bytes = built(&|| {
-                lagraph::bfs::bfs(&p.graph, src, GaloisRuntime).unwrap();
-            });
-            (src, bytes)
-        })
-        .collect();
-    let pulling: Vec<u32> = alone.iter().filter(|a| a.1 > 0).map(|a| a.0).collect();
-    assert!(pulling.len() >= 2, "too few queries pull to test sharing: {alone:?}");
-    let one = alone.iter().map(|a| a.1).max().unwrap();
-    let batch = built(&|| {
-        for r in lagraph::bfs::bfs_each(&p.graph, &pulling, GaloisRuntime) {
-            r.unwrap();
-        }
-    });
-    assert_eq!(batch, one, "{} pulling queries must build one transpose", pulling.len());
+    let [auto, push_dense] = POLICIES;
+    let levels = |src| lagraph::bfs::bfs(&p.graph, src, GaloisRuntime).unwrap().level;
+    for src in batch_sources(&p, 8) {
+        let (got, trace) = with_policy(auto, || with_trace(|| levels(src)));
+        let kernels: Vec<KernelChoice> = trace
+            .ops()
+            .filter(|s| s.kind == OpKind::Vxm)
+            .map(|s| s.kernel)
+            .collect();
+        assert!(!kernels.is_empty(), "source {src}: no vxm");
+        assert!(
+            kernels
+                .iter()
+                .all(|k| matches!(k, KernelChoice::PushSparse | KernelChoice::PushDense)),
+            "source {src}: {kernels:?}"
+        );
+        assert_eq!(got, with_policy(push_dense, || levels(src)), "source {src}");
+    }
 }
 
 /// Streaming replay: absorbing the identical update stream twice yields

@@ -250,10 +250,10 @@ fn traced_bfs_shows_extra_passes_and_materialization() {
 #[test]
 fn adaptive_kernels_cut_bfs_materialization() {
     // The sparsity-adaptive kernel layer must strictly reduce the summed
-    // accumulator materialization of bfs on both backends — early sparse
-    // frontiers scatter into pair lanes instead of a dense accumulator,
-    // late rounds pull only the unvisited outputs — while computing the
-    // exact same levels as the paper's fixed push strategy.
+    // accumulator materialization of bfs on both backends — sparse
+    // frontiers scatter into pair lanes instead of a dense accumulator —
+    // while computing the exact same levels as the paper's fixed push
+    // strategy.
     use graph_api_study::study_core::traced_run;
     let _guard = PERF_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let p = PreparedGraph::study(StudyGraph::Rmat22, Scale::custom(1.0 / 32.0));

@@ -416,7 +416,6 @@ where
         None,
         Some(KernelChoice::PushSparse),
         Some(KernelChoice::PushDense),
-        Some(KernelChoice::Pull),
     ] {
         let policy = Policy {
             kernel,
